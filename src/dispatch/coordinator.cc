@@ -5,7 +5,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <fcntl.h>
 #include <filesystem>
 #include <iostream>
@@ -17,13 +16,11 @@
 #include <sstream>
 
 #include "dispatch/wire.hh"
-#include "driver/costmodel.hh"
 #include "driver/executor.hh"
 #include "driver/report.hh"
 #include "obs/counters.hh"
 #include "obs/histogram.hh"
 #include "obs/obs.hh"
-#include "obs/sampler.hh"
 #include "study/table.hh"
 
 namespace stems::dispatch {
@@ -125,7 +122,7 @@ struct Coordinator::Worker
     FrameDecoder decoder;
     bool alive = false;
     bool ready = false;     //!< handshake complete, can take cells
-    int cell = -1;          //!< index into cells_ (-1 = idle)
+    int cell = -1;          //!< scheduler cell index (-1 = idle)
     Clock::time_point deadline{};  //!< valid when cell != -1
     uint64_t assignedAtNs = 0;     //!< round-trip start (monotonic)
     int stats = -1;         //!< index into workerStats_ (-1 = none)
@@ -142,9 +139,6 @@ constexpr uint32_t kHeartbeatMissBudget = 4;
 
 /** Respawn backoff ceiling. */
 constexpr uint32_t kBackoffCapMs = 5000;
-
-/** Minimum straggler round trip before speculation may fire. */
-constexpr double kSpeculateFloorMs = 2000;
 
 /** Deterministic backoff with jitter for the Nth consecutive loss. */
 uint32_t
@@ -169,8 +163,7 @@ backoffDelayMs(uint32_t baseMs, uint32_t streak, uint64_t salt)
 Coordinator::Coordinator(const driver::ExperimentSpec &spec,
                          DispatchConfig config,
                          std::unique_ptr<Transport> transport)
-    : spec(spec), cfg(std::move(config)), transport(std::move(transport)),
-      cells_(driver::selectedCells(spec))
+    : spec(spec), cfg(std::move(config)), transport(std::move(transport))
 {
     if (cfg.workerExe.empty())
         cfg.workerExe = selfExePath();
@@ -179,8 +172,6 @@ Coordinator::Coordinator(const driver::ExperimentSpec &spec,
             std::make_unique<LocalProcessTransport>(cfg.workerExe);
     if (cfg.workers == 0)
         cfg.workers = 1;
-    cfg.workers = std::min<uint32_t>(
-        cfg.workers, static_cast<uint32_t>(cells_.size()));
     if (cfg.maxAttempts == 0)
         cfg.maxAttempts = 1;
 
@@ -211,12 +202,21 @@ Coordinator::~Coordinator()
 std::vector<CellResult>
 Coordinator::run(const ProgressFn &progress)
 {
-    std::vector<CellResult> results(cells_.size());
+    driver::CellScheduler sched(spec);
+    sched.onComplete(progress);
+    run(sched);
+    return sched.takeResults();
+}
+
+void
+Coordinator::run(driver::CellScheduler &sched)
+{
     workerStats_.clear();
     wallMs_ = 0;
-    if (cells_.empty())
-        return results;
+    if (sched.pending() == 0)
+        return;
     const auto runStart = Clock::now();
+    const std::vector<RunCell> &cells = sched.cells();
 
     // a worker dying mid-write must surface as EPIPE, not SIGPIPE
     std::signal(SIGPIPE, SIG_IGN);
@@ -226,33 +226,17 @@ Coordinator::run(const ProgressFn &progress)
     init.oracleRegionSizes = spec.oracleRegionSizes;
     init.trace = cfg.trace;
     init.heartbeatMs = cfg.heartbeatMs;
-    init.pipeline = cfg.pipeline;
     const std::string initFrame = encodeInit(init);
 
-    // schedule=cost queues cells longest-estimated-first (LPT);
-    // results are placed by cell index either way, so the report is
-    // byte-identical to fifo order
-    std::deque<int> pending;  //!< cell indices awaiting a worker
-    for (size_t i : driver::scheduleOrder(spec, cells_))
-        pending.push_back(static_cast<int>(i));
-    obs::Gauges::get().reset();
-    std::vector<uint32_t> attempts(cells_.size(), 0);
-    // speculation bookkeeping: a cell may be in flight on two workers
-    // at once (original + one speculative copy); the first result
-    // wins and the loser's is discarded
-    std::vector<char> completed(cells_.size(), 0);
-    std::vector<uint32_t> running(cells_.size(), 0);
-    std::vector<char> speculated(cells_.size(), 0);
-    std::vector<double> doneRttMs;  //!< completed round trips (median)
-    size_t done = 0;
+    const uint32_t workers = std::min<uint32_t>(
+        cfg.workers, static_cast<uint32_t>(sched.pending()));
 
     // enough respawns that the per-cell attempt cap is the real
     // limiter, yet bounded so a fork-bomb failure mode cannot loop
-    uint32_t respawnBudget = cfg.workers +
-        2 * static_cast<uint32_t>(cells_.size()) *
-            std::max<uint32_t>(cfg.maxAttempts, 1);
+    uint32_t respawnBudget = workers +
+        2 * static_cast<uint32_t>(sched.pending()) * cfg.maxAttempts;
 
-    std::vector<Worker> pool(cfg.workers);
+    std::vector<Worker> pool(workers);
 
     auto reap = [](Worker &w) {
         closeFd(w.proc.toWorker);
@@ -267,22 +251,10 @@ Coordinator::run(const ProgressFn &progress)
         w.decoder = FrameDecoder();
     };
 
-    auto failCell = [&](int cell, const std::string &reason) {
-        if (completed[cell])
-            return;
-        completed[cell] = 1;
-        results[cell].cell = cells_[cell];
-        results[cell].error = "dispatch: " + reason + " after " +
-            std::to_string(attempts[cell]) + " attempt(s)";
-        ++done;
-        if (progress)
-            progress(results[cell], done, cells_.size());
-    };
-
     // a worker died (crash, heartbeat loss, timeout, protocol error):
-    // re-queue its in-flight cell or, past the attempt cap, record
-    // the failure through the cell-error path; the slot backs off
-    // exponentially before it may respawn
+    // the scheduler re-queues its in-flight cell or, past the attempt
+    // cap, records the failure through the cell-error path; the slot
+    // backs off exponentially before it may respawn
     auto workerLost = [&](Worker &w, const std::string &reason) {
         const int cell = w.cell;
         obs::instant("worker_lost",
@@ -299,24 +271,9 @@ Coordinator::run(const ProgressFn &progress)
         if (delay > 0)
             w.nextSpawnAt =
                 Clock::now() + std::chrono::milliseconds(delay);
-        if (cell < 0)
-            return;
-        if (running[cell] > 0)
-            --running[cell];
-        if (completed[cell])
-            return;  // a speculative twin already delivered
-        if (running[cell] > 0)
-            return;  // the other in-flight copy is still running
-        if (attempts[cell] >=
-            std::max<uint32_t>(cfg.maxAttempts, 1)) {
-            failCell(cell, reason);
-        } else {
-            pending.push_front(cell);  // retry promptly, other worker
-            obs::count(&obs::Counters::cellsRequeued);
-            obs::instant("cell_requeued",
-                         {{"cell",
-                           std::to_string(cells_[cell].id)}});
-        }
+        if (cell >= 0)
+            sched.lost(static_cast<size_t>(cell), "dispatch: " + reason,
+                       cfg.maxAttempts);
     };
 
     auto trySpawn = [&](Worker &w) -> bool {
@@ -350,14 +307,14 @@ Coordinator::run(const ProgressFn &progress)
         return true;
     };
 
-    // hand @p cell to @p w; the attempt number rides the wire so the
-    // fault injector can key first-attempt-only chaos deterministically
-    auto dispatchCell = [&](Worker &w, int cell) {
-        ++attempts[cell];
-        if (attempts[cell] > 1)
+    // hand a claimed @p cell to @p w; the attempt number rides the wire
+    // so the fault injector can key first-attempt-only chaos
+    // deterministically
+    auto dispatchCell = [&](Worker &w, size_t cell) {
+        const uint32_t attempt = sched.attempts(cell);
+        if (attempt > 1)
             obs::count(&obs::Counters::dispatchRetries);
-        w.cell = cell;
-        ++running[cell];
+        w.cell = static_cast<int>(cell);
         w.assignedAtNs = obs::monotonicNs();
         if (cfg.timeoutMs > 0)
             w.deadline = Clock::now() +
@@ -365,28 +322,72 @@ Coordinator::run(const ProgressFn &progress)
         std::string job;
         {
             obs::Span span("encode_cell",
-                           {{"cell",
-                             std::to_string(cells_[cell].id)}});
-            job = encodeCellJob(cells_[cell], attempts[cell]);
+                           {{"cell", std::to_string(cells[cell].id)}});
+            job = encodeCellJob(cells[cell], attempt);
         }
         if (!writeFrame(w.proc.toWorker, job))
             workerLost(w, "worker rejected cell " +
-                              std::to_string(cells_[cell].id));
+                              std::to_string(cells[cell].id));
     };
 
     auto assign = [&](Worker &w) {
-        if (!w.alive || !w.ready || w.cell != -1 || pending.empty())
+        if (!w.alive || !w.ready || w.cell != -1)
             return;
-        const int cell = pending.front();
-        pending.pop_front();
-        dispatchCell(w, cell);
-        // lookahead pipelining: hint the queue head so the worker
-        // warms its trace while the just-assigned cell simulates.
-        // Advisory only — a lost hint is silently absorbed (a dead
-        // worker surfaces on the next real write)
-        if (cfg.pipeline && w.alive && !pending.empty())
-            writeFrame(w.proc.toWorker,
-                       encodePrefetch(cells_[pending.front()]));
+        if (const auto cell = sched.claim())
+            dispatchCell(w, *cell);
+    };
+
+    // fold a first result's v4 telemetry sidecar into this
+    // incarnation's health stats and merge any worker spans (re-tagged
+    // with the worker pid) into the coordinator's trace timeline
+    auto foldTelemetry = [&](Worker &w, size_t cell,
+                             obs::CellTelemetry &tel) {
+        const double rtMs =
+            static_cast<double>(obs::monotonicNs() - w.assignedAtNs) /
+            1e6;
+        obs::recordHist(&obs::Histograms::dispatchRttUs,
+                        static_cast<uint64_t>(rtMs * 1000.0));
+        // the worker's own wall is the sum of its phase timings; the
+        // RTT above additionally carries wire + queue overhead
+        double phaseSumMs = 0;
+        for (const auto &[name, ms] : tel.phases)
+            phaseSumMs += ms;
+        if (phaseSumMs > 0)
+            obs::recordHist(&obs::Histograms::cellWallUs,
+                            static_cast<uint64_t>(phaseSumMs * 1000.0));
+        if (w.stats >= 0) {
+            WorkerStats &ws = workerStats_[w.stats];
+            ++ws.cellsDone;
+            ws.busyMs += rtMs;
+            for (const auto &[name, ms] : tel.phases) {
+                auto it = std::find_if(
+                    ws.phaseMs.begin(), ws.phaseMs.end(),
+                    [&](const auto &p) { return p.first == name; });
+                if (it == ws.phaseMs.end())
+                    ws.phaseMs.emplace_back(name, ms);
+                else
+                    it->second += ms;
+            }
+            if (!tel.counters.empty())
+                ws.counters = tel.counters;
+            ws.rssKb = std::max(ws.rssKb, tel.rssKb);
+        }
+        obs::Recorder &rec = obs::Recorder::get();
+        if (rec.enabled()) {
+            obs::Event e;
+            e.name = "dispatch_cell";
+            e.tsNs = w.assignedAtNs;
+            e.durNs = obs::monotonicNs() - w.assignedAtNs;
+            e.args.emplace_back("cell", std::to_string(cells[cell].id));
+            e.args.emplace_back("pid", std::to_string(w.proc.pid));
+            rec.record(std::move(e));
+            if (!tel.spans.empty()) {
+                for (auto &s : tel.spans)
+                    s.pid = w.proc.pid;
+                rec.ingest(std::move(tel.spans));
+                tel.spans.clear();
+            }
+        }
     };
 
     // drain every complete frame buffered for one worker
@@ -410,101 +411,20 @@ Coordinator::run(const ProgressFn &progress)
                         wire = decodeResult(msg);
                     }
                     const int cell = w.cell;
-                    if (cell < 0 ||
-                        wire.cell.id != cells_[cell].id) {
+                    if (cell < 0 || wire.cell.id != cells[cell].id) {
                         workerLost(w, "worker answered for the wrong "
                                       "cell");
                         return;
                     }
                     w.cell = -1;
                     w.failStreak = 0;
-                    if (running[cell] > 0)
-                        --running[cell];
-                    if (completed[cell]) {
-                        // a speculative twin already delivered this
-                        // cell; discard the straggler's copy
-                        assign(w);
-                        continue;
-                    }
-                    // the coordinator's cell is authoritative for the
-                    // report; the wire carries measurements only
-                    results[cell].cell = cells_[cell];
-                    results[cell].metrics = std::move(wire.metrics);
-                    results[cell].error = std::move(wire.error);
-
-                    // fold the v4 telemetry sidecar into this
-                    // incarnation's health stats and merge any worker
-                    // spans (re-tagged with the worker pid) into the
-                    // coordinator's trace timeline
-                    const double rtMs =
-                        static_cast<double>(obs::monotonicNs() -
-                                            w.assignedAtNs) /
-                        1e6;
-                    doneRttMs.push_back(rtMs);
-                    obs::recordHist(
-                        &obs::Histograms::dispatchRttUs,
-                        static_cast<uint64_t>(rtMs * 1000.0));
-                    {
-                        // the worker's own wall is the sum of its
-                        // phase timings; the RTT above additionally
-                        // carries wire + queue overhead
-                        double phaseSumMs = 0;
-                        for (const auto &[name, ms] :
-                             wire.telemetry.phases)
-                            phaseSumMs += ms;
-                        if (phaseSumMs > 0)
-                            obs::recordHist(
-                                &obs::Histograms::cellWallUs,
-                                static_cast<uint64_t>(phaseSumMs *
-                                                      1000.0));
-                    }
-                    if (w.stats >= 0) {
-                        WorkerStats &ws = workerStats_[w.stats];
-                        ++ws.cellsDone;
-                        ws.busyMs += rtMs;
-                        for (const auto &[name, ms] :
-                             wire.telemetry.phases) {
-                            auto it = std::find_if(
-                                ws.phaseMs.begin(), ws.phaseMs.end(),
-                                [&](const auto &p) {
-                                    return p.first == name;
-                                });
-                            if (it == ws.phaseMs.end())
-                                ws.phaseMs.emplace_back(name, ms);
-                            else
-                                it->second += ms;
-                        }
-                        if (!wire.telemetry.counters.empty())
-                            ws.counters = wire.telemetry.counters;
-                        ws.rssKb =
-                            std::max(ws.rssKb, wire.telemetry.rssKb);
-                    }
-                    obs::Recorder &rec = obs::Recorder::get();
-                    if (rec.enabled()) {
-                        obs::Event e;
-                        e.name = "dispatch_cell";
-                        e.tsNs = w.assignedAtNs;
-                        e.durNs = obs::monotonicNs() - w.assignedAtNs;
-                        e.args.emplace_back(
-                            "cell", std::to_string(cells_[cell].id));
-                        e.args.emplace_back(
-                            "pid", std::to_string(w.proc.pid));
-                        rec.record(std::move(e));
-                        if (!wire.telemetry.spans.empty()) {
-                            for (auto &s : wire.telemetry.spans)
-                                s.pid = w.proc.pid;
-                            rec.ingest(
-                                std::move(wire.telemetry.spans));
-                            wire.telemetry.spans.clear();
-                        }
-                    }
-                    results[cell].telemetry =
-                        std::move(wire.telemetry);
-
-                    completed[cell] = 1;
-                    ++done;
-                    if (progress)
-                        progress(results[cell], done, cells_.size());
+                    // a duplicate copy that lost the race is dropped
+                    // by the scheduler and leaves no telemetry
+                    if (!sched.done(static_cast<size_t>(cell)))
+                        foldTelemetry(w, static_cast<size_t>(cell),
+                                      wire.telemetry);
+                    sched.complete(static_cast<size_t>(cell),
+                                   std::move(wire));
                 } else {
                     workerLost(w, "unexpected message \"" + type +
                                       "\"");
@@ -519,55 +439,10 @@ Coordinator::run(const ProgressFn &progress)
         }
     };
 
-    // the straggler tail: when no pending work remains, duplicate the
-    // slowest in-flight cell onto an idle worker once its round trip
-    // exceeds 3x the median completed round trip (first result wins)
-    auto speculate = [&]() {
-        if (!cfg.speculate || !pending.empty() ||
-            doneRttMs.size() < 3)
-            return;
-        std::vector<double> rtts = doneRttMs;
-        std::nth_element(rtts.begin(),
-                         rtts.begin() + rtts.size() / 2, rtts.end());
-        const double threshold = std::max(
-            3.0 * rtts[rtts.size() / 2], kSpeculateFloorMs);
-        for (auto &idle : pool) {
-            if (!idle.alive || !idle.ready || idle.cell != -1)
-                continue;
-            Worker *straggler = nullptr;
-            double worstMs = threshold;
-            for (auto &busy : pool) {
-                if (!busy.alive || busy.cell < 0)
-                    continue;
-                const int c = busy.cell;
-                if (completed[c] || speculated[c])
-                    continue;
-                const double elapsedMs =
-                    static_cast<double>(obs::monotonicNs() -
-                                        busy.assignedAtNs) /
-                    1e6;
-                if (elapsedMs > worstMs) {
-                    worstMs = elapsedMs;
-                    straggler = &busy;
-                }
-            }
-            if (!straggler)
-                return;
-            const int c = straggler->cell;
-            speculated[c] = 1;
-            obs::count(&obs::Counters::speculativeRedispatches);
-            obs::instant("speculative_redispatch",
-                         {{"cell", std::to_string(cells_[c].id)},
-                          {"stuck_pid",
-                           std::to_string(straggler->proc.pid)}});
-            dispatchCell(idle, c);
-        }
-    };
-
     for (auto &w : pool)
         trySpawn(w);
 
-    while (done < cells_.size()) {
+    while (!sched.finished()) {
         // refill dead slots only while there is un-assigned work no
         // live worker could absorb — a respawned worker with nothing
         // pending would idle until shutdown and waste respawn budget
@@ -576,7 +451,7 @@ Coordinator::run(const ProgressFn &progress)
             if (w.alive && w.cell == -1)
                 ++unassigned;
         for (auto &w : pool) {
-            if (w.alive || pending.size() <= unassigned)
+            if (w.alive || sched.pending() <= unassigned)
                 continue;
             if (trySpawn(w)) {
                 ++unassigned;
@@ -616,21 +491,10 @@ Coordinator::run(const ProgressFn &progress)
             for (Worker *w : idle)
                 assign(*w);
         }
-        obs::gaugeSet(&obs::Gauges::cellsPending,
-                      static_cast<int64_t>(pending.size()));
-        {
-            int64_t busy = 0;
-            for (const auto &w : pool)
-                if (w.alive && w.cell != -1)
-                    ++busy;
-            obs::gaugeSet(&obs::Gauges::workersBusy, busy);
-        }
-        obs::gaugeSet(&obs::Gauges::cellsDone,
-                      static_cast<int64_t>(done));
         if (alive == 0) {
             // every slot is dead; if any may still respawn (budget
             // left, backoff pending) wait for the earliest gate
-            if (respawnBudget > 0 && !pending.empty()) {
+            if (respawnBudget > 0 && sched.pending() > 0) {
                 const auto now = Clock::now();
                 Clock::time_point earliest{};
                 bool waiting = false;
@@ -656,33 +520,31 @@ Coordinator::run(const ProgressFn &progress)
             // pool unrecoverable (spawn failures / budget exhausted):
             // degrade to in-process execution of whatever is left
             // instead of erroring the cells — slower, never wrong
-            if (!pending.empty()) {
+            if (sched.pending() > 0) {
                 std::cerr << "stems dispatch: worker pool "
                              "unrecoverable; running "
-                          << pending.size()
+                          << sched.pending()
                           << " remaining cell(s) in-process\n";
                 driver::CellExecutor exec(
                     driver::executorConfig(spec));
-                while (!pending.empty()) {
-                    const int cell = pending.front();
-                    pending.pop_front();
-                    if (completed[cell])
-                        continue;
-                    if (attempts[cell] == 0)
-                        ++attempts[cell];
+                while (const auto cell = sched.claim()) {
                     obs::count(&obs::Counters::degradedCells);
-                    results[cell] = exec.execute(cells_[cell]);
-                    results[cell].cell = cells_[cell];
-                    completed[cell] = 1;
-                    ++done;
-                    if (progress)
-                        progress(results[cell], done, cells_.size());
+                    sched.complete(*cell, exec.execute(cells[*cell]));
                 }
             }
             break;
         }
 
-        speculate();
+        if (cfg.speculate) {
+            for (auto &idle : pool) {
+                if (!idle.alive || !idle.ready || idle.cell != -1)
+                    continue;
+                const auto cell = sched.duplicate();
+                if (!cell)
+                    break;
+                dispatchCell(idle, *cell);
+            }
+        }
 
         std::vector<pollfd> fds;
         std::vector<Worker *> fdOwner;
@@ -718,14 +580,13 @@ Coordinator::run(const ProgressFn &progress)
                            now);
             }
             // dead slots gated by backoff must wake the loop too
+            const bool queued = sched.pending() > 0;
             for (auto &w : pool)
-                if (!w.alive && !pending.empty() &&
-                    w.nextSpawnAt > now)
+                if (!w.alive && queued && w.nextSpawnAt > now)
                     wakeAt(w.nextSpawnAt, now);
-            // while speculation is armed, re-evaluate stragglers on
+            // while stragglers may be duplicated, re-evaluate them on
             // a coarse cadence
-            if (cfg.speculate && pending.empty() &&
-                doneRttMs.size() >= 3 &&
+            if (cfg.speculate && !queued &&
                 (timeout < 0 || timeout > 100))
                 timeout = 100;
         }
@@ -763,7 +624,7 @@ Coordinator::run(const ProgressFn &progress)
                 if (w.alive && w.cell >= 0 && now >= w.deadline)
                     workerLost(w, "cell " +
                                       std::to_string(
-                                          cells_[w.cell].id) +
+                                          cells[w.cell].id) +
                                       " timed out");
             }
         }
@@ -795,7 +656,6 @@ Coordinator::run(const ProgressFn &progress)
     wallMs_ = std::chrono::duration<double, std::milli>(
                   Clock::now() - runStart)
                   .count();
-    return results;
 }
 
 std::string
@@ -840,7 +700,7 @@ workerSummary(const std::vector<WorkerStats> &stats, double wallMs)
     static const char *const kFtFamilies[] = {
         "faults_injected",          "heartbeats_missed",
         "journal_cells_written",    "journal_cells_replayed",
-        "speculative_redispatches", "degraded_cells"};
+        "degraded_cells"};
     std::string ft;
     for (const auto &[name, value] : obs::snapshotCounters()) {
         if (value == 0)
@@ -912,29 +772,6 @@ telemetryJson(double wallMs, const std::vector<WorkerStats> &workers)
     j.endObject();
     j.endObject();
     return j.str() + "\n";
-}
-
-std::vector<CellResult>
-runDispatched(const driver::ExperimentSpec &spec,
-              const ProgressFn &progress,
-              std::vector<WorkerStats> *statsOut, double *wallMsOut)
-{
-    DispatchConfig cfg;
-    cfg.workers = spec.dispatch ? spec.dispatch : 1;
-    cfg.timeoutMs = spec.dispatchTimeoutMs;
-    cfg.maxAttempts = spec.dispatchRetries;
-    cfg.trace = !spec.traceOut.empty();
-    cfg.heartbeatMs = spec.dispatchHeartbeatMs;
-    cfg.backoffMs = spec.dispatchBackoffMs;
-    cfg.speculate = spec.dispatchSpeculate;
-    cfg.pipeline = spec.dispatchPipeline;
-    Coordinator coord(spec, cfg);
-    auto results = coord.run(progress);
-    if (statsOut)
-        *statsOut = coord.workerStats();
-    if (wallMsOut)
-        *wallMsOut = coord.wallMs();
-    return results;
 }
 
 } // namespace stems::dispatch

@@ -18,6 +18,11 @@
  * speculatively re-run tail stragglers' cells (first result wins)
  * when configured.
  *
+ * The coordinator only manages processes: spawn, reap, backoff,
+ * heartbeats, timeouts and the poll loop. It claims, re-queues, fails
+ * and duplicates cells through a driver::CellScheduler, which owns the
+ * claim order and the results.
+ *
  * Workers share generated .stmt traces through the TraceCache spill
  * dir (a temp dir is provisioned when the spec has none), so each
  * workload's trace is generated once per sweep, not once per worker.
@@ -36,7 +41,7 @@
 #include <sys/types.h>
 #include <vector>
 
-#include "driver/runner.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
 namespace stems::dispatch {
@@ -97,21 +102,11 @@ struct DispatchConfig
     uint32_t backoffMs = 50;
 
     /**
-     * Re-dispatch a tail straggler's cell to an idle worker when its
-     * round trip exceeds 3x the median completed round trip (and a
-     * floor); the first result wins, the loser is discarded. At most
-     * one speculative copy per cell.
+     * Hand idle workers extra copies of tail stragglers under the
+     * scheduler's duplication rule (driver::CellScheduler::duplicate);
+     * the first result wins, the loser is discarded.
      */
     bool speculate = false;
-
-    /**
-     * Worker-side lookahead pipelining (protocol v6): after assigning
-     * a cell, send the queue head as an advisory "prefetch" frame so
-     * the worker warms the next trace while the current cell
-     * simulates. Purely a latency optimization — results and report
-     * bytes are identical either way.
-     */
-    bool pipeline = false;
 };
 
 /**
@@ -146,8 +141,7 @@ class Coordinator
   public:
     /**
      * @param spec       experiment to run (cells=-filter honoured)
-     * @param config     pool shape; config.workers is clamped to the
-     *                   cell count
+     * @param config     pool shape
      * @param transport  worker launcher; nullptr = local processes
      *                   running config.workerExe
      */
@@ -160,7 +154,10 @@ class Coordinator
     std::vector<driver::CellResult>
     run(const driver::ProgressFn &progress = {});
 
-    const std::vector<driver::RunCell> &cells() const { return cells_; }
+    /** Drain @p sched (built from this coordinator's spec) until every
+     *  cell has its result; config.workers is clamped to the pending
+     *  cell count. */
+    void run(driver::CellScheduler &sched);
 
     /** Per-incarnation worker health stats from the last run(). */
     const std::vector<WorkerStats> &workerStats() const
@@ -177,7 +174,6 @@ class Coordinator
     driver::ExperimentSpec spec;
     DispatchConfig cfg;
     std::unique_ptr<Transport> transport;
-    std::vector<driver::RunCell> cells_;
     std::string ownedTraceDir;  //!< temp spill dir we created (cleaned)
     std::vector<WorkerStats> workerStats_;
     double wallMs_ = 0;
@@ -195,18 +191,6 @@ std::string selfExePath();
  */
 std::string telemetryJson(double wallMs,
                           const std::vector<WorkerStats> &workers);
-
-/**
- * Convenience wrapper for the CLI: dispatch @p spec across
- * spec.dispatch local workers with the spec's timeout/retry policy.
- * When @p statsOut is non-null it receives the per-worker health
- * stats (and the run's wall ms in the paired double).
- */
-std::vector<driver::CellResult>
-runDispatched(const driver::ExperimentSpec &spec,
-              const driver::ProgressFn &progress = {},
-              std::vector<WorkerStats> *statsOut = nullptr,
-              double *wallMsOut = nullptr);
 
 } // namespace stems::dispatch
 

@@ -290,123 +290,60 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
         ::setenv("STEMS_FAULTS", spec.faultPlan.c_str(), 1);
     }
 
-    const std::vector<driver::RunCell> allCells =
-        driver::selectedCells(spec);
-
+    driver::CellScheduler sched(spec);
     RunJournal journal;
-    if (!spec.journalPath.empty())
-        journal.open(spec.journalPath, specFingerprint(allCells),
-                     allCells.size(), spec.resume);
-
-    // a resumed run executes only the cells the journal does not
-    // already hold; ids are preserved under cells= filters, so the
-    // remaining ids form a valid sub-filter
-    driver::ExperimentSpec subSpec = spec;
-    bool runNeeded = true;
-    if (!journal.replayed().empty()) {
-        std::string remaining;
-        for (const auto &cell : allCells) {
-            if (journal.replayed().count(cell.id))
-                continue;
-            if (!remaining.empty())
-                remaining += ',';
-            remaining += std::to_string(cell.id);
-        }
-        if (remaining.empty())
-            runNeeded = false;
-        else
-            subSpec.cellFilter = remaining;
+    if (!spec.journalPath.empty()) {
+        journal.open(spec.journalPath, specFingerprint(sched.cells()),
+                     sched.cells().size(), spec.resume);
+        sched.seed(journal.replayed());
     }
+    sched.onComplete([&journal, &progress](const CellResult &r,
+                                           size_t done, size_t total) {
+        journal.append(r);  // no-op without journal=
+        if (progress)
+            progress(r, done, total);
+    });
+    if (sched.pending() == 0)
+        return sched.takeResults();
 
-    ProgressFn journaled = progress;
-    if (journal.isOpen())
-        journaled = [&journal, &progress](const CellResult &r,
-                                          size_t done, size_t total) {
-            journal.append(r);
-            if (progress)
-                progress(r, done, total);
-        };
-
-    std::vector<CellResult> ran;
-    if (runNeeded) {
-        if (spec.dispatch > 0 || !spec.dispatchWorkers.empty()) {
-            DispatchConfig dcfg;
-            dcfg.workers = spec.dispatch;
-            dcfg.timeoutMs = spec.dispatchTimeoutMs;
-            dcfg.maxAttempts = spec.dispatchRetries;
-            dcfg.trace = !spec.traceOut.empty();
-            dcfg.heartbeatMs = spec.dispatchHeartbeatMs;
-            dcfg.backoffMs = spec.dispatchBackoffMs;
-            dcfg.speculate = spec.dispatchSpeculate;
-            dcfg.pipeline = spec.dispatchPipeline;
-            dcfg.workerExe = spec.dispatchWorkerExe;
-            // workers= swaps the pipe transport for sockets; the
-            // dispatch bytes on the wire are identical either way
-            std::unique_ptr<Transport> transport;
-            if (!spec.dispatchWorkers.empty()) {
-                serve::SocketTransport::Config scfg;
-                scfg.endpoints =
-                    driver::splitList(spec.dispatchWorkers);
-                scfg.spawnCmd = spec.dispatchSpawnCmd;
-                transport = std::make_unique<serve::SocketTransport>(
-                    std::move(scfg));
-                if (dcfg.workers == 0)
-                    dcfg.workers = static_cast<uint32_t>(
-                        driver::splitList(spec.dispatchWorkers)
-                            .size());
-            }
+    if (spec.dispatch > 0 || !spec.dispatchWorkers.empty()) {
+        DispatchConfig dcfg;
+        dcfg.workers = spec.dispatch;
+        dcfg.timeoutMs = spec.dispatchTimeoutMs;
+        dcfg.maxAttempts = spec.dispatchRetries;
+        dcfg.trace = !spec.traceOut.empty();
+        dcfg.heartbeatMs = spec.dispatchHeartbeatMs;
+        dcfg.backoffMs = spec.dispatchBackoffMs;
+        dcfg.speculate = spec.dispatchSpeculate;
+        dcfg.workerExe = spec.dispatchWorkerExe;
+        // workers= swaps the pipe transport for sockets; the dispatch
+        // bytes on the wire are identical either way
+        std::unique_ptr<Transport> transport;
+        if (!spec.dispatchWorkers.empty()) {
+            serve::SocketTransport::Config scfg;
+            scfg.endpoints = driver::splitList(spec.dispatchWorkers);
+            scfg.spawnCmd = spec.dispatchSpawnCmd;
             if (dcfg.workers == 0)
-                dcfg.workers = 1;
-            Coordinator coord(subSpec, dcfg, std::move(transport));
-            ran = coord.run(journaled);
-            if (statsOut)
-                *statsOut = coord.workerStats();
-            if (wallMsOut)
-                *wallMsOut = coord.wallMs();
-        } else {
-            const auto start = std::chrono::steady_clock::now();
-            driver::Runner runner(subSpec);
-            ran = runner.run(journaled);
-            if (wallMsOut)
-                *wallMsOut =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+                dcfg.workers =
+                    static_cast<uint32_t>(scfg.endpoints.size());
+            transport = std::make_unique<serve::SocketTransport>(
+                std::move(scfg));
         }
+        Coordinator coord(spec, dcfg, std::move(transport));
+        coord.run(sched);
+        if (statsOut)
+            *statsOut = coord.workerStats();
+        if (wallMsOut)
+            *wallMsOut = coord.wallMs();
+    } else {
+        const auto start = std::chrono::steady_clock::now();
+        driver::Runner(spec).run(sched);
+        if (wallMsOut)
+            *wallMsOut = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
     }
-
-    if (journal.replayed().empty())
-        return ran;
-
-    // splice journaled and fresh results back into expansion order;
-    // the local expansion's cell metadata is authoritative (the
-    // journal, like the wire, carries measurements plus the id)
-    std::map<uint32_t, CellResult *> fresh;
-    for (auto &r : ran)
-        fresh.emplace(r.cell.id, &r);
-    std::vector<CellResult> out;
-    out.reserve(allCells.size());
-    for (const auto &cell : allCells) {
-        const auto joIt = journal.replayed().find(cell.id);
-        if (joIt != journal.replayed().end()) {
-            CellResult r;
-            r.cell = cell;
-            r.metrics = joIt->second.metrics;
-            r.telemetry = joIt->second.telemetry;
-            out.push_back(std::move(r));
-            continue;
-        }
-        const auto frIt = fresh.find(cell.id);
-        if (frIt != fresh.end()) {
-            out.push_back(std::move(*frIt->second));
-        } else {
-            CellResult r;
-            r.cell = cell;
-            r.error = "resume: cell was neither journaled nor re-run";
-            out.push_back(std::move(r));
-        }
-    }
-    return out;
+    return sched.takeResults();
 }
 
 } // namespace stems::dispatch

@@ -90,10 +90,11 @@ class RunJournal
  * The one spec-execution entry point the CLI and tests share: honours
  * spec.faultPlan (installed process-wide and exported as STEMS_FAULTS
  * so dispatched workers inherit it), spec.journalPath / spec.resume
- * (journal + splice), and spec.dispatch (Coordinator vs in-process
- * Runner). Results are ordered like driver::Runner's, so reports are
- * byte-identical across in-process, dispatched, resumed, and merged
- * paths.
+ * (journaled cells seed the scheduler and are never claimed; every
+ * completed cell is appended), and spec.dispatch (Coordinator vs
+ * in-process Runner draining the same driver::CellScheduler). Results
+ * are ordered like driver::Runner's, so reports are byte-identical
+ * across in-process, dispatched, resumed, and merged paths.
  *
  * @param progress   forwarded per completed cell (journaled cells
  *                   replayed on resume do NOT re-fire progress)

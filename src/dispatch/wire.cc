@@ -226,7 +226,6 @@ encodeInit(const WorkerInit &init)
     j.endArray();
     j.key("trace").value(init.trace);
     j.key("heartbeat_ms").value(uint64_t{init.heartbeatMs});
-    j.key("pipeline").value(init.pipeline);
     j.endObject();
     return j.str();
 }
@@ -245,13 +244,9 @@ decodeInit(const JsonValue &msg)
     for (const auto &s : msg.at("oracle_regions").items)
         init.oracleRegionSizes.push_back(
             static_cast<uint32_t>(s.asU64()));
-    // v4/v5/v6 fields; optional so readers stay tolerant
-    if (const JsonValue *trace = msg.find("trace"))
-        init.trace = trace->asBool();
-    if (const JsonValue *hb = msg.find("heartbeat_ms"))
-        init.heartbeatMs = static_cast<uint32_t>(hb->asU64());
-    if (const JsonValue *pl = msg.find("pipeline"))
-        init.pipeline = pl->asBool();
+    init.trace = msg.at("trace").asBool();
+    init.heartbeatMs =
+        static_cast<uint32_t>(msg.at("heartbeat_ms").asU64());
     return init;
 }
 
@@ -266,14 +261,15 @@ encodeReady(int pid)
     return j.str();
 }
 
-namespace {
-
-/** The "cell" object shared by cell jobs and prefetch hints; its
- *  encoding doubles as the journal's spec fingerprint input and must
- *  not change across retries or message types. */
-void
-writeCellObject(JsonWriter &j, const driver::RunCell &cell)
+std::string
+encodeCellJob(const driver::RunCell &cell, uint32_t attempt)
 {
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("cell");
+    // attempt is a sibling of "cell" so the cell encoding, which is
+    // the journal's spec fingerprint input, stays attempt-independent
+    j.key("attempt").value(uint64_t{attempt});
     j.key("cell").beginObject();
     j.key("id").value(uint64_t{cell.id});
     j.key("workload").value(cell.workload);
@@ -298,31 +294,6 @@ writeCellObject(JsonWriter &j, const driver::RunCell &cell)
     j.key("timing_only").value(cell.timingOnly);
     j.key("density").value(uint64_t{cell.densityRegion});
     j.endObject();
-}
-
-} // anonymous namespace
-
-std::string
-encodeCellJob(const driver::RunCell &cell, uint32_t attempt)
-{
-    JsonWriter j;
-    j.beginObject();
-    j.key("type").value("cell");
-    // attempt is a sibling of "cell" so fingerprints stay
-    // attempt-independent
-    j.key("attempt").value(uint64_t{attempt});
-    writeCellObject(j, cell);
-    j.endObject();
-    return j.str();
-}
-
-std::string
-encodePrefetch(const driver::RunCell &cell)
-{
-    JsonWriter j;
-    j.beginObject();
-    j.key("type").value("prefetch");
-    writeCellObject(j, cell);
     j.endObject();
     return j.str();
 }
@@ -459,9 +430,7 @@ decodeResult(const JsonValue &msg)
         d.pfCounters.emplace_back(pair.items[0].asString(),
                                   pair.items[1].asU64());
     }
-    // v4 observability field; optional so readers stay tolerant
-    if (const JsonValue *t = msg.find("telemetry"))
-        out.telemetry = readTelemetry(*t);
+    out.telemetry = readTelemetry(msg.at("telemetry"));
     return out;
 }
 

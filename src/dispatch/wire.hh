@@ -25,23 +25,19 @@
  * values survive the round trip bit-exactly — the merged report must
  * be byte-identical to a single-process run.
  *
- * Since protocol v4, messages carry optional observability fields,
- * all read tolerantly (JsonValue::find), so readers ignore what they
- * don't know: init gains "trace" (enable the worker's span recorder)
- * and result gains "telemetry" — the worker's per-cell phase wall
- * times, a process counter snapshot, peak RSS, and (when tracing)
- * its buffered spans, which the coordinator re-tags with the worker
- * pid and merges into one machine-wide trace timeline.
+ * Since protocol v4, messages carry observability fields: init has
+ * "trace" (enable the worker's span recorder) and result has
+ * "telemetry" — the worker's per-cell phase wall times, a process
+ * counter snapshot, peak RSS, and (when tracing) its buffered spans,
+ * which the coordinator re-tags with the worker pid and merges into
+ * one machine-wide trace timeline.
  *
- * Since protocol v6, the coordinator may pipeline: after assigning a
- * cell it sends a "prefetch" frame naming the worker's likely next
- * cell, and the worker warms that cell's trace (CellExecutor::
- * prefetch on its StreamSet) on a background thread while the current
- * cell simulates. Prefetch is advisory — it never produces a result
- * frame and a worker that ignores it is still correct. The same
- * protocol constant versions the serve-layer socket hello handshake
- * (src/serve/), so a pipe coordinator and a socket daemon can never
- * silently disagree about frame contents.
+ * Every field is required: decodeInit rejects any protocol version
+ * but its own, and journals are written by the same encoder. Protocol
+ * v7 dropped v6's advisory "prefetch" frame (worker processes never
+ * look ahead). The same protocol constant versions the serve-layer
+ * socket hello handshake (src/serve/), so a pipe coordinator and a
+ * socket daemon can never silently disagree about frame contents.
  *
  * Since protocol v3, result metrics are schema-driven: the encoder
  * iterates the MetricSchema and writes every present family under its
@@ -66,7 +62,7 @@
 namespace stems::dispatch {
 
 /** Wire protocol version; bumped on incompatible message changes. */
-constexpr uint32_t kProtocolVersion = 6;
+constexpr uint32_t kProtocolVersion = 7;
 
 /** Spec-global settings shipped to a worker before any cells. */
 struct WorkerInit
@@ -76,7 +72,6 @@ struct WorkerInit
     std::vector<uint32_t> oracleRegionSizes;
     bool trace = false;    //!< enable the worker's span recorder (v4)
     uint32_t heartbeatMs = 0;  //!< liveness frame period (v5; 0 = off)
-    bool pipeline = false; //!< expect lookahead prefetch frames (v6)
 };
 
 // message payloads (each is one self-contained JSON document)
@@ -97,13 +92,6 @@ driver::RunCell decodeCellJob(const JsonValue &msg);
 
 /** The "attempt" field of a cell job (1 when absent). */
 uint32_t decodeCellAttempt(const JsonValue &msg);
-
-/**
- * Advisory lookahead hint (v6): the worker should warm @p cell's
- * trace in the background. Decoded with decodeCellJob (the "cell"
- * object layout is shared with cell jobs).
- */
-std::string encodePrefetch(const driver::RunCell &cell);
 
 std::string encodeHeartbeat();
 

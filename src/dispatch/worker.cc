@@ -12,7 +12,6 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
 #include "dispatch/wire.hh"
 #include "driver/executor.hh"
@@ -78,71 +77,6 @@ class HeartbeatThread
     std::thread thread;
 };
 
-/**
- * Lookahead pipelining (protocol v6): "prefetch" frames queue here
- * and a background thread warms each hinted cell's trace through
- * CellExecutor::prefetch while the main loop simulates the current
- * cell. prefetch() never throws and never counts a cache lookup, so
- * results are byte-identical whether hints arrive or not. The queue
- * keeps only the most recent hints — stale lookahead is worthless
- * once the coordinator has moved on.
- */
-class PrefetchThread
-{
-  public:
-    explicit PrefetchThread(driver::CellExecutor &executor)
-        : executor(executor), thread([this] { run(); })
-    {
-    }
-
-    ~PrefetchThread()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            stop = true;
-        }
-        cv.notify_all();
-        if (thread.joinable())
-            thread.join();
-    }
-
-    void
-    hint(driver::RunCell cell)
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            if (queue.size() >= 4)
-                queue.erase(queue.begin());
-            queue.push_back(std::move(cell));
-        }
-        cv.notify_all();
-    }
-
-  private:
-    void run()
-    {
-        obs::setThreadName("prefetch");
-        std::unique_lock<std::mutex> lk(mu);
-        for (;;) {
-            cv.wait(lk, [this] { return stop || !queue.empty(); });
-            if (stop)
-                return;
-            driver::RunCell cell = std::move(queue.front());
-            queue.erase(queue.begin());
-            lk.unlock();
-            executor.prefetch(cell);
-            lk.lock();
-        }
-    }
-
-    driver::CellExecutor &executor;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<driver::RunCell> queue;
-    bool stop = false;
-    std::thread thread;
-};
-
 /** The raw on-pipe bytes of one frame (for the Truncate fault). */
 std::string
 frameBytes(const std::string &payload)
@@ -178,9 +112,8 @@ runWorker(int inFd, int outFd)
     // a dying coordinator must surface as a failed write, not SIGPIPE
     std::signal(SIGPIPE, SIG_IGN);
 
-    // chaos plan (STEMS_FAULTS and/or the legacy crash/sleep hooks);
-    // worker-context clauses fire at the injection sites below, spill
-    // clauses inside the .stmt writer
+    // chaos plan (STEMS_FAULTS); worker-context clauses fire at the
+    // injection sites below, spill clauses inside the .stmt writer
     fault::installFromEnv();
 
     FrameDecoder decoder;
@@ -191,7 +124,6 @@ runWorker(int inFd, int outFd)
         return 0;  // coordinator went away before init
     std::unique_ptr<driver::CellExecutor> executor;
     uint32_t heartbeatMs = 0;
-    bool pipeline = false;
     try {
         const JsonValue msg = parseJson(payload);
         if (messageType(msg) != "init") {
@@ -205,7 +137,6 @@ runWorker(int inFd, int outFd)
         cfg.oracleRegionSizes = init.oracleRegionSizes;
         executor = std::make_unique<driver::CellExecutor>(cfg);
         heartbeatMs = init.heartbeatMs;
-        pipeline = init.pipeline;
         if (init.trace) {
             obs::Recorder::get().enable();
             obs::setThreadName("worker");
@@ -222,9 +153,6 @@ runWorker(int inFd, int outFd)
             return 0;
     }
     HeartbeatThread heartbeats(outFd, heartbeatMs, wireMu);
-    std::unique_ptr<PrefetchThread> prefetcher;
-    if (pipeline)
-        prefetcher = std::make_unique<PrefetchThread>(*executor);
 
     while (readFrame(inFd, decoder, payload)) {
         try {
@@ -232,13 +160,6 @@ runWorker(int inFd, int outFd)
             const std::string &type = messageType(msg);
             if (type == "shutdown")
                 return 0;
-            if (type == "prefetch") {
-                // advisory lookahead: warm the hinted cell's trace in
-                // the background; never answered, never fatal
-                if (prefetcher)
-                    prefetcher->hint(decodeCellJob(msg));
-                continue;
-            }
             if (type != "cell") {
                 std::cerr << "stems worker: unexpected message \""
                           << type << "\"\n";

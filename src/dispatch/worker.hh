@@ -16,15 +16,9 @@
 namespace stems::dispatch {
 
 /**
- * Serve cell jobs from @p inFd until a shutdown message or EOF.
- *
- * Fault-injection hooks for the dispatcher's own tests (no effect
- * unless set in the environment):
- *   STEMS_DISPATCH_CRASH=ID[:MARKER]   _exit(137) when cell ID
- *     arrives; with MARKER, only the attempt that creates the marker
- *     file crashes, so a re-queued attempt succeeds.
- *   STEMS_DISPATCH_SLEEP=ID:MS[:MARKER] stall cell ID for MS
- *     milliseconds (same marker semantics), to exercise timeouts.
+ * Serve cell jobs from @p inFd until a shutdown message or EOF. A
+ * STEMS_FAULTS plan in the environment (see fault/fault.hh) injects
+ * worker faults for chaos tests.
  *
  * @return process exit status (0 on orderly shutdown/EOF).
  */

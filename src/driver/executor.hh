@@ -72,7 +72,7 @@ class CellExecutor
 
     /**
      * Build (generate or map-replay) @p cell's trace ahead of its
-     * execution — the background streamer's entry. Never counts a
+     * execution — the look-ahead warmer's entry. Never counts a
      * trace-cache lookup and never throws; a failing prefetch simply
      * leaves the work to the executing thread.
      */

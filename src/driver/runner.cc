@@ -1,14 +1,11 @@
 #include "driver/runner.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <thread>
 
-#include "driver/costmodel.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
-#include "obs/sampler.hh"
 
 namespace stems::driver {
 
@@ -21,8 +18,15 @@ Runner::Runner(const ExperimentSpec &spec)
 std::vector<CellResult>
 Runner::run(const ProgressFn &progress)
 {
-    std::vector<CellResult> results(cells_.size());
+    CellScheduler sched(spec);
+    sched.onComplete(progress);
+    run(sched);
+    return sched.takeResults();
+}
 
+void
+Runner::run(CellScheduler &sched)
+{
     uint32_t nthreads = spec.threads;
     if (nthreads == 0) {
         nthreads = std::thread::hardware_concurrency();
@@ -31,129 +35,58 @@ Runner::run(const ProgressFn &progress)
     }
     nthreads = std::min<uint32_t>(
         nthreads, static_cast<uint32_t>(std::max<size_t>(
-                      cells_.size(), 1)));
-
-    // schedule=cost pulls cells longest-estimated-first (LPT) so the
-    // expensive ones cannot land last and stretch the tail; results
-    // are still placed by expansion index, so reports are
-    // byte-identical to fifo order
-    const std::vector<size_t> order = scheduleOrder(spec, cells_);
-
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex progressMu;
+                      sched.pending(), 1)));
     const auto queuedAt = std::chrono::steady_clock::now();
-    obs::Gauges::get().reset();
-    obs::gaugeSet(&obs::Gauges::cellsPending,
-                  static_cast<int64_t>(cells_.size()));
 
-    // background trace streamer (stream=1): while the pool simulates
-    // cell N, prepare — generate, or fault a mapped spill in — the
-    // traces of the next cells in schedule order, bounded by a cell
-    // count (stream-ahead) and a byte watermark with hysteresis. The
-    // streamer only warms the TraceCache through CellExecutor::prefetch
-    // (never counts a cache lookup, never fails a cell), so reports
-    // are byte-identical with it on or off.
-    std::atomic<bool> streamStop{false};
-    std::thread streamer;
-    if (spec.stream && !order.empty()) {
-        streamer = std::thread([&] {
-            obs::setThreadName("streamer");
-            // per-cell trace-size estimate, prefix-summed in schedule
-            // order so the prepared-ahead byte count is O(1)
-            std::vector<uint64_t> prefix(order.size() + 1, 0);
-            for (size_t k = 0; k < order.size(); ++k) {
-                const RunCell &c = cells_[order[k]];
-                prefix[k + 1] = prefix[k] +
-                    uint64_t{c.params.refsPerCpu} * c.params.ncpu *
-                        sizeof(trace::MemAccess);
-            }
-            const uint64_t high = uint64_t{spec.streamWatermarkMb} << 20;
-            const uint64_t low = high / 2;
-            size_t ahead = 0;   //!< next schedule slot to prepare
-            bool paused = false;
-            while (!streamStop.load(std::memory_order_relaxed)) {
-                const size_t cursor =
-                    std::min(next.load(std::memory_order_relaxed),
-                             order.size());
-                if (cursor >= order.size())
-                    return;  // every cell claimed; nothing left to warm
-                if (ahead < cursor)
-                    ahead = cursor;
-                const uint64_t bytesAhead =
-                    prefix[ahead] - prefix[cursor];
-                if (paused && bytesAhead <= low)
-                    paused = false;
-                else if (!paused && bytesAhead >= high)
-                    paused = true;
-                const size_t limit = std::min<size_t>(
-                    order.size(), cursor + 1 + spec.streamAhead);
-                if (!paused && ahead < limit) {
-                    executor_.prefetch(cells_[order[ahead]]);
-                    ++ahead;
-                    continue;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-        });
-    }
-
-    auto drainCells = [&] {
-        for (;;) {
-            const size_t slot = next.fetch_add(1);
-            if (slot >= order.size())
-                return;
-            const size_t i = order[slot];
-            // a stall = the pool reached a cell the streamer had not
-            // finished (or started) preparing — the executing thread
-            // pays the generate/replay cost inline
-            if (spec.stream && !executor_.prepared(cells_[i]))
+    auto lane = [&] {
+        while (const auto i = sched.claim()) {
+            const RunCell &cell = sched.cells()[*i];
+            // a stall = the lane reached a cell the warmer had not
+            // finished (or started) preparing; the lane pays the
+            // generate/replay cost inline
+            if (!executor_.prepared(cell))
                 obs::count(&obs::Counters::streamStalls);
-            obs::gaugeAdd(&obs::Gauges::cellsPending, -1);
-            obs::gaugeAdd(&obs::Gauges::workersBusy, 1);
+            CellResult result;
             {
                 // queue_ms: how long the cell sat behind earlier work
-                // before a pool thread picked it up
+                // before a lane picked it up
                 const double waitMs =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - queuedAt)
                         .count();
-                obs::Span span(
-                    "cell",
-                    {{"workload", cells_[i].workload},
-                     {"engine", cells_[i].engine.kind},
-                     {"id", std::to_string(cells_[i].id)},
-                     {"queue_ms", std::to_string(waitMs)}});
-                results[i] = executor_.execute(cells_[i]);
+                obs::Span span("cell",
+                               {{"workload", cell.workload},
+                                {"engine", cell.engine.kind},
+                                {"id", std::to_string(cell.id)},
+                                {"queue_ms", std::to_string(waitMs)}});
+                result = executor_.execute(cell);
             }
-            obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
-            obs::gaugeAdd(&obs::Gauges::cellsDone, 1);
-            const size_t n = done.fetch_add(1) + 1;
-            if (progress) {
-                std::lock_guard<std::mutex> lock(progressMu);
-                progress(results[i], n, cells_.size());
-            }
+            sched.complete(*i, std::move(result));
         }
     };
 
+    // the warmer prepares (generates, or maps a spill of) the
+    // look-ahead cell's trace while the lanes simulate. It only warms
+    // the TraceCache (CellExecutor::prefetch never counts a lookup and
+    // never fails a cell), so reports are byte-identical either way
+    std::thread warmer([&] {
+        obs::setThreadName("warmer");
+        while (const auto i = sched.awaitLookahead())
+            executor_.prefetch(sched.cells()[*i]);
+    });
     if (nthreads <= 1) {
-        drainCells();
+        lane();
     } else {
         std::vector<std::thread> pool;
         for (uint32_t k = 0; k < nthreads; ++k)
             pool.emplace_back([&, k] {
                 obs::setThreadName("runner-" + std::to_string(k));
-                drainCells();
+                lane();
             });
         for (auto &th : pool)
             th.join();
     }
-    if (streamer.joinable()) {
-        streamStop.store(true, std::memory_order_relaxed);
-        streamer.join();
-    }
-    return results;
+    warmer.join();
 }
 
 } // namespace stems::driver

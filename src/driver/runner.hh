@@ -1,29 +1,24 @@
 /**
  * @file
- * The thread-pooled sharded runner: expands an experiment spec into
- * cells and executes them in parallel through a shared CellExecutor
- * (each cell owns its MemorySystem — runs are embarrassingly
- * parallel). Multi-process execution of the same cells lives in
- * dispatch/coordinator.hh; both paths share the executor so results
- * are identical regardless of where a cell ran.
+ * The thread-pooled runner: executes an experiment spec's cells as
+ * thread lanes draining a CellScheduler through one shared
+ * CellExecutor (each cell owns its MemorySystem, so runs are
+ * embarrassingly parallel). One warmer thread prepares the look-ahead
+ * cell's trace while the lanes simulate. Multi-process execution of
+ * the same cells lives in dispatch/coordinator.hh; both paths share the
+ * executor, so results are identical wherever a cell ran.
  */
 
 #ifndef STEMS_DRIVER_RUNNER_HH
 #define STEMS_DRIVER_RUNNER_HH
 
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "driver/executor.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
 namespace stems::driver {
-
-/** Called after each cell finishes (from worker threads, serialized). */
-using ProgressFn = std::function<void(const CellResult &, size_t done,
-                                      size_t total)>;
 
 /** Executes an experiment spec's cells across a thread pool. */
 class Runner
@@ -33,6 +28,10 @@ class Runner
 
     /** Run all cells; results ordered by cell id. */
     std::vector<CellResult> run(const ProgressFn &progress = {});
+
+    /** Drain @p sched (built from this runner's spec) until every
+     *  pending cell has run. */
+    void run(CellScheduler &sched);
 
     /** The expanded (and cells=-filtered) cells, fixed at construction. */
     const std::vector<RunCell> &cells() const { return cells_; }

@@ -1,0 +1,166 @@
+/**
+ * @file
+ * CellScheduler: the one cell scheduler under every execution lane.
+ * The in-process runner's threads, the dispatch coordinator's worker
+ * processes and the serve fleet all drain one of these per spec. It
+ * owns:
+ *
+ *  - claim order: re-queued cells first, then driver::scheduleOrder
+ *    (fifo, or schedule=cost longest-first);
+ *  - per-cell attempt, in-flight and completion state;
+ *  - result placement by cell index, where the first result wins and
+ *    a later copy is dropped, so reports are byte-identical whatever
+ *    ran where;
+ *  - journal seeding: replayed cells are complete and never claimed;
+ *  - the single completion hook (journal appends, progress);
+ *  - the cells_pending / workers_busy / cells_done gauges;
+ *  - the look-ahead cursor, the next unclaimed cell, which a warmer
+ *    thread prepares while the lanes simulate;
+ *  - the duplication rule for straggling in-flight cells.
+ *
+ * Thread lanes share one executor and one CPU pool, so they look ahead
+ * but never duplicate. Process lanes each have their own TraceCache,
+ * so they duplicate but never look ahead.
+ *
+ * Thread-safe: lanes claim and complete concurrently.
+ */
+
+#ifndef STEMS_DRIVER_SCHEDULER_HH
+#define STEMS_DRIVER_SCHEDULER_HH
+
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "driver/executor.hh"
+#include "driver/spec.hh"
+
+namespace stems::driver {
+
+/**
+ * Called once per completed cell, serialized, in completion order.
+ * @p done counts the cells reported so far and @p total the cells the
+ * run will report (journal-seeded cells are never reported).
+ */
+using ProgressFn = std::function<void(const CellResult &, size_t done,
+                                      size_t total)>;
+
+class CellScheduler
+{
+  public:
+    /** The cells of @p spec (cells= filter applied), in its schedule=
+     *  order. Throws std::invalid_argument on a bad cells= filter. */
+    explicit CellScheduler(const ExperimentSpec &spec);
+    ~CellScheduler();
+    CellScheduler(const CellScheduler &) = delete;
+    CellScheduler &operator=(const CellScheduler &) = delete;
+
+    const std::vector<RunCell> &cells() const { return cells_; }
+
+    /**
+     * Place journal-replayed results (keyed by cell id) before any
+     * claim: those cells are complete, never claimed and never
+     * reported to the hook. Returns how many cells were seeded.
+     */
+    size_t seed(const std::map<uint32_t, CellResult> &replayed);
+
+    /** Install the completion hook; call before any lane starts. */
+    void onComplete(ProgressFn hook);
+
+    /** Claim the next cell, counting an attempt; nullopt when none is
+     *  pending. */
+    std::optional<size_t> claim();
+
+    /**
+     * The look-ahead cursor for a warmer: the cell claim() would
+     * return next, if it was never handed out before; else nullopt.
+     */
+    std::optional<size_t> takeLookahead();
+
+    /** takeLookahead(), blocking until it has a cell; nullopt once
+     *  nothing is pending. */
+    std::optional<size_t> awaitLookahead();
+
+    /**
+     * Deliver one copy's result for cell @p i. The first result is
+     * placed (its cell metadata replaced by the scheduler's, which is
+     * authoritative) and reported to the hook before this returns; a
+     * later copy is dropped. Returns whether @p result was placed.
+     */
+    bool complete(size_t i, CellResult result);
+
+    /**
+     * A lane lost its copy of cell @p i (crash, timeout, protocol
+     * error). When no other copy is in flight, the cell is re-queued
+     * ahead of the schedule, or, once it has used @p maxAttempts
+     * attempts, completed with the error "<reason> after N
+     * attempt(s)".
+     */
+    void lost(size_t i, const std::string &reason, uint32_t maxAttempts);
+
+    /**
+     * The duplication rule: when nothing is pending and an in-flight
+     * cell has run longer than max(3x the median completed round trip,
+     * 2 s), claim one extra copy of the longest such cell (counting an
+     * attempt and cells_stolen). At most one extra copy per cell, and
+     * only after three completed round trips.
+     */
+    std::optional<size_t> duplicate();
+
+    /** Cells waiting to be claimed. */
+    size_t pending() const;
+
+    /** Whether cell @p i has its result. */
+    bool done(size_t i) const;
+
+    /** Attempts claimed so far for cell @p i (1-based once claimed). */
+    uint32_t attempts(size_t i) const;
+
+    /** Every cell has its result and the hook has seen it. */
+    bool finished() const;
+
+    /** The results by cell index; call once finished(). */
+    std::vector<CellResult> takeResults();
+
+  private:
+    struct Cell
+    {
+        uint32_t attempts = 0;
+        uint32_t running = 0;     //!< copies in flight
+        bool done = false;
+        bool duplicated = false;  //!< an extra copy was claimed
+        bool warmed = false;      //!< handed out as the look-ahead
+        uint64_t claimedNs = 0;   //!< start of the latest claim
+    };
+
+    /** Mark cell @p i done under mu_; the caller then publish()es. */
+    void placeLocked(size_t i, CellResult result);
+    /** Run the hook for a placed cell, then count it settled. */
+    void publish(size_t i);
+    std::optional<size_t> lookaheadLocked();
+
+    std::vector<RunCell> cells_;
+
+    mutable std::mutex mu_;
+    std::condition_variable cv_;  //!< claims, re-queues, settles
+    std::deque<size_t> pending_;
+    std::vector<Cell> state_;
+    std::vector<CellResult> results_;
+    std::vector<double> roundTripMs_;  //!< completed claims
+    size_t settled_ = 0;               //!< cells done and reported
+
+    std::mutex hookMu_;  //!< serializes the hook
+    ProgressFn hook_;
+    size_t reported_ = 0;
+    size_t toReport_ = 0;
+};
+
+} // namespace stems::driver
+
+#endif // STEMS_DRIVER_SCHEDULER_HH

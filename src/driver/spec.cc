@@ -341,18 +341,6 @@ parseSpec(const std::vector<std::string> &tokens)
                     "schedule=" + value + ": expected cost|fifo");
         } else if (key == "schedule-from") {
             spec.scheduleFrom = value;
-        } else if (key == "stream") {
-            Options o{{key, value}};
-            spec.stream = optBool(o, key, spec.stream);
-        } else if (key == "stream-ahead") {
-            spec.streamAhead = static_cast<uint32_t>(
-                parseU64(key, value, spec.streamAhead));
-        } else if (key == "stream-watermark-mb") {
-            spec.streamWatermarkMb = static_cast<uint32_t>(
-                parseU64(key, value, spec.streamWatermarkMb));
-            if (spec.streamWatermarkMb == 0)
-                throw std::invalid_argument(
-                    "stream-watermark-mb must be positive");
         } else if (key == "telemetry") {
             Options o{{key, value}};
             spec.telemetry = optBool(o, key, spec.telemetry);
@@ -410,10 +398,6 @@ parseSpec(const std::vector<std::string> &tokens)
             spec.dispatchWorkers = value;
         } else if (key == "spawn-cmd") {
             spec.dispatchSpawnCmd = value;
-        } else if (key == "dispatch-pipeline") {
-            Options o{{key, value}};
-            spec.dispatchPipeline =
-                optBool(o, key, spec.dispatchPipeline);
         } else if (key == "fault-plan") {
             (void)fault::parsePlan(value);  // fail early on bad input
             spec.faultPlan = value;
@@ -612,18 +596,16 @@ specHelp()
         "                                 4 missed beats (0 = off)\n"
         "  dispatch-backoff-ms=N          respawn backoff base, doubles\n"
         "                                 per loss, 5s cap (default 50)\n"
-        "  dispatch-speculate=0|1         re-dispatch tail stragglers\n"
-        "                                 to idle workers (first result\n"
-        "                                 wins)\n"
+        "  dispatch-speculate=0|1         give idle workers a copy of a\n"
+        "                                 cell running > max(3x median,\n"
+        "                                 2s) once none is pending\n"
+        "                                 (first result wins)\n"
         "  workers=ADDR,...               dispatch over sockets to these\n"
         "                                 worker endpoints (unix:/path\n"
         "                                 or host:port) instead of\n"
         "                                 forked pipe workers\n"
         "  spawn-cmd=CMD                  launch template run per worker\n"
         "                                 ({addr} substituted; use exec)\n"
-        "  dispatch-pipeline=0|1          send lookahead prefetch hints\n"
-        "                                 so workers warm the next\n"
-        "                                 cell's trace while simulating\n"
         "  journal=FILE                   append each completed cell to\n"
         "                                 a crash-safe result journal\n"
         "  resume=0|1                     skip journaled cells, splice\n"
@@ -634,15 +616,9 @@ specHelp()
         "  cells=A-B,C,...                run a cell-id subset (ids are\n"
         "                                 kept, stems merge recombines)\n"
         "  trace-dir=DIR                  record/replay traces on disk\n"
-        "  stream=0|1                     background trace streamer:\n"
-        "                                 prepare (generate or map) the\n"
-        "                                 next cells' traces while the\n"
-        "                                 current ones simulate\n"
-        "  stream-ahead=N                 cells prepared ahead of the\n"
-        "                                 execution cursor (default 2)\n"
-        "  stream-watermark-mb=N          streamer byte budget: pause\n"
-        "                                 above N MB prepared-ahead,\n"
-        "                                 resume at half (default 512)\n"
+        "                                 (in-process runs always warm\n"
+        "                                 the next cell's trace while\n"
+        "                                 the current ones simulate)\n"
         "  json=PATH|- csv=PATH|-         reports (- = stdout)\n"
         "  table=0|1                      ASCII summary table\n"
         "  groups=0|1                     engine-folded per-group\n"

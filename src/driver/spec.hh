@@ -70,14 +70,6 @@ struct ExperimentSpec
     std::string scheduleFrom;    //!< calibration journal/report ("" =
                                  //!< heuristic cost model)
 
-    // streaming trace pipeline (see driver/runner.cc); never changes
-    // report bytes — the streamer only warms traces ahead of execution
-    bool stream = false;         //!< background trace streamer
-    uint32_t streamAhead = 2;    //!< cells prepared ahead of the cursor
-    uint32_t streamWatermarkMb = 512;  //!< prefetch byte budget (high
-                                       //!< watermark; streamer pauses
-                                       //!< above it, resumes at half)
-
     /** Track oracle spatial generations at these region sizes. */
     std::vector<uint32_t> oracleRegionSizes;
 
@@ -113,8 +105,6 @@ struct ExperimentSpec
      * someone else started. Use `exec` so signals reach the worker.
      */
     std::string dispatchSpawnCmd;
-
-    bool dispatchPipeline = false;    //!< ship lookahead prefetch hints
 
     // fault tolerance (see dispatch/journal.hh, fault/fault.hh)
     std::string faultPlan;     //!< chaos plan ("" = none)

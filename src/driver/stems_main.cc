@@ -8,8 +8,6 @@
  *                               processes)
  *   stems list                  registered workloads and prefetchers
  *   stems trace [key=value ...] record one workload trace to disk
- *   stems bench [key=value ...] measure the hot paths, emit
- *                               BENCH_engine.json
  *   stems merge [json=OUT] A B  merge run reports by cell id
  *   stems worker                dispatch worker mode (internal)
  *   stems help                  usage
@@ -32,7 +30,6 @@
 #include "dispatch/merge.hh"
 #include "dispatch/worker.hh"
 #include "driver/analyze.hh"
-#include "driver/bench.hh"
 #include "driver/costmodel.hh"
 #include "driver/metrics.hh"
 #include "driver/report.hh"
@@ -66,9 +63,6 @@ usage()
         "  stems list                   show workloads and prefetchers\n"
         "  stems trace workload=W out=FILE [ncpu= refs= seed=]\n"
         "                               record one trace to disk\n"
-        "  stems bench [--quick] [workload= ncpu= refs= seed=\n"
-        "              repeats= json=]  measure per-reference hot-path\n"
-        "                               cost, emit BENCH_engine.json\n"
         "  stems merge [json=OUT] A.json B.json ...\n"
         "                               merge run reports by cell id\n"
         "  stems analyze [trace=F] [telemetry=F] [format=table|json]\n"
@@ -84,13 +78,13 @@ usage()
         "                               a unix:/path or host:port\n"
         "                               socket for workers= fleets\n"
         "  stems serve listen=ADDR [fleet=N max-active=N max-queue=N\n"
-        "              journal-dir=DIR trace-dir=DIR steal=0|1\n"
-        "              pipeline=0|1 trace-out= telemetry-out= quiet=1]\n"
+        "              journal-dir=DIR trace-dir=DIR trace-out=\n"
+        "              telemetry-out= quiet=1]\n"
         "                               persistent experiment service:\n"
         "                               warm caches shared across\n"
         "                               requests, admission queuing,\n"
-        "                               work stealing, per-request\n"
-        "                               journals for warm restart\n"
+        "                               per-request journals for warm\n"
+        "                               restart\n"
         "  stems submit server=ADDR [key=value ...]\n"
         "                               run a spec on a stems serve\n"
         "                               daemon; reports byte-identical\n"
@@ -197,71 +191,6 @@ cmdTrace(const std::vector<std::string> &args)
     }
     std::cout << "wrote " << t.size() << " references to " << out
               << "\n";
-    return 0;
-}
-
-int
-cmdBench(const std::vector<std::string> &args)
-{
-    BenchOptions opt;
-    Options kvs;
-    for (const auto &tok : args) {
-        if (tok == "--quick" || tok == "quick") {
-            opt.quick = true;
-            continue;
-        }
-        auto [k, v] = parseKeyValue(tok);
-        if (k != "workload" && k != "ncpu" && k != "refs" &&
-            k != "seed" && k != "repeats" && k != "json" &&
-            k != "quick") {
-            std::cerr << "stems bench: unknown key \"" << k
-                      << "\" (expected workload, ncpu, refs, seed, "
-                         "repeats, json, quick)\n";
-            return 2;
-        }
-        kvs[k] = v;
-    }
-    opt.quick = optBool(kvs, "quick", opt.quick);
-    if (opt.quick) {
-        // CI preset: small but representative, a few seconds total
-        opt.ncpu = 4;
-        opt.refsPerCpu = 20000;
-        opt.repeats = 2;
-    }
-    opt.workload = optStr(kvs, "workload", opt.workload);
-    opt.ncpu = static_cast<uint32_t>(optU64(kvs, "ncpu", opt.ncpu));
-    if (opt.ncpu == 0) {
-        std::cerr << "stems bench: ncpu must be positive\n";
-        return 2;
-    }
-    opt.refsPerCpu = optU64(kvs, "refs", opt.refsPerCpu);
-    opt.seed = optU64(kvs, "seed", opt.seed);
-    opt.repeats = static_cast<uint32_t>(
-        optU64(kvs, "repeats", opt.repeats));
-    if (opt.repeats == 0)
-        opt.repeats = 1;
-    opt.jsonPath = optStr(kvs, "json", opt.jsonPath);
-
-    std::cerr << "stems bench: " << opt.workload << ", " << opt.ncpu
-              << " cpus x " << opt.refsPerCpu << " refs, best of "
-              << opt.repeats << "\n";
-    auto results = runEngineBench(opt);
-    for (const auto &r : results) {
-        std::fprintf(stderr,
-                     "stems bench: %-10s %-18s %8.1f ms  %7.1f ns/ref"
-                     "  %.2fM refs/s\n",
-                     r.workload.c_str(), r.name.c_str(), r.wallMs,
-                     r.nsPerRef, r.refsPerSec / 1e6);
-    }
-    const ObsOverhead obs = runObsOverheadBench(opt);
-    std::fprintf(stderr,
-                 "stems bench: obs overhead: %u cells, %.1f ms plain, "
-                 "%.1f ms observed (%+.1f%%)\n",
-                 obs.cells, obs.plainMs, obs.observedMs,
-                 obs.overheadPct);
-    writeReport(opt.jsonPath, benchToJson(opt, results, &obs));
-    if (opt.jsonPath != "-")
-        std::cerr << "stems bench: wrote " << opt.jsonPath << "\n";
     return 0;
 }
 
@@ -474,8 +403,6 @@ main(int argc, char **argv)
             return cmdList();
         if (cmd == "trace")
             return cmdTrace(args);
-        if (cmd == "bench")
-            return cmdBench(args);
         if (cmd == "merge")
             return cmdMerge(args);
         if (cmd == "analyze")

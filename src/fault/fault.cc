@@ -114,56 +114,9 @@ parseSelector(Clause &c, const std::string &sel)
     c.prob = p;
 }
 
-/**
- * Legacy hook parser: "ID[:MARKER]" (crash) or "ID:MS[:MARKER]"
- * (hang). A marker-less legacy hook fires on every attempt — the old
- * semantics tests depend on.
- */
-Clause
-parseLegacyHook(Kind kind, const std::string &raw, bool withSleep)
-{
-    Clause c;
-    c.kind = kind;
-    c.prob = 1.0;
-    size_t colon = raw.find(':');
-    c.cell = static_cast<int64_t>(
-        std::strtoul(raw.c_str(), nullptr, 10));
-    if (withSleep) {
-        if (colon == std::string::npos)
-            throw std::invalid_argument(
-                "STEMS_DISPATCH_SLEEP: expected ID:MS[:MARKER]");
-        c.hangMs = static_cast<uint32_t>(
-            std::strtoul(raw.c_str() + colon + 1, nullptr, 10));
-        colon = raw.find(':', colon + 1);
-    }
-    if (colon != std::string::npos)
-        c.marker = raw.substr(colon + 1);
-    else
-        c.everyAttempt = true;
-    return c;
-}
-
-/**
- * Whether a legacy marker-file clause fires: only the attempt that
- * creates the marker does, so the re-queued attempt runs clean even
- * across worker processes.
- */
-bool
-markerFires(const Clause &c)
-{
-    const int fd = ::open(c.marker.c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;  // marker exists: a previous attempt fired
-    ::close(fd);
-    return true;
-}
-
 bool
 clauseFires(const Clause &c, uint64_t a, uint64_t b)
 {
-    if (!c.marker.empty())
-        return markerFires(c);
     if (!c.everyAttempt && b > 1)
         return false;
     if (c.cell >= 0)
@@ -272,17 +225,8 @@ installPlan(Plan plan)
 void
 installFromEnv()
 {
-    Plan plan;
     if (const char *spec = std::getenv("STEMS_FAULTS"))
-        plan = parsePlan(spec);
-    if (const char *raw = std::getenv("STEMS_DISPATCH_CRASH"))
-        plan.clauses.push_back(
-            parseLegacyHook(Kind::Crash, raw, false));
-    if (const char *raw = std::getenv("STEMS_DISPATCH_SLEEP"))
-        plan.clauses.push_back(
-            parseLegacyHook(Kind::Hang, raw, true));
-    if (!plan.empty())
-        installPlan(std::move(plan));
+        installPlan(parsePlan(spec));
 }
 
 bool

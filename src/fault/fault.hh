@@ -27,10 +27,7 @@
  *
  * Worker-context faults (crash/hang/garbage/truncate) fire only when
  * a cell context has been set (i.e. inside `stems worker`); the spill
- * faults fire in any process with a plan installed. The legacy
- * STEMS_DISPATCH_CRASH / STEMS_DISPATCH_SLEEP test hooks parse into
- * the same clause representation (with their fire-once marker files),
- * so the old instrumentation is a special case of the plan.
+ * faults fire in any process with a plan installed.
  *
  * Injection sites are all on cold paths (per cell, per spill write);
  * with no plan installed each site is a single branch on a bool.
@@ -66,7 +63,6 @@ struct Clause
     int64_t cell = -1;        //!< targeted cell id (-1 = probabilistic)
     bool everyAttempt = false; //!< fire on retries too
     uint32_t hangMs = 0;      //!< wedge duration (Kind::Hang)
-    std::string marker;       //!< legacy fire-once marker file path
 };
 
 /** A full fault plan: shared hash seed plus clauses. */
@@ -94,12 +90,10 @@ Plan parsePlan(const std::string &spec);
 void installPlan(Plan plan);
 
 /**
- * Install from the environment: STEMS_FAULTS (plan grammar) plus the
- * legacy STEMS_DISPATCH_CRASH="ID[:MARKER]" and
- * STEMS_DISPATCH_SLEEP="ID:MS[:MARKER]" hooks, folded into equivalent
- * clauses. No-op when none are set. Called by `stems worker` at
- * startup and by `stems run` (whose --fault-plan= is exported as
- * STEMS_FAULTS so forked workers inherit it).
+ * Install from the STEMS_FAULTS environment variable (plan grammar);
+ * no-op when it is unset. Called by `stems worker` at
+ * startup (`stems run` exports its --fault-plan= as STEMS_FAULTS so
+ * forked workers inherit it).
  */
 void installFromEnv();
 

@@ -31,7 +31,6 @@ Counters::reset()
     heartbeatsMissed = 0;
     journalCellsWritten = 0;
     journalCellsReplayed = 0;
-    speculativeRedispatches = 0;
     degradedCells = 0;
     traceBytesMapped = 0;
     tracePrefetchAhead = 0;
@@ -70,7 +69,6 @@ snapshotCounters()
         {"heartbeats_missed", v(c.heartbeatsMissed)},
         {"journal_cells_written", v(c.journalCellsWritten)},
         {"journal_cells_replayed", v(c.journalCellsReplayed)},
-        {"speculative_redispatches", v(c.speculativeRedispatches)},
         {"degraded_cells", v(c.degradedCells)},
         {"trace_bytes_mapped", v(c.traceBytesMapped)},
         {"trace_prefetch_ahead", v(c.tracePrefetchAhead)},

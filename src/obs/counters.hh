@@ -39,13 +39,12 @@ struct Counters
     std::atomic<uint64_t> workerRespawns{0};
     std::atomic<uint64_t> wireBytesSent{0};
     std::atomic<uint64_t> wireBytesReceived{0};
-    // fault-tolerance families (PR 7): chaos injection, liveness,
-    // run durability and straggler mitigation
+    // fault-tolerance families: chaos injection, liveness and
+    // run durability
     std::atomic<uint64_t> faultsInjected{0};
     std::atomic<uint64_t> heartbeatsMissed{0};
     std::atomic<uint64_t> journalCellsWritten{0};
     std::atomic<uint64_t> journalCellsReplayed{0};
-    std::atomic<uint64_t> speculativeRedispatches{0};
     std::atomic<uint64_t> degradedCells{0};
     // streaming trace pipeline (PR 9). Bytes mapped and spill replays
     // stay slot-tied (deterministic); prefetch-ahead and stream stalls
@@ -53,9 +52,10 @@ struct Counters
     std::atomic<uint64_t> traceBytesMapped{0};
     std::atomic<uint64_t> tracePrefetchAhead{0};
     std::atomic<uint64_t> streamStalls{0};
-    // experiment-service families (PR 10): admission-queue outcomes,
-    // warm-cache reuse across requests, work stealing and the socket
-    // control channel
+    // experiment-service families: admission-queue outcomes,
+    // warm-cache reuse across requests and the socket control channel.
+    // cellsStolen counts the scheduler's duplicate copies of straggling
+    // cells (dispatch-speculate=1)
     std::atomic<uint64_t> serveRequestsAdmitted{0};
     std::atomic<uint64_t> serveRequestsQueued{0};
     std::atomic<uint64_t> serveRequestsRejected{0};

@@ -31,8 +31,8 @@ namespace stems::obs {
 
 /**
  * Instantaneous scheduler state the sampler reads: unlike the
- * monotonic counters these move both ways. Writers (runner,
- * coordinator) store with relaxed ordering — a gauge is a statistical
+ * monotonic counters these move both ways. The writer (the cell
+ * scheduler) adds with relaxed ordering — a gauge is a statistical
  * signal, not a synchronization point.
  */
 struct Gauges
@@ -46,13 +46,6 @@ struct Gauges
     /** Zero every gauge (run start / tests). */
     void reset();
 };
-
-/** Shorthand: set a gauge on the process-wide registry. */
-inline void
-gaugeSet(std::atomic<int64_t> Gauges::*member, int64_t v)
-{
-    (Gauges::get().*member).store(v, std::memory_order_relaxed);
-}
 
 /** Shorthand: adjust a gauge on the process-wide registry. */
 inline void

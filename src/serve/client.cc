@@ -128,8 +128,6 @@ cmdSubmit(const std::vector<std::string> &args)
         if (outcome.replayed)
             std::cerr << " (" << outcome.replayed
                       << " cells replayed from journal)";
-        if (outcome.stolen)
-            std::cerr << " (" << outcome.stolen << " cells stolen)";
         std::cerr << "\n";
     }
     return outcome.failed ? 1 : 0;

@@ -191,10 +191,6 @@ cmdServe(const std::vector<std::string> &args)
                 cfg.service.journalDir = value;
             else if (key == "trace-dir")
                 cfg.service.traceDir = value;
-            else if (key == "steal")
-                cfg.service.steal = value != "0";
-            else if (key == "pipeline")
-                cfg.service.pipeline = value != "0";
             else if (key == "quiet")
                 cfg.quiet = value != "0";
             else if (key == "trace-out")

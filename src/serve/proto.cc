@@ -64,7 +64,6 @@ encodeReport(const ExperimentService::Outcome &outcome)
     j.key("request").value(outcome.id);
     j.key("failed").value(uint64_t{outcome.failed});
     j.key("replayed").value(outcome.replayed);
-    j.key("stolen").value(outcome.stolen);
     j.key("json").value(outcome.json);
     j.key("csv").value(outcome.csv);
     j.key("table").value(outcome.table);
@@ -87,7 +86,6 @@ decodeResponse(const JsonValue &msg)
         out.failed =
             static_cast<uint32_t>(msg.at("failed").asU64());
         out.replayed = msg.at("replayed").asU64();
-        out.stolen = msg.at("stolen").asU64();
         out.json = msg.at("json").asString();
         out.csv = msg.at("csv").asString();
         out.table = msg.at("table").asString();

@@ -4,12 +4,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <unistd.h>
 
 #include "dispatch/journal.hh"
-#include "driver/costmodel.hh"
 #include "driver/report.hh"
+#include "driver/scheduler.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
 
@@ -20,21 +21,17 @@ namespace fs = std::filesystem;
 /** One submission's full lifetime: queued → active → done. */
 struct ExperimentService::Request
 {
+    explicit Request(driver::ExperimentSpec s)
+        : spec(std::move(s)), sched(spec)
+    {
+    }
+
     uint64_t id = 0;
     driver::ExperimentSpec spec;
-    std::vector<driver::RunCell> cells;
-    std::vector<size_t> order;    //!< schedule order (spec-driven)
-    size_t nextSlot = 0;          //!< first unclaimed schedule slot
-    std::vector<driver::CellResult> results;  //!< by expansion index
-    std::vector<char> claimed;    //!< by expansion index
-    std::vector<char> completed;
-    std::vector<char> stolenOnce; //!< at most one duplicate per cell
-    size_t done = 0;
-    uint64_t stolenCells = 0;
+    driver::CellScheduler sched;
     driver::CellExecutor *executor = nullptr;
 
     dispatch::RunJournal journal;
-    std::mutex journalMu;         //!< serializes appends off the lock
     std::string journalFile;
     uint64_t replayed = 0;
 
@@ -72,8 +69,7 @@ ExperimentService::ExperimentService(Config config)
     cfg.fleet = n;
     for (uint32_t k = 0; k < n; ++k)
         fleet.emplace_back([this, k] { fleetLoop(k); });
-    if (cfg.pipeline)
-        prefetcher = std::thread([this] { prefetchLoop(); });
+    warmer = std::thread([this] { warmLoop(); });
 }
 
 ExperimentService::~ExperimentService()
@@ -125,11 +121,12 @@ ExperimentService::activateLocked()
             1e6;
         obs::count(&obs::Counters::serveRequestsAdmitted);
 
-        // warm restart: splice this spec's surviving journal before
-        // any cell is claimed (resume-style open creates the file
-        // fresh when there is nothing to replay)
+        // warm restart: seed this spec's surviving journal before any
+        // cell is claimed (resume-style open creates the file fresh
+        // when there is nothing to replay)
         if (!cfg.journalDir.empty()) {
-            const uint64_t fp = dispatch::specFingerprint(req->cells);
+            const uint64_t fp =
+                dispatch::specFingerprint(req->sched.cells());
             char hex[24];
             std::snprintf(hex, sizeof(hex), "%016llx",
                           static_cast<unsigned long long>(fp));
@@ -137,58 +134,24 @@ ExperimentService::activateLocked()
                 cfg.journalDir + "/req-" + hex + ".journal";
             try {
                 req->journal.open(req->journalFile, fp,
-                                  req->cells.size(), true);
+                                  req->sched.cells().size(), true);
             } catch (const std::exception &e) {
                 std::cerr << "stems serve: journal disabled for "
                              "request "
                           << req->id << ": " << e.what() << "\n";
             }
-            for (size_t i = 0; i < req->cells.size(); ++i) {
-                const auto it =
-                    req->journal.replayed().find(req->cells[i].id);
-                if (it == req->journal.replayed().end())
-                    continue;
-                driver::CellResult r;
-                r.cell = req->cells[i];
-                r.metrics = it->second.metrics;
-                r.telemetry = it->second.telemetry;
-                req->results[i] = std::move(r);
-                req->claimed[i] = 1;
-                req->completed[i] = 1;
-                ++req->done;
-                ++req->replayed;
-            }
+            req->replayed = req->sched.seed(req->journal.replayed());
         }
 
         // warm-cache visibility: cells whose trace is already built
         // (a prior request generated or mapped it) are warm hits
-        for (size_t i = 0; i < req->cells.size(); ++i)
-            if (!req->completed[i] &&
-                req->executor->prepared(req->cells[i]))
+        const auto &cells = req->sched.cells();
+        for (size_t i = 0; i < cells.size(); ++i)
+            if (!req->sched.done(i) && req->executor->prepared(cells[i]))
                 obs::count(&obs::Counters::serveCacheWarmHits);
 
         active.push_back(std::move(req));
     }
-}
-
-bool
-ExperimentService::claimableLocked() const
-{
-    for (const auto &req : active) {
-        size_t slot = req->nextSlot;
-        while (slot < req->order.size() &&
-               req->claimed[req->order[slot]])
-            ++slot;
-        if (slot < req->order.size())
-            return true;
-    }
-    if (cfg.steal)
-        for (const auto &req : active)
-            for (size_t i = 0; i < req->cells.size(); ++i)
-                if (req->claimed[i] && !req->completed[i] &&
-                    !req->stolenOnce[i])
-                    return true;
-    return false;
 }
 
 void
@@ -197,142 +160,69 @@ ExperimentService::fleetLoop(uint32_t index)
     obs::setThreadName("serve-" + std::to_string(index));
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-        workCv.wait(lk, [this] {
-            return stopping || claimableLocked();
+        // claim the next cell of the earliest-admitted active request
+        // that has one
+        std::shared_ptr<Request> req;
+        std::optional<size_t> idx;
+        workCv.wait(lk, [&] {
+            if (stopping)
+                return true;
+            for (const auto &r : active)
+                if ((idx = r->sched.claim())) {
+                    req = r;
+                    return true;
+                }
+            return false;
         });
         if (stopping)
             return;
-
-        // claim the first unclaimed cell (schedule order) of the
-        // earliest-admitted active request
-        std::shared_ptr<Request> req;
-        size_t idx = 0;
-        bool isStolen = false;
-        for (const auto &r : active) {
-            while (r->nextSlot < r->order.size() &&
-                   r->claimed[r->order[r->nextSlot]])
-                ++r->nextSlot;
-            if (r->nextSlot < r->order.size()) {
-                req = r;
-                idx = r->order[r->nextSlot];
-                ++r->nextSlot;
-                break;
-            }
-        }
-        if (!req && cfg.steal) {
-            // nothing unclaimed anywhere: duplicate a straggler from
-            // the in-flight request with the most work remaining
-            // (its tail is the service's critical path)
-            std::shared_ptr<Request> victim;
-            size_t remaining = 0;
-            for (const auto &r : active) {
-                const size_t rem = r->cells.size() - r->done;
-                bool stealable = false;
-                for (size_t i = 0; i < r->cells.size(); ++i)
-                    if (r->claimed[i] && !r->completed[i] &&
-                        !r->stolenOnce[i]) {
-                        stealable = true;
-                        break;
-                    }
-                if (stealable && rem > remaining) {
-                    victim = r;
-                    remaining = rem;
-                }
-            }
-            if (victim) {
-                for (size_t k = 0; k < victim->order.size(); ++k) {
-                    const size_t i = victim->order[k];
-                    if (victim->claimed[i] && !victim->completed[i] &&
-                        !victim->stolenOnce[i]) {
-                        req = victim;
-                        idx = i;
-                        isStolen = true;
-                        victim->stolenOnce[i] = 1;
-                        ++victim->stolenCells;
-                        obs::count(&obs::Counters::cellsStolen);
-                        break;
-                    }
-                }
-            }
-        }
-        if (!req)
-            continue;  // raced another thread; re-evaluate
-        if (!isStolen)
-            req->claimed[idx] = 1;
-
-        // pipeline hint: the request's next unclaimed cell warms in
-        // the background while this one simulates
-        if (cfg.pipeline) {
-            size_t slot = req->nextSlot;
-            while (slot < req->order.size() &&
-                   req->claimed[req->order[slot]])
-                ++slot;
-            if (slot < req->order.size()) {
-                std::lock_guard<std::mutex> plk(prefetchMu);
-                if (prefetchQueue.size() < 8)
-                    prefetchQueue.emplace_back(
-                        req->executor, req->cells[req->order[slot]]);
-                prefetchCv.notify_one();
-            }
-        }
-
+        warmCv.notify_one();  // the look-ahead cursor moved
         lk.unlock();
+
+        const driver::RunCell &cell = req->sched.cells()[*idx];
+        if (!req->executor->prepared(cell))
+            obs::count(&obs::Counters::streamStalls);
         driver::CellResult result;
         {
-            const driver::RunCell &cell = req->cells[idx];
-            obs::Span span(
-                isStolen ? "steal" : "serve_cell",
-                {{"request", std::to_string(req->id)},
-                 {"cell", std::to_string(cell.id)},
-                 {"workload", cell.workload},
-                 {"engine", cell.engine.kind}});
+            obs::Span span("serve_cell",
+                           {{"request", std::to_string(req->id)},
+                            {"cell", std::to_string(cell.id)},
+                            {"workload", cell.workload},
+                            {"engine", cell.engine.kind}});
             result = req->executor->execute(cell);
         }
-        lk.lock();
+        // the scheduler's hook appends to the request journal
+        req->sched.complete(*idx, std::move(result));
 
-        // first result wins — the executor is deterministic, so when
-        // a stolen copy loses the race nothing observable changes
-        if (!req->completed[idx]) {
-            req->completed[idx] = 1;
-            req->results[idx] = std::move(result);
-            const bool needAppend = req->journal.isOpen();
-            if (needAppend) {
-                // append outside the service lock; completed slots
-                // are never rewritten, so reading results[idx]
-                // unlocked is safe
-                lk.unlock();
-                {
-                    std::lock_guard<std::mutex> jlk(req->journalMu);
-                    req->journal.append(req->results[idx]);
-                }
-                lk.lock();
-            }
-            ++req->done;
-            if (req->done == req->cells.size())
-                stateCv.notify_all();
-            workCv.notify_all();  // the steal frontier moved
-        }
+        lk.lock();
+        if (req->sched.finished())
+            stateCv.notify_all();
     }
 }
 
 void
-ExperimentService::prefetchLoop()
+ExperimentService::warmLoop()
 {
-    obs::setThreadName("serve-prefetch");
-    std::unique_lock<std::mutex> lk(prefetchMu);
+    obs::setThreadName("serve-warmer");
+    std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-        prefetchCv.wait(lk, [this] {
-            return stopping || !prefetchQueue.empty();
+        std::shared_ptr<Request> req;
+        std::optional<size_t> idx;
+        warmCv.wait(lk, [&] {
+            if (stopping)
+                return true;
+            for (const auto &r : active)
+                if ((idx = r->sched.takeLookahead())) {
+                    req = r;
+                    return true;
+                }
+            return false;
         });
-        if (stopping && prefetchQueue.empty())
-            return;
-        auto [executor, cell] = std::move(prefetchQueue.front());
-        prefetchQueue.pop_front();
-        lk.unlock();
-        executor->prefetch(cell);
-        lk.lock();
         if (stopping)
             return;
+        lk.unlock();
+        req->executor->prefetch(req->sched.cells()[*idx]);
+        lk.lock();
     }
 }
 
@@ -343,30 +233,28 @@ ExperimentService::submit(
 {
     Outcome out;
 
-    std::shared_ptr<Request> req = std::make_shared<Request>();
+    std::shared_ptr<Request> req;
     try {
-        req->spec = driver::parseSpec(tokens);
+        driver::ExperimentSpec spec = driver::parseSpec(tokens);
         // mirror cmdRun's defaulting so report bytes cannot depend
         // on which side applied it
-        if (req->spec.jsonPath.empty() && req->spec.csvPath.empty() &&
-            !req->spec.table)
-            req->spec.jsonPath = "-";
-        req->cells = driver::selectedCells(req->spec);
-        req->order = driver::scheduleOrder(req->spec, req->cells);
+        if (spec.jsonPath.empty() && spec.csvPath.empty() && !spec.table)
+            spec.jsonPath = "-";
+        req = std::make_shared<Request>(std::move(spec));
     } catch (const std::exception &e) {
         out.status = Outcome::Status::Error;
         out.reason = e.what();
         return out;
     }
-    if (req->cells.empty()) {
+    if (req->sched.cells().empty()) {
         out.status = Outcome::Status::Error;
         out.reason = "spec selects no cells";
         return out;
     }
-    req->results.resize(req->cells.size());
-    req->claimed.assign(req->cells.size(), 0);
-    req->completed.assign(req->cells.size(), 0);
-    req->stolenOnce.assign(req->cells.size(), 0);
+    // the hook runs serialized, after the result is placed
+    req->sched.onComplete(
+        [journal = &req->journal](const driver::CellResult &r, size_t,
+                                  size_t) { journal->append(r); });
 
     {
         std::unique_lock<std::mutex> lk(mu);
@@ -396,6 +284,7 @@ ExperimentService::submit(
         queued.push_back(req);
         activateLocked();
         workCv.notify_all();
+        warmCv.notify_one();
         stateCv.wait(lk, [&] {
             return req->activeNow || !req->failure.empty();
         });
@@ -405,8 +294,7 @@ ExperimentService::submit(
             lk.lock();
         }
         stateCv.wait(lk, [&] {
-            return req->done == req->cells.size() ||
-                   !req->failure.empty();
+            return req->sched.finished() || !req->failure.empty();
         });
         if (!req->failure.empty()) {
             out.status = Outcome::Status::Error;
@@ -419,6 +307,7 @@ ExperimentService::submit(
             active.end());
         activateLocked();
         workCv.notify_all();
+        warmCv.notify_one();
     }
 
     // the request span covers activation → completion; queue_ms is
@@ -431,8 +320,7 @@ ExperimentService::submit(
         e.durNs = obs::monotonicNs() - req->activatedNs;
         e.args = {{"request", std::to_string(req->id)},
                   {"queue_ms", std::to_string(req->queueMs)},
-                  {"cells", std::to_string(req->cells.size())},
-                  {"stolen", std::to_string(req->stolenCells)},
+                  {"cells", std::to_string(req->sched.cells().size())},
                   {"replayed", std::to_string(req->replayed)}};
         obs::Recorder::get().record(std::move(e));
     }
@@ -448,18 +336,19 @@ ExperimentService::submit(
     out.status = Outcome::Status::Done;
     out.id = req->id;
     out.replayed = req->replayed;
-    out.stolen = req->stolenCells;
-    for (const auto &r : req->results)
+    const std::vector<driver::CellResult> results =
+        req->sched.takeResults();
+    for (const auto &r : results)
         if (!r.error.empty())
             ++out.failed;
     // the same sinks stems run would write, built from the same spec
     // and the same ordered results — byte-identity by construction
     if (!req->spec.jsonPath.empty())
-        out.json = driver::toJson(req->spec, req->results);
+        out.json = driver::toJson(req->spec, results);
     if (!req->spec.csvPath.empty())
-        out.csv = driver::toCsv(req->spec, req->results);
+        out.csv = driver::toCsv(req->spec, results);
     if (req->spec.table)
-        out.table = driver::toTable(req->spec, req->results);
+        out.table = driver::toTable(req->spec, results);
     return out;
 }
 
@@ -478,16 +367,13 @@ ExperimentService::stop()
         queued.clear();
     }
     workCv.notify_all();
+    warmCv.notify_all();
     stateCv.notify_all();
-    {
-        std::lock_guard<std::mutex> plk(prefetchMu);
-        prefetchCv.notify_all();
-    }
     for (auto &t : fleet)
         t.join();
     fleet.clear();
-    if (prefetcher.joinable())
-        prefetcher.join();
+    if (warmer.joinable())
+        warmer.join();
 }
 
 } // namespace stems::serve

@@ -17,43 +17,40 @@
  *    up to maxQueued more wait FIFO; beyond that submissions are
  *    rejected immediately with a reason (bounded backlog — a burst
  *    degrades to fast rejections, never to an unbounded queue).
- *    Within a request cells run in driver::scheduleOrder (FIFO or
- *    schedule=cost LPT ordering from the spec).
  *
- *  - Work stealing. An idle fleet thread with no unclaimed cell
- *    duplicates a claimed-but-unfinished cell from the in-flight
- *    request with the most work remaining (first result wins, at
- *    most one copy per cell) — the serve-side analogue of
- *    dispatch-speculate, reusing the executor's determinism: both
- *    copies compute identical results, so report bytes cannot depend
- *    on who wins.
+ *  - One scheduler per request. Each request's cells sit in a
+ *    driver::CellScheduler that the fleet threads drain as thread
+ *    lanes, earliest-admitted request first. Claim order (FIFO or
+ *    schedule=cost), placement by cell index and journal seeding all
+ *    come from it. Thread lanes share one executor, so they never
+ *    duplicate cells.
  *
  *  - Per-request journals. With journalDir set, each request appends
- *    to a crash-safe journal named by its spec fingerprint; a killed
- *    daemon warm-restarts by replaying completed cells through the
- *    existing resume splice when the same spec is resubmitted. The
- *    journal is deleted once its report has been built.
+ *    to a crash-safe journal named by its spec fingerprint through
+ *    its scheduler's completion hook; a killed daemon warm-restarts
+ *    when the same spec is resubmitted, and the journaled cells seed
+ *    the scheduler instead of running again. The journal is deleted
+ *    once its report has been built.
  *
- *  - Pipelining. A background thread warms the next scheduled cell's
- *    trace (CellExecutor::prefetch) while fleet threads simulate,
- *    mirroring the runner's stream=1 discipline.
+ *  - Look-ahead. One warmer thread prepares the trace of the next
+ *    unclaimed cell (CellExecutor::prefetch) while the fleet
+ *    simulates, like the runner's warmer.
  *
  * Reports are built with the same driver::toJson/toCsv/toTable the
  * CLI uses, on the spec parsed from the submitted tokens — so a
  * report fetched through `stems submit` is byte-identical to
- * `stems run` on the same spec, whatever mix of stealing, warm
- * caches and journal replay produced the results.
+ * `stems run` on the same spec, whatever mix of warm caches and
+ * journal replay produced the results.
  *
  * Execution-policy keys in a submitted spec (dispatch=, workers=,
- * journal=, fault-plan=, stream=, threads=) are ignored: the daemon
- * owns its fleet shape and durability. Output-path keys are honoured
+ * journal=, fault-plan=, threads=) are ignored: the daemon owns its
+ * fleet shape and durability. Output-path keys are honoured
  * client-side.
  */
 
 #ifndef STEMS_SERVE_SERVICE_HH
 #define STEMS_SERVE_SERVICE_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -80,8 +77,6 @@ class ExperimentService
         uint32_t maxQueued = 8;  //!< waiting requests before rejection
         std::string journalDir;  //!< per-request journals ("" = off)
         std::string traceDir;    //!< shared spill dir ("" = temp dir)
-        bool steal = true;       //!< idle-thread cell duplication
-        bool pipeline = true;    //!< background trace prefetch
     };
 
     /** One submission's outcome, shipped back over the wire. */
@@ -100,8 +95,7 @@ class ExperimentService
         std::string csv;
         std::string table;
         uint32_t failed = 0;     //!< cells that ended with an error
-        uint64_t replayed = 0;   //!< cells spliced from a journal
-        uint64_t stolen = 0;     //!< cells that ran as stolen copies
+        uint64_t replayed = 0;   //!< cells seeded from a journal
         uint64_t id = 0;         //!< request id (admission order)
     };
 
@@ -136,18 +130,17 @@ class ExperimentService
     driver::CellExecutor &executorLocked(
         const driver::ExperimentSpec &spec);
     void activateLocked();
-    bool claimableLocked() const;
     void fleetLoop(uint32_t index);
-    void prefetchLoop();
+    void warmLoop();
 
     Config cfg;
     std::string ownedTraceDir;  //!< temp spill dir we created
 
     mutable std::mutex mu;
     std::condition_variable workCv;   //!< fleet: work may exist
+    std::condition_variable warmCv;   //!< warmer: a cursor moved
     std::condition_variable stateCv;  //!< submitters: request state
-    /** Atomic: the prefetch loop reads it under its own mutex. */
-    std::atomic<bool> stopping{false};
+    bool stopping = false;
     uint64_t nextId = 0;
     std::deque<std::shared_ptr<Request>> queued;
     std::vector<std::shared_ptr<Request>> active;
@@ -155,13 +148,8 @@ class ExperimentService
     std::map<std::string, std::unique_ptr<driver::CellExecutor>>
         executors;
 
-    std::mutex prefetchMu;
-    std::condition_variable prefetchCv;
-    std::deque<std::pair<driver::CellExecutor *, driver::RunCell>>
-        prefetchQueue;
-
     std::vector<std::thread> fleet;
-    std::thread prefetcher;
+    std::thread warmer;
 };
 
 } // namespace stems::serve

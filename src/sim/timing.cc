@@ -165,8 +165,12 @@ constexpr size_t kBatch = 128;
  * (annotation never reads core time), so the split is numerically
  * identical to the interleaved form while keeping each loop's
  * branches and data hot.
+ *
+ * Kept out of line: with a single caller left, LTO inlines this loop
+ * into runTiming, and the timing-heavy paper suite then ran ~5% slower
+ * end to end (gcc, 4-vCPU x86-64).
  */
-TimingResult
+[[gnu::noinline]] TimingResult
 runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
               const prefetch::PfAttach &attach)
 {

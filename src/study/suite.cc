@@ -88,12 +88,10 @@ TraceCache::viewSetImpl(const std::string &name,
                         bool count_lookup)
 {
     Slot &s = slot(name, p);
-    bool ran = false;
     std::call_once(s.setOnce, [&] {
-        ran = true;
         // the miss is counted inside the once so it stays slot-tied
         // (exactly one per distinct key) no matter which caller — a
-        // consumer or the background streamer — gets here first
+        // consumer or the look-ahead warmer — gets here first
         obs::count(&obs::Counters::traceCacheMisses);
         const uint64_t hash = generatorConfigHash(name, p);
         const std::string file = spillDir.empty()
@@ -165,10 +163,10 @@ TraceCache::viewSetImpl(const std::string &name,
         build();
         s.prepared.store(true, std::memory_order_release);
     });
-    // hits for every later lookup — deterministic across thread
-    // counts; prepare() passes count_lookup=false so the background
-    // streamer never perturbs the hit count
-    if (count_lookup && !ran)
+    // a hit for every counted lookup after the slot's first, whoever
+    // built it — deterministic across thread counts; prepare() passes
+    // count_lookup=false so the look-ahead warmer never perturbs it
+    if (count_lookup && s.looked.exchange(true, std::memory_order_relaxed))
         obs::count(&obs::Counters::traceCacheHits);
     return s.set;
 }

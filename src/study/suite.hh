@@ -88,8 +88,8 @@ class TraceCache
 
     /**
      * Build (generate-or-replay) the set for @p name ahead of its
-     * consumer, without counting a cache lookup — the background
-     * streamer's entry. Safe to race with viewSet().
+     * consumer, without counting a cache lookup — the look-ahead
+     * warmer's entry. Safe to race with viewSet().
      */
     void prepare(const std::string &name,
                  const workloads::WorkloadParams &p);
@@ -114,6 +114,7 @@ class TraceCache
         std::once_flag mergedOnce;
         trace::StreamSet set;
         std::atomic<bool> prepared{false};
+        std::atomic<bool> looked{false};  //!< a counted lookup happened
         std::vector<trace::Trace> streams;  //!< mapped-set materialisation
         trace::Trace merged;
     };

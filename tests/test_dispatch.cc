@@ -413,15 +413,16 @@ TEST(Dispatch, WorkerKillMidRunRecoversByteIdentically)
          "refs=2000", "seed=13", "wall=0"});
     const std::string inproc = inProcessJson(spec);
 
-    // cell 2 kills its first worker mid-run; the marker file makes
-    // the re-queued attempt on another worker run clean
-    const std::string marker = tempPath("crash_marker");
-    std::filesystem::remove(marker);
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "2:" + marker);
+    // cell 2 kills its first worker mid-run; the fault fires on the
+    // first attempt only, so the re-queued attempt runs clean
+    obs::Counters::get().reset();
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:2");
     const std::string dispatched = dispatchedJson(spec, 3);
     EXPECT_EQ(inproc, dispatched);
-    EXPECT_TRUE(std::filesystem::exists(marker));  // hook actually fired
-    std::filesystem::remove(marker);
+    // the fault actually fired
+    EXPECT_GE(counterValue(obs::snapshotCounters(), "cells_requeued"),
+              1u);
+    obs::Counters::get().reset();
 }
 
 TEST(Dispatch, RetryCapRecordsCellErrorNotCrash)
@@ -429,8 +430,8 @@ TEST(Dispatch, RetryCapRecordsCellErrorNotCrash)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms,none", "ncpu=4",
          "refs=1500", "wall=0", "dispatch-retries=2"});
-    // no marker: cell 0 crashes its worker on every attempt
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "0");
+    // cell 0 crashes its worker on every attempt
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:0:always");
     DispatchConfig cfg = localConfig(2);
     cfg.maxAttempts = 2;
     Coordinator coord(spec, cfg);
@@ -451,18 +452,18 @@ TEST(Dispatch, CellTimeoutRequeuesToAnotherWorker)
          "refs=1500", "seed=5", "wall=0"});
     const std::string inproc = inProcessJson(spec);
 
-    const std::string marker = tempPath("sleep_marker");
-    std::filesystem::remove(marker);
     // cell 0 stalls 30 s on its first attempt; the 700 ms per-cell
     // timeout kills that worker and the retry completes promptly
-    ScopedEnv stall("STEMS_DISPATCH_SLEEP", "0:30000:" + marker);
+    obs::Counters::get().reset();
+    ScopedEnv stall("STEMS_FAULTS", "hang=cell:0/30000");
     DispatchConfig cfg = localConfig(2);
     cfg.timeoutMs = 700;
     Coordinator coord(spec, cfg);
     const std::string dispatched = toJson(spec, coord.run());
     EXPECT_EQ(inproc, dispatched);
-    EXPECT_TRUE(std::filesystem::exists(marker));
-    std::filesystem::remove(marker);
+    EXPECT_GE(counterValue(obs::snapshotCounters(), "cells_requeued"),
+              1u);
+    obs::Counters::get().reset();
 }
 
 // ---------------------------------------------------------------------
@@ -677,7 +678,7 @@ TEST(DispatchWireHardening, RejectsNonFiniteMetricValues)
     for (const char *bad : {"nan", "inf", "-inf", "0x1.fp+20000"}) {
         const std::string payload = std::string(
             R"({"type":"result","id":1,"error":"","metrics":{"uipc":")") +
-            bad + R"("},"counters":[]})";
+            bad + R"("},"counters":[],"telemetry":{}})";
         EXPECT_THROW(decodeResult(parseJson(payload)),
                      std::invalid_argument)
             << bad;
@@ -686,15 +687,19 @@ TEST(DispatchWireHardening, RejectsNonFiniteMetricValues)
 
 TEST(DispatchWireHardening, RejectsMalformedU64Fields)
 {
-    // a negative, overflowing, or non-numeric id must throw, not wrap
+    // a negative, overflowing, or non-numeric id must throw, not wrap;
+    // so must a result that omits its telemetry sidecar
+    const std::string body = R"(,"error":"","metrics":{},"counters":[])";
+    std::vector<std::string> payloads;
     for (const char *bad :
-         {"-1", "99999999999999999999999999", "1.5", "true", "\"7\""}) {
-        const std::string payload = std::string(
-            R"({"type":"result","id":)") + bad +
-            R"(,"error":"","metrics":{},"counters":[]})";
+         {"-1", "99999999999999999999999999", "1.5", "true", "\"7\""})
+        payloads.push_back(R"({"type":"result","id":)" +
+                           std::string(bad) + body +
+                           R"(,"telemetry":{}})");
+    payloads.push_back(R"({"type":"result","id":1)" + body + "}");
+    for (const auto &payload : payloads)
         EXPECT_THROW(decodeResult(parseJson(payload)), std::exception)
-            << bad;
-    }
+            << payload;
 }
 
 TEST(DispatchWireHardening, FrameDecoderCapsFrameSize)
@@ -824,8 +829,7 @@ TEST(DispatchChaos, SpeculationDuplicatesTailStraggler)
             .count();
     EXPECT_EQ(inproc, dispatched);
     EXPECT_LT(tookMs, 25000.0) << "speculation never fired";
-    EXPECT_GE(counterValue(obs::snapshotCounters(),
-                           "speculative_redispatches"),
+    EXPECT_GE(counterValue(obs::snapshotCounters(), "cells_stolen"),
               1u);
     obs::Counters::get().reset();
 }

@@ -2,7 +2,7 @@
  * @file
  * Fault-injection framework tests: plan-grammar parsing and rejection,
  * deterministic firing decisions, first-attempt-only vs :always
- * semantics, the legacy STEMS_DISPATCH_* hook mapping, and the spill
+ * semantics, installing a plan from STEMS_FAULTS, and the spill
  * faults (enospc write failure, corrupt-spill byte flip) observed
  * through the .stmt writer/reader.
  */
@@ -201,18 +201,18 @@ TEST(FaultFire, FiringBumpsTheCounter)
 }
 
 // ---------------------------------------------------------------------
-// legacy hook mapping
+// installing a plan from the STEMS_FAULTS environment variable
 // ---------------------------------------------------------------------
 
 TEST(FaultLegacy, CrashHookFoldsIntoClause)
 {
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "3");
+    // a crash on every attempt of one cell (what
+    // RetryCapRecordsCellErrorNotCrash depends on)
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:3:always");
     installFromEnv();
     ASSERT_TRUE(active());
     setCellContext(3, 1);
     EXPECT_NE(cellFault(Kind::Crash), nullptr);
-    // marker-less legacy hooks fire on every attempt (the old
-    // semantics RetryCapRecordsCellErrorNotCrash depends on)
     setCellContext(3, 2);
     EXPECT_NE(cellFault(Kind::Crash), nullptr);
     setCellContext(4, 1);
@@ -223,7 +223,7 @@ TEST(FaultLegacy, CrashHookFoldsIntoClause)
 
 TEST(FaultLegacy, SleepHookCarriesDuration)
 {
-    ScopedEnv stall("STEMS_DISPATCH_SLEEP", "2:1500");
+    ScopedEnv stall("STEMS_FAULTS", "hang=cell:2:always/1500");
     installFromEnv();
     setCellContext(2, 1);
     const Clause *c = cellFault(Kind::Hang);
@@ -235,8 +235,8 @@ TEST(FaultLegacy, SleepHookCarriesDuration)
 
 TEST(FaultLegacy, EnvPlanAndHooksCompose)
 {
-    ScopedEnv plan("STEMS_FAULTS", "seed=9,garbage=cell:1");
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "2");
+    ScopedEnv plan("STEMS_FAULTS",
+                   "seed=9,garbage=cell:1,crash=cell:2:always");
     installFromEnv();
     setCellContext(1, 1);
     EXPECT_NE(cellFault(Kind::Garbage), nullptr);

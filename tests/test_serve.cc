@@ -3,11 +3,11 @@
  * Experiment-service tests: the versioned hello handshake (round
  * trip, protocol mismatch, oversized and corrupt frames), the
  * ExperimentService producing reports byte-identical to the
- * in-process runner (cold, warm-cache, stolen-cell and concurrent
- * submissions), admission-queue overflow rejection, daemon SIGKILL +
- * warm-restart through the per-request journal, the socket dispatch
- * transport (machine list + spawn template, fault recovery,
- * pipelined workers), and the analyze "serve" section.
+ * in-process runner (cold, warm-cache and concurrent submissions),
+ * admission-queue overflow rejection, daemon SIGKILL + warm-restart
+ * through the per-request journal, the socket dispatch transport
+ * (machine list + spawn template, fault recovery), and the analyze
+ * "serve" section.
  */
 
 #include <gtest/gtest.h>
@@ -260,33 +260,6 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
     obs::Counters::get().reset();
 }
 
-TEST(ServeService, StolenCellsKeepReportByteIdentical)
-{
-    const std::string expected =
-        inProcessJson(parseSpec(smallTokens()));
-
-    // 2 cells on an 8-thread fleet: the six idle threads have nothing
-    // unclaimed to do and must steal the in-flight cells (at most one
-    // duplicate each); first result wins and the executor is
-    // deterministic, so the report cannot change
-    obs::Counters::get().reset();
-    uint64_t stolen = 0;
-    for (int attempt = 0; attempt < 3 && stolen == 0; ++attempt) {
-        ExperimentService::Config cfg;
-        cfg.fleet = 8;
-        ExperimentService svc(cfg);
-        const auto out = svc.submit(smallTokens());
-        ASSERT_EQ(out.status,
-                  ExperimentService::Outcome::Status::Done);
-        EXPECT_EQ(out.json, expected);
-        stolen = out.stolen;
-    }
-    EXPECT_GT(stolen, 0u);
-    EXPECT_GT(counterValue(obs::snapshotCounters(), "cells_stolen"),
-              0u);
-    obs::Counters::get().reset();
-}
-
 TEST(ServeService, RejectsWhenAdmissionQueueFull)
 {
     ExperimentService::Config cfg;
@@ -534,20 +507,6 @@ TEST(ServeTransport, SocketDispatchSurvivesSeededWorkerCrash)
                            "worker_respawns"),
               1u);
     obs::Counters::get().reset();
-}
-
-TEST(ServeTransport, PipelinedDispatchMatchesInProcess)
-{
-    auto tokens = smallTokens();
-    const std::string expected = inProcessJson(parseSpec(tokens));
-
-    tokens.push_back("dispatch=2");
-    tokens.push_back("dispatch-pipeline=1");
-    ExperimentSpec spec = parseSpec(tokens);
-    spec.dispatchWorkerExe = stemsBinary();
-    const std::string dispatched =
-        toJson(spec, dispatch::runSpec(spec));
-    EXPECT_EQ(expected, dispatched);
 }
 
 TEST(ServeTransport, SpawnCmdRequiresWorkerEndpoints)

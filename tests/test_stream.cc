@@ -5,8 +5,8 @@
  * L1 study, timing model, every registry engine), the STEMS_NO_MMAP
  * kill-switch must force the stdio fallback, truncated or corrupt
  * spills must be rejected before any view is handed out, and the
- * background streamer must never change a report byte — across thread
- * counts and across the dispatch wire.
+ * runner's look-ahead warmer must never change a report byte — across
+ * thread counts and across the dispatch wire.
  */
 
 #include <gtest/gtest.h>
@@ -407,7 +407,7 @@ TEST(StreamSafety, TraceCacheRegeneratesOverTruncatedSpill)
 }
 
 // ---------------------------------------------------------------------
-// background streamer
+// always-on look-ahead warmer
 // ---------------------------------------------------------------------
 
 namespace {
@@ -417,7 +417,7 @@ streamTokens(const std::string &dir)
 {
     return {"workloads=sparse,graph", "prefetchers=sms,ghb",
             "ncpu=4",  "refs=3000", "seed=7", "wall=0",
-            "stream=1", "stream-ahead=3", "trace-dir=" + dir};
+            "trace-dir=" + dir};
 }
 
 } // anonymous namespace
@@ -425,13 +425,16 @@ streamTokens(const std::string &dir)
 TEST(Streamer, ReportsIdenticalAcrossThreadCountsAndVsStreamingOff)
 {
     const std::string dir = tempDir("streamer");
-
-    auto offTokens = streamTokens(dir);
-    offTokens[6] = "stream=0";
-    ExperimentSpec off = parseSpec(offTokens);
-    auto rOff = Runner(off).run();
-
     auto tokens = streamTokens(dir);
+    const ExperimentSpec ref = parseSpec(tokens);
+
+    // streaming off: the executor alone, one cell after another, with
+    // no lanes and no warmer
+    CellExecutor exec(executorConfig(ref));
+    std::vector<CellResult> rOff;
+    for (const auto &cell : selectedCells(ref))
+        rOff.push_back(exec.execute(cell));
+
     tokens.push_back("threads=1");
     ExperimentSpec one = parseSpec(tokens);
     tokens.back() = "threads=4";
@@ -445,10 +448,10 @@ TEST(Streamer, ReportsIdenticalAcrossThreadCountsAndVsStreamingOff)
             ASSERT_TRUE(r.error.empty()) << r.error;
             r.metrics.setWallMs(0);
         }
-    // streaming on vs off, 1 vs 4 threads: byte-identical reports
-    const std::string jOff = toJson(off, rOff);
-    const std::string j1 = toJson(off, r1);
-    const std::string j4 = toJson(off, r4);
+    // look-ahead on vs off, 1 vs 4 threads: byte-identical reports
+    const std::string jOff = toJson(ref, rOff);
+    const std::string j1 = toJson(ref, r1);
+    const std::string j4 = toJson(ref, r4);
     EXPECT_EQ(jOff, j1);
     EXPECT_EQ(j1, j4);
     std::filesystem::remove_all(dir);
@@ -456,43 +459,44 @@ TEST(Streamer, ReportsIdenticalAcrossThreadCountsAndVsStreamingOff)
 
 TEST(Streamer, PrefetchesAheadAndCountsSlotTiedMisses)
 {
-    const std::string dir = tempDir("streamcnt");
-    obs::Counters::get().reset();
+    for (const char *threads : {"threads=1", "threads=4"}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = tempDir("streamcnt");
+        obs::Counters::get().reset();
 
-    auto tokens = streamTokens(dir);
-    tokens.push_back("threads=1");
-    auto results = Runner(parseSpec(tokens)).run();
-    ASSERT_EQ(results.size(), 4u);
+        auto tokens = streamTokens(dir);
+        tokens.push_back(threads);
+        auto results = Runner(parseSpec(tokens)).run();
+        ASSERT_EQ(results.size(), 4u);
 
-    uint64_t misses = 0, prefetches = 0, stalls = 0, mapped = 0;
-    for (const auto &[name, v] : obs::snapshotCounters()) {
-        if (name == "trace_cache_misses")
-            misses = v;
-        else if (name == "trace_prefetch_ahead")
-            prefetches = v;
-        else if (name == "stream_stalls")
-            stalls = v;
-        else if (name == "trace_bytes_mapped")
-            mapped = v;
+        uint64_t misses = 0, prefetches = 0, stalls = 0;
+        for (const auto &[name, v] : obs::snapshotCounters()) {
+            if (name == "trace_cache_misses")
+                misses = v;
+            else if (name == "trace_prefetch_ahead")
+                prefetches = v;
+            else if (name == "stream_stalls")
+                stalls = v;
+        }
+        // misses stay slot-tied (2 workloads) no matter who generated;
+        // each lane claim counts at most one stall, and the warmer
+        // prepares each cell at most once
+        EXPECT_EQ(misses, 2u);
+        EXPECT_LE(stalls, results.size());
+        EXPECT_LE(prefetches, results.size());
+
+        // second run replays the spills through the mapped path
+        obs::Counters::get().reset();
+        auto replay = Runner(parseSpec(tokens)).run();
+        ASSERT_EQ(replay.size(), 4u);
+        uint64_t replayMapped = 0;
+        for (const auto &[name, v] : obs::snapshotCounters())
+            if (name == "trace_bytes_mapped")
+                replayMapped = v;
+        EXPECT_GT(replayMapped, 0u);
+        obs::Counters::get().reset();
+        std::filesystem::remove_all(dir);
     }
-    // misses stay slot-tied (2 workloads) no matter who generated, and
-    // a stall can never outnumber the cells
-    EXPECT_EQ(misses, 2u);
-    EXPECT_LE(stalls, results.size());
-    EXPECT_LE(prefetches, results.size());
-    (void)mapped;  // fresh generation maps nothing; replay runs do
-
-    // second run replays the spills through the mapped path
-    obs::Counters::get().reset();
-    auto replay = Runner(parseSpec(tokens)).run();
-    ASSERT_EQ(replay.size(), 4u);
-    uint64_t replayMapped = 0;
-    for (const auto &[name, v] : obs::snapshotCounters())
-        if (name == "trace_bytes_mapped")
-            replayMapped = v;
-    EXPECT_GT(replayMapped, 0u);
-    obs::Counters::get().reset();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Streamer, DispatchedMatchesInProcWithStreaming)
