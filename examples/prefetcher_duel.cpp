@@ -32,7 +32,6 @@ main(int argc, char **argv)
         names = {"OLTP-DB2", "Qry1", "Apache", "sparse"};
 
     auto params = defaultParams(50000);
-    TraceCache traces;
     TablePrinter table({"App", "Prefetcher", "OffChipCoverage",
                         "L1Coverage", "Overpred(L2)"});
 
@@ -41,7 +40,9 @@ main(int argc, char **argv)
             std::printf("unknown workload: %s\n", name.c_str());
             return 1;
         }
-        const trace::Trace &t = traces.get(name, params);
+        const trace::Trace t =
+            workloads::makeTrace(*workloads::findWorkload(name)->make(),
+                                 params);
 
         SystemStudyConfig base;
         auto rb = runSystem(t, base);

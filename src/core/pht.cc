@@ -1,6 +1,5 @@
 #include "core/pht.hh"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/bits.hh"
@@ -64,10 +63,9 @@ phtProbe(const uint64_t *tags, const uint8_t *meta, uint32_t assoc,
          uint64_t tag)
 {
 #if defined(__x86_64__)
-    // STEMS_NO_SIMD=1 forces the scalar path (A/B measurement and
-    // the bit-identity test exercise both); checked once per process
-    static const bool avx2 = __builtin_cpu_supports("avx2") &&
-        std::getenv("STEMS_NO_SIMD") == nullptr;
+    // CPU detection runs once per process; the bit-identity tests
+    // compare this dispatch against phtProbeScalar
+    static const bool avx2 = __builtin_cpu_supports("avx2");
     if (avx2)
         return phtProbeAvx2(tags, meta, assoc, tag);
 #endif

@@ -109,26 +109,6 @@ scanFrame(const std::string &buf, size_t &off, std::string &payload)
     return true;
 }
 
-std::string
-slurpFile(const std::string &path)
-{
-    std::string out;
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return out;
-    char chunk[65536];
-    for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        out.append(chunk, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return out;
-}
-
 } // anonymous namespace
 
 uint64_t
@@ -165,7 +145,8 @@ RunJournal::open(const std::string &path, uint64_t specHash,
     bool haveExisting = false;
     if (resume) {
         obs::Span span("journal_replay", {{"path", path}});
-        const std::string buf = slurpFile(path);
+        std::string buf;
+        driver::readFile(path, buf);  // missing: nothing to resume
         size_t off = 0;
         std::string payload;
         if (!buf.empty() && scanFrame(buf, off, payload)) {

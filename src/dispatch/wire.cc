@@ -13,6 +13,7 @@ namespace stems::dispatch {
 namespace {
 
 using driver::JsonWriter;
+using driver::writeOptions;
 
 /** Bit-exact double encoding (C99 hexfloat; strtod round-trips it). */
 std::string
@@ -21,15 +22,6 @@ hexDouble(double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
-}
-
-void
-writeOptions(JsonWriter &j, const driver::Options &opts)
-{
-    j.beginObject();
-    for (const auto &[k, v] : opts)
-        j.key(k).value(v);
-    j.endObject();
 }
 
 driver::Options

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -748,69 +747,37 @@ analyzeRun(const std::string &traceText,
                                  : emitTable(in, opts);
 }
 
+KeyTable
+analyzeKeys(AnalyzeArgs &a)
+{
+    return {
+        strKey("trace", a.tracePath, "--trace-out artifact"),
+        strKey("telemetry", a.telemetryPath, "--telemetry-out artifact"),
+        strKey("format", a.opts.format, "table or json"),
+        u32Key("timeline-buckets", a.opts.timelineBuckets, "slices/worker"),
+        u64Key("top", a.opts.stragglerTop, "slowest cells listed"),
+    };
+}
+
 int
 cmdAnalyze(const std::vector<std::string> &args)
 {
-    AnalyzeOptions opts;
-    std::string tracePath, telemetryPath;
-    for (const auto &arg : args) {
-        // --key=value sugar, mirroring stems run
-        std::string tok = arg;
-        if (tok.rfind("--", 0) == 0)
-            tok = tok.find('=') != std::string::npos
-                ? tok.substr(2)
-                : tok.substr(2) + "=1";
-        const size_t eq = tok.find('=');
-        const std::string k =
-            eq == std::string::npos ? tok : tok.substr(0, eq);
-        const std::string v =
-            eq == std::string::npos ? "" : tok.substr(eq + 1);
-        if (k == "trace") {
-            tracePath = v;
-        } else if (k == "telemetry") {
-            telemetryPath = v;
-        } else if (k == "format") {
-            opts.format = v;
-        } else if (k == "timeline-buckets") {
-            opts.timelineBuckets =
-                static_cast<uint32_t>(std::stoul(v));
-        } else if (k == "top") {
-            opts.stragglerTop = std::stoul(v);
-        } else {
-            std::cerr << "stems analyze: unknown key \"" << k
-                      << "\" (expected trace, telemetry, format, "
-                         "timeline-buckets, top)\n";
-            return 2;
-        }
-    }
-    if (tracePath.empty() && telemetryPath.empty()) {
+    AnalyzeArgs a;
+    parseKeys(analyzeKeys(a), args);
+    if (a.tracePath.empty() && a.telemetryPath.empty()) {
         std::cerr << "stems analyze: trace= and/or telemetry= is "
                      "required\n";
         return 2;
     }
-    auto slurp = [](const std::string &path, std::string &out) {
-        if (path.empty())
-            return true;
-        std::ifstream f(path, std::ios::binary);
-        if (!f)
-            return false;
-        std::ostringstream ss;
-        ss << f.rdbuf();
-        out = ss.str();
-        return true;
-    };
     std::string traceText, telemetryText;
-    if (!slurp(tracePath, traceText)) {
-        std::cerr << "stems analyze: cannot read " << tracePath
-                  << "\n";
-        return 1;
+    for (auto [path, text] : {std::pair{&a.tracePath, &traceText},
+                              std::pair{&a.telemetryPath, &telemetryText}}) {
+        if (!path->empty() && !readFile(*path, *text)) {
+            std::cerr << "stems analyze: cannot read " << *path << "\n";
+            return 1;
+        }
     }
-    if (!slurp(telemetryPath, telemetryText)) {
-        std::cerr << "stems analyze: cannot read " << telemetryPath
-                  << "\n";
-        return 1;
-    }
-    std::cout << analyzeRun(traceText, telemetryText, opts);
+    std::cout << analyzeRun(traceText, telemetryText, a.opts);
     return 0;
 }
 

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "driver/options.hh"
+
 namespace stems::driver {
 
 /** Knobs for analyzeRun(); defaults fit a terminal. */
@@ -28,7 +30,7 @@ struct AnalyzeOptions
     std::string format = "table";   //!< "table" or "json"
     uint32_t timelineBuckets = 24;  //!< utilization slices per worker
     size_t criticalPathCap = 32;    //!< max spans on the reported path
-    size_t stragglerTop = 8;        //!< slowest cells listed
+    uint64_t stragglerTop = 8;      //!< slowest cells listed
 };
 
 /**
@@ -41,6 +43,17 @@ struct AnalyzeOptions
 std::string analyzeRun(const std::string &traceText,
                        const std::string &telemetryText,
                        const AnalyzeOptions &opts = {});
+
+/** `stems analyze` arguments: the two artifact paths and the knobs. */
+struct AnalyzeArgs
+{
+    std::string tracePath;      //!< --trace-out artifact ("" = none)
+    std::string telemetryPath;  //!< --telemetry-out artifact ("" = none)
+    AnalyzeOptions opts;
+};
+
+/** The `stems analyze` key table, bound to @p a. */
+KeyTable analyzeKeys(AnalyzeArgs &a);
 
 /** CLI entry: stems analyze trace=F telemetry=F format=table|json. */
 int cmdAnalyze(const std::vector<std::string> &args);

@@ -1,14 +1,13 @@
 #include "driver/costmodel.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 #include "dispatch/json.hh"
 #include "dispatch/wire.hh"
 #include "driver/metrics.hh"
+#include "driver/report.hh"
 
 namespace stems::driver {
 
@@ -123,13 +122,11 @@ CostModel::fromSpec(const ExperimentSpec &spec)
     CostModel model;
     if (spec.scheduleFrom.empty())
         return model;
-    std::ifstream f(spec.scheduleFrom, std::ios::binary);
-    if (!f)
+    std::string text;
+    if (!readFile(spec.scheduleFrom, text))
         throw std::invalid_argument("schedule-from: cannot read " +
                                     spec.scheduleFrom);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    model.calibrate(ss.str());
+    model.calibrate(text);
     return model;
 }
 

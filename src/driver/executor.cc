@@ -113,31 +113,20 @@ study::L1StudyConfig
 l1ConfigFor(const RunCell &cell)
 {
     study::L1StudyConfig lcfg;
+    if (cell.engine.kind == "sms")
+        lcfg = l1StudyConfigFromOptions(cell.engine.options);
+    else
+        lcfg.prefetch = false;
     lcfg.ncpu = cell.params.ncpu;
     lcfg.l1 = cell.sys.l1;
-    lcfg.prefetch = cell.engine.kind == "sms";
-    if (!lcfg.prefetch)
-        return lcfg;
-    lcfg.sms = smsConfigFromOptions(cell.engine.options);
-    const std::string trainer =
-        optStr(cell.engine.options, "trainer", "agt");
-    if (trainer == "agt") {
-        lcfg.trainer = study::TrainerKind::AGT;
-    } else if (trainer == "ls") {
-        lcfg.trainer = study::TrainerKind::LogicalSectored;
-    } else if (trainer == "ds") {
-        lcfg.trainer = study::TrainerKind::DecoupledSectored;
+    if (lcfg.prefetch &&
+        lcfg.trainer == study::TrainerKind::DecoupledSectored) {
         // DS is the cache: it inherits the cell's L1 shape and
         // sectors it at the configured region size
         lcfg.ds.dataBytes = cell.sys.l1.sizeBytes;
         lcfg.ds.dataAssoc = cell.sys.l1.assoc;
         lcfg.ds.blockSize = cell.sys.l1.blockSize;
         lcfg.ds.sectorSize = lcfg.sms.geometry.regionSize();
-        lcfg.ds.tagMult = static_cast<uint32_t>(
-            optU64(cell.engine.options, "ds-tag-mult", lcfg.ds.tagMult));
-    } else {
-        throw std::invalid_argument("trainer=" + trainer +
-                                    ": expected agt|ls|ds");
     }
     return lcfg;
 }
@@ -265,12 +254,6 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
     out.cell = cell;
     MetricSet &m = out.metrics;
     const metric::Builtin &M = metric::ids();
-
-    if (cell.mode == StudyMode::System &&
-        optStr(cell.engine.options, "trainer", "agt") != "agt")
-        throw std::invalid_argument(
-            "trainer= selects an L1-mode training structure "
-            "(requires mode=l1)");
 
     // each phase gets a trace span and a named wall-time entry in the
     // result's telemetry sidecar (dispatch workers ship these back for

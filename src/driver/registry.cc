@@ -102,83 +102,137 @@ class GhbDeployment : public AlgoDeployment
 } // anonymous namespace
 
 // ---------------------------------------------------------------------
-// option translation
+// option tables
 // ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * What the sms rows set: the L1-mode study (the SMS parameters plus
+ * its training structure) and the two sizes the region geometry is
+ * built from once every option is read.
+ */
+struct SmsOptions
+{
+    study::L1StudyConfig study;
+    uint32_t region = 2048;
+    uint32_t block = 64;
+};
+
+KeyTable
+smsKeys(SmsOptions &o)
+{
+    core::SmsConfig &c = o.study.sms;
+    using core::IndexKind;
+    using study::TrainerKind;
+    return {
+        u32Key("region", o.region, "spatial region bytes"),
+        u32Key("block", o.block, "block bytes"),
+        u32Key("pht-entries", c.pht.entries, "PHT entries (0 = unbounded)"),
+        u32Key("pht-assoc", c.pht.assoc, "PHT ways"),
+        enumKey("pht-update", c.pht.update,
+                {{"replace", core::PhtUpdateMode::Replace},
+                 {"union", core::PhtUpdateMode::Union}},
+                "how training merges into a PHT entry"),
+        u32Key("agt-filter", c.agt.filterEntries, "AGT filter entries"),
+        u32Key("agt-accum", c.agt.accumEntries, "AGT accumulation entries"),
+        enumKey("index", c.index,
+                {{"pc+off", IndexKind::PcOffset}, {"pc", IndexKind::Pc},
+                 {"addr", IndexKind::Address},
+                 {"pc+addr", IndexKind::PcAddress}},
+                "prediction index"),
+        u32Key("pred-regs", c.predictionRegisters, "prediction registers"),
+        boolKey("into-l1", c.intoL1, "stream into L1 (0 = into L2)"),
+        enumKey("trainer", o.study.trainer,
+                {{"agt", TrainerKind::AGT},
+                 {"ls", TrainerKind::LogicalSectored},
+                 {"ds", TrainerKind::DecoupledSectored}},
+                "training structure, mode=l1"),
+        u32Key("ds-tag-mult", o.study.ds.tagMult, "DS tags per data sector"),
+    };
+}
+
+KeyTable
+ghbKeys(prefetch::GhbConfig &c)
+{
+    return {
+        u32Key("ghb-entries", c.ghbEntries, "global history buffer entries"),
+        u32Key("it-entries", c.itEntries, "index table entries"),
+        u32Key("degree", c.degree, "prefetches per trigger"),
+        u32Key("max-walk", c.maxWalk, "history entries walked per trigger"),
+        u32Key("block", c.blockSize, "block bytes"),
+    };
+}
+
+KeyTable
+strideKeys(prefetch::StrideConfig &c)
+{
+    return {
+        u32Key("entries", c.entries, "reference prediction table entries"),
+        u32Key("degree", c.degree, "prefetches per trigger"),
+        u32Key("threshold", c.threshold, "confirmations before issuing"),
+        u32Key("block", c.blockSize, "block bytes"),
+        boolKey("into-l1", c.l1Destination, "prefetch into L1 (0 = L2)"),
+    };
+}
+
+struct NextLineConfig
+{
+    uint32_t degree = 1;
+    uint32_t block = 64;
+};
+
+KeyTable
+nextLineKeys(NextLineConfig &c)
+{
+    return {
+        u32Key("degree", c.degree, "blocks fetched ahead per miss"),
+        u32Key("block", c.block, "block bytes"),
+    };
+}
+
+/** @p T's defaults with every option @p keys has a row for applied. */
+template <typename T>
+T
+fromOptions(KeyTable (*keys)(T &), const Options &o)
+{
+    T cfg;
+    applyOptions(keys(cfg), o);
+    return cfg;
+}
+
+SmsOptions
+smsOptions(const Options &o)
+{
+    SmsOptions s = fromOptions(smsKeys, o);
+    s.study.sms.geometry = core::RegionGeometry(s.region, s.block);
+    return s;
+}
+
+} // anonymous namespace
 
 core::SmsConfig
 smsConfigFromOptions(const Options &o)
 {
-    core::SmsConfig cfg;
-    cfg.geometry = core::RegionGeometry(
-        static_cast<uint32_t>(optU64(o, "region", 2048)),
-        static_cast<uint32_t>(optU64(o, "block", 64)));
-    cfg.agt.filterEntries =
-        static_cast<uint32_t>(optU64(o, "agt-filter", 32));
-    cfg.agt.accumEntries =
-        static_cast<uint32_t>(optU64(o, "agt-accum", 64));
-    cfg.pht.entries =
-        static_cast<uint32_t>(optU64(o, "pht-entries", 16384));
-    cfg.pht.assoc = static_cast<uint32_t>(optU64(o, "pht-assoc", 16));
+    return smsOptions(o).study.sms;
+}
 
-    const std::string update = optStr(o, "pht-update", "replace");
-    if (update == "replace") {
-        cfg.pht.update = core::PhtUpdateMode::Replace;
-    } else if (update == "union") {
-        cfg.pht.update = core::PhtUpdateMode::Union;
-    } else {
-        throw std::invalid_argument("pht-update=" + update +
-                                    ": expected replace|union");
-    }
-
-    const std::string index = optStr(o, "index", "pc+off");
-    if (index == "pc+off") {
-        cfg.index = core::IndexKind::PcOffset;
-    } else if (index == "pc") {
-        cfg.index = core::IndexKind::Pc;
-    } else if (index == "addr") {
-        cfg.index = core::IndexKind::Address;
-    } else if (index == "pc+addr") {
-        cfg.index = core::IndexKind::PcAddress;
-    } else {
-        throw std::invalid_argument(
-            "index=" + index + ": expected pc+off|pc|addr|pc+addr");
-    }
-
-    cfg.predictionRegisters =
-        static_cast<uint32_t>(optU64(o, "pred-regs", 16));
-    cfg.intoL1 = optBool(o, "into-l1", true);
-    return cfg;
+study::L1StudyConfig
+l1StudyConfigFromOptions(const Options &o)
+{
+    return smsOptions(o).study;
 }
 
 prefetch::GhbConfig
 ghbConfigFromOptions(const Options &o)
 {
-    prefetch::GhbConfig cfg;
-    cfg.ghbEntries =
-        static_cast<uint32_t>(optU64(o, "ghb-entries", cfg.ghbEntries));
-    cfg.itEntries =
-        static_cast<uint32_t>(optU64(o, "it-entries", cfg.itEntries));
-    cfg.degree = static_cast<uint32_t>(optU64(o, "degree", cfg.degree));
-    cfg.maxWalk =
-        static_cast<uint32_t>(optU64(o, "max-walk", cfg.maxWalk));
-    cfg.blockSize =
-        static_cast<uint32_t>(optU64(o, "block", cfg.blockSize));
-    return cfg;
+    return fromOptions(ghbKeys, o);
 }
 
 prefetch::StrideConfig
 strideConfigFromOptions(const Options &o)
 {
-    prefetch::StrideConfig cfg;
-    cfg.entries =
-        static_cast<uint32_t>(optU64(o, "entries", cfg.entries));
-    cfg.degree = static_cast<uint32_t>(optU64(o, "degree", cfg.degree));
-    cfg.threshold =
-        static_cast<uint32_t>(optU64(o, "threshold", cfg.threshold));
-    cfg.blockSize =
-        static_cast<uint32_t>(optU64(o, "block", cfg.blockSize));
-    cfg.l1Destination = optBool(o, "into-l1", cfg.l1Destination);
-    return cfg;
+    return fromOptions(strideKeys, o);
 }
 
 // ---------------------------------------------------------------------
@@ -190,56 +244,43 @@ PrefetcherRegistry::builtin()
 {
     static PrefetcherRegistry reg = [] {
         PrefetcherRegistry r;
-        r.add("none", "no prefetcher (baseline system)", {},
-              [](mem::MemorySystem &, const Options &) {
-                  return std::make_unique<NoneDeployment>();
-              });
-        r.add("sms",
-              "Spatial Memory Streaming: region, block, pht-entries, "
-              "pht-assoc, pht-update=replace|union, agt-filter, "
-              "agt-accum, index=pc+off|pc|addr|pc+addr, pred-regs, "
-              "into-l1, trainer=agt|ls|ds (mode=l1), ds-tag-mult",
-              {"region", "block", "pht-entries", "pht-assoc",
-               "pht-update", "agt-filter", "agt-accum", "index",
-               "pred-regs", "into-l1", "trainer", "ds-tag-mult"},
-              [](mem::MemorySystem &sys, const Options &o) {
-                  return std::make_unique<SmsDeployment>(sys, o);
-              });
-        r.add("ghb",
-              "GHB PC/DC: ghb-entries, it-entries, degree, max-walk, "
-              "block",
-              {"ghb-entries", "it-entries", "degree", "max-walk",
-               "block"},
-              [](mem::MemorySystem &sys, const Options &o) {
-                  return std::make_unique<GhbDeployment>(sys, o);
-              });
-        r.add("stride",
-              "per-PC stride RPT: entries, degree, threshold, block, "
-              "into-l1",
-              {"entries", "degree", "threshold", "block", "into-l1"},
-              [](mem::MemorySystem &sys, const Options &o) {
-                  auto cfg = strideConfigFromOptions(o);
-                  return std::make_unique<AlgoDeployment>(
-                      "stride", sys, [cfg] {
-                          return std::make_unique<
-                              prefetch::StridePrefetcher>(cfg);
-                      });
-              });
-        r.add("next-line",
-              "sequential next-line on L1 miss: degree, block",
-              {"degree", "block"},
-              [](mem::MemorySystem &sys, const Options &o) {
-                  const auto block =
-                      static_cast<uint32_t>(optU64(o, "block", 64));
-                  const auto degree =
-                      static_cast<uint32_t>(optU64(o, "degree", 1));
-                  return std::make_unique<AlgoDeployment>(
-                      "next-line", sys, [block, degree] {
-                          return std::make_unique<
-                              prefetch::NextLinePrefetcher>(block,
-                                                            degree);
-                      });
-              });
+        r.entries = {
+            {"none", "no prefetcher (baseline system)",
+             [] { return KeyTable{}; },
+             [](mem::MemorySystem &, const Options &) {
+                 return std::make_unique<NoneDeployment>();
+             }},
+            {"sms", "Spatial Memory Streaming",
+             [] { return scratchKeys(smsKeys); },
+             [](mem::MemorySystem &sys, const Options &o) {
+                 return std::make_unique<SmsDeployment>(sys, o);
+             }},
+            {"ghb", "GHB PC/DC", [] { return scratchKeys(ghbKeys); },
+             [](mem::MemorySystem &sys, const Options &o) {
+                 return std::make_unique<GhbDeployment>(sys, o);
+             }},
+            {"stride", "per-PC stride RPT",
+             [] { return scratchKeys(strideKeys); },
+             [](mem::MemorySystem &sys, const Options &o) {
+                 auto cfg = strideConfigFromOptions(o);
+                 return std::make_unique<AlgoDeployment>(
+                     "stride", sys, [cfg] {
+                         return std::make_unique<
+                             prefetch::StridePrefetcher>(cfg);
+                     });
+             }},
+            {"next-line", "sequential next-line on L1 miss",
+             [] { return scratchKeys(nextLineKeys); },
+             [](mem::MemorySystem &sys, const Options &o) {
+                 const auto cfg = fromOptions(nextLineKeys, o);
+                 return std::make_unique<AlgoDeployment>(
+                     "next-line", sys, [cfg] {
+                         return std::make_unique<
+                             prefetch::NextLinePrefetcher>(cfg.block,
+                                                           cfg.degree);
+                     });
+             }},
+        };
         return r;
     }();
     return reg;
@@ -256,37 +297,18 @@ registryAttach(std::string kind,
     };
 }
 
-void
-PrefetcherRegistry::add(const std::string &name, const std::string &help,
-                        std::vector<std::string> optionKeys, Factory f)
+KeyTable
+PrefetcherRegistry::options(const std::string &name) const
 {
-    for (auto &e : entries) {
-        if (e.name == name) {
-            e.help = help;
-            e.optionKeys = std::move(optionKeys);
-            e.factory = std::move(f);
-            return;
-        }
-    }
-    entries.push_back({name, help, std::move(optionKeys), std::move(f)});
-}
-
-const std::vector<std::string> &
-PrefetcherRegistry::optionKeys(const std::string &name) const
-{
-    static const std::vector<std::string> none;
     const Entry *e = findEntry(name);
-    return e ? e->optionKeys : none;
+    return e ? e->options() : KeyTable{};
 }
 
 bool
 PrefetcherRegistry::knowsOption(const std::string &name,
                                 const std::string &key) const
 {
-    for (const auto &k : optionKeys(name))
-        if (k == key)
-            return true;
-    return false;
+    return findKey(options(name), key) != nullptr;
 }
 
 const PrefetcherRegistry::Entry *
@@ -333,7 +355,8 @@ std::string
 PrefetcherRegistry::help(const std::string &name) const
 {
     const Entry *e = findEntry(name);
-    return e ? e->help : std::string();
+    return e ? e->title + "\n" + renderKeys(e->options(), "      ")
+             : std::string();
 }
 
 } // namespace stems::driver

@@ -23,6 +23,7 @@
 #include "mem/memsys.hh"
 #include "prefetch/ghb.hh"
 #include "prefetch/stride.hh"
+#include "study/l1study.hh"
 #include "study/memstudy.hh"
 
 namespace stems::driver {
@@ -64,7 +65,11 @@ class PrefetcherDeployment : public study::AttachedPrefetcher
     std::string name_;
 };
 
-/** Maps prefetcher names to deployment factories. */
+/**
+ * Maps prefetcher names to deployment factories. Each engine's option
+ * table (see driver/options.hh) is the one declaration of its keys:
+ * key checks, value checks and help text all derive from it.
+ */
 class PrefetcherRegistry
 {
   public:
@@ -74,15 +79,10 @@ class PrefetcherRegistry
     /** The process-wide registry preloaded with the built-ins. */
     static PrefetcherRegistry &builtin();
 
-    /** Register @p name; replaces an existing registration. */
-    void add(const std::string &name, const std::string &help,
-             std::vector<std::string> optionKeys, Factory f);
-
     bool has(const std::string &name) const;
 
-    /** Option keys @p name's factory understands (empty if unknown). */
-    const std::vector<std::string> &optionKeys(const std::string &name)
-        const;
+    /** Option rows of @p name (empty if unknown). */
+    KeyTable options(const std::string &name) const;
 
     /** Whether @p name's factory understands option @p key. */
     bool knowsOption(const std::string &name,
@@ -99,15 +99,15 @@ class PrefetcherRegistry
     /** Registered names, in registration order. */
     std::vector<std::string> names() const;
 
-    /** One-line option help for @p name (empty if unknown). */
+    /** Title line plus one rendered line per option. */
     std::string help(const std::string &name) const;
 
   private:
     struct Entry
     {
         std::string name;
-        std::string help;
-        std::vector<std::string> optionKeys;
+        std::string title;
+        std::function<KeyTable()> options;  //!< rows on a scratch target
         Factory factory;
     };
 
@@ -131,6 +131,13 @@ prefetch::PfAttach registryAttach(
 
 /** Build an SmsConfig from options (pht-entries, agt-accum, ...). */
 core::SmsConfig smsConfigFromOptions(const Options &o);
+
+/**
+ * The L1-mode study an sms engine's options select: its SmsConfig
+ * plus the training structure (trainer=, ds-tag-mult=). The caller
+ * fills in the cell's CPU count and L1 shape.
+ */
+study::L1StudyConfig l1StudyConfigFromOptions(const Options &o);
 
 /** Build a GhbConfig from options (ghb-entries, it-entries, ...). */
 prefetch::GhbConfig ghbConfigFromOptions(const Options &o);

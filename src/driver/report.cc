@@ -155,6 +155,15 @@ JsonWriter::null()
 // reports
 // ---------------------------------------------------------------------
 
+void
+writeOptions(JsonWriter &j, const Options &opts)
+{
+    j.beginObject();
+    for (const auto &[k, v] : opts)
+        j.key(k).value(v);
+    j.endObject();
+}
+
 namespace {
 
 std::string
@@ -178,15 +187,6 @@ csvField(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-void
-writeOptions(JsonWriter &j, const Options &opts)
-{
-    j.beginObject();
-    for (const auto &[k, v] : opts)
-        j.key(k).value(v);
-    j.endObject();
 }
 
 void
@@ -519,6 +519,18 @@ writeReport(const std::string &path, const std::string &content)
     if (!out)
         throw std::runtime_error("cannot write report to " + path);
     out << content;
+}
+
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    out = ss.str();
+    return true;
 }
 
 } // namespace stems::driver

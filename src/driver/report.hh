@@ -93,8 +93,14 @@ std::string toTable(const std::vector<CellResult> &results);
 std::string toTable(const ExperimentSpec &spec,
                     const std::vector<CellResult> &results);
 
+/** An option bag as one JSON object (reports and the wire alike). */
+void writeOptions(JsonWriter &j, const Options &opts);
+
 /** Write @p content to @p path, or to stdout when path is "-". */
 void writeReport(const std::string &path, const std::string &content);
+
+/** Read all of @p path into @p out; false when it cannot be opened. */
+bool readFile(const std::string &path, std::string &out);
 
 } // namespace stems::driver
 

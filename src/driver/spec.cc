@@ -1,5 +1,6 @@
 #include "driver/spec.hh"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "fault/fault.hh"
@@ -9,30 +10,11 @@ namespace stems::driver {
 
 namespace {
 
-/** Expand config=FILE tokens into their contents, depth-first. */
-std::vector<std::pair<std::string, std::string>>
-flattenTokens(const std::vector<std::string> &tokens, int depth = 0)
-{
-    if (depth > 8)
-        throw std::invalid_argument("config files nested too deeply");
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto &tok : tokens) {
-        auto [key, value] = parseKeyValue(tok);
-        if (key == "config") {
-            auto nested = flattenTokens(readConfigFile(value), depth + 1);
-            out.insert(out.end(), nested.begin(), nested.end());
-        } else {
-            out.emplace_back(key, value);
-        }
-    }
-    return out;
-}
-
 std::vector<std::string>
-resolveWorkloads(const std::string &value)
+resolveWorkloads(const std::vector<std::string> &names)
 {
     std::vector<std::string> out;
-    for (const auto &name : splitList(value)) {
+    for (const auto &name : names) {
         if (name == "paper") {
             for (const auto &e : workloads::paperSuite())
                 out.push_back(e.name);
@@ -54,11 +36,11 @@ resolveWorkloads(const std::string &value)
 }
 
 std::vector<EngineConfig>
-resolveEngines(const std::string &value)
+resolveEngines(const std::vector<std::string> &items)
 {
     const auto &reg = PrefetcherRegistry::builtin();
     std::vector<EngineConfig> out;
-    for (const auto &item : splitList(value)) {
+    for (const auto &item : items) {
         EngineConfig e;
         size_t colon = item.find(':');
         e.kind = item.substr(0, colon);
@@ -82,37 +64,26 @@ resolveEngines(const std::string &value)
     return out;
 }
 
-/** Parse one numeric value under its key's error message. */
-uint64_t
-parseU64(const std::string &key, const std::string &value, uint64_t def)
+/** A region size: a power of two, or 0 when @p zero_off. */
+uint32_t
+regionSize(const std::string &key, const std::string &value, bool zero_off)
 {
-    Options o{{key, value}};
-    return optU64(o, key, def);
+    const auto size =
+        static_cast<uint32_t>(parseUnsigned(key, value, 0, UINT32_MAX));
+    if ((size & (size - 1)) != 0 || (size == 0 && !zero_off))
+        throw std::invalid_argument(
+            key + "=" + value + ": must be a power of two" +
+            (zero_off ? " (0 = off)" : ""));
+    return size;
 }
 
-/** Apply one cache-geometry key to a system config. */
-void
-applyGeometry(mem::MemSysConfig &sys, const std::string &key,
-              const std::string &value)
+/** Whether @p key is a per-cell axis rather than an engine option. */
+bool
+isCellAxis(const std::string &key)
 {
-    const uint64_t v = parseU64(key, value, 0);
-    if (v == 0)
-        throw std::invalid_argument(key + "=" + value +
-                                    ": must be positive");
-    if (key == "block") {
-        sys.l1.blockSize = static_cast<uint32_t>(v);
-        sys.l2.blockSize = static_cast<uint32_t>(v);
-    } else if (key == "l1-kb") {
-        sys.l1.sizeBytes = v * 1024;
-    } else if (key == "l2-kb") {
-        sys.l2.sizeBytes = v * 1024;
-    } else if (key == "l2-mb") {
-        sys.l2.sizeBytes = v * 1024 * 1024;
-    } else if (key == "l1-assoc") {
-        sys.l1.assoc = static_cast<uint32_t>(v);
-    } else if (key == "l2-assoc") {
-        sys.l2.assoc = static_cast<uint32_t>(v);
-    }
+    mem::MemSysConfig sys;
+    uint32_t density = 0;
+    return findKey(cellKeys(sys, density), key) != nullptr;
 }
 
 /**
@@ -126,22 +97,13 @@ parseCellRanges(const std::string &filter)
     for (const auto &item : splitList(filter)) {
         const size_t dash = item.find('-');
         try {
-            size_t pos = 0;
-            uint32_t lo, hi;
-            if (dash == std::string::npos) {
-                lo = hi = static_cast<uint32_t>(std::stoul(item, &pos));
-                if (pos != item.size())
-                    throw std::invalid_argument(item);
-            } else {
-                const std::string a = item.substr(0, dash);
-                const std::string b = item.substr(dash + 1);
-                lo = static_cast<uint32_t>(std::stoul(a, &pos));
-                if (pos != a.size())
-                    throw std::invalid_argument(item);
-                hi = static_cast<uint32_t>(std::stoul(b, &pos));
-                if (pos != b.size())
-                    throw std::invalid_argument(item);
-            }
+            auto id = [](const std::string &s) {
+                return static_cast<uint32_t>(
+                    parseUnsigned("cells", s, 0, UINT32_MAX));
+            };
+            const uint32_t lo = id(item.substr(0, dash));
+            const uint32_t hi =
+                dash == std::string::npos ? lo : id(item.substr(dash + 1));
             if (lo > hi)
                 throw std::invalid_argument(item);
             ranges.emplace_back(lo, hi);
@@ -158,263 +120,264 @@ parseCellRanges(const std::string &filter)
 
 /**
  * Reject option keys no prefetcher in the spec understands — a typo'd
- * pf./opt./sweep. key would otherwise silently run with defaults.
- * (Cache-geometry axes are legal only as sweep.* axes or top-level
- * keys; the sweep branch skips this check for them. An opt./pf.
- * geometry key would land in the engine's option bag where nothing
- * reads it, so it stays rejected here.)
+ * pf./opt./sweep. key would otherwise silently run with defaults —
+ * then check @p value against every engine that has the option, so a
+ * bad value fails here, not in every cell.
  */
 void
-checkOptionKnown(const std::vector<EngineConfig> &engines,
-                 const std::string &opt, const std::string &where)
+checkOption(const std::vector<EngineConfig> &engines,
+            const std::string &opt, const std::string &value,
+            const std::string &where)
 {
-    const auto &reg = PrefetcherRegistry::builtin();
-    for (const auto &e : engines)
-        if (reg.knowsOption(e.kind, opt))
-            return;
-    std::string kinds, known;
+    std::string kinds, names;
+    bool known = false;
     for (const auto &e : engines) {
+        const KeyTable rows = PrefetcherRegistry::builtin().options(e.kind);
+        if (const Key *row = findKey(rows, opt)) {
+            row->apply(opt, value);
+            known = true;
+        }
         kinds += (kinds.empty() ? "" : ", ") + e.kind;
-        for (const auto &k : reg.optionKeys(e.kind))
-            known += (known.empty() ? "" : ", ") + k;
+        for (const auto &r : rows)
+            names += (names.empty() ? "" : ", ") + r.name;
     }
-    throw std::invalid_argument(
-        where + ": no selected prefetcher (" + kinds +
-        ") understands option \"" + opt + "\"" +
-        (known.empty() ? "" : " (known: " + known + ")"));
+    if (!known)
+        throw std::invalid_argument(
+            where + ": no selected prefetcher (" + kinds +
+            ") understands option \"" + opt + "\"" +
+            (names.empty() ? "" : " (known: " + names + ")"));
+}
+
+/**
+ * parseSpec's target. Engine-option keys (opt., pf., sweep. and the
+ * engine side of block=) resolve against the final prefetcher list,
+ * so their rows queue work that runs once every key is read.
+ */
+struct SpecParse
+{
+    SpecParse()
+    {
+        spec.params = study::defaultParams();
+        spec.workloads = resolveWorkloads({"paper"});
+        spec.engines = resolveEngines({"sms"});
+    }
+
+    ExperimentSpec spec;
+    std::vector<std::function<void()>> engineKeys;
+};
+
+KeyTable
+specRows(SpecParse &p)
+{
+    ExperimentSpec &s = p.spec;
+    auto later = [&p](std::function<void(const std::string &,
+                                          const std::string &)> f) {
+        return [&p, f = std::move(f)](const std::string &k,
+                                      const std::string &v) {
+            p.engineKeys.push_back([f, k, v] { f(k, v); });
+        };
+    };
+
+    KeyTable rows = {
+        {"workloads", "paper", "suite selection: paper|all|NAME,...",
+         [&s](const std::string &, const std::string &v) {
+             s.workloads = resolveWorkloads(splitList(v));
+         }},
+        {"prefetchers", "sms", "KIND[:LABEL],... (labels tell duplicates "
+                               "apart)",
+         [&s](const std::string &, const std::string &v) {
+             s.engines = resolveEngines(splitList(v));
+         }},
+        {"pf.LABEL.OPT", "V", "option for the prefetcher labelled LABEL",
+         later([&s](const std::string &k, const std::string &v) {
+             const size_t dot = k.find('.', 3);
+             if (dot == std::string::npos)
+                 throw std::invalid_argument(
+                     "expected pf.<label>.<option>, got \"" + k + "\"");
+             const std::string label = k.substr(3, dot - 3);
+             const std::string opt = k.substr(dot + 1);
+             bool found = false;
+             for (auto &e : s.engines) {
+                 if (e.displayLabel() == label) {
+                     checkOption({e}, opt, v, k);
+                     e.options[opt] = v;
+                     found = true;
+                 }
+             }
+             if (!found)
+                 throw std::invalid_argument(
+                     "pf option for unknown prefetcher label \"" + label +
+                     "\"");
+         })},
+        {"opt.OPT", "V", "option for every prefetcher",
+         later([&s](const std::string &k, const std::string &v) {
+             const std::string opt = k.substr(4);
+             checkOption(s.engines, opt, v, k);
+             for (auto &e : s.engines)
+                 e.options[opt] = v;
+         })},
+        {"sweep.OPT", "V1,V2,...",
+         "matrix axis over a prefetcher option or cell axis",
+         later([&s](const std::string &k, const std::string &v) {
+             const std::string opt = k.substr(6);
+             auto values = splitList(v);
+             if (values.empty())
+                 throw std::invalid_argument("empty sweep axis " + k);
+             mem::MemSysConfig sys;
+             uint32_t density = 0;
+             const KeyTable cell = cellKeys(sys, density);
+             for (const auto &value : values) {
+                 if (const Key *axis = findKey(cell, opt))
+                     axis->apply(k, value);
+                 else
+                     checkOption(s.engines, opt, value, k);
+             }
+             for (auto &axis : s.sweeps) {
+                 if (axis.first == opt) {
+                     axis.second = values;
+                     return;
+                 }
+             }
+             s.sweeps.emplace_back(opt, std::move(values));
+         })},
+    };
+    for (auto &row : workloadKeys(s.params))
+        rows.push_back(std::move(row));
+    KeyTable more = {
+        enumKey("mode", s.mode,
+                {{"system", StudyMode::System}, {"l1", StudyMode::L1}},
+                "full hierarchy or shadow L1"),
+        {"timing", "0", "add the timing model; only = skip the system "
+                        "study (0|1|only)",
+         [&s](const std::string &k, const std::string &v) {
+             s.timingOnly = v == "only";
+             s.timing = s.timingOnly || parseBool(k, v);
+         }},
+        u32Key("threads", s.threads, "runner threads (0 = all cores)"),
+        enumKey("schedule", s.scheduleCost, {{"fifo", false}, {"cost", true}},
+                "expansion order, or longest-estimated first"),
+        strKey("schedule-from", s.scheduleFrom, "cost model calibration"),
+        u32Key("dispatch", s.dispatch, "worker processes (0 = in-process)"),
+        u32Key("dispatch-timeout-ms", s.dispatchTimeoutMs, "0 = none"),
+        u32Key("dispatch-retries", s.dispatchRetries, "tries per cell", 1),
+        u32Key("dispatch-heartbeat-ms", s.dispatchHeartbeatMs, "0 = off"),
+        u32Key("dispatch-backoff-ms", s.dispatchBackoffMs, "respawn base"),
+        boolKey("dispatch-speculate", s.dispatchSpeculate,
+                "copy tail stragglers to idle lanes, first result wins"),
+        strKey("workers", s.dispatchWorkers, "socket worker endpoints"),
+        strKey("spawn-cmd", s.dispatchSpawnCmd, "per-worker launch, {addr}"),
+        strKey("journal", s.journalPath, "crash-safe journal of cells"),
+        boolKey("resume", s.resume, "splice journaled cells, run the rest"),
+        {"fault-plan", "", "seeded chaos, e.g. seed=7,crash=0.2",
+         [&s](const std::string &, const std::string &v) {
+             (void)fault::parsePlan(v);
+             s.faultPlan = v;
+         }},
+        {"cells", "", "run a cell-id subset: A-B,C,... (ids kept)",
+         [&s](const std::string &, const std::string &v) {
+             if (!v.empty())
+                 (void)parseCellRanges(v);
+             s.cellFilter = v;
+         }},
+        strKey("trace-dir", s.traceDir, "record/replay traces here"),
+        strKey("json", s.jsonPath, "JSON report path (- = stdout)"),
+        strKey("csv", s.csvPath, "CSV report path (- = stdout)"),
+        boolKey("table", s.table, "ASCII summary table"),
+        boolKey("groups", s.groups, "engine-folded per-group rows"),
+        boolKey("quiet", s.quiet, "no progress lines"),
+        boolKey("wall", s.emitWall, "wall_ms in JSON (0 = byte-stable)"),
+        strKey("trace-out", s.traceOut, "Chrome trace-event JSON"),
+        boolKey("telemetry", s.telemetry, "counters JSON on stderr"),
+        strKey("telemetry-out", s.telemetryOut, "counters JSON file"),
+        strKey("stats-out", s.statsOut, "sampled time-series JSONL"),
+        u32Key("stats-interval-ms", s.statsIntervalMs, "sampler period", 1),
+        {"oracle-regions", "", "track oracle generations at these sizes",
+         [&s](const std::string &k, const std::string &v) {
+             s.oracleRegionSizes.clear();
+             for (const auto &item : splitList(v))
+                 s.oracleRegionSizes.push_back(regionSize(k, item, false));
+         }},
+    };
+    for (auto &row : more)
+        rows.push_back(std::move(row));
+    for (auto &row : cellKeys(s.sys, s.densityRegion)) {
+        if (row.name == "block") {
+            // block also reaches every prefetcher; emplace keeps an
+            // explicit pf./opt. block
+            row.apply = [&s, &p, apply = std::move(row.apply)](
+                            const std::string &k, const std::string &v) {
+                apply(k, v);
+                p.engineKeys.push_back([&s, v] {
+                    for (auto &e : s.engines)
+                        e.options.emplace("block", v);
+                });
+            };
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
 }
 
 } // anonymous namespace
 
-bool
-isGeometryKey(const std::string &key)
+KeyTable
+workloadKeys(workloads::WorkloadParams &p)
 {
-    return key == "block" || key == "l1-kb" || key == "l2-kb" ||
-        key == "l2-mb" || key == "l1-assoc" || key == "l2-assoc";
+    return {
+        u32Key("ncpu", p.ncpu, "CPUs, one reference stream each", 1),
+        u64Key("refs", p.refsPerCpu, "references per CPU"),
+        u64Key("seed", p.seed, "workload generation seed"),
+    };
+}
+
+KeyTable
+cellKeys(mem::MemSysConfig &sys, uint32_t &density)
+{
+    // a positive capacity in units of 2^shift bytes
+    auto size = [](std::string name, uint64_t &bytes, int shift,
+                   std::string help) -> Key {
+        return {std::move(name), std::to_string(bytes >> shift),
+                std::move(help),
+                [&bytes, shift](const std::string &k,
+                                const std::string &v) {
+                    bytes = parseUnsigned(k, v, 1, UINT64_MAX >> shift)
+                        << shift;
+                }};
+    };
+    return {
+        {"block", std::to_string(sys.l1.blockSize),
+         "cache and coherence block bytes",
+         [&sys](const std::string &k, const std::string &v) {
+             sys.l1.blockSize = sys.l2.blockSize =
+                 static_cast<uint32_t>(parseUnsigned(k, v, 1, UINT32_MAX));
+         }},
+        size("l1-kb", sys.l1.sizeBytes, 10, "L1 capacity"),
+        u32Key("l1-assoc", sys.l1.assoc, "L1 ways", 1),
+        size("l2-kb", sys.l2.sizeBytes, 10, "L2 capacity"),
+        size("l2-mb", sys.l2.sizeBytes, 20, "L2 capacity in MB"),
+        u32Key("l2-assoc", sys.l2.assoc, "L2 ways", 1),
+        {"density", std::to_string(density),
+         "Fig 5 density histograms at this region size (0 = off)",
+         [&density](const std::string &k, const std::string &v) {
+             density = regionSize(k, v, true);
+         }},
+    };
+}
+
+KeyTable
+specKeys()
+{
+    return scratchKeys(specRows);
 }
 
 ExperimentSpec
 parseSpec(const std::vector<std::string> &tokens)
 {
-    auto kvs = flattenTokens(tokens);
-
-    ExperimentSpec spec;
-    spec.params = study::defaultParams();
-    spec.workloads = resolveWorkloads("paper");
-    spec.engines = resolveEngines("sms");
-
-    // pass 1: structure-defining keys
-    for (const auto &[key, value] : kvs) {
-        if (key == "workloads")
-            spec.workloads = resolveWorkloads(value);
-        else if (key == "prefetchers")
-            spec.engines = resolveEngines(value);
-    }
-
-    // pass 2: everything else (pf.* needs the engine list)
-    for (const auto &[key, value] : kvs) {
-        if (key == "workloads" || key == "prefetchers") {
-            // handled above
-        } else if (key.rfind("opt.", 0) == 0) {
-            const std::string opt = key.substr(4);
-            checkOptionKnown(spec.engines, opt, key);
-            for (auto &e : spec.engines)
-                e.options[opt] = value;
-        } else if (key.rfind("pf.", 0) == 0) {
-            size_t dot = key.find('.', 3);
-            if (dot == std::string::npos)
-                throw std::invalid_argument(
-                    "expected pf.<label>.<option>, got \"" + key + "\"");
-            const std::string label = key.substr(3, dot - 3);
-            const std::string opt = key.substr(dot + 1);
-            bool found = false;
-            for (auto &e : spec.engines) {
-                if (e.displayLabel() == label) {
-                    checkOptionKnown({e}, opt, key);
-                    e.options[opt] = value;
-                    found = true;
-                }
-            }
-            if (!found)
-                throw std::invalid_argument(
-                    "pf option for unknown prefetcher label \"" + label +
-                    "\"");
-        } else if (key.rfind("sweep.", 0) == 0) {
-            const std::string opt = key.substr(6);
-            // geometry axes reshape every cell's hierarchy and the
-            // density axis retunes the cell's trackers — neither
-            // parameterizes a prefetcher, so they need no engine
-            if (!isGeometryKey(opt) && opt != "density")
-                checkOptionKnown(spec.engines, opt, key);
-            auto values = splitList(value);
-            if (values.empty())
-                throw std::invalid_argument("empty sweep axis " + key);
-            if (opt == "density") {
-                for (const auto &v : values) {
-                    const uint64_t size = parseU64(key, v, 0);
-                    if (size != 0 && (size & (size - 1)) != 0)
-                        throw std::invalid_argument(
-                            key + "=" + v +
-                            ": region sizes must be powers of two");
-                }
-            }
-            bool replaced = false;
-            for (auto &axis : spec.sweeps) {
-                if (axis.first == opt) {
-                    axis.second = values;
-                    replaced = true;
-                }
-            }
-            if (!replaced)
-                spec.sweeps.emplace_back(opt, std::move(values));
-        } else if (key == "ncpu") {
-            Options o{{key, value}};
-            spec.params.ncpu =
-                static_cast<uint32_t>(optU64(o, key, spec.params.ncpu));
-            if (spec.params.ncpu == 0)
-                throw std::invalid_argument("ncpu must be positive");
-        } else if (key == "refs") {
-            Options o{{key, value}};
-            spec.params.refsPerCpu =
-                optU64(o, key, spec.params.refsPerCpu);
-        } else if (key == "seed") {
-            Options o{{key, value}};
-            spec.params.seed = optU64(o, key, spec.params.seed);
-        } else if (key == "threads") {
-            Options o{{key, value}};
-            spec.threads =
-                static_cast<uint32_t>(optU64(o, key, spec.threads));
-        } else if (key == "mode") {
-            if (value == "system")
-                spec.mode = StudyMode::System;
-            else if (value == "l1")
-                spec.mode = StudyMode::L1;
-            else
-                throw std::invalid_argument("mode=" + value +
-                                            ": expected system|l1");
-        } else if (key == "timing") {
-            if (value == "only") {
-                // skip the system-study pass (and its memoized miss
-                // baseline) whose metrics pure timing harnesses never
-                // read — roughly halves per-cell work
-                spec.timing = true;
-                spec.timingOnly = true;
-            } else {
-                Options o{{key, value}};
-                spec.timing = optBool(o, key, spec.timing);
-                spec.timingOnly = false;
-            }
-        } else if (key == "trace-dir") {
-            spec.traceDir = value;
-        } else if (key == "json") {
-            spec.jsonPath = value;
-        } else if (key == "csv") {
-            spec.csvPath = value;
-        } else if (key == "table") {
-            Options o{{key, value}};
-            spec.table = optBool(o, key, spec.table);
-        } else if (key == "quiet") {
-            Options o{{key, value}};
-            spec.quiet = optBool(o, key, spec.quiet);
-        } else if (key == "groups") {
-            Options o{{key, value}};
-            spec.groups = optBool(o, key, spec.groups);
-        } else if (key == "trace-out") {
-            spec.traceOut = value;
-        } else if (key == "telemetry-out") {
-            spec.telemetryOut = value;
-        } else if (key == "stats-out") {
-            spec.statsOut = value;
-        } else if (key == "stats-interval-ms") {
-            spec.statsIntervalMs = static_cast<uint32_t>(
-                parseU64(key, value, spec.statsIntervalMs));
-            if (spec.statsIntervalMs == 0)
-                throw std::invalid_argument(
-                    "stats-interval-ms must be positive");
-        } else if (key == "schedule") {
-            if (value == "cost")
-                spec.scheduleCost = true;
-            else if (value == "fifo")
-                spec.scheduleCost = false;
-            else
-                throw std::invalid_argument(
-                    "schedule=" + value + ": expected cost|fifo");
-        } else if (key == "schedule-from") {
-            spec.scheduleFrom = value;
-        } else if (key == "telemetry") {
-            Options o{{key, value}};
-            spec.telemetry = optBool(o, key, spec.telemetry);
-        } else if (key == "block") {
-            applyGeometry(spec.sys, key, value);
-            for (auto &e : spec.engines)
-                e.options.emplace("block", value);  // keep pf.* override
-        } else if (isGeometryKey(key)) {
-            applyGeometry(spec.sys, key, value);
-        } else if (key == "density") {
-            const uint64_t size = parseU64(key, value, 0);
-            if (size != 0 && (size & (size - 1)) != 0)
-                throw std::invalid_argument(
-                    key + "=" + value +
-                    ": region size must be a power of two (or 0 = "
-                    "off)");
-            spec.densityRegion = static_cast<uint32_t>(size);
-        } else if (key == "oracle-regions") {
-            spec.oracleRegionSizes.clear();
-            for (const auto &v : splitList(value)) {
-                const uint64_t size = parseU64(key, v, 0);
-                if (size == 0 || (size & (size - 1)) != 0)
-                    throw std::invalid_argument(
-                        key + "=" + value +
-                        ": sizes must be powers of two");
-                spec.oracleRegionSizes.push_back(
-                    static_cast<uint32_t>(size));
-            }
-        } else if (key == "cells") {
-            (void)parseCellRanges(value);  // fail early on bad input
-            spec.cellFilter = value;
-        } else if (key == "dispatch") {
-            spec.dispatch = static_cast<uint32_t>(
-                parseU64(key, value, spec.dispatch));
-        } else if (key == "dispatch-timeout-ms") {
-            spec.dispatchTimeoutMs = static_cast<uint32_t>(
-                parseU64(key, value, spec.dispatchTimeoutMs));
-        } else if (key == "dispatch-retries") {
-            spec.dispatchRetries = static_cast<uint32_t>(
-                parseU64(key, value, spec.dispatchRetries));
-            if (spec.dispatchRetries == 0)
-                throw std::invalid_argument(
-                    "dispatch-retries must be positive");
-        } else if (key == "dispatch-heartbeat-ms") {
-            spec.dispatchHeartbeatMs = static_cast<uint32_t>(
-                parseU64(key, value, spec.dispatchHeartbeatMs));
-        } else if (key == "dispatch-backoff-ms") {
-            spec.dispatchBackoffMs = static_cast<uint32_t>(
-                parseU64(key, value, spec.dispatchBackoffMs));
-        } else if (key == "dispatch-speculate") {
-            Options o{{key, value}};
-            spec.dispatchSpeculate =
-                optBool(o, key, spec.dispatchSpeculate);
-        } else if (key == "workers") {
-            spec.dispatchWorkers = value;
-        } else if (key == "spawn-cmd") {
-            spec.dispatchSpawnCmd = value;
-        } else if (key == "fault-plan") {
-            (void)fault::parsePlan(value);  // fail early on bad input
-            spec.faultPlan = value;
-        } else if (key == "journal") {
-            spec.journalPath = value;
-        } else if (key == "resume") {
-            Options o{{key, value}};
-            spec.resume = optBool(o, key, spec.resume);
-        } else if (key == "wall") {
-            Options o{{key, value}};
-            spec.emitWall = optBool(o, key, spec.emitWall);
-        } else {
-            throw std::invalid_argument("unknown key \"" + key +
-                                        "\" (see stems help)");
-        }
-    }
-
+    SpecParse p;
+    parseKeys(specRows(p), tokens, true);
+    for (const auto &apply : p.engineKeys)
+        apply();
+    ExperimentSpec &spec = p.spec;
     spec.sys.ncpu = spec.params.ncpu;
 
     if (spec.mode == StudyMode::L1) {
@@ -457,7 +420,7 @@ parseSpec(const std::vector<std::string> &tokens)
             "spawn-cmd= needs workers=ADDR,... to name the endpoints "
             "it launches");
 
-    return spec;
+    return std::move(p.spec);
 }
 
 std::vector<RunCell>
@@ -472,8 +435,7 @@ expandSpec(const ExperimentSpec &spec)
     auto pointsFor = [&](const EngineConfig &e) {
         std::vector<Options> points{Options{}};
         for (const auto &[opt, values] : spec.sweeps) {
-            if (!isGeometryKey(opt) && opt != "density" &&
-                !reg.knowsOption(e.kind, opt))
+            if (!isCellAxis(opt) && !reg.knowsOption(e.kind, opt))
                 continue;
             std::vector<Options> next;
             for (const auto &base : points) {
@@ -501,19 +463,17 @@ expandSpec(const ExperimentSpec &spec)
                 cell.params = spec.params;
                 cell.sys = spec.sys;
                 cell.densityRegion = spec.densityRegion;
+                const KeyTable axes =
+                    cellKeys(cell.sys, cell.densityRegion);
                 for (const auto &[k, v] : point) {
-                    // geometry axes reshape this cell's hierarchy;
-                    // block additionally reaches the prefetcher (its
-                    // stream granularity must match the caches); the
-                    // density axis retunes the cell's trackers
-                    if (k == "density") {
-                        cell.densityRegion = static_cast<uint32_t>(
-                            optU64(point, k, 0));
-                        continue;
-                    }
-                    if (isGeometryKey(k))
-                        applyGeometry(cell.sys, k, v);
-                    if (!isGeometryKey(k) || k == "block")
+                    // cell axes reshape this cell's hierarchy or
+                    // retune its trackers; block additionally reaches
+                    // the prefetcher (its stream granularity must
+                    // match the caches)
+                    const Key *axis = findKey(axes, k);
+                    if (axis)
+                        axis->apply(k, v);
+                    if (!axis || k == "block")
                         cell.engine.options[k] = v;  // sweep overrides
                 }
                 // a per-engine block override (pf.LABEL.block) must
@@ -559,86 +519,6 @@ selectedCells(const ExperimentSpec &spec)
                                     ": selects no cells (matrix has " +
                                     std::to_string(cells.size()) + ")");
     return out;
-}
-
-const char *
-specHelp()
-{
-    return
-        "run keys (key=value, any order; config=FILE splices a file of\n"
-        "key=value lines):\n"
-        "  workloads=paper|all|NAME,...   suite selection\n"
-        "  prefetchers=KIND[:LABEL],...   sms, ghb, stride, next-line,\n"
-        "                                 none; label for duplicates\n"
-        "  pf.LABEL.OPT=V                 option for one prefetcher\n"
-        "  opt.OPT=V                      option for every prefetcher\n"
-        "  sweep.OPT=V1,V2,...            parameter matrix axis; cache\n"
-        "                                 geometry keys sweep per-cell\n"
-        "  ncpu=16 refs=100000 seed=1     workload generation\n"
-        "  mode=system|l1                 full hierarchy or shadow L1\n"
-        "  timing=0|1|only                also (or only) run the timing\n"
-        "                                 model; \"only\" skips the\n"
-        "                                 system-study pass\n"
-        "  threads=N                      runner shards (0 = all cores)\n"
-        "  schedule=fifo|cost             cell dispatch order: expansion\n"
-        "                                 order, or longest-estimated-\n"
-        "                                 first with slowest-worker-last\n"
-        "                                 (reports byte-identical)\n"
-        "  schedule-from=FILE             calibrate the cost model from\n"
-        "                                 a prior run's journal or\n"
-        "                                 report JSON\n"
-        "  dispatch=N                     execute cells in N worker\n"
-        "                                 processes (crash-isolated)\n"
-        "  dispatch-timeout-ms=N          per-cell timeout (0 = none)\n"
-        "  dispatch-retries=N             attempts per cell (default 3)\n"
-        "  dispatch-heartbeat-ms=N        worker liveness period; a\n"
-        "                                 wedged worker is killed after\n"
-        "                                 4 missed beats (0 = off)\n"
-        "  dispatch-backoff-ms=N          respawn backoff base, doubles\n"
-        "                                 per loss, 5s cap (default 50)\n"
-        "  dispatch-speculate=0|1         give idle workers a copy of a\n"
-        "                                 cell running > max(3x median,\n"
-        "                                 2s) once none is pending\n"
-        "                                 (first result wins)\n"
-        "  workers=ADDR,...               dispatch over sockets to these\n"
-        "                                 worker endpoints (unix:/path\n"
-        "                                 or host:port) instead of\n"
-        "                                 forked pipe workers\n"
-        "  spawn-cmd=CMD                  launch template run per worker\n"
-        "                                 ({addr} substituted; use exec)\n"
-        "  journal=FILE                   append each completed cell to\n"
-        "                                 a crash-safe result journal\n"
-        "  resume=0|1                     skip journaled cells, splice\n"
-        "                                 them into the report\n"
-        "  fault-plan=SPEC                seeded chaos injection (e.g.\n"
-        "                                 seed=7,crash=0.2,hang=0.1/4000\n"
-        "                                 — see src/fault/fault.hh)\n"
-        "  cells=A-B,C,...                run a cell-id subset (ids are\n"
-        "                                 kept, stems merge recombines)\n"
-        "  trace-dir=DIR                  record/replay traces on disk\n"
-        "                                 (in-process runs always warm\n"
-        "                                 the next cell's trace while\n"
-        "                                 the current ones simulate)\n"
-        "  json=PATH|- csv=PATH|-         reports (- = stdout)\n"
-        "  table=0|1                      ASCII summary table\n"
-        "  groups=0|1                     engine-folded per-group\n"
-        "                                 aggregate rows in json/table\n"
-        "  quiet=0|1                      suppress progress lines\n"
-        "  trace-out=PATH                 Chrome trace-event JSON\n"
-        "                                 (Perfetto-loadable spans)\n"
-        "  telemetry=0|1                  counters JSON on stderr\n"
-        "  telemetry-out=PATH             counters JSON to a file\n"
-        "  stats-out=PATH                 sampled time-series JSONL\n"
-        "                                 (counters, gauges, RSS)\n"
-        "  stats-interval-ms=N            sampler period (default 100)\n"
-        "  wall=0|1                       wall_ms in JSON (0 = stable\n"
-        "                                 byte-comparable output)\n"
-        "  l1-kb=64 l1-assoc=2 l2-kb=N    cache geometry\n"
-        "  l2-mb=8 l2-assoc=8 block=64\n"
-        "  oracle-regions=S1,S2,...       track oracle generations\n"
-        "  density=BYTES                  track access-density\n"
-        "                                 histograms (Fig 5) at this\n"
-        "                                 region size (0 = off)\n";
 }
 
 } // namespace stems::driver

@@ -128,11 +128,10 @@ struct RunCell
 };
 
 /**
- * Parse key=value tokens into a spec. Recognized keys (see
- * specHelp()): config=FILE, workloads=, prefetchers=, sweep.K=,
- * opt.K=, pf.LABEL.K=, ncpu=, refs=, seed=, threads=, mode=, timing=,
- * trace-dir=, json=, csv=, table=, l1-kb=, l2-mb=, block=, density=,
- * oracle-regions=.
+ * Parse key=value tokens into a spec. The accepted keys are the rows of
+ * specKeys() — `stems help` prints them — plus `--key=value` sugar and
+ * config=FILE splicing. Prefetcher option values (opt., pf., sweep.)
+ * are checked against the engines that take them here, not per cell.
  *
  * Throws std::invalid_argument on unknown keys, unknown workload or
  * prefetcher names, or malformed values.
@@ -142,9 +141,9 @@ ExperimentSpec parseSpec(const std::vector<std::string> &tokens);
 /**
  * Expand the matrix into cells, nested workload-major: for each
  * workload, for each engine, for each sweep point (last axis fastest).
- * Sweep values override same-named base options; cache-geometry axes
- * (block, l1-kb, l2-kb, l2-mb, l1-assoc, l2-assoc) reshape the cell's
- * MemSysConfig instead and apply to every engine.
+ * Sweep values override same-named base options; cell axes (see
+ * cellKeys()) reshape the cell's MemSysConfig or density region
+ * instead and apply to every engine.
  */
 std::vector<RunCell> expandSpec(const ExperimentSpec &spec);
 
@@ -156,11 +155,19 @@ std::vector<RunCell> expandSpec(const ExperimentSpec &spec);
  */
 std::vector<RunCell> selectedCells(const ExperimentSpec &spec);
 
-/** Whether @p key names a sweepable cache-geometry axis. */
-bool isGeometryKey(const std::string &key);
+/** The workload-generation keys (ncpu, refs, seed), bound to @p p. */
+KeyTable workloadKeys(workloads::WorkloadParams &p);
 
-/** Usage text for the run subcommand's keys. */
-const char *specHelp();
+/**
+ * The per-cell axes, bound to @p sys and @p density: cache geometry
+ * (block, l1-kb, l1-assoc, l2-kb, l2-mb, l2-assoc) and the density
+ * histogram region. Each works as a top-level key or a sweep. axis
+ * and applies to every engine, none included.
+ */
+KeyTable cellKeys(mem::MemSysConfig &sys, uint32_t &density);
+
+/** The run/submit key table (rows bound to a scratch spec). */
+KeyTable specKeys();
 
 } // namespace stems::driver
 

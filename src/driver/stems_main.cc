@@ -6,8 +6,8 @@
  *                               matrix, emit JSON/CSV/table reports
  *                               (--dispatch=N farms cells to worker
  *                               processes)
- *   stems list                  registered workloads and prefetchers
- *   stems trace [key=value ...] record one workload trace to disk
+ *   stems list                  workloads, prefetcher options, axes
+ *   stems trace [key=value ...] record one workload's trace spill
  *   stems merge [json=OUT] A B  merge run reports by cell id
  *   stems worker                dispatch worker mode (internal)
  *   stems help                  usage
@@ -15,10 +15,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <unistd.h>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -28,23 +25,17 @@
 #include "dispatch/coordinator.hh"
 #include "dispatch/journal.hh"
 #include "dispatch/merge.hh"
-#include "dispatch/worker.hh"
 #include "driver/analyze.hh"
+#include "driver/commands.hh"
 #include "driver/costmodel.hh"
-#include "driver/metrics.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
-#include "obs/histogram.hh"
 #include "obs/obs.hh"
 #include "obs/sampler.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
-#include "serve/transport.hh"
-#include "study/suite.hh"
-#include "trace/io.hh"
-#include "workloads/workload.hh"
 
 namespace {
 
@@ -52,165 +43,9 @@ using namespace stems;
 using namespace stems::driver;
 
 int
-usage()
-{
-    std::cout <<
-        "stems — Spatial Memory Streaming experiment engine\n\n"
-        "  stems run [key=value ...]    run a workload x prefetcher x\n"
-        "                               parameter matrix in parallel\n"
-        "                               (--dispatch=N: in N crash-\n"
-        "                               isolated worker processes)\n"
-        "  stems list                   show workloads and prefetchers\n"
-        "  stems trace workload=W out=FILE [ncpu= refs= seed=]\n"
-        "                               record one trace to disk\n"
-        "  stems merge [json=OUT] A.json B.json ...\n"
-        "                               merge run reports by cell id\n"
-        "  stems analyze [trace=F] [telemetry=F] [format=table|json]\n"
-        "                               offline run analysis: critical\n"
-        "                               path, phase breakdown, memo hit\n"
-        "                               rates, worker utilization and\n"
-        "                               stragglers from --trace-out /\n"
-        "                               --telemetry-out artifacts\n"
-        "  stems worker [--listen=ADDR [--once]]\n"
-        "                               serve dispatched cells on\n"
-        "                               stdin/stdout (spawned by\n"
-        "                               stems run --dispatch=N), or on\n"
-        "                               a unix:/path or host:port\n"
-        "                               socket for workers= fleets\n"
-        "  stems serve listen=ADDR [fleet=N max-active=N max-queue=N\n"
-        "              journal-dir=DIR trace-dir=DIR trace-out=\n"
-        "              telemetry-out= quiet=1]\n"
-        "                               persistent experiment service:\n"
-        "                               warm caches shared across\n"
-        "                               requests, admission queuing,\n"
-        "                               per-request journals for warm\n"
-        "                               restart\n"
-        "  stems submit server=ADDR [key=value ...]\n"
-        "                               run a spec on a stems serve\n"
-        "                               daemon; reports byte-identical\n"
-        "                               to stems run on the same spec\n"
-        "  stems help                   this text\n\n"
-              << specHelp() <<
-        "\nexamples:\n"
-        "  stems run workloads=paper prefetchers=sms,ghb,none json=-\n"
-        "  stems run workloads=OLTP-DB2 prefetchers=sms \\\n"
-        "      sweep.pht-entries=1024,4096,16384 csv=sweep.csv table=1\n"
-        "  stems run workloads=all prefetchers=sms timing=1 \\\n"
-        "      trace-dir=/tmp/stems-traces json=report.json\n"
-        "  stems run workloads=paper --dispatch=8 wall=0 json=a.json\n"
-        "  stems run workloads=paper cells=0-5 json=part1.json &&\n"
-        "      stems run workloads=paper cells=6-10 json=part2.json &&\n"
-        "      stems merge json=full.json part1.json part2.json\n";
-    return 0;
-}
-
-int
-cmdList()
-{
-    std::cout << "workloads (paper suite, Table 1):\n";
-    for (const auto &e : workloads::paperSuite())
-        std::cout << "  " << e.name << "  ["
-                  << workloads::suiteClassName(e.cls) << "]\n";
-    std::cout << "workloads (extensions):\n";
-    for (const auto &e : workloads::extensionSuite())
-        std::cout << "  " << e.name << "  ["
-                  << workloads::suiteClassName(e.cls) << "]\n";
-    std::cout << "prefetchers:\n";
-    const auto &reg = PrefetcherRegistry::builtin();
-    for (const auto &name : reg.names())
-        std::cout << "  " << name << ": " << reg.help(name) << "\n";
-    std::cout <<
-        "sweep axes (sweep.KEY=V1,V2,... crosses values per cell;\n"
-        "every KEY also works as a top-level key=value):\n"
-        "  block=BYTES                  cache/coherence block "
-        "(geometry)\n"
-        "  l1-kb= l1-assoc=             L1 geometry\n"
-        "  l2-kb= l2-mb= l2-assoc=      L2 geometry\n"
-        "  density=BYTES                access-density histograms at\n"
-        "                               this power-of-two region size\n"
-        "                               (mode=system; 0 = off)\n"
-        "  trainer=agt|ls|ds            sms training structure: Active\n"
-        "                               Generation Table, Logical\n"
-        "                               Sectored tags, or Decoupled\n"
-        "                               Sectored cache (mode=l1)\n"
-        "  index=pc+off|pc|addr|pc+addr sms prediction index\n"
-        "  (plus any prefetcher option listed above, e.g.\n"
-        "   sweep.pht-entries=1024,16384)\n";
-    std::cout << "metric families (JSON/CSV/wire emission is "
-                 "schema-driven):\n";
-    for (const auto &f : MetricSchema::builtin().families()) {
-        std::printf("  %-26s %-9s %s\n", f.name.c_str(),
-                    metricKindName(f.kind), f.help.c_str());
-    }
-    return 0;
-}
-
-int
-cmdTrace(const std::vector<std::string> &args)
-{
-    Options opts;
-    for (const auto &tok : args) {
-        auto [k, v] = parseKeyValue(tok);
-        if (k != "workload" && k != "out" && k != "ncpu" &&
-            k != "refs" && k != "seed") {
-            std::cerr << "stems trace: unknown key \"" << k
-                      << "\" (expected workload, out, ncpu, refs, "
-                         "seed)\n";
-            return 2;
-        }
-        opts[k] = v;
-    }
-    const std::string workload = optStr(opts, "workload", "");
-    const std::string out = optStr(opts, "out", "");
-    if (workload.empty() || out.empty()) {
-        std::cerr << "stems trace: workload= and out= are required\n";
-        return 2;
-    }
-    const workloads::SuiteEntry *entry = workloads::findWorkload(workload);
-    if (!entry) {
-        std::cerr << "stems trace: unknown workload " << workload << "\n";
-        return 2;
-    }
-    workloads::WorkloadParams p = study::defaultParams();
-    p.ncpu = static_cast<uint32_t>(optU64(opts, "ncpu", p.ncpu));
-    if (p.ncpu == 0) {
-        std::cerr << "stems trace: ncpu must be positive\n";
-        return 2;
-    }
-    p.refsPerCpu = optU64(opts, "refs", p.refsPerCpu);
-    p.seed = optU64(opts, "seed", p.seed);
-
-    auto w = entry->make();
-    trace::Trace t = workloads::makeTrace(*w, p);
-    // embed the generator fingerprint so engine replay rejects the
-    // file once generators change behaviour
-    if (!trace::writeTrace(t, out,
-                           study::generatorConfigHash(workload, p))) {
-        std::cerr << "stems trace: cannot write " << out << "\n";
-        return 1;
-    }
-    std::cout << "wrote " << t.size() << " references to " << out
-              << "\n";
-    return 0;
-}
-
-int
 cmdRun(const std::vector<std::string> &args)
 {
-    // --key=value is sugar for the key=value spec key (and a bare
-    // --flag for flag=1), so dispatch/observability switches read
-    // like conventional CLI options
-    std::vector<std::string> tokens;
-    tokens.reserve(args.size());
-    for (const auto &arg : args) {
-        if (arg.rfind("--", 0) == 0)
-            tokens.push_back(arg.find('=') != std::string::npos
-                                 ? arg.substr(2)
-                                 : arg.substr(2) + "=1");
-        else
-            tokens.push_back(arg);
-    }
-    ExperimentSpec spec = parseSpec(tokens);
+    ExperimentSpec spec = parseSpec(args);
     // default output: JSON on stdout
     if (spec.jsonPath.empty() && spec.csvPath.empty() && !spec.table)
         spec.jsonPath = "-";
@@ -370,14 +205,10 @@ cmdMerge(const std::vector<std::string> &args)
     }
     std::vector<std::string> texts;
     for (const auto &path : inputs) {
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
+        if (!readFile(path, texts.emplace_back())) {
             std::cerr << "stems merge: cannot read " << path << "\n";
             return 1;
         }
-        std::ostringstream ss;
-        ss << f.rdbuf();
-        texts.push_back(ss.str());
     }
     writeReport(outPath, dispatch::mergeReports(texts));
     if (outPath != "-")
@@ -392,42 +223,35 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty())
-        return usage();
+    if (args.empty()) {
+        std::cout << helpText();
+        return 0;
+    }
     const std::string cmd = args[0];
     args.erase(args.begin());
     try {
         if (cmd == "run")
             return cmdRun(args);
-        if (cmd == "list")
-            return cmdList();
+        if (cmd == "list") {
+            std::cout << listText();
+            return 0;
+        }
         if (cmd == "trace")
             return cmdTrace(args);
         if (cmd == "merge")
             return cmdMerge(args);
         if (cmd == "analyze")
             return cmdAnalyze(args);
-        if (cmd == "worker") {
-            std::string listen;
-            bool once = false;
-            for (const auto &arg : args) {
-                if (arg.rfind("--listen=", 0) == 0)
-                    listen = arg.substr(9);
-                else if (arg.rfind("listen=", 0) == 0)
-                    listen = arg.substr(7);
-                else if (arg == "--once" || arg == "once=1")
-                    once = true;
-            }
-            if (!listen.empty())
-                return serve::runListenWorker(listen, once);
-            return dispatch::runWorker(STDIN_FILENO, STDOUT_FILENO);
-        }
+        if (cmd == "worker")
+            return cmdWorker(args);
         if (cmd == "serve")
             return serve::cmdServe(args);
         if (cmd == "submit")
             return serve::cmdSubmit(args);
-        if (cmd == "help" || cmd == "--help" || cmd == "-h")
-            return usage();
+        if (cmd == "help" || cmd == "--help" || cmd == "-h") {
+            std::cout << helpText();
+            return 0;
+        }
         std::cerr << "stems: unknown command \"" << cmd
                   << "\" (try: stems help)\n";
         return 2;

@@ -52,24 +52,31 @@ submitToServer(const std::string &server,
     }
 }
 
+driver::KeyTable
+submitKeys(std::string &server)
+{
+    return {driver::strKey("server", server,
+                           "daemon address: unix:/path or host:port")};
+}
+
 int
 cmdSubmit(const std::vector<std::string> &args)
 {
-    // the cmdRun --key sugar, then peel off the client-only server=
-    // key; everything else ships to the daemon untouched
+    // peel off the client-only keys; every other key ships to the
+    // daemon untouched
     std::string server;
+    const driver::KeyTable own = submitKeys(server);
     std::vector<std::string> tokens;
     for (const auto &arg : args) {
-        std::string tok = arg;
-        if (tok.rfind("--", 0) == 0)
-            tok = tok.find('=') != std::string::npos
-                      ? tok.substr(2)
-                      : tok.substr(2) + "=1";
-        if (tok.rfind("server=", 0) == 0) {
-            server = tok.substr(7);
-            continue;
-        }
-        tokens.push_back(std::move(tok));
+        std::string tok = driver::keyToken(arg);
+        const size_t eq = tok.find('=');
+        const driver::Key *row = eq == std::string::npos
+            ? nullptr
+            : driver::findKey(own, tok.substr(0, eq));
+        if (row)
+            row->apply(tok.substr(0, eq), tok.substr(eq + 1));
+        else
+            tokens.push_back(std::move(tok));
     }
     if (server.empty()) {
         std::cerr << "stems submit: needs server=ADDR "

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/options.hh"
 #include "serve/service.hh"
 
 namespace stems::serve {
@@ -29,6 +30,9 @@ ExperimentService::Outcome
 submitToServer(const std::string &server,
                const std::vector<std::string> &tokens,
                uint32_t connectTimeoutMs = 5000);
+
+/** The client-only `stems submit` keys, bound to @p server. */
+driver::KeyTable submitKeys(std::string &server);
 
 /** `stems submit server=ADDR SPEC...` */
 int cmdSubmit(const std::vector<std::string> &args);

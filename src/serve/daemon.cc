@@ -156,64 +156,39 @@ onStopSignal(int)
 
 } // anonymous namespace
 
+driver::KeyTable
+serveKeys(ServeArgs &a)
+{
+    using namespace driver;
+    ExperimentService::Config &svc = a.daemon.service;
+    return {
+        strKey("listen", a.daemon.listen, "unix:/path or host:port"),
+        u32Key("fleet", svc.fleet, "executor threads (0 = all cores)"),
+        u32Key("max-active", svc.maxActive, "requests executing at once", 1),
+        u32Key("max-queue", svc.maxQueued, "waiting requests allowed"),
+        strKey("journal-dir", svc.journalDir, "journals for warm restart"),
+        strKey("trace-dir", svc.traceDir, "trace spill dir (temp if unset)"),
+        boolKey("quiet", a.daemon.quiet, "no lifecycle lines"),
+        strKey("trace-out", a.traceOut, "Chrome trace JSON, at exit"),
+        strKey("telemetry-out", a.telemetryOut, "counters JSON, at exit"),
+    };
+}
+
 int
 cmdServe(const std::vector<std::string> &args)
 {
-    // the cmdRun --key sugar, so `stems serve --listen=...` works
-    std::vector<std::string> tokens;
-    for (const auto &arg : args) {
-        if (arg.rfind("--", 0) == 0)
-            tokens.push_back(arg.find('=') != std::string::npos
-                                 ? arg.substr(2)
-                                 : arg.substr(2) + "=1");
-        else
-            tokens.push_back(arg);
-    }
-
-    Daemon::Config cfg;
-    std::string traceOut;
-    std::string telemetryOut;
+    ServeArgs a;
     try {
-        for (const auto &tok : tokens) {
-            const auto [key, value] = driver::parseKeyValue(tok);
-            if (key == "listen")
-                cfg.listen = value;
-            else if (key == "fleet")
-                cfg.service.fleet = static_cast<uint32_t>(
-                    std::stoul(value));
-            else if (key == "max-active")
-                cfg.service.maxActive = static_cast<uint32_t>(
-                    std::stoul(value));
-            else if (key == "max-queue")
-                cfg.service.maxQueued = static_cast<uint32_t>(
-                    std::stoul(value));
-            else if (key == "journal-dir")
-                cfg.service.journalDir = value;
-            else if (key == "trace-dir")
-                cfg.service.traceDir = value;
-            else if (key == "quiet")
-                cfg.quiet = value != "0";
-            else if (key == "trace-out")
-                traceOut = value;
-            else if (key == "telemetry-out")
-                telemetryOut = value;
-            else
-                throw std::invalid_argument(
-                    "unknown serve key \"" + key + "\"");
-        }
-        if (cfg.listen.empty())
+        driver::parseKeys(serveKeys(a), args);
+        if (a.daemon.listen.empty())
             throw std::invalid_argument(
                 "stems serve needs listen=ADDR (unix:/path or "
                 "host:port)");
-        if (cfg.service.maxActive == 0)
-            throw std::invalid_argument(
-                "max-active must be positive");
     } catch (const std::exception &e) {
         std::cerr << "stems serve: " << e.what() << "\n";
         return 2;
     }
-
-    if (!traceOut.empty()) {
+    if (!a.traceOut.empty()) {
         obs::Recorder::get().enable();
         obs::setThreadName("serve-main");
     }
@@ -226,10 +201,10 @@ cmdServe(const std::vector<std::string> &args)
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
 
-    const bool quiet = cfg.quiet;
+    const bool quiet = a.daemon.quiet;
     const auto startedAt = std::chrono::steady_clock::now();
     try {
-        Daemon daemon(std::move(cfg));
+        Daemon daemon(std::move(a.daemon));
         // block until a stop signal lands
         char byte;
         while (::read(gStopPipe[0], &byte, 1) < 0 && errno == EINTR) {
@@ -248,11 +223,11 @@ cmdServe(const std::vector<std::string> &args)
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - startedAt)
             .count();
-    if (!traceOut.empty())
-        driver::writeReport(traceOut,
+    if (!a.traceOut.empty())
+        driver::writeReport(a.traceOut,
                             obs::Recorder::get().chromeJson());
-    if (!telemetryOut.empty())
-        driver::writeReport(telemetryOut,
+    if (!a.telemetryOut.empty())
+        driver::writeReport(a.telemetryOut,
                             dispatch::telemetryJson(wallMs, {}));
     return 0;
 }

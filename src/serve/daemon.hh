@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/options.hh"
 #include "serve/service.hh"
 
 namespace stems::serve {
@@ -60,7 +61,18 @@ class Daemon
     bool stopped = false;
 };
 
-/** `stems serve LISTEN=... [keys]` (see usage/README). */
+/** `stems serve` arguments: the daemon plus its exit artifacts. */
+struct ServeArgs
+{
+    Daemon::Config daemon;
+    std::string traceOut;      //!< Chrome trace JSON ("" = off)
+    std::string telemetryOut;  //!< counters JSON ("" = off)
+};
+
+/** The `stems serve` key table, bound to @p a. */
+driver::KeyTable serveKeys(ServeArgs &a);
+
+/** `stems serve listen=ADDR [keys]`; exit 2 on a bad key or value. */
 int cmdServe(const std::vector<std::string> &args);
 
 } // namespace stems::serve

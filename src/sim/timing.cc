@@ -263,15 +263,6 @@ runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
 } // anonymous namespace
 
 TimingResult
-runTiming(const std::vector<trace::Trace> &streams,
-          const TimingConfig &cfg, uint64_t seed,
-          const prefetch::PfAttach &attach)
-{
-    trace::InterleavedView view = trace::canonicalView(streams, seed);
-    return runTimingView(view, cfg, attach);
-}
-
-TimingResult
 runTiming(const trace::StreamSet &set, const TimingConfig &cfg,
           uint64_t seed, const prefetch::PfAttach &attach)
 {

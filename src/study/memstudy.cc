@@ -207,20 +207,6 @@ driveView(trace::InterleavedView &view, Sink &&sink)
 } // anonymous namespace
 
 SystemStudyResult
-runSystem(const std::vector<trace::Trace> &streams,
-          const SystemStudyConfig &cfg, uint64_t seed,
-          const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&streams, seed](auto &&sink) {
-            trace::InterleavedView view =
-                trace::canonicalView(streams, seed);
-            driveView(view, sink);
-        },
-        cfg, attach);
-}
-
-SystemStudyResult
 runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
           uint64_t seed, const PfAttach &attach)
 {

@@ -103,20 +103,13 @@ SystemStudyResult runSystem(const trace::Trace &t,
                             const PfAttach &attach);
 
 /**
- * Zero-copy form: drive the system from per-CPU streams iterated in
+ * Zero-materialization form: drive the system from per-CPU streams in
  * canonical interleaved order (the same order workloads::makeTrace
- * materialises for workload seed @p seed), without building the merged
- * trace. Results are identical to the merged-trace overloads.
- */
-SystemStudyResult runSystem(const std::vector<trace::Trace> &streams,
-                            const SystemStudyConfig &cfg, uint64_t seed,
-                            const PfAttach &attach = {});
-
-/**
- * Zero-materialization form: same canonical interleave, driven from a
- * StreamSet whose backing may be an mmap'd spill (consumed pages are
- * dropped behind the cursor). Results are byte-identical to the other
- * overloads by construction.
+ * materialises for workload seed @p seed), without building the
+ * merged trace. The StreamSet's backing may be an mmap'd spill
+ * (consumed pages are dropped behind the cursor) or in-memory vectors
+ * (StreamSet::borrowed). Results are byte-identical to the
+ * merged-trace overloads by construction.
  */
 SystemStudyResult runSystem(const trace::StreamSet &set,
                             const SystemStudyConfig &cfg, uint64_t seed,

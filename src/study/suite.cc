@@ -7,7 +7,6 @@
 
 #include "obs/counters.hh"
 #include "obs/obs.hh"
-#include "trace/interleaver.hh"
 #include "trace/io.hh"
 #include "trace/lock.hh"
 #include "util/flat_map.hh"
@@ -72,14 +71,30 @@ TraceCache::setSpillDir(const std::string &dir)
     spillDir = dir;
 }
 
+std::string
+TraceCache::slotKey(const std::string &name,
+                    const workloads::WorkloadParams &p)
+{
+    std::ostringstream key;
+    key << name << "_" << p.ncpu << "_" << p.refsPerCpu << "_" << p.seed;
+    return key.str();
+}
+
+std::string
+TraceCache::spillPath(const std::string &name,
+                      const workloads::WorkloadParams &p) const
+{
+    return spillDir.empty() ? std::string()
+                            : spillDir + "/" + slotKey(name, p) + ".stmt";
+}
+
 TraceCache::Slot &
 TraceCache::slot(const std::string &name,
                  const workloads::WorkloadParams &p)
 {
-    std::ostringstream key;
-    key << name << "_" << p.ncpu << "_" << p.refsPerCpu << "_" << p.seed;
+    const std::string key = slotKey(name, p);
     std::lock_guard<std::mutex> lock(mu);
-    return slots[key.str()];
+    return slots[key];
 }
 
 const trace::StreamSet &
@@ -94,41 +109,22 @@ TraceCache::viewSetImpl(const std::string &name,
         // consumer or the look-ahead warmer — gets here first
         obs::count(&obs::Counters::traceCacheMisses);
         const uint64_t hash = generatorConfigHash(name, p);
-        const std::string file = spillDir.empty()
-            ? std::string()
-            : spillDir + "/" + name + "_" + std::to_string(p.ncpu) +
-                "_" + std::to_string(p.refsPerCpu) + "_" +
-                std::to_string(p.seed) + ".stmt";
+        const std::string file = spillPath(name, p);
 
-        // replay: v4 spills hold one section per stream, so the fast
-        // path maps the file and hands out zero-copy views; the stdio
-        // path (STEMS_NO_MMAP=1, or mapping failed) materialises the
-        // sections instead. Either way the file is fully validated —
+        // replay: v4 spills hold one section per stream, mapped and
+        // handed out as zero-copy views. The file is fully validated —
         // header, section table, size, checksum — before any view
-        // escapes, so corruption is a replay miss, never a SIGBUS.
+        // escapes, so a corrupt or unmappable spill is a replay miss
+        // (regenerated below), never a SIGBUS.
         auto tryReplay = [&]() -> bool {
             obs::Span span("trace_replay", {{"workload", name}});
-            try {
-                if (auto m = trace::MappedTrace::open(file, hash)) {
-                    if (m->numStreams() != p.ncpu)
-                        return false;
-                    obs::count(&obs::Counters::traceBytesMapped,
-                               m->bytes());
-                    s.set = trace::StreamSet::mapped(std::move(m));
-                    obs::count(&obs::Counters::traceSpillReplays);
-                    return true;
-                }
-                std::vector<trace::Trace> streams;
-                if (!trace::readTraceStreams(file, streams, hash) ||
-                    streams.size() != p.ncpu)
-                    return false;
-                s.set = trace::StreamSet::owned(std::move(streams));
-                obs::count(&obs::Counters::traceSpillReplays);
-                return true;
-            } catch (const std::exception &) {
-                // unreadable spill files fall back to live generation
+            auto m = trace::MappedTrace::open(file, hash);
+            if (!m || m->numStreams() != p.ncpu)
                 return false;
-            }
+            obs::count(&obs::Counters::traceBytesMapped, m->bytes());
+            s.set = trace::StreamSet::mapped(std::move(m));
+            obs::count(&obs::Counters::traceSpillReplays);
+            return true;
         };
 
         auto generate = [&] {
@@ -189,37 +185,11 @@ bool
 TraceCache::ready(const std::string &name,
                   const workloads::WorkloadParams &p)
 {
-    std::ostringstream key;
-    key << name << "_" << p.ncpu << "_" << p.refsPerCpu << "_" << p.seed;
+    const std::string key = slotKey(name, p);
     std::lock_guard<std::mutex> lock(mu);
-    auto it = slots.find(key.str());
+    auto it = slots.find(key);
     return it != slots.end() &&
         it->second.prepared.load(std::memory_order_acquire);
-}
-
-const std::vector<trace::Trace> &
-TraceCache::streams(const std::string &name,
-                    const workloads::WorkloadParams &p)
-{
-    Slot &s = slot(name, p);
-    const trace::StreamSet &set = viewSetImpl(name, p, true);
-    if (const auto *v = set.vectors())
-        return *v;
-    // mapped backing: legacy callers need real vectors, copy out once
-    std::call_once(s.streamsOnce, [&] { s.streams = set.materialize(); });
-    return s.streams;
-}
-
-const trace::Trace &
-TraceCache::get(const std::string &name,
-                const workloads::WorkloadParams &p)
-{
-    Slot &s = slot(name, p);
-    const std::vector<trace::Trace> &st = streams(name, p);
-    std::call_once(s.mergedOnce, [&] {
-        s.merged = trace::canonicalInterleaver(p.seed).merge(st);
-    });
-    return s.merged;
 }
 
 const std::vector<std::string> &

@@ -46,23 +46,18 @@ uint64_t generatorConfigHash(const std::string &name,
  * The cache's unit of storage is a trace::StreamSet — per-CPU stream
  * views behind one ownership model. Freshly-generated workloads are
  * owned vectors; spill replay hands out a zero-copy mapped backing
- * (trace::MappedTrace) when possible, so replaying a cell never
- * materialises the trace at all. Zero-copy consumers
- * (study::runSystem, study::runL1Study, sim::runTiming) take the set
- * through viewSet(); streams()/get() are the legacy materialising
- * wrappers and copy a mapped backing out on first use. The merged
- * (interleaved) trace is materialised lazily only for callers that
- * need a flat trace.
+ * (trace::MappedTrace), so replaying a cell never materialises the
+ * trace at all. Consumers (study::runSystem, study::runL1Study,
+ * sim::runTiming) take the set through viewSet().
  *
  * Thread-safe: concurrent calls for the same key block until the
  * first caller finishes generating; returned references stay valid for
  * the cache's lifetime. With a spill directory set, generation is
  * replaced by record/replay through trace::writeTraceStreams /
- * MappedTrace::open (stdio fallback under STEMS_NO_MMAP=1) so
- * expensive workloads are generated once across processes. Spill
- * files embed generatorConfigHash(); mismatching, truncated, corrupt
- * or old-format files are rejected up front — before any view is
- * handed out — and regenerated.
+ * MappedTrace::open so expensive workloads are generated once across
+ * processes. Spill files embed generatorConfigHash(); mismatching,
+ * truncated, corrupt, unmappable or old-format files are rejected up
+ * front — before any view is handed out — and regenerated.
  */
 class TraceCache
 {
@@ -77,6 +72,13 @@ class TraceCache
      * needed.
      */
     void setSpillDir(const std::string &dir);
+
+    /**
+     * The spill file for @p name under @p p:
+     * <dir>/<name>_<ncpu>_<refs>_<seed>.stmt ("" without a spill dir).
+     */
+    std::string spillPath(const std::string &name,
+                          const workloads::WorkloadParams &p) const;
 
     /**
      * Stream views for suite entry @p name under @p p (cached) — the
@@ -98,26 +100,17 @@ class TraceCache
     bool ready(const std::string &name,
                const workloads::WorkloadParams &p);
 
-    /** Per-CPU streams, materialised (legacy callers; cached). */
-    const std::vector<trace::Trace> &
-    streams(const std::string &name, const workloads::WorkloadParams &p);
-
-    /** Interleaved trace for @p name under @p p (cached, lazy). */
-    const trace::Trace &get(const std::string &name,
-                            const workloads::WorkloadParams &p);
-
   private:
     struct Slot
     {
         std::once_flag setOnce;
-        std::once_flag streamsOnce;
-        std::once_flag mergedOnce;
         trace::StreamSet set;
         std::atomic<bool> prepared{false};
         std::atomic<bool> looked{false};  //!< a counted lookup happened
-        std::vector<trace::Trace> streams;  //!< mapped-set materialisation
-        trace::Trace merged;
     };
+
+    static std::string slotKey(const std::string &name,
+                               const workloads::WorkloadParams &p);
 
     Slot &slot(const std::string &name,
                const workloads::WorkloadParams &p);

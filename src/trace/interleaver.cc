@@ -23,7 +23,8 @@ InterleavedView::reset()
 Trace
 Interleaver::merge(const std::vector<Trace> &streams) const
 {
-    InterleavedView v(streams, minChunk, maxChunk, seed_);
+    InterleavedView v(StreamSet::borrowed(streams).views(), minChunk,
+                      maxChunk, seed_);
     Trace out;
     out.reserve(v.size());
     MemAccess a;

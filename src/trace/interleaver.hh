@@ -45,18 +45,7 @@ namespace stems::trace {
 class InterleavedView
 {
   public:
-    InterleavedView(const std::vector<Trace> &streams,
-                    uint32_t min_chunk = 1, uint32_t max_chunk = 16,
-                    uint64_t seed = 42)
-        : minChunk(min_chunk), maxChunk(max_chunk), seed_(seed)
-    {
-        views_.reserve(streams.size());
-        for (const auto &s : streams)
-            views_.emplace_back(s);
-        reset();
-    }
-
-    /** Walk pre-built per-stream cursors (e.g. StreamSet::views()). */
+    /** Walk per-stream cursors (StreamSet::views()). */
     explicit InterleavedView(std::vector<StreamView> views,
                              uint32_t min_chunk = 1,
                              uint32_t max_chunk = 16, uint64_t seed = 42)
@@ -180,13 +169,6 @@ class Interleaver
      */
     Trace merge(const std::vector<Trace> &streams) const;
 
-    /** Zero-copy cursor over @p streams in merge order. */
-    InterleavedView
-    view(const std::vector<Trace> &streams) const
-    {
-        return InterleavedView(streams, minChunk, maxChunk, seed_);
-    }
-
   private:
     uint32_t minChunk;
     uint32_t maxChunk;
@@ -205,13 +187,6 @@ inline Interleaver
 canonicalInterleaver(uint64_t workload_seed)
 {
     return Interleaver(1, 16, workload_seed * 977 + 13);
-}
-
-/** Zero-copy cursor over @p streams in the canonical order. */
-inline InterleavedView
-canonicalView(const std::vector<Trace> &streams, uint64_t workload_seed)
-{
-    return InterleavedView(streams, 1, 16, workload_seed * 977 + 13);
 }
 
 /**

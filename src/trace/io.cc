@@ -2,15 +2,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fcntl.h>
 #include <memory>
 #include <string>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "fault/fault.hh"
-#include "trace/stream.hh"
 
 namespace stems::trace {
 
@@ -20,49 +16,6 @@ constexpr char kMagic[4] = {'S', 'T', 'M', 'T'};
 
 /** Sanity bound: more sections than this is a corrupt header. */
 constexpr uint32_t kMaxStreams = 1u << 20;
-
-/**
- * Writes go to a per-process temp name and are renamed into place on
- * success, so concurrent readers (dispatch workers sharing a spill
- * dir) never observe a torn file.
- */
-std::string
-tempName(const std::string &path)
-{
-    return path + ".tmp." + std::to_string(::getpid());
-}
-
-bool
-commitOrDiscard(const std::string &tmp, const std::string &path, bool ok,
-                size_t payload_offset)
-{
-    if (ok && std::rename(tmp.c_str(), path.c_str()) == 0) {
-        // chaos hook: flip one payload byte of the committed file;
-        // the checksum makes the damage detectable, so replay
-        // rejects the spill and the TraceCache regenerates it
-        if (fault::spillFault(fault::Kind::CorruptSpill, path))
-            fault::corruptFileByte(path, fault::currentPlan().seed,
-                                   payload_offset);
-        return true;
-    }
-    std::remove(tmp.c_str());
-    return false;
-}
-
-/** On-disk packed record; bit-identical to MemAccess (see stream.hh). */
-struct PackedAccess
-{
-    uint64_t pc;
-    uint64_t addr;
-    uint32_t cpu;
-    uint32_t ninst;
-    uint32_t dep;
-    uint16_t size;
-    uint8_t isWrite;
-    uint8_t isKernel;
-};
-
-static_assert(sizeof(PackedAccess) == sizeof(MemAccess));
 
 struct FileCloser
 {
@@ -76,9 +29,8 @@ constexpr long kChecksumOffset = 4 + sizeof(uint32_t) +
     2 * sizeof(uint64_t);
 
 /**
- * Write the v4 header and section table with a placeholder checksum;
- * the writers seek back and fill the real value once every record has
- * streamed through the running FNV fold.
+ * Write the v4 header and section table with a placeholder checksum,
+ * filled in once every record has streamed through the FNV fold.
  */
 bool
 writeHeader(FILE *f, uint64_t config_hash,
@@ -103,13 +55,6 @@ writeHeader(FILE *f, uint64_t config_hash,
     return ok;
 }
 
-bool
-patchChecksum(FILE *f, uint64_t checksum)
-{
-    return std::fseek(f, kChecksumOffset, SEEK_SET) == 0 &&
-        std::fwrite(&checksum, sizeof(checksum), 1, f) == 1;
-}
-
 /** Copy one unaligned little-endian field out of a byte view. */
 template <typename T>
 T
@@ -118,191 +63,6 @@ loadField(const unsigned char *p)
     T v;
     std::memcpy(&v, p, sizeof(T));
     return v;
-}
-
-/**
- * Stream one section's records through the checksum fold and out to
- * @p f, with the cpu field optionally rewritten to @p stream_index.
- */
-bool
-writeSection(FILE *f, const Trace &t, uint32_t stream_index,
-             bool rewrite_cpu, uint64_t &checksum)
-{
-    for (const auto &a : t) {
-        PackedAccess p{a.pc, a.addr,
-                       rewrite_cpu ? stream_index : a.cpu,
-                       a.ninst, a.dep, a.size,
-                       static_cast<uint8_t>(a.isWrite),
-                       static_cast<uint8_t>(a.isKernel)};
-        checksum = traceChecksum(
-            reinterpret_cast<const unsigned char *>(&p), sizeof(p),
-            checksum);
-        if (std::fwrite(&p, sizeof(p), 1, f) != 1)
-            return false;
-    }
-    return true;
-}
-
-bool
-writeSections(const std::vector<const Trace *> &streams,
-              const std::string &path, uint64_t config_hash,
-              bool rewrite_cpu)
-{
-    // chaos hook: model a full disk before any bytes land
-    if (fault::spillFault(fault::Kind::Enospc, path))
-        return false;
-    const std::string tmp = tempName(path);
-    bool ok = false;
-    {
-        FilePtr f(std::fopen(tmp.c_str(), "wb"));
-        if (!f)
-            return false;
-
-        std::vector<uint64_t> counts;
-        counts.reserve(streams.size());
-        for (const Trace *t : streams)
-            counts.push_back(t->size());
-        ok = writeHeader(f.get(), config_hash, counts);
-
-        uint64_t checksum = traceChecksum(nullptr, 0);
-        for (size_t i = 0; ok && i < streams.size(); ++i)
-            ok = writeSection(f.get(), *streams[i],
-                              static_cast<uint32_t>(i), rewrite_cpu,
-                              checksum);
-        ok = ok && patchChecksum(f.get(), checksum);
-    }
-    return commitOrDiscard(
-        tmp, path, ok,
-        tracePayloadOffset(static_cast<uint32_t>(streams.size())));
-}
-
-/**
- * Parse a complete .stmt image (header + records) from a contiguous
- * byte view into per-section traces. Shared by the buffered readers;
- * the mmap view path (trace/stream.cc) validates the same header via
- * parseTraceHeader and never decodes.
- */
-bool
-parseTraceImage(const unsigned char *data, size_t size,
-                std::vector<Trace> &out, uint64_t expected_hash)
-{
-    TraceFileHeader h;
-    if (!parseTraceHeader(data, size, h, expected_hash))
-        return false;
-    // corrupted record payloads must not replay: silently wrong
-    // references would break the byte-identity of dispatched reports
-    if (h.checksum != traceChecksum(data + h.payloadOffset,
-                                    size - h.payloadOffset))
-        return false;
-
-    out.clear();
-    out.resize(h.streamCounts.size());
-    const unsigned char *rec = data + h.payloadOffset;
-    for (size_t s = 0; s < h.streamCounts.size(); ++s) {
-        Trace &t = out[s];
-        t.reserve(h.streamCounts[s]);
-        for (uint64_t i = 0; i < h.streamCounts[s];
-             ++i, rec += sizeof(PackedAccess)) {
-            PackedAccess p;
-            std::memcpy(&p, rec, sizeof(p));
-            MemAccess a;
-            a.pc = p.pc;
-            a.addr = p.addr;
-            a.cpu = p.cpu;
-            a.ninst = p.ninst;
-            a.dep = p.dep;
-            a.size = p.size;
-            a.isWrite = p.isWrite != 0;
-            a.isKernel = p.isKernel != 0;
-            t.push_back(a);
-        }
-    }
-    return true;
-}
-
-/** Slurp @p path whole; false on open/short-read failure. */
-bool
-slurpFile(const std::string &path, std::vector<unsigned char> &image)
-{
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return false;
-    if (std::fseek(f.get(), 0, SEEK_END) != 0)
-        return false;
-    const long fileSize = std::ftell(f.get());
-    if (fileSize < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0)
-        return false;
-    image.resize(static_cast<size_t>(fileSize));
-    return image.empty() ||
-        std::fread(image.data(), 1, image.size(), f.get()) ==
-            image.size();
-}
-
-/**
- * mmap-backed read path: map the file as a read-only MAP_PRIVATE view
- * and parse records straight out of the page cache, so replay keeps
- * no second buffered copy of the file in userspace.
- *
- * @param usedMap set true when the file was mapped (parse outcome is
- *                then final); left false when mmap is unavailable and
- *                the caller must fall back to the buffered path.
- */
-bool
-readTraceMapped(const std::string &path, std::vector<Trace> &out,
-                uint64_t expected_hash, bool &usedMap)
-{
-    usedMap = false;
-    if (mmapDisabled())
-        return false;  // kill-switch: force the buffered path
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        return false;  // stat failed: let stdio try
-    }
-    if (st.st_size < 0 ||
-        static_cast<uint64_t>(st.st_size) < kTraceHeaderBytes) {
-        ::close(fd);
-        usedMap = true;  // too short to be a trace however it is read
-        return false;
-    }
-
-    const size_t size = static_cast<size_t>(st.st_size);
-    void *map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (map == MAP_FAILED)
-        return false;  // e.g. filesystem without mmap: use stdio
-
-    usedMap = true;
-    const bool ok = parseTraceImage(
-        static_cast<const unsigned char *>(map), size, out,
-        expected_hash);
-    ::munmap(map, size);
-    return ok;
-}
-
-/** Shared front end of readTrace/readTraceStreams. */
-bool
-readSections(const std::string &path, std::vector<Trace> &out,
-             uint64_t expected_hash)
-{
-    // prefer the mmap view; fall back to buffered stdio only when the
-    // file cannot be mapped at all (or mapping is disabled)
-    bool usedMap = false;
-    const bool ok = readTraceMapped(path, out, expected_hash, usedMap);
-    if (usedMap || ok)
-        return ok;
-
-    // stdio fallback: slurp the image and run the one decoder, so
-    // both paths validate and decode the format identically
-    std::vector<unsigned char> image;
-    if (!slurpFile(path, image))
-        return false;
-    return parseTraceImage(image.data(), image.size(), out,
-                           expected_hash);
 }
 
 } // anonymous namespace
@@ -358,44 +118,55 @@ parseTraceHeader(const unsigned char *data, size_t size,
 }
 
 bool
-writeTrace(const Trace &t, const std::string &path, uint64_t config_hash)
-{
-    // single-section file, records verbatim (exact round trip)
-    return writeSections({&t}, path, config_hash, false);
-}
-
-bool
 writeTraceStreams(const std::vector<Trace> &streams,
                   const std::string &path, uint64_t config_hash)
 {
-    std::vector<const Trace *> ptrs;
-    ptrs.reserve(streams.size());
-    for (const auto &t : streams)
-        ptrs.push_back(&t);
-    return writeSections(ptrs, path, config_hash, true);
-}
-
-bool
-readTrace(const std::string &path, Trace &out, uint64_t expected_hash)
-{
-    std::vector<Trace> sections;
-    if (!readSections(path, sections, expected_hash))
+    // chaos hook: model a full disk before any bytes land
+    if (fault::spillFault(fault::Kind::Enospc, path))
         return false;
-    out.clear();
-    size_t total = 0;
-    for (const auto &s : sections)
-        total += s.size();
-    out.reserve(total);
-    for (const auto &s : sections)
-        out.insert(out.end(), s.begin(), s.end());
-    return true;
-}
+    // write a per-process temp name and rename it into place, so
+    // concurrent readers (dispatch workers sharing a spill dir) never
+    // observe a torn file
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    bool ok = false;
+    {
+        FilePtr f(std::fopen(tmp.c_str(), "wb"));
+        if (!f)
+            return false;
+        std::vector<uint64_t> counts;
+        for (const Trace &t : streams)
+            counts.push_back(t.size());
+        ok = writeHeader(f.get(), config_hash, counts);
 
-bool
-readTraceStreams(const std::string &path, std::vector<Trace> &out,
-                 uint64_t expected_hash)
-{
-    return readSections(path, out, expected_hash);
+        // records are MemAccess bytes (the layout trace/stream.hh
+        // pins) with cpu restamped to the stream index, folded into
+        // the checksum as they stream out
+        uint64_t checksum = traceChecksum(nullptr, 0);
+        for (uint32_t i = 0; ok && i < streams.size(); ++i) {
+            for (MemAccess a : streams[i]) {
+                a.cpu = i;
+                checksum = traceChecksum(
+                    reinterpret_cast<const unsigned char *>(&a), sizeof(a),
+                    checksum);
+                ok = ok && std::fwrite(&a, sizeof(a), 1, f.get()) == 1;
+            }
+        }
+        // fill in the header's placeholder checksum
+        ok = ok && std::fseek(f.get(), kChecksumOffset, SEEK_SET) == 0 &&
+            std::fwrite(&checksum, sizeof(checksum), 1, f.get()) == 1;
+    }
+    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    // chaos hook: flip one payload byte of the committed file; the
+    // checksum makes the damage detectable, so replay rejects the
+    // spill and the TraceCache regenerates it
+    if (fault::spillFault(fault::Kind::CorruptSpill, path))
+        fault::corruptFileByte(
+            path, fault::currentPlan().seed,
+            tracePayloadOffset(static_cast<uint32_t>(streams.size())));
+    return true;
 }
 
 } // namespace stems::trace

@@ -22,7 +22,6 @@
  * replay possible: trace::MappedTrace points StreamViews straight
  * into the mapped sections (records are byte-identical to MemAccess),
  * so consumption needs no demerge pass and no materialised copy.
- * Single-trace files are simply one-section files.
  */
 
 #ifndef STEMS_TRACE_IO_HH
@@ -81,44 +80,21 @@ bool parseTraceHeader(const unsigned char *data, size_t size,
                       TraceFileHeader &out, uint64_t expected_hash);
 
 /**
- * Write @p t to @p path in the native STEMS binary format as a
- * single-section v4 file, records verbatim. The file is written to a
- * temp name and renamed into place atomically, so concurrent readers
- * never observe a torn file.
+ * Write per-CPU @p streams to @p path as one section each: the spill
+ * form the TraceCache records and MappedTrace::open replays zero-copy
+ * (the only reader). Each record's cpu field is rewritten to its
+ * stream index on the way out — the canonical stream identity every
+ * consumer re-stamps anyway — so replayed and freshly-generated runs
+ * observe identical bytes. The file is written to a temp name and
+ * renamed into place atomically, so concurrent readers never observe a
+ * torn file.
  *
  * @param config_hash caller-defined fingerprint of whatever produced
  *                    the trace (see study::TraceCache); 0 if unused
  * @return true on success.
  */
-bool writeTrace(const Trace &t, const std::string &path,
-                uint64_t config_hash = 0);
-
-/**
- * Write per-CPU @p streams as one section each (the spill form the
- * TraceCache records and MappedTrace replays zero-copy). Each
- * record's cpu field is rewritten to its stream index on the way out —
- * the canonical stream identity every consumer re-stamps anyway — so
- * replayed and freshly-generated runs observe identical bytes.
- */
 bool writeTraceStreams(const std::vector<Trace> &streams,
                        const std::string &path, uint64_t config_hash = 0);
-
-/**
- * Read a trace previously written by writeTrace(); multi-section
- * files come back concatenated in section order. Magic, version,
- * hash, section table and checksum are all validated.
- */
-bool readTrace(const std::string &path, Trace &out,
-               uint64_t expected_hash = 0);
-
-/**
- * Read a v4 file's sections into per-stream vectors: the materialised
- * replay fallback used when mapping is unavailable or disabled
- * (STEMS_NO_MMAP=1). Validation is identical to readTrace.
- */
-bool readTraceStreams(const std::string &path,
-                      std::vector<Trace> &out,
-                      uint64_t expected_hash = 0);
 
 } // namespace stems::trace
 

@@ -8,7 +8,6 @@
 #include "trace/stream.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -48,15 +47,6 @@ constexpr size_t kDropStride = 2u << 20;
 
 } // namespace
 
-bool
-mmapDisabled()
-{
-    // read each call (unlike the cached STEMS_NO_SIMD probe) so tests
-    // can flip the kill-switch per-case with setenv/unsetenv
-    const char *v = std::getenv("STEMS_NO_MMAP");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 MappedTrace::~MappedTrace()
 {
     if (base)
@@ -66,9 +56,6 @@ MappedTrace::~MappedTrace()
 std::shared_ptr<MappedTrace>
 MappedTrace::open(const std::string &path, uint64_t expected_hash)
 {
-    if (mmapDisabled())
-        return nullptr;
-
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return nullptr;

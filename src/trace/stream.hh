@@ -24,10 +24,6 @@
  * any view is handed out, so a truncated or corrupted spill surfaces
  * as a clean replay failure (the TraceCache then regenerates), never
  * as a SIGBUS mid-simulation.
- *
- * STEMS_NO_MMAP=1 (mirroring STEMS_NO_SIMD) forces the materialised
- * fallback: spill replay then reads sections through buffered stdio
- * into owned vectors, and no file is ever mapped.
  */
 
 #ifndef STEMS_TRACE_STREAM_HH
@@ -44,9 +40,8 @@
 
 namespace stems::trace {
 
-// The zero-copy contract: a packed on-disk record (see trace/io.cc's
-// PackedAccess, written field by field in this exact order) is
-// byte-identical to the in-memory MemAccess, so a mapped file can be
+// The zero-copy contract: an on-disk record (see trace/io.cc) is the
+// in-memory MemAccess byte for byte, so a mapped file can be
 // reinterpreted as a MemAccess array without decoding.
 static_assert(sizeof(MemAccess) == 32, "on-disk record layout");
 static_assert(std::is_trivially_copyable_v<MemAccess>);
@@ -58,9 +53,6 @@ static_assert(offsetof(MemAccess, dep) == 24);
 static_assert(offsetof(MemAccess, size) == 28);
 static_assert(offsetof(MemAccess, isWrite) == 30);
 static_assert(offsetof(MemAccess, isKernel) == 31);
-
-/** Whether STEMS_NO_MMAP=1 disables mapped trace views. */
-bool mmapDisabled();
 
 /**
  * A fully-validated read-only mapping of a .stmt spill file (format
@@ -194,20 +186,12 @@ class StreamSet
         return set;
     }
 
-    bool isMapped() const { return map_ != nullptr; }
-
     size_t
     numStreams() const
     {
         if (map_)
             return map_->numStreams();
         return vectors() ? vectors()->size() : 0;
-    }
-
-    size_t
-    streamSize(size_t i) const
-    {
-        return map_ ? map_->streamCount(i) : (*vectors())[i].size();
     }
 
     uint64_t
@@ -247,7 +231,7 @@ class StreamSet
         return hasOwned_ ? &owned_ : nullptr;
     }
 
-    /** Copy a mapped backing out into vectors (legacy callers). */
+    /** Copy a mapped backing out into vectors. */
     std::vector<Trace>
     materialize() const
     {

@@ -364,6 +364,12 @@ TEST(Analyze, RejectsBadInput)
     zero.timelineBuckets = 0;
     EXPECT_THROW(analyzeRun(kFixtureTrace, "", zero),
                  std::invalid_argument);
+    // the CLI keys reject what their fields cannot hold
+    AnalyzeArgs args;
+    EXPECT_THROW(parseKeys(analyzeKeys(args), {"top=-1"}),
+                 std::invalid_argument);
+    EXPECT_THROW(parseKeys(analyzeKeys(args), {"timeline-buckets=3x"}),
+                 std::invalid_argument);
 }
 
 TEST(Analyze, AnalyzesARealRunsArtifacts)

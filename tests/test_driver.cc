@@ -15,15 +15,21 @@
 
 #include "dispatch/json.hh"
 #include "dispatch/wire.hh"
+#include "driver/analyze.hh"
+#include "driver/commands.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/spec.hh"
+#include "obs/counters.hh"
+#include "serve/client.hh"
+#include "serve/daemon.hh"
 #include "sim/timing.hh"
 #include "study/l1study.hh"
 #include "workloads/graph.hh"
 #include "study/suite.hh"
 #include "trace/interleaver.hh"
 #include "trace/io.hh"
+#include "trace/stream.hh"
 #include "workloads/workload.hh"
 
 using namespace stems;
@@ -37,6 +43,15 @@ tinySys()
     mem::MemSysConfig cfg;
     cfg.ncpu = 2;
     return cfg;
+}
+
+/** The interleaved trace @p cache's streams for @p name merge into. */
+trace::Trace
+mergedTrace(study::TraceCache &cache, const std::string &name,
+            const workloads::WorkloadParams &p)
+{
+    return trace::canonicalInterleaver(p.seed).merge(
+        cache.viewSet(name, p).materialize());
 }
 
 /** Spec tokens for a quick 2-workload matrix on 4 small CPUs. */
@@ -250,6 +265,117 @@ TEST(ExperimentSpec, RejectsBadInput)
                  std::invalid_argument);
     EXPECT_THROW(parseSpec({"pf.ghost.degree=2"}),
                  std::invalid_argument);
+    // numbers out of their field's range, or negative, are rejected
+    // rather than truncated or wrapped
+    EXPECT_THROW(parseSpec({"ncpu=4294967298"}), std::invalid_argument);
+    EXPECT_THROW(parseSpec({"threads=4294967297"}),
+                 std::invalid_argument);
+    EXPECT_THROW(parseSpec({"seed=-1"}), std::invalid_argument);
+    EXPECT_THROW(parseSpec({"pf.sms.pht-entries=4294967296"}),
+                 std::invalid_argument);
+    EXPECT_THROW(parseSpec({"sweep.pht-entries=1024,4294967296"}),
+                 std::invalid_argument);
+}
+
+TEST(ExperimentSpec, AcceptedSyntaxParsesToTheSameValues)
+{
+    // base prefixes and surrounding forms still parse as before
+    ExperimentSpec spec = parseSpec(
+        {"ncpu=0x4", "refs=010", "seed=18446744073709551615",
+         "--threads=2", "--quiet", "timing=only", "l2-mb=4"});
+    EXPECT_EQ(spec.params.ncpu, 4u);
+    EXPECT_EQ(spec.params.refsPerCpu, 8u);
+    EXPECT_EQ(spec.params.seed, UINT64_MAX);
+    EXPECT_EQ(spec.threads, 2u);
+    EXPECT_TRUE(spec.quiet);
+    EXPECT_TRUE(spec.timing && spec.timingOnly);
+    EXPECT_EQ(spec.sys.l2.sizeBytes, 4u << 20);
+}
+
+TEST(ExperimentSpec, RejectsBadEngineValuesWithTheCellMessage)
+{
+    // engine option values fail at parse time, with the message a
+    // cell running them would carry
+    auto message = [](std::vector<std::string> tokens) {
+        try {
+            parseSpec(tokens);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message({"prefetchers=sms", "opt.index=bogus"}),
+              "index=bogus: expected pc+off|pc|addr|pc+addr");
+    EXPECT_EQ(message({"prefetchers=sms", "pf.sms.pht-update=wat"}),
+              "pht-update=wat: expected replace|union");
+    EXPECT_EQ(message({"mode=l1", "prefetchers=sms",
+                       "sweep.trainer=agt,xyz"}),
+              "trainer=xyz: expected agt|ls|ds");
+    EXPECT_EQ(message({"prefetchers=sms", "sweep.pht-entries=1024,lots"}),
+              "option pht-entries=lots: expected an unsigned integer");
+    EXPECT_EQ(message({"prefetchers=ghb", "sweep.degree=2,x"}),
+              "option degree=x: expected an unsigned integer");
+    EXPECT_EQ(message({"sweep.l1-kb=32,0"}),
+              "option sweep.l1-kb=0: expected an integer in "
+              "[1, 18014398509481983]");
+}
+
+TEST(KeyTables, EveryRowParsesItsDefaultAndIsDocumented)
+{
+    std::string server;
+    serve::ServeArgs serveArgs;
+    AnalyzeArgs analyzeArgs;
+    TraceArgs traceArgs;
+    WorkerArgs workerArgs;
+    mem::MemSysConfig sys;
+    uint32_t density = 0;
+    std::vector<std::pair<std::string, KeyTable>> tables = {
+        {"run", specKeys()},
+        {"submit", serve::submitKeys(server)},
+        {"serve", serve::serveKeys(serveArgs)},
+        {"analyze", analyzeKeys(analyzeArgs)},
+        {"trace", traceKeys(traceArgs)},
+        {"worker", workerKeys(workerArgs)},
+        {"cell axes", cellKeys(sys, density)},
+    };
+    const auto &reg = PrefetcherRegistry::builtin();
+    for (const auto &name : reg.names())
+        tables.emplace_back("prefetcher " + name, reg.options(name));
+
+    const std::string docs = helpText() + listText();
+    size_t rows = 0;
+    for (const auto &[table, keys] : tables) {
+        for (const auto &row : keys) {
+            ++rows;
+            EXPECT_NE(docs.find("  " + row.name + "=" + row.def),
+                      std::string::npos)
+                << table << ": " << row.name << " is undocumented";
+            EXPECT_FALSE(row.help.empty()) << table << ": " << row.name;
+            // family rows (opt.OPT, ...) show value syntax, not a
+            // default
+            if (row.name.find_first_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ") !=
+                std::string::npos)
+                continue;
+            EXPECT_NO_THROW(row.apply(row.name, row.def))
+                << table << ": " << row.name << "=" << row.def;
+        }
+    }
+    EXPECT_GT(rows, 80u);
+}
+
+TEST(KeyTables, UnknownKeyListsTheKnownOnes)
+{
+    WorkerArgs a;
+    try {
+        parseKeys(workerKeys(a), {"--lisen=unix:/x"});
+        FAIL() << "accepted a misspelled key";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown key \"lisen\" (known: listen, once)");
+    }
+    parseKeys(workerKeys(a), {"--listen=unix:/x", "--once"});
+    EXPECT_EQ(a.listen, "unix:/x");
+    EXPECT_TRUE(a.once);
 }
 
 TEST(ExperimentSpec, RejectsMisspelledPrefetcherOptions)
@@ -353,6 +479,32 @@ TEST(Runner, TraceRecordThenReplayMatchesLiveStats)
     std::filesystem::remove_all(dir);
 }
 
+TEST(TraceCommand, SpillReplaysInALaterRun)
+{
+    // stems trace records exactly the spill stems run trace-dir=
+    // looks for: the following run replays it and reports what a
+    // live run does
+    const std::string dir = tempDir("tracecmd");
+    ASSERT_EQ(cmdTrace({"workload=sparse", "trace-dir=" + dir, "ncpu=4",
+                        "refs=3000", "seed=7"}),
+              0);
+
+    std::vector<std::string> tokens = {"workloads=sparse",
+                                       "prefetchers=sms,none", "ncpu=4",
+                                       "refs=3000", "seed=7", "wall=0"};
+    const ExperimentSpec liveSpec = parseSpec(tokens);
+    const std::string live = toJson(liveSpec, Runner(liveSpec).run());
+
+    tokens.push_back("trace-dir=" + dir);
+    const ExperimentSpec spec = parseSpec(tokens);
+    const auto &replays = obs::Counters::get().traceSpillReplays;
+    const uint64_t before = replays.load();
+    const std::string replayed = toJson(spec, Runner(spec).run());
+    EXPECT_GT(replays.load(), before);
+    EXPECT_EQ(live, replayed);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(TraceCache, SpillDirRoundTripsTraces)
 {
     const std::string dir = tempDir("spill");
@@ -363,11 +515,11 @@ TEST(TraceCache, SpillDirRoundTripsTraces)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace &generated = writer.get("graph", p);
+    const trace::Trace generated = mergedTrace(writer, "graph", p);
 
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace &replayed = reader.get("graph", p);
+    const trace::Trace replayed = mergedTrace(reader, "graph", p);
     ASSERT_EQ(generated.size(), replayed.size());
     EXPECT_TRUE(generated == replayed);
     std::filesystem::remove_all(dir);
@@ -444,7 +596,7 @@ TEST(TraceIo, RejectsCorruptCountInsteadOfThrowing)
     const std::string dir = tempDir("io");
     const std::string path = dir + "/bad.stmt";
     trace::Trace t(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     {
         // corrupt the count field (magic + version + hash = 16 bytes)
         std::fstream f(path,
@@ -453,8 +605,7 @@ TEST(TraceIo, RejectsCorruptCountInsteadOfThrowing)
         uint64_t huge = ~uint64_t{0};
         f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
     }
-    trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out));
+    EXPECT_FALSE(trace::MappedTrace::open(path));
     std::filesystem::remove_all(dir);
 }
 
@@ -463,7 +614,7 @@ TEST(TraceIo, RejectsOldFormatVersion)
     const std::string dir = tempDir("iov");
     const std::string path = dir + "/old.stmt";
     trace::Trace t(4);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     {
         // rewrite the version field (bytes 4..7) to format v1
         std::fstream f(path,
@@ -472,8 +623,7 @@ TEST(TraceIo, RejectsOldFormatVersion)
         uint32_t old = 1;
         f.write(reinterpret_cast<const char *>(&old), sizeof(old));
     }
-    trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out));
+    EXPECT_FALSE(trace::MappedTrace::open(path));
     std::filesystem::remove_all(dir);
 }
 
@@ -482,12 +632,11 @@ TEST(TraceIo, RejectsGeneratorConfigHashMismatch)
     const std::string dir = tempDir("ioh");
     const std::string path = dir + "/t.stmt";
     trace::Trace t(4);
-    ASSERT_TRUE(trace::writeTrace(t, path, 0xabcdef));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path, 0xabcdef));
 
-    trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out, 0xabcdef));  // matching
-    EXPECT_TRUE(trace::readTrace(path, out));            // unchecked
-    EXPECT_FALSE(trace::readTrace(path, out, 0x123456)); // stale
+    EXPECT_TRUE(trace::MappedTrace::open(path, 0xabcdef));  // matching
+    EXPECT_TRUE(trace::MappedTrace::open(path));            // unchecked
+    EXPECT_FALSE(trace::MappedTrace::open(path, 0x123456)); // stale
     std::filesystem::remove_all(dir);
 }
 
@@ -501,7 +650,7 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
+    const trace::Trace live = mergedTrace(writer, "graph", p);
 
     // sabotage the spill: same shape, wrong generator fingerprint
     std::string file;
@@ -509,25 +658,25 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
         if (e.path().extension() == ".stmt")
             file = e.path().string();
     ASSERT_FALSE(file.empty());
-    trace::Trace doctored = live;
-    doctored[0].addr ^= 0xff00;  // stale content a silent replay keeps
-    ASSERT_TRUE(trace::writeTrace(doctored, file, 0xdeadbeef));
+    std::vector<trace::Trace> doctored =
+        writer.viewSet("graph", p).materialize();
+    doctored[0][0].addr ^= 0xff00;  // stale content a silent replay keeps
+    ASSERT_TRUE(trace::writeTraceStreams(doctored, file, 0xdeadbeef));
 
     // a fresh cache must reject the stale file and regenerate
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace &regenerated = reader.get("graph", p);
+    const trace::Trace regenerated = mergedTrace(reader, "graph", p);
     EXPECT_TRUE(live == regenerated);
 
     // ... and the rewritten spill now carries the correct hash again;
     // v4 spills hold per-stream sections, so the merged trace is
     // recovered through the canonical interleave
-    std::vector<trace::Trace> sections;
-    EXPECT_TRUE(
-        trace::readTraceStreams(file, sections,
-                                study::generatorConfigHash("graph", p)));
-    const trace::Trace replay =
-        trace::canonicalInterleaver(p.seed).merge(sections);
+    auto spill =
+        trace::MappedTrace::open(file, study::generatorConfigHash("graph", p));
+    ASSERT_TRUE(spill);
+    const trace::Trace replay = trace::canonicalInterleaver(p.seed).merge(
+        trace::StreamSet::mapped(spill).materialize());
     EXPECT_TRUE(live == replay);
     std::filesystem::remove_all(dir);
 }
@@ -820,7 +969,7 @@ TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
     tc.sys = spec.sys;
     std::unique_ptr<PrefetcherDeployment> dep;
     auto direct = sim::runTiming(
-        streams, tc, spec.params.seed,
+        trace::StreamSet::borrowed(streams), tc, spec.params.seed,
         [&](mem::MemorySystem &sys) -> study::AttachedPrefetcher * {
             dep = PrefetcherRegistry::builtin().create("sms", sys, {});
             return dep.get();
@@ -1050,7 +1199,8 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
         cfg.trainer = kinds[i];
         cfg.sms.pht.entries = 0;
         cfg.sms.agt = {0, 0};
-        auto direct = study::runL1Study(traces.get("sparse", p), cfg);
+        auto direct =
+            study::runL1Study(mergedTrace(traces, "sparse", p), cfg);
         EXPECT_EQ(r1[i].metrics.l1Covered(), direct.coveredReads)
             << trainerName(kinds[i]);
         EXPECT_EQ(r1[i].metrics.l1ReadMisses(), direct.readMisses);

@@ -17,6 +17,7 @@
 #include "obs/counters.hh"
 #include "trace/access.hh"
 #include "trace/io.hh"
+#include "trace/stream.hh"
 
 using namespace stems;
 using namespace stems::fault;
@@ -257,7 +258,7 @@ TEST(FaultSpill, EnospcFailsTheWrite)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_enospc.stmt";
     trace::Trace t = smallTrace(32);
-    EXPECT_FALSE(trace::writeTrace(t, path));
+    EXPECT_FALSE(trace::writeTraceStreams({t}, path));
     std::remove(path.c_str());
 }
 
@@ -270,9 +271,8 @@ TEST(FaultSpill, CorruptSpillIsCaughtByTheChecksum)
     trace::Trace t = smallTrace(64);
     // the write itself succeeds — corruption happens post-commit,
     // modelling bit rot / a torn device write
-    ASSERT_TRUE(trace::writeTrace(t, path));
-    trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out))
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
+    EXPECT_FALSE(trace::MappedTrace::open(path))
         << "corrupted spill must be rejected, not replayed";
     EXPECT_GE(counterValue("faults_injected"), 1u);
     std::remove(path.c_str());
@@ -285,10 +285,10 @@ TEST(FaultSpill, ProbabilityZeroNeverFires)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_p0.stmt";
     trace::Trace t = smallTrace(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
-    trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out));
-    EXPECT_EQ(out.size(), t.size());
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
+    auto out = trace::MappedTrace::open(path);
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->totalRefs(), t.size());
     std::remove(path.c_str());
 }
 
@@ -299,8 +299,7 @@ TEST(FaultSpill, InactivePlanLeavesSpillsAlone)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_off.stmt";
     trace::Trace t = smallTrace(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
-    trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
+    EXPECT_TRUE(trace::MappedTrace::open(path));
     std::remove(path.c_str());
 }

@@ -59,12 +59,13 @@ TEST_P(SuiteSystem, TimingSpeedupWithinSaneBounds)
     auto w = workloads::findWorkload(GetParam())->make();
     auto p = tinyParams(4, 4000);
     auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     sim::TimingConfig tc;
     tc.sys.ncpu = p.ncpu;
-    auto rb = sim::runTiming(streams, tc, 1);
+    auto rb = sim::runTiming(set, tc, 1);
     std::unique_ptr<driver::PrefetcherDeployment> dep;
-    auto rs = sim::runTiming(streams, tc, 1,
+    auto rs = sim::runTiming(set, tc, 1,
                              driver::registryAttach("sms", dep));
 
     double speedup = rs.uipc() / rb.uipc();
@@ -148,6 +149,7 @@ TEST(Integration, HigherMemLatencyNeverSpeedsThingsUp)
     auto w = workloads::findWorkload("Qry2")->make();
     auto p = tinyParams(2, 4000);
     auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     sim::TimingConfig fast;
     fast.sys.ncpu = 2;
@@ -155,8 +157,8 @@ TEST(Integration, HigherMemLatencyNeverSpeedsThingsUp)
     sim::TimingConfig slow = fast;
     slow.core.memLatency = 480;
 
-    auto rf = sim::runTiming(streams, fast, 1);
-    auto rs = sim::runTiming(streams, slow, 1);
+    auto rf = sim::runTiming(set, fast, 1);
+    auto rs = sim::runTiming(set, slow, 1);
     EXPECT_LE(rf.cycles, rs.cycles);
 }
 
@@ -165,6 +167,7 @@ TEST(Integration, WiderCoreNeverSlower)
     auto w = workloads::findWorkload("ocean")->make();
     auto p = tinyParams(2, 4000);
     auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     sim::TimingConfig narrow;
     narrow.sys.ncpu = 2;
@@ -172,8 +175,8 @@ TEST(Integration, WiderCoreNeverSlower)
     sim::TimingConfig wide = narrow;
     wide.core.width = 8;
 
-    auto rn = sim::runTiming(streams, narrow, 1);
-    auto rw = sim::runTiming(streams, wide, 1);
+    auto rn = sim::runTiming(set, narrow, 1);
+    auto rw = sim::runTiming(set, wide, 1);
     EXPECT_GE(rn.cycles, rw.cycles * 0.999);
 }
 

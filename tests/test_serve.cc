@@ -294,9 +294,23 @@ TEST(ServeService, RejectsUnparsableSpec)
     ExperimentService::Config cfg;
     cfg.fleet = 1;
     ExperimentService svc(cfg);
-    const auto out = svc.submit({"no-such-key=1"});
-    EXPECT_EQ(out.status, ExperimentService::Outcome::Status::Error);
-    EXPECT_FALSE(out.reason.empty());
+    for (const auto &tokens : std::vector<std::vector<std::string>>{
+             {"no-such-key=1"},
+             // engine option values are checked before admission
+             {"prefetchers=sms", "opt.index=bogus"}}) {
+        const auto out = svc.submit(tokens);
+        EXPECT_EQ(out.status, ExperimentService::Outcome::Status::Error);
+        EXPECT_FALSE(out.reason.empty());
+    }
+}
+
+TEST(ServeCli, BadNumbersExitTwoBeforeListening)
+{
+    const std::string listen = "unix:" + tempPath("never.sock");
+    EXPECT_EQ(cmdServe({"listen=" + listen, "fleet=4x"}), 2);
+    EXPECT_EQ(cmdServe({"listen=" + listen, "max-active=-1"}), 2);
+    EXPECT_EQ(cmdServe({"listen=" + listen, "max-active=0"}), 2);
+    EXPECT_FALSE(std::filesystem::exists(listen.substr(5)));
 }
 
 // ---------------------------------------------------------------------

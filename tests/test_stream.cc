@@ -2,9 +2,8 @@
  * @file
  * Streaming trace pipeline tests: v4 mapped spills vs materialised
  * replay must be bit-identical through every consumer (system study,
- * L1 study, timing model, every registry engine), the STEMS_NO_MMAP
- * kill-switch must force the stdio fallback, truncated or corrupt
- * spills must be rejected before any view is handed out, and the
+ * L1 study, timing model, every registry engine), truncated or
+ * corrupt spills must be rejected before any view is handed out, and the
  * runner's look-ahead warmer must never change a report byte — across
  * thread counts and across the dispatch wire.
  */
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -118,7 +116,8 @@ TEST(StreamIo, InterleavedViewOverMappedMatchesVectors)
     ASSERT_NE(m, nullptr);
 
     const uint64_t seed = 5;
-    trace::InterleavedView a = trace::canonicalView(streams, seed);
+    trace::InterleavedView a =
+        trace::canonicalView(trace::StreamSet::borrowed(streams), seed);
     trace::InterleavedView b =
         trace::canonicalView(trace::StreamSet::mapped(m), seed);
     ASSERT_EQ(a.size(), b.size());
@@ -174,7 +173,7 @@ TEST(StreamEquivalence, SystemStudyEveryEngineMappedVsVectors)
 
         std::unique_ptr<PrefetcherDeployment> d1, d2;
         auto live = study::runSystem(
-            streams, scfg, 7, registryAttach(engine, d1, {}));
+            trace::StreamSet::borrowed(streams), scfg, 7, registryAttach(engine, d1, {}));
         auto view = study::runSystem(
             mapped, scfg, 7, registryAttach(engine, d2, {}));
 
@@ -207,7 +206,8 @@ TEST(StreamEquivalence, TimingEveryEngineMappedVsVectors)
 
         std::unique_ptr<PrefetcherDeployment> d1, d2;
         auto live =
-            sim::runTiming(streams, tc, 3, registryAttach(engine, d1, {}));
+            sim::runTiming(trace::StreamSet::borrowed(streams), tc, 3,
+                           registryAttach(engine, d1, {}));
         auto view =
             sim::runTiming(mapped, tc, 3, registryAttach(engine, d2, {}));
 
@@ -255,76 +255,6 @@ TEST(StreamEquivalence, L1StudyMappedVsMergedTrace)
 }
 
 // ---------------------------------------------------------------------
-// kill-switch + stdio fallback
-// ---------------------------------------------------------------------
-
-TEST(StreamKillSwitch, NoMmapForcesStdioFallbackWithSameResults)
-{
-    const std::string dir = tempDir("nommap");
-    const std::string file = dir + "/t.stmt";
-    auto streams = makeStreams("sparse", 2, 1500, 23);
-    ASSERT_TRUE(trace::writeTraceStreams(streams, file));
-
-    ASSERT_EQ(::setenv("STEMS_NO_MMAP", "1", 1), 0);
-    EXPECT_TRUE(trace::mmapDisabled());
-    // the mapped path refuses outright...
-    EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    // ...and the stdio reader still replays the same records
-    std::vector<trace::Trace> sections;
-    ASSERT_TRUE(trace::readTraceStreams(file, sections));
-    ::unsetenv("STEMS_NO_MMAP");
-    EXPECT_FALSE(trace::mmapDisabled());
-
-    auto mapped = trace::MappedTrace::open(file);
-    ASSERT_NE(mapped, nullptr);
-    ASSERT_EQ(sections.size(), mapped->numStreams());
-    for (size_t s = 0; s < sections.size(); ++s) {
-        ASSERT_EQ(sections[s].size(), mapped->streamCount(s));
-        for (size_t i = 0; i < sections[s].size(); ++i)
-            ASSERT_TRUE(sameAccess(sections[s][i],
-                                   mapped->streamData(s)[i]));
-    }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(StreamKillSwitch, TraceCacheReplayFallsBackUnderNoMmap)
-{
-    const std::string dir = tempDir("cachenommap");
-    workloads::WorkloadParams p;
-    p.ncpu = 2;
-    p.refsPerCpu = 1500;
-    p.seed = 3;
-
-    study::TraceCache writer;
-    writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
-
-    // replay with mapping disabled: the set must be vector-backed and
-    // replay the exact same interleaved reference sequence
-    ASSERT_EQ(::setenv("STEMS_NO_MMAP", "1", 1), 0);
-    {
-        study::TraceCache reader;
-        reader.setSpillDir(dir);
-        const trace::StreamSet &set = reader.viewSet("graph", p);
-        EXPECT_FALSE(set.isMapped());
-        EXPECT_TRUE(live ==
-                    trace::canonicalInterleaver(p.seed)
-                        .merge(set.materialize()));
-    }
-    ::unsetenv("STEMS_NO_MMAP");
-
-    // and with mapping enabled the same spill replays zero-copy
-    study::TraceCache reader;
-    reader.setSpillDir(dir);
-    const trace::StreamSet &set = reader.viewSet("graph", p);
-    EXPECT_TRUE(set.isMapped());
-    EXPECT_TRUE(live ==
-                trace::canonicalInterleaver(p.seed)
-                    .merge(set.materialize()));
-    std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
 // truncation / corruption safety
 // ---------------------------------------------------------------------
 
@@ -339,13 +269,10 @@ TEST(StreamSafety, TruncatedPayloadRejectedBeforeAnyView)
     // mid-file truncation: drop the tail half (not even record-aligned)
     std::filesystem::resize_file(file, full / 2 + 13);
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    std::vector<trace::Trace> sections;
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
 
     // shorter than the fixed header prefix
     std::filesystem::resize_file(file, trace::kTraceHeaderBytes / 2);
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
     std::filesystem::remove_all(dir);
 }
 
@@ -368,8 +295,6 @@ TEST(StreamSafety, FlippedPayloadByteRejectedByChecksum)
         f.put(static_cast<char>(c ^ 0x40));
     }
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    std::vector<trace::Trace> sections;
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
     std::filesystem::remove_all(dir);
 }
 
@@ -383,7 +308,8 @@ TEST(StreamSafety, TraceCacheRegeneratesOverTruncatedSpill)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
+    const trace::Trace live = trace::canonicalInterleaver(p.seed).merge(
+        writer.viewSet("graph", p).materialize());
 
     std::string file;
     for (const auto &e : std::filesystem::directory_iterator(dir))

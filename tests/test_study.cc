@@ -290,10 +290,10 @@ TEST(Suite, TraceCacheReturnsSameObject)
     workloads::WorkloadParams p;
     p.ncpu = 2;
     p.refsPerCpu = 2000;
-    const trace::Trace &a = cache.get("sparse", p);
-    const trace::Trace &b = cache.get("sparse", p);
+    const trace::StreamSet &a = cache.viewSet("sparse", p);
+    const trace::StreamSet &b = cache.viewSet("sparse", p);
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(a.size(), 4000u);
+    EXPECT_EQ(a.totalRefs(), 4000u);
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +352,7 @@ TEST(SystemStudy, StreamViewMatchesMergedTraceByteForByte)
         auto viaTrace = runSystem(merged, cfg);
         std::unique_ptr<core::SmsController> sms;
         auto viaView = runSystem(
-            streams, cfg, p.seed,
+            trace::StreamSet::borrowed(streams), cfg, p.seed,
             [&](mem::MemorySystem &sys) -> AttachedPrefetcher * {
                 sms = std::make_unique<core::SmsController>(sys,
                                                             cfg.sms);

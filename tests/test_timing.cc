@@ -15,6 +15,7 @@ namespace {
 // attach engines through the production seam (driver::registryAttach),
 // exactly as CellExecutor::timingRun wires timing cells
 using driver::registryAttach;
+using trace::StreamSet;
 
 TimingConfig
 smallConfig(uint32_t ncpu = 2)
@@ -83,7 +84,8 @@ TEST(Torus, HopsAndWraparound)
 TEST(Timing, IpcApproachesWidthOnHotLoop)
 {
     TimingConfig cfg = smallConfig(1);
-    auto r = runTiming(hotLoopStreams(1, 20000), cfg);
+    auto r = runTiming(StreamSet::borrowed(hotLoopStreams(1, 20000)),
+                       cfg);
     double ipc = r.uipc();
     // 8 instructions per ref (ninst 7 + 1), all L1 hits after warmup:
     // the core should sustain near its width
@@ -94,8 +96,10 @@ TEST(Timing, IpcApproachesWidthOnHotLoop)
 TEST(Timing, DependentChasesMuchSlowerThanIndependent)
 {
     TimingConfig cfg = smallConfig(1);
-    auto dep = runTiming(chaseStreams(1, 4000, true), cfg);
-    auto ind = runTiming(chaseStreams(1, 4000, false), cfg);
+    auto dep =
+        runTiming(StreamSet::borrowed(chaseStreams(1, 4000, true)), cfg);
+    auto ind =
+        runTiming(StreamSet::borrowed(chaseStreams(1, 4000, false)), cfg);
     // independent misses overlap in the ROB window; dependent ones
     // serialize (the paper's OLTP-vs-scientific MLP story)
     EXPECT_GT(dep.cycles, ind.cycles * 2);
@@ -104,7 +108,8 @@ TEST(Timing, DependentChasesMuchSlowerThanIndependent)
 TEST(Timing, OffChipStallsDominateMissStreams)
 {
     TimingConfig cfg = smallConfig(1);
-    auto r = runTiming(chaseStreams(1, 4000, true), cfg);
+    auto r =
+        runTiming(StreamSet::borrowed(chaseStreams(1, 4000, true)), cfg);
     EXPECT_GT(r.breakdown.offChipRead,
               0.5 * (r.breakdown.userBusy + r.breakdown.systemBusy));
 }
@@ -122,7 +127,7 @@ TEST(Timing, StoreBufferStallsOnStoreMissFlood)
         a.isWrite = true;
         s[0].push_back(a);
     }
-    auto r = runTiming(s, cfg);
+    auto r = runTiming(StreamSet::borrowed(s), cfg);
     EXPECT_GT(r.breakdown.storeBuffer, 0.0);
     EXPECT_GT(r.breakdown.storeBuffer, r.breakdown.offChipRead);
 }
@@ -133,7 +138,7 @@ TEST(Timing, KernelWorkLandsInSystemBusy)
     auto streams = hotLoopStreams(1, 5000);
     for (size_t i = 0; i < streams[0].size(); i += 2)
         streams[0][i].isKernel = true;
-    auto r = runTiming(streams, cfg);
+    auto r = runTiming(StreamSet::borrowed(streams), cfg);
     EXPECT_GT(r.breakdown.systemBusy, 0.0);
     EXPECT_NEAR(r.breakdown.systemBusy / r.breakdown.userBusy, 1.0, 0.1);
     EXPECT_GT(r.systemInstructions, 0u);
@@ -160,9 +165,10 @@ TEST(Timing, SmsSpeedsUpPatternedMissStream)
     };
 
     TimingConfig base = smallConfig(1);
-    auto rb = runTiming(make(8000), base);
+    auto rb = runTiming(StreamSet::borrowed(make(8000)), base);
     std::unique_ptr<driver::PrefetcherDeployment> dep;
-    auto rs = runTiming(make(8000), base, 1, registryAttach("sms", dep));
+    auto rs = runTiming(StreamSet::borrowed(make(8000)), base, 1,
+                        registryAttach("sms", dep));
 
     double speedup = rs.uipc() / rb.uipc();
     EXPECT_GT(speedup, 1.15) << "SMS must hide off-chip read latency";
@@ -172,7 +178,8 @@ TEST(Timing, SmsSpeedsUpPatternedMissStream)
 TEST(Timing, BreakdownRoughlyAccountsForCycles)
 {
     TimingConfig cfg = smallConfig(2);
-    auto r = runTiming(hotLoopStreams(2, 10000), cfg);
+    auto r = runTiming(StreamSet::borrowed(hotLoopStreams(2, 10000)),
+                       cfg);
     // summed per-cpu breakdown ~ ncpu * elapsed (hot loop: no skew)
     EXPECT_NEAR(r.breakdown.total(), 2.0 * r.cycles,
                 0.25 * 2.0 * r.cycles);
@@ -181,8 +188,10 @@ TEST(Timing, BreakdownRoughlyAccountsForCycles)
 TEST(Timing, DeterministicAcrossRuns)
 {
     TimingConfig cfg = smallConfig(2);
-    auto a = runTiming(chaseStreams(2, 2000, true), cfg, 5);
-    auto b = runTiming(chaseStreams(2, 2000, true), cfg, 5);
+    auto a = runTiming(StreamSet::borrowed(chaseStreams(2, 2000, true)),
+                       cfg, 5);
+    auto b = runTiming(StreamSet::borrowed(chaseStreams(2, 2000, true)),
+                       cfg, 5);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.userInstructions, b.userInstructions);
 }
@@ -408,8 +417,8 @@ TEST(Timing, ZeroCopyPathMatchesReferenceImplementation)
             TimingConfig cfg = smallConfig(p.ncpu);
             auto ref = referenceRunTiming(streams, cfg, p.seed, useSms);
             std::unique_ptr<driver::PrefetcherDeployment> dep;
-            auto got = runTiming(streams, cfg, p.seed,
-                                 useSms ? registryAttach("sms", dep)
+            auto got = runTiming(StreamSet::borrowed(streams), cfg,
+                                 p.seed, useSms ? registryAttach("sms", dep)
                                         : prefetch::PfAttach{});
             expectBitIdentical(ref, got);
             EXPECT_GT(got.cycles, 0.0);
@@ -435,7 +444,7 @@ TEST(Timing, GenericSeamBitIdenticalToPrivilegedSmsPath)
     {
         std::unique_ptr<driver::PrefetcherDeployment> dep;
         auto ref = referenceRunTiming(streams, cfg, p.seed, true);
-        auto got = runTiming(streams, cfg, p.seed,
+        auto got = runTiming(StreamSet::borrowed(streams), cfg, p.seed,
                              registryAttach("sms", dep));
         expectBitIdentical(ref, got);
     }
@@ -449,7 +458,7 @@ TEST(Timing, GenericSeamBitIdenticalToPrivilegedSmsPath)
         std::unique_ptr<driver::PrefetcherDeployment> dep;
         auto ref =
             referenceRunTiming(streams, cfg, p.seed, true, smsCfg);
-        auto got = runTiming(streams, cfg, p.seed,
+        auto got = runTiming(StreamSet::borrowed(streams), cfg, p.seed,
                              registryAttach("sms", dep, opts));
         expectBitIdentical(ref, got);
     }
@@ -466,14 +475,14 @@ TEST(Timing, RegistryEnginesProduceDeterministicUipc)
     auto w = stems::workloads::findWorkload("sparse")->make();
     auto streams = w->generateStreams(p);
     TimingConfig cfg = smallConfig(p.ncpu);
-    auto base = runTiming(streams, cfg, p.seed);
+    auto base = runTiming(StreamSet::borrowed(streams), cfg, p.seed);
     ASSERT_GT(base.uipc(), 0.0);
 
     for (const char *kind : {"ghb", "stride", "next-line"}) {
         std::unique_ptr<driver::PrefetcherDeployment> dep1, dep2;
-        auto a = runTiming(streams, cfg, p.seed,
+        auto a = runTiming(StreamSet::borrowed(streams), cfg, p.seed,
                            registryAttach(kind, dep1));
-        auto b = runTiming(streams, cfg, p.seed,
+        auto b = runTiming(StreamSet::borrowed(streams), cfg, p.seed,
                            registryAttach(kind, dep2));
         expectBitIdentical(a, b);
         EXPECT_GT(a.uipc(), 0.0) << kind;

@@ -9,6 +9,7 @@
 #include "trace/interleaver.hh"
 #include "trace/io.hh"
 #include "trace/stats.hh"
+#include "trace/stream.hh"
 
 using namespace stems::trace;
 
@@ -130,6 +131,37 @@ TEST(TraceStats, CountsEverything)
     EXPECT_NEAR(s.writeFraction(), 2.0 / 3.0, 1e-9);
 }
 
+namespace {
+
+/**
+ * Write @p t as the stream-t[0].cpu section of a spill, so the cpu
+ * stamps the spill writer rewrites to the stream index round-trip.
+ */
+bool
+writeOne(const Trace &t, const std::string &path, uint64_t hash = 0)
+{
+    const uint32_t cpu = t.empty() ? 0 : t[0].cpu;
+    std::vector<Trace> streams(cpu + 1);
+    streams[cpu] = t;
+    return writeTraceStreams(streams, path, hash);
+}
+
+/** Read a spill back through MappedTrace, sections concatenated. */
+bool
+readBack(const std::string &path, Trace &out, uint64_t hash = 0)
+{
+    auto m = MappedTrace::open(path, hash);
+    if (!m)
+        return false;
+    out.clear();
+    for (size_t s = 0; s < m->numStreams(); ++s)
+        out.insert(out.end(), m->streamData(s),
+                   m->streamData(s) + m->streamCount(s));
+    return true;
+}
+
+} // namespace
+
 TEST(TraceIo, RoundTrip)
 {
     Trace t = streamOf(3, 250, 0x1000);
@@ -138,9 +170,9 @@ TEST(TraceIo, RoundTrip)
     t[11].dep = 4;
 
     std::string path = ::testing::TempDir() + "/stems_trace_test.bin";
-    ASSERT_TRUE(writeTrace(t, path));
+    ASSERT_TRUE(writeOne(t, path));
     Trace back;
-    ASSERT_TRUE(readTrace(path, back));
+    ASSERT_TRUE(readBack(path, back));
     ASSERT_EQ(back.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i)
         EXPECT_TRUE(t[i] == back[i]) << "record " << i;
@@ -150,7 +182,7 @@ TEST(TraceIo, RoundTrip)
 TEST(TraceIo, RejectsMissingFile)
 {
     Trace out;
-    EXPECT_FALSE(readTrace("/nonexistent/definitely/not.bin", out));
+    EXPECT_FALSE(readBack("/nonexistent/definitely/not.bin", out));
 }
 
 TEST(TraceIo, RejectsCorruptMagic)
@@ -161,20 +193,19 @@ TEST(TraceIo, RejectsCorruptMagic)
     std::fwrite("NOPE", 1, 4, f);
     std::fclose(f);
     Trace out;
-    EXPECT_FALSE(readTrace(path, out));
+    EXPECT_FALSE(readBack(path, out));
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsTruncatedRecords)
 {
-    // the mmap read path must apply the same count-vs-size validation
-    // as the buffered one: chop the last record short and the file is
-    // rejected whole
+    // the mapped reader validates count against file size: chop the
+    // last record short and the file is rejected whole
     Trace t = streamOf(1, 50, 0x9000);
     std::string path = ::testing::TempDir() + "/stems_truncated.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0x5eed));
+    ASSERT_TRUE(writeOne(t, path, 0x5eed));
     Trace ok;
-    ASSERT_TRUE(readTrace(path, ok, 0x5eed));
+    ASSERT_TRUE(readBack(path, ok, 0x5eed));
     ASSERT_EQ(ok.size(), t.size());
 
     FILE *f = std::fopen(path.c_str(), "rb");
@@ -185,7 +216,7 @@ TEST(TraceIo, RejectsTruncatedRecords)
     ASSERT_EQ(::truncate(path.c_str(), full - 5), 0);
 
     Trace out;
-    EXPECT_FALSE(readTrace(path, out));
+    EXPECT_FALSE(readBack(path, out));
     std::remove(path.c_str());
 }
 
@@ -197,9 +228,9 @@ TEST(TraceIo, RejectsFlippedPayloadByteViaChecksum)
     // right magic, version, hash and count
     Trace t = streamOf(1, 80, 0x4000);
     std::string path = ::testing::TempDir() + "/stems_bitflip.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0x5eed));
+    ASSERT_TRUE(writeOne(t, path, 0x5eed));
     Trace ok;
-    ASSERT_TRUE(readTrace(path, ok, 0x5eed));
+    ASSERT_TRUE(readBack(path, ok, 0x5eed));
 
     FILE *f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -215,7 +246,7 @@ TEST(TraceIo, RejectsFlippedPayloadByteViaChecksum)
     std::fclose(f);
 
     Trace out;
-    EXPECT_FALSE(readTrace(path, out, 0x5eed));
+    EXPECT_FALSE(readBack(path, out, 0x5eed));
     std::remove(path.c_str());
 }
 
@@ -240,11 +271,11 @@ TEST(TraceIo, RejectsWrongGeneratorHashViaMappedPath)
 {
     Trace t = streamOf(2, 40, 0x2000);
     std::string path = ::testing::TempDir() + "/stems_hash_check.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0xAB));
+    ASSERT_TRUE(writeOne(t, path, 0xAB));
     Trace out;
-    EXPECT_FALSE(readTrace(path, out, 0xCD));  // wrong hash
-    EXPECT_TRUE(readTrace(path, out, 0xAB));   // right hash
-    EXPECT_TRUE(readTrace(path, out));         // hash check disabled
+    EXPECT_FALSE(readBack(path, out, 0xCD));  // wrong hash
+    EXPECT_TRUE(readBack(path, out, 0xAB));   // right hash
+    EXPECT_TRUE(readBack(path, out));         // hash check disabled
     ASSERT_EQ(out.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i)
         EXPECT_TRUE(t[i] == out[i]) << "record " << i;
@@ -255,9 +286,9 @@ TEST(TraceIo, EmptyTraceRoundTripsThroughMappedPath)
 {
     Trace t;
     std::string path = ::testing::TempDir() + "/stems_empty.bin";
-    ASSERT_TRUE(writeTrace(t, path));
+    ASSERT_TRUE(writeOne(t, path));
     Trace out = streamOf(1, 5, 0x100);  // must be cleared by read
-    ASSERT_TRUE(readTrace(path, out));
+    ASSERT_TRUE(readBack(path, out));
     EXPECT_TRUE(out.empty());
     std::remove(path.c_str());
 }
@@ -300,7 +331,8 @@ TEST(InterleavedView, MatchesMergeExactly)
             for (uint64_t seed : {1ULL, 42ULL, 990ULL}) {
                 Interleaver il(lo, hi, seed);
                 Trace merged = il.merge(streams);
-                Trace viewed = drain(il.view(streams));
+                Trace viewed = drain(InterleavedView(
+                    StreamSet::borrowed(streams).views(), lo, hi, seed));
                 ASSERT_EQ(merged.size(), viewed.size());
                 for (size_t i = 0; i < merged.size(); ++i)
                     ASSERT_TRUE(merged[i] == viewed[i])
@@ -315,7 +347,7 @@ TEST(InterleavedView, ResetRestartsTheSchedule)
 {
     std::vector<Trace> streams{streamOf(0, 120, 0),
                                streamOf(1, 80, 1 << 20)};
-    InterleavedView v(streams, 1, 8, 5);
+    InterleavedView v(StreamSet::borrowed(streams).views(), 1, 8, 5);
     Trace first;
     MemAccess a;
     while (v.next(a))
@@ -335,7 +367,7 @@ TEST(InterleavedView, SizeCountsAllStreams)
 {
     std::vector<Trace> streams{streamOf(0, 11, 0), Trace{},
                                streamOf(2, 31, 1 << 20)};
-    InterleavedView v(streams, 1, 4, 9);
+    InterleavedView v(StreamSet::borrowed(streams).views(), 1, 4, 9);
     EXPECT_EQ(v.size(), 42u);
     EXPECT_EQ(v.numStreams(), 3u);
 }
