@@ -58,6 +58,6 @@ main()
     std::printf("\nOLTP misses interleave many spatial regions; SMS "
                 "tracks each region's\ngeneration independently in the "
                 "AGT, which is why it beats delta\ncorrelation here "
-                "(see fig11_ghb_vs_sms).\n");
+                "(see stems figure fig11_ghb_vs_sms).\n");
     return 0;
 }

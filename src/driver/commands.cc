@@ -6,6 +6,7 @@
 
 #include "dispatch/worker.hh"
 #include "driver/analyze.hh"
+#include "driver/figures.hh"
 #include "driver/metrics.hh"
 #include "driver/registry.hh"
 #include "driver/spec.hh"
@@ -28,6 +29,8 @@ helpText()
         "stems — Spatial Memory Streaming experiment engine\n\n"
         "  stems run [key=value ...]      run a workload x prefetcher x\n"
         "                                 parameter matrix\n"
+        "  stems figure NAME [key=value ...]\n"
+        "                                 render a figure (names: list)\n"
         "  stems submit server=ADDR ...   run a spec on a stems serve\n"
         "                                 daemon (same report bytes)\n"
         "  stems serve listen=ADDR ...    persistent experiment service\n"
@@ -39,7 +42,8 @@ helpText()
         "  stems merge [json=OUT] A B ... merge run reports by cell id\n"
         "  stems worker ...               serve dispatched cells\n"
         "  stems list                     workloads, prefetcher options,\n"
-        "                                 cell axes, metric families\n"
+        "                                 cell axes, metric families,\n"
+        "                                 figures\n"
         "  stems help                     this text\n\n"
         "run keys (key=value in any order; --key=value and a bare "
         "--flag work too;\nconfig=FILE splices a file of key=value "
@@ -83,6 +87,14 @@ listText()
         std::snprintf(line, sizeof(line), "  %-26s %-9s %s\n",
                       f.name.c_str(), metricKindName(f.kind),
                       f.help.c_str());
+        out += line;
+    }
+
+    out += "figures (stems figure NAME [run keys]):\n";
+    for (const auto &f : figures()) {
+        char line[256];
+        std::snprintf(line, sizeof(line), "  %-18s %s\n", f.name.c_str(),
+                      f.title.c_str());
         out += line;
     }
     return out;

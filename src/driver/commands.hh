@@ -20,7 +20,7 @@ namespace stems::driver {
 /** `stems help`: the commands and every command's key table. */
 std::string helpText();
 
-/** `stems list`: workloads, engine options, cell axes, metrics. */
+/** `stems list`: workloads, engine options, cell axes, metrics, figures. */
 std::string listText();
 
 struct TraceArgs

@@ -1,5 +1,7 @@
 #include "driver/report.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -8,6 +10,7 @@
 #include <stdexcept>
 
 #include "driver/metrics.hh"
+#include "study/stats.hh"
 #include "study/table.hh"
 #include "workloads/workload.hh"
 
@@ -255,18 +258,12 @@ aggregateGroups(const std::vector<CellResult> &results)
         if (!r.error.empty())
             continue;
         const std::string cls = workloadClass(r.cell.workload);
-        std::string sweep;
-        for (const auto &[k, v] : r.cell.sweepPoint)
-            sweep += k + "=" + v + ";";
         GroupResult *row = nullptr;
         for (auto &g : groups) {
-            std::string gsweep;
-            for (const auto &[k, v] : g.sweepPoint)
-                gsweep += k + "=" + v + ";";
             if (g.group == cls &&
                 g.engine.displayLabel() ==
                     r.cell.engine.displayLabel() &&
-                gsweep == sweep) {
+                g.sweepPoint == r.cell.sweepPoint) {
                 row = &g;
                 break;
             }
@@ -506,6 +503,148 @@ toTable(const ExperimentSpec &spec,
     os << out << '\n';
     table.print(os);
     return os.str();
+}
+
+namespace {
+
+/** A PivotColumn resolved against the schema; one per bucket. */
+struct PivotCol
+{
+    const PivotColumn &col;
+    const MetricFamily &family;
+    size_t bucket;
+};
+
+std::vector<PivotCol>
+resolveColumns(const std::vector<PivotColumn> &columns)
+{
+    std::vector<PivotCol> out;
+    for (const auto &c : columns) {
+        const MetricFamily *f = MetricSchema::builtin().find(c.metric);
+        if (!f)
+            throw std::invalid_argument("pivot: unknown metric " + c.metric);
+        for (size_t b = 0; b < std::max<size_t>(1, f->buckets.size()); ++b)
+            out.push_back({c, *f, b});
+    }
+    return out;
+}
+
+/** The column's value in @p m; NaN when there is none. */
+double
+pivotValue(const PivotCol &c, const MetricSet *m)
+{
+    if (!m)
+        return std::nan("");
+    if (c.family.kind == MetricKind::Counter)
+        return double(m->u64(c.family.id));
+    if (c.family.kind != MetricKind::Histogram)
+        return m->value(c.family.id);
+    const auto &hist = m->vec(c.family.id);
+    uint64_t total = 0;
+    for (auto v : hist)
+        total += v;
+    return total && c.bucket < hist.size() ? double(hist[c.bucket]) / total
+                                           : std::nan("");
+}
+
+std::string
+pivotText(const PivotCol &c, double v)
+{
+    if (std::isnan(v))
+        return "-";
+    if (c.family.kind == MetricKind::Counter)
+        return std::to_string(uint64_t(v));
+    return c.col.digits < 0 ? study::TablePrinter::pct(v)
+                            : study::TablePrinter::fixed(v, c.col.digits);
+}
+
+} // anonymous namespace
+
+std::string
+toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
+{
+    // every source row's coordinates, indexed by PivotDim
+    using Coords = std::array<std::string, 5>;
+    std::vector<std::pair<Coords, const MetricSet *>> entries;
+    auto add = [&entries](std::string group, std::string workload,
+                          const EngineConfig &e, const Options &point,
+                          const MetricSet &m) {
+        std::string sweep;
+        for (const auto &[k, v] : point)
+            sweep += (sweep.empty() ? "" : ",") + v;
+        entries.push_back({{"", group, workload, e.displayLabel(), sweep}, &m});
+    };
+    const std::vector<GroupResult> folds =
+        pivot.groups ? aggregateGroups(results) : std::vector<GroupResult>{};
+    for (const auto &g : folds)
+        add(g.group, "", g.engine, g.sweepPoint, g.metrics);
+    for (const auto &r : results)
+        if (!pivot.groups && r.error.empty())
+            add(workloadClass(r.cell.workload), r.cell.workload,
+                r.cell.engine, r.cell.sweepPoint, r.metrics);
+
+    using Row = std::vector<std::string>;
+    auto rowOf = [&pivot](const Coords &c) {
+        Row row;
+        for (const auto &[dim, header] : pivot.rows)
+            row.push_back(c[size_t(dim)]);
+        return row;
+    };
+    const std::vector<PivotCol> cols = resolveColumns(pivot.columns);
+    Row headers;
+    for (const auto &[dim, header] : pivot.rows)
+        headers.push_back(header);
+    for (const auto &c : cols)
+        headers.push_back(c.family.kind == MetricKind::Histogram
+                              ? c.family.buckets[c.bucket]
+                              : c.col.header);
+    study::TablePrinter table(headers);
+    std::vector<Row> seen;
+    for (const auto &[coords, m] : entries) {
+        const Row key = rowOf(coords);
+        if (std::find(seen.begin(), seen.end(), key) != seen.end())
+            continue;
+        seen.push_back(key);
+        Row row = key;
+        for (const auto &c : cols) {
+            // the first entry on this row whose column coordinate matches
+            const MetricSet *hit = nullptr;
+            for (const auto &[other, om] : entries)
+                if (!hit && rowOf(other) == key &&
+                    other[size_t(pivot.by)] == c.col.key)
+                    hit = om;
+            row.push_back(pivotText(c, pivotValue(c, hit)));
+        }
+        table.addRow(row);
+    }
+
+    const PivotSummary &sum = pivot.summary;
+    Row summary(pivot.rows.size());
+    std::string line;
+    for (const auto &c : resolveColumns(sum.columns)) {
+        std::vector<double> values;
+        for (const auto &[coords, m] : entries)
+            if (coords[size_t(PivotDim::Engine)] == c.col.key &&
+                !(sum.commercial &&
+                  coords[size_t(PivotDim::Group)] == "Scientific"))
+                values.push_back(pivotValue(c, m));
+        summary.push_back(pivotText(
+            c, values.empty() ? std::nan("")
+                : sum.geomean ? study::geomean(values)
+                              : study::mean(values)));
+        line += (line.empty() ? "\n" + sum.label + ": " : " vs ") +
+            c.col.header + " " + summary.back();
+    }
+    if (!sum.label.empty() && !sum.line) {
+        summary[0] = sum.label;
+        table.addRow(summary);
+    }
+
+    std::ostringstream os;
+    if (!pivot.title.empty())
+        os << '\n' << pivot.title << '\n';
+    table.print(os);
+    return os.str() + (sum.line ? line : "");
 }
 
 void

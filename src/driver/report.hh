@@ -63,12 +63,56 @@ struct GroupResult
  * Fold @p results into per-group aggregate rows, keyed by (workload
  * class, engine display label, sweep point) in first-appearance
  * order. Since results are workload-major in suite order, the fold
- * order per row matches iterating study::workloadsInGroup() — the
- * hand-rolled folding the fig benches used to do. Error cells are
- * skipped.
+ * order per row matches iterating study::workloadsInGroup(). Error
+ * cells are skipped.
  */
 std::vector<GroupResult>
 aggregateGroups(const std::vector<CellResult> &results);
+
+/** A cell's (or group fold's) coordinate that keys a pivot. */
+enum class PivotDim { None, Group, Workload, Engine, Sweep };
+
+/**
+ * A metric family read from the entry whose PivotSpec::by coordinate
+ * is @c key: counters print as integers, a histogram as one share-of-
+ * total column per bucket, the rest as a percentage or with @c digits
+ * decimals; no value prints "-".
+ */
+struct PivotColumn
+{
+    std::string header, key, metric;
+    int digits = -1;  //!< -1 = percentage
+};
+
+/**
+ * Each column's mean (or geomean) over the entries whose engine label
+ * is its @c key: a table row named @c label, or with @c line a
+ * sentence after the table ("label: HEADER v vs HEADER v").
+ */
+struct PivotSummary
+{
+    std::string label;  //!< "" = none
+    std::vector<PivotColumn> columns;
+    bool geomean = false, commercial = false, line = false;
+};
+
+/**
+ * Cells (or aggregateGroups() folds) pivoted: one row per distinct
+ * @c rows coordinate tuple, in first-appearance order.
+ */
+struct PivotSpec
+{
+    std::string title{};  //!< heading line above the table ("" = none)
+    bool groups = false;
+    std::vector<std::pair<PivotDim, std::string>> rows;  //!< and header
+    PivotDim by = PivotDim::None;
+    std::vector<PivotColumn> columns;
+    PivotSummary summary{};
+};
+
+/** Render @p results through @p pivot; error cells are skipped. */
+std::string toPivot(const PivotSpec &pivot,
+                    const std::vector<CellResult> &results);
 
 /** Full experiment report as a JSON document. */
 std::string toJson(const ExperimentSpec &spec,

@@ -6,6 +6,7 @@
  *                               matrix, emit JSON/CSV/table reports
  *                               (--dispatch=N farms cells to worker
  *                               processes)
+ *   stems figure NAME [...]     render a paper figure or table
  *   stems list                  workloads, prefetcher options, axes
  *   stems trace [key=value ...] record one workload's trace spill
  *   stems merge [json=OUT] A B  merge run reports by cell id
@@ -28,6 +29,7 @@
 #include "driver/analyze.hh"
 #include "driver/commands.hh"
 #include "driver/costmodel.hh"
+#include "driver/figures.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/spec.hh"
@@ -42,12 +44,18 @@ namespace {
 using namespace stems;
 using namespace stems::driver;
 
+/**
+ * `stems run`, or `stems figure` given @p fig: its tokens go before
+ * @p args and the figure, rendered from the run(s), replaces the
+ * default JSON report on stdout.
+ */
 int
-cmdRun(const std::vector<std::string> &args)
+cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
 {
-    ExperimentSpec spec = parseSpec(args);
+    ExperimentSpec spec = fig ? figureSpec(*fig, args) : parseSpec(args);
     // default output: JSON on stdout
-    if (spec.jsonPath.empty() && spec.csvPath.empty() && !spec.table)
+    if (!fig && spec.jsonPath.empty() && spec.csvPath.empty() &&
+        !spec.table)
         spec.jsonPath = "-";
 
     if (!spec.traceOut.empty()) {
@@ -59,7 +67,7 @@ cmdRun(const std::vector<std::string> &args)
     // keep stdout clean for machine-readable output; when the summary
     // table is re-routed to stderr it shares the stream with progress,
     // so the ETA decoration is dropped there to keep it greppable
-    const bool stdoutBusy = spec.jsonPath == "-" ||
+    const bool stdoutBusy = fig || spec.jsonPath == "-" ||
         spec.csvPath == "-" || spec.traceOut == "-" ||
         spec.telemetryOut == "-";
     const bool showEta = !quiet && !(spec.table && stdoutBusy);
@@ -145,8 +153,22 @@ cmdRun(const std::vector<std::string> &args)
     std::vector<dispatch::WorkerStats> workerStats;
     // runSpec is the one execution entry point: fault plan, journal
     // and resume splicing, dispatch-vs-in-process selection
-    std::vector<CellResult> results =
-        dispatch::runSpec(spec, progress, &workerStats);
+    std::vector<CellResult> results;
+    const RunFn run = [&](const ExperimentSpec &s) {
+        results = dispatch::runSpec(s, progress, &workerStats);
+        return results;
+    };
+    int failed = 0;
+    if (!fig) {
+        run(spec);
+    } else {
+        try {
+            std::cout << renderFigure(*fig, spec, run);
+        } catch (const std::runtime_error &e) {
+            std::cerr << "stems figure: " << e.what() << "\n";
+            failed = 1;
+        }
+    }
     const double runWallMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - runStart)
@@ -176,7 +198,6 @@ cmdRun(const std::vector<std::string> &args)
                                                  runWallMs);
     }
 
-    int failed = 0;
     for (const auto &r : results)
         if (!r.error.empty())
             ++failed;
@@ -232,6 +253,10 @@ main(int argc, char **argv)
     try {
         if (cmd == "run")
             return cmdRun(args);
+        if (cmd == "figure") {
+            const Figure &fig = findFigure(args.empty() ? "" : args[0]);
+            return cmdRun({args.begin() + 1, args.end()}, &fig);
+        }
         if (cmd == "list") {
             std::cout << listText();
             return 0;

@@ -62,32 +62,6 @@ struct L1StudyResult
     uint64_t overpredictions = 0;  //!< prefetched blocks dropped unused
     uint64_t peakAccumOccupancy = 0;  //!< max AGT accumulation demand
     uint64_t peakFilterOccupancy = 0; //!< max AGT filter demand
-
-    /** Coverage vs a baseline miss count. */
-    double
-    coverage(uint64_t baseline_misses) const
-    {
-        return baseline_misses
-                   ? double(coveredReads) / double(baseline_misses)
-                   : 0.0;
-    }
-
-    /** Uncovered misses vs baseline (can exceed 1 with pollution). */
-    double
-    uncovered(uint64_t baseline_misses) const
-    {
-        return baseline_misses
-                   ? double(readMisses) / double(baseline_misses)
-                   : 0.0;
-    }
-
-    double
-    overprediction(uint64_t baseline_misses) const
-    {
-        return baseline_misses
-                   ? double(overpredictions) / double(baseline_misses)
-                   : 0.0;
-    }
 };
 
 /** Run one pass of the trace through the shadow-L1 pipeline. */

@@ -71,22 +71,6 @@ struct SystemStudyResult
     std::vector<uint64_t> oracleL2Gens;
     std::array<uint64_t, kDensityBuckets> l1Density{};
     std::array<uint64_t, kDensityBuckets> l2Density{};
-
-    double
-    l1MissesPerKilo() const
-    {
-        return instructions
-                   ? 1000.0 * double(l1ReadMisses) / double(instructions)
-                   : 0.0;
-    }
-
-    double
-    l2MissesPerKilo() const
-    {
-        return instructions
-                   ? 1000.0 * double(l2ReadMisses) / double(instructions)
-                   : 0.0;
-    }
 };
 
 /** Run one trace through a configured system. */

@@ -1,6 +1,5 @@
 #include "study/suite.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -50,16 +49,6 @@ defaultParams(uint64_t refs_per_cpu)
     p.ncpu = 16;
     p.seed = 1;
     p.refsPerCpu = refs_per_cpu;
-    if (const char *env = std::getenv("STEMS_REFS_PER_CPU"))
-        p.refsPerCpu = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("STEMS_SCALE")) {
-        double scale = std::strtod(env, nullptr);
-        if (scale > 0)
-            p.refsPerCpu = static_cast<uint64_t>(
-                static_cast<double>(p.refsPerCpu) * scale);
-    }
-    if (p.refsPerCpu < 1000)
-        p.refsPerCpu = 1000;
     return p;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Suite-level helpers for the benchmark harnesses: scaled default
- * trace lengths (env-tunable), a trace cache so parameter sweeps reuse
+ * Suite-level helpers for the experiment engine: default workload
+ * parameters, a trace cache so parameter sweeps reuse
  * generated workloads, and group aggregation in the paper's four
  * classes.
  */
@@ -21,12 +21,7 @@
 
 namespace stems::study {
 
-/**
- * Default workload parameters for benches. Honours two environment
- * knobs: STEMS_REFS_PER_CPU (absolute) and STEMS_SCALE (multiplier on
- * the default), so `STEMS_SCALE=4 ./fig04_blocksize` quadruples trace
- * length.
- */
+/** The paper's 16 CPUs and seed 1 at @p refs_per_cpu refs per CPU. */
 workloads::WorkloadParams defaultParams(uint64_t refs_per_cpu = 100000);
 
 /**

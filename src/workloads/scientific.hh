@@ -21,8 +21,8 @@ namespace stems::workloads {
 /**
  * em3d sizing (paper: 3M nodes, degree 2, 15% remote). Scaled so the
  * default trace budget covers several iterations — the repetition the
- * paper's billions-of-instructions traces provide. STEMS_SCALE raises
- * budgets for closer-to-paper runs.
+ * paper's billions-of-instructions traces provide. A larger `refs=`
+ * raises budgets for closer-to-paper runs.
  */
 struct Em3dParams
 {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -290,6 +291,20 @@ TEST(ExperimentSpec, AcceptedSyntaxParsesToTheSameValues)
     EXPECT_TRUE(spec.quiet);
     EXPECT_TRUE(spec.timing && spec.timingOnly);
     EXPECT_EQ(spec.sys.l2.sizeBytes, 4u << 20);
+}
+
+TEST(ExperimentSpec, DefaultsIgnoreTheEnvironment)
+{
+    // a spec means the same in every shell: stems run and a daemon
+    // resolving the same tokens must agree
+    setenv("STEMS_REFS_PER_CPU", "3000", 1);
+    setenv("STEMS_SCALE", "4", 1);
+    const ExperimentSpec spec = parseSpec({});
+    unsetenv("STEMS_REFS_PER_CPU");
+    unsetenv("STEMS_SCALE");
+    EXPECT_EQ(spec.params.refsPerCpu, 100000u);
+    EXPECT_EQ(spec.params.ncpu, 16u);
+    EXPECT_EQ(spec.params.seed, 1u);
 }
 
 TEST(ExperimentSpec, RejectsBadEngineValuesWithTheCellMessage)
