@@ -12,7 +12,7 @@
  * Bounded tables are modelled as what they are in hardware: small
  * fully-associative CAMs, stored struct-of-arrays so the region-id
  * match and LRU victim scans stream through a few L1 cache lines.
- * Unbounded tables (the figure benches' limit studies) fall back to a
+ * Unbounded tables (the figures' limit studies) fall back to a
  * FlatMap.
  */
 

@@ -10,7 +10,7 @@
  * Producers (study::runSystem, study::runL1Study, sim::runTiming, the
  * attach seam's Counters) emit into a MetricSet; consumers (the
  * JSON/CSV/table report sinks, the dispatch wire, group aggregation in
- * the figure benches) iterate the schema instead of hard-coding
+ * the figure pivots) iterate the schema instead of hard-coding
  * fields. Adding a metric is one registration — no serializer edits,
  * no wire-protocol edits, no report edits.
  *
@@ -193,7 +193,7 @@ class MetricSet
     /**
      * Fold @p other into this set under each family's aggregation
      * rule (ratios recompute from the folded operands — the group
-     * aggregation the figure benches report).
+     * aggregation the figure pivots report).
      */
     void aggregate(const MetricSet &other);
 

@@ -563,16 +563,25 @@ pivotText(const PivotCol &c, double v)
 std::string
 toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
 {
-    // every source row's coordinates, indexed by PivotDim
-    using Coords = std::array<std::string, 5>;
-    std::vector<std::pair<Coords, const MetricSet *>> entries;
-    auto add = [&entries](std::string group, std::string workload,
-                          const EngineConfig &e, const Options &point,
-                          const MetricSet &m) {
-        std::string sweep;
+    // every source row's coordinates (by PivotDim) and its row key
+    using Row = std::vector<std::string>;
+    struct Entry
+    {
+        std::array<std::string, 5> at;
+        Row row;
+        const MetricSet *m;
+    };
+    std::vector<Entry> entries;
+    auto add = [&](std::string group, std::string workload,
+                   const EngineConfig &e, const Options &point,
+                   const MetricSet &m) {
+        Entry entry{{"", group, workload, e.displayLabel(), ""}, {}, &m};
+        std::string &sweep = entry.at[size_t(PivotDim::Sweep)];
         for (const auto &[k, v] : point)
             sweep += (sweep.empty() ? "" : ",") + v;
-        entries.push_back({{"", group, workload, e.displayLabel(), sweep}, &m});
+        for (const auto &[dim, header] : pivot.rows)
+            entry.row.push_back(entry.at[size_t(dim)]);
+        entries.push_back(std::move(entry));
     };
     const std::vector<GroupResult> folds =
         pivot.groups ? aggregateGroups(results) : std::vector<GroupResult>{};
@@ -583,13 +592,6 @@ toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
             add(workloadClass(r.cell.workload), r.cell.workload,
                 r.cell.engine, r.cell.sweepPoint, r.metrics);
 
-    using Row = std::vector<std::string>;
-    auto rowOf = [&pivot](const Coords &c) {
-        Row row;
-        for (const auto &[dim, header] : pivot.rows)
-            row.push_back(c[size_t(dim)]);
-        return row;
-    };
     const std::vector<PivotCol> cols = resolveColumns(pivot.columns);
     Row headers;
     for (const auto &[dim, header] : pivot.rows)
@@ -600,20 +602,20 @@ toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
                               : c.col.header);
     study::TablePrinter table(headers);
     std::vector<Row> seen;
-    for (const auto &[coords, m] : entries) {
-        const Row key = rowOf(coords);
-        if (std::find(seen.begin(), seen.end(), key) != seen.end())
+    for (const auto &e : entries) {
+        if (std::find(seen.begin(), seen.end(), e.row) != seen.end())
             continue;
-        seen.push_back(key);
-        Row row = key;
+        seen.push_back(e.row);
+        Row row = e.row;
         for (const auto &c : cols) {
             // the first entry on this row whose column coordinate matches
-            const MetricSet *hit = nullptr;
-            for (const auto &[other, om] : entries)
-                if (!hit && rowOf(other) == key &&
-                    other[size_t(pivot.by)] == c.col.key)
-                    hit = om;
-            row.push_back(pivotText(c, pivotValue(c, hit)));
+            const auto hit = std::find_if(
+                entries.begin(), entries.end(), [&](const Entry &o) {
+                    return o.row == e.row &&
+                        o.at[size_t(pivot.by)] == c.col.key;
+                });
+            row.push_back(pivotText(
+                c, pivotValue(c, hit == entries.end() ? nullptr : hit->m)));
         }
         table.addRow(row);
     }
@@ -623,11 +625,11 @@ toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
     std::string line;
     for (const auto &c : resolveColumns(sum.columns)) {
         std::vector<double> values;
-        for (const auto &[coords, m] : entries)
-            if (coords[size_t(PivotDim::Engine)] == c.col.key &&
+        for (const auto &e : entries)
+            if (e.at[size_t(PivotDim::Engine)] == c.col.key &&
                 !(sum.commercial &&
-                  coords[size_t(PivotDim::Group)] == "Scientific"))
-                values.push_back(pivotValue(c, m));
+                  e.at[size_t(PivotDim::Group)] == "Scientific"))
+                values.push_back(pivotValue(c, e.m));
         summary.push_back(pivotText(
             c, values.empty() ? std::nan("")
                 : sum.geomean ? study::geomean(values)

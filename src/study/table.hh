@@ -1,7 +1,7 @@
 /**
  * @file
- * Column-aligned ASCII table printing for the benchmark harnesses
- * (one table/series per paper figure).
+ * Column-aligned ASCII table printing for reports and the paper
+ * figures (see driver/figures.hh).
  */
 
 #ifndef STEMS_STUDY_TABLE_HH
