@@ -63,6 +63,9 @@ renderBlockSize(const ExperimentSpec &spec, const RunFn &run,
         addUnique(sizes, size);
         if (size == 64)
             instr[r.cell.workload] = double(m.instructions());
+        if (!instr.count(r.cell.workload))
+            throw std::invalid_argument("fig04 normalises to the 64 B "
+                                        "cell: keep 64 first in sweep.block");
         const double in = instr.at(r.cell.workload);
         cache[{1, group, size}] += 1000.0 * m.l1ReadMisses() / in;
         cache[{2, group, size}] += 1000.0 * m.l2ReadMisses() / in;
