@@ -40,7 +40,7 @@ hexU64(uint64_t v)
 }
 
 std::string
-headerFrame(uint64_t specHash, uint64_t cellCount)
+encodeHeader(uint64_t specHash, uint64_t cellCount)
 {
     driver::JsonWriter j;
     j.beginObject();
@@ -50,63 +50,6 @@ headerFrame(uint64_t specHash, uint64_t cellCount)
     j.key("cells").value(cellCount);
     j.endObject();
     return j.str();
-}
-
-std::string
-frameBytes(const std::string &payload)
-{
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    return frame;
-}
-
-bool
-writeAll(int fd, const std::string &bytes)
-{
-    size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-/**
- * Scan one frame starting at @p off in @p buf. Returns true and
- * advances @p off past the frame, filling @p payload; false when the
- * remaining bytes do not hold a complete well-formed frame (the torn
- * tail a killed writer leaves).
- */
-bool
-scanFrame(const std::string &buf, size_t &off, std::string &payload)
-{
-    const size_t nl = buf.find('\n', off);
-    if (nl == std::string::npos || nl == off)
-        return false;
-    size_t len = 0;
-    for (size_t i = off; i < nl; ++i) {
-        const char c = buf[i];
-        if (c < '0' || c > '9')
-            return false;
-        len = len * 10 + static_cast<size_t>(c - '0');
-        if (len > (64u << 20))
-            return false;
-    }
-    if (buf.size() - (nl + 1) < len + 1)
-        return false;
-    if (buf[nl + 1 + len] != '\n')
-        return false;
-    payload.assign(buf, nl + 1, len);
-    off = nl + 1 + len + 1;
-    return true;
 }
 
 } // anonymous namespace
@@ -128,6 +71,47 @@ specFingerprint(const std::vector<driver::RunCell> &cells)
     return h;
 }
 
+JournalContents
+readJournal(const std::string &bytes)
+{
+    JournalContents out;
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    std::string payload;
+    try {
+        if (!decoder.next(payload))
+            return out;  // empty, or killed inside the header write
+        const JsonValue header = parseJson(payload);
+        if (messageType(header) == "journal" &&
+            header.at("version").asU64() == kJournalVersion) {
+            out.spec = header.at("spec").asString();
+            out.hasHeader = true;
+        }
+    } catch (const std::exception &) {
+        // a corrupt frame or a header missing its fields
+    }
+    if (!out.hasHeader)
+        throw std::invalid_argument("not a stems run journal");
+    out.cleanEnd = decoder.offset();
+    // result frames, first-ok-wins per id, up to a killed writer's
+    // torn or unparseable tail
+    try {
+        while (decoder.next(payload)) {
+            const JsonValue msg = parseJson(payload);
+            if (messageType(msg) != "result")
+                break;
+            CellResult r = decodeResult(msg);
+            const uint32_t id = r.cell.id;
+            if (r.error.empty())
+                out.results.try_emplace(id, std::move(r));
+            out.cleanEnd = decoder.offset();
+        }
+    } catch (const std::exception &) {
+        // a garbled tail ends the clean prefix like a torn one
+    }
+    return out;
+}
+
 RunJournal::~RunJournal()
 {
     close();
@@ -141,63 +125,33 @@ RunJournal::open(const std::string &path, uint64_t specHash,
     replayed_.clear();
     path_ = path;
 
-    size_t validEnd = 0;
-    bool haveExisting = false;
+    JournalContents existing;
     if (resume) {
         obs::Span span("journal_replay", {{"path", path}});
         std::string buf;
         driver::readFile(path, buf);  // missing: nothing to resume
-        size_t off = 0;
-        std::string payload;
-        if (!buf.empty() && scanFrame(buf, off, payload)) {
-            haveExisting = true;
-            try {
-                const JsonValue header = parseJson(payload);
-                if (messageType(header) != "journal" ||
-                    header.at("version").asU64() != kJournalVersion)
-                    throw std::invalid_argument(
-                        "journal: " + path +
-                        " is not a stems run journal");
-                if (header.at("spec").asString() != hexU64(specHash))
-                    throw std::invalid_argument(
-                        "journal: " + path +
-                        " was written by a different spec (or cells= "
-                        "filter) — refusing to splice unrelated "
-                        "results");
-            } catch (const std::invalid_argument &) {
-                throw;
-            } catch (const std::exception &e) {
-                throw std::invalid_argument(
-                    "journal: " + path + ": bad header (" + e.what() +
-                    ")");
-            }
-            validEnd = off;
-            // result frames, first-ok-wins per id; stop at the first
-            // torn or unparseable frame (a killed writer's tail)
-            while (scanFrame(buf, off, payload)) {
-                try {
-                    const JsonValue msg = parseJson(payload);
-                    if (messageType(msg) != "result")
-                        break;
-                    CellResult r = decodeResult(msg);
-                    const uint32_t id = r.cell.id;
-                    if (r.error.empty() && !replayed_.count(id))
-                        replayed_.emplace(id, std::move(r));
-                } catch (const std::exception &) {
-                    break;
-                }
-                validEnd = off;
-            }
+        try {
+            existing = readJournal(buf);
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument("journal: " + path + ": " +
+                                        e.what());
         }
+        if (existing.hasHeader && existing.spec != hexU64(specHash))
+            throw std::invalid_argument(
+                "journal: " + path +
+                " was written by a different spec (or cells= filter) "
+                "— refusing to splice unrelated results");
+        replayed_ = std::move(existing.results);
     }
 
     fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (fd_ < 0)
         throw std::runtime_error("journal: cannot open " + path + ": " +
                                  std::strerror(errno));
-    if (haveExisting) {
+    if (existing.hasHeader) {
         // drop the torn tail so appends land on a frame boundary
-        if (::ftruncate(fd_, static_cast<off_t>(validEnd)) != 0 ||
+        const auto cleanEnd = static_cast<off_t>(existing.cleanEnd);
+        if (::ftruncate(fd_, cleanEnd) != 0 ||
             ::lseek(fd_, 0, SEEK_END) < 0) {
             const int err = errno;
             ::close(fd_);
@@ -209,8 +163,8 @@ RunJournal::open(const std::string &path, uint64_t specHash,
                    replayed_.size());
     } else {
         if (::ftruncate(fd_, 0) != 0 ||
-            !writeAll(fd_, frameBytes(headerFrame(specHash,
-                                                  cellCount))) ||
+            !writeFrame(fd_, encodeHeader(specHash, cellCount),
+                        Tally::None) ||
             ::fsync(fd_) != 0) {
             const int err = errno;
             ::close(fd_);
@@ -228,7 +182,7 @@ RunJournal::append(const CellResult &result)
         return;
     obs::Span span("journal_append",
                    {{"cell", std::to_string(result.cell.id)}});
-    bool ok = writeAll(fd_, frameBytes(encodeResult(result)));
+    bool ok = writeFrame(fd_, encodeResult(result), Tally::None);
     if (ok) {
         const uint64_t t0 = obs::monotonicNs();
         ok = ::fsync(fd_) == 0;

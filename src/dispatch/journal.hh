@@ -5,8 +5,8 @@
  * the journaled cells and splices them into the final report
  * byte-identically to an uninterrupted run.
  *
- * The journal is a sequence of wire frames (`<len>\n<json>\n`, the
- * dispatch framing): a header frame
+ * The journal is a sequence of wire frames (dispatch/wire.hh): a
+ * header frame
  *
  *   {"type":"journal","version":1,"spec":"<hex fingerprint>","cells":N}
  *
@@ -38,6 +38,25 @@ namespace stems::dispatch {
 
 /** FNV-1a over every cell's wire encoding (order-sensitive). */
 uint64_t specFingerprint(const std::vector<driver::RunCell> &cells);
+
+/** What readJournal recovers from a journal's bytes. */
+struct JournalContents
+{
+    bool hasHeader = false;  //!< false: empty, or torn inside the header
+    std::string spec;        //!< the header's spec fingerprint (hex)
+    /** Error-free results by cell id, first-ok-wins. */
+    std::map<uint32_t, driver::CellResult> results;
+    /** Offset past the last whole frame: the torn tail starts here. */
+    uint64_t cleanEnd = 0;
+};
+
+/**
+ * Parse a journal file's bytes: the one reader behind resume and
+ * schedule-from calibration. Scanning stops at the first torn,
+ * corrupt or non-result frame. Throws std::invalid_argument when the
+ * first frame is not a version-1 journal header.
+ */
+JournalContents readJournal(const std::string &bytes);
 
 /** Append-only result journal with torn-tail recovery. */
 class RunJournal

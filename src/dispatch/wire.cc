@@ -1,5 +1,6 @@
 #include "dispatch/wire.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <stdexcept>
@@ -433,38 +434,206 @@ encodeShutdown()
 }
 
 // ---------------------------------------------------------------------
+// serve messages
+// ---------------------------------------------------------------------
+
+std::string
+encodeHello(const std::string &role)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("hello");
+    j.key("protocol").value(uint64_t{kProtocolVersion});
+    j.key("role").value(role);
+    j.key("pid").value(static_cast<uint64_t>(::getpid()));
+    j.endObject();
+    return j.str();
+}
+
+std::string
+encodeError(const std::string &message)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("error");
+    j.key("message").value(message);
+    j.endObject();
+    return j.str();
+}
+
+std::string
+encodeSubmit(const std::vector<std::string> &tokens)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("submit");
+    j.key("tokens").beginArray();
+    for (const auto &t : tokens)
+        j.value(t);
+    j.endArray();
+    j.endObject();
+    return j.str();
+}
+
+std::vector<std::string>
+decodeSubmit(const JsonValue &msg)
+{
+    std::vector<std::string> tokens;
+    for (const auto &t : msg.at("tokens").items)
+        tokens.push_back(t.asString());
+    return tokens;
+}
+
+std::string
+encodeAdmitted(uint64_t id)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("admitted");
+    j.key("request").value(id);
+    j.endObject();
+    return j.str();
+}
+
+std::string
+encodeRejected(const std::string &reason)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("rejected");
+    j.key("reason").value(reason);
+    j.endObject();
+    return j.str();
+}
+
+std::string
+encodeReport(const RequestOutcome &outcome)
+{
+    JsonWriter j;
+    j.beginObject();
+    j.key("type").value("report");
+    j.key("request").value(outcome.id);
+    j.key("failed").value(uint64_t{outcome.failed});
+    j.key("replayed").value(outcome.replayed);
+    j.key("json").value(outcome.json);
+    j.key("csv").value(outcome.csv);
+    j.key("table").value(outcome.table);
+    j.endObject();
+    return j.str();
+}
+
+RequestOutcome
+decodeResponse(const JsonValue &msg)
+{
+    using Status = RequestOutcome::Status;
+    RequestOutcome out;
+    const std::string &type = messageType(msg);
+    if (type == "admitted") {
+        out.status = Status::Admitted;
+        out.id = msg.at("request").asU64();
+    } else if (type == "report") {
+        out.status = Status::Done;
+        out.id = msg.at("request").asU64();
+        out.failed = static_cast<uint32_t>(msg.at("failed").asU64());
+        out.replayed = msg.at("replayed").asU64();
+        out.json = msg.at("json").asString();
+        out.csv = msg.at("csv").asString();
+        out.table = msg.at("table").asString();
+    } else if (type == "rejected") {
+        out.status = Status::Rejected;
+        out.reason = msg.at("reason").asString();
+    } else if (type == "error") {
+        out.status = Status::Error;
+        out.reason = msg.at("message").asString();
+    } else {
+        throw std::invalid_argument(
+            "serve: unexpected response \"" + type + "\"");
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------
 // framing
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** The counter @p tally feeds in one direction (nullptr = none). */
+std::atomic<uint64_t> obs::Counters::*
+tallyCounter(Tally tally, bool sent)
+{
+    switch (tally) {
+      case Tally::Wire:
+        return sent ? &obs::Counters::wireBytesSent
+                    : &obs::Counters::wireBytesReceived;
+      case Tally::Socket:
+        return sent ? &obs::Counters::socketBytesSent
+                    : &obs::Counters::socketBytesReceived;
+      case Tally::None:
+        break;
+    }
+    return nullptr;
+}
+
+[[noreturn]] void
+frameTooLarge(size_t maxBytes)
+{
+    throw std::invalid_argument("wire: frame exceeds " +
+                                std::to_string(maxBytes) + " bytes");
+}
+
+} // anonymous namespace
+
+std::string
+frameBytes(const std::string &payload)
+{
+    std::string frame = std::to_string(payload.size());
+    frame += '\n';
+    frame += payload;
+    frame += '\n';
+    return frame;
+}
+
+FrameDecoder::FrameDecoder(size_t maxBytes)
+    : maxBytes(maxBytes), maxDigits(std::to_string(maxBytes).size())
+{
+}
 
 bool
 FrameDecoder::next(std::string &out)
 {
-    const size_t nl = buf.find('\n', consumed);
-    if (nl == std::string::npos)
-        return false;
+    // the prefix is checked byte by byte as it arrives: a run of
+    // digits longer than the cap's can only announce an oversized
+    // frame, so it fails before its newline ever shows up
     size_t len = 0;
-    bool any = false;
-    for (size_t i = consumed; i < nl; ++i) {
-        const char c = buf[i];
+    size_t nl = consumed;
+    for (; nl < buf.size() && buf[nl] != '\n'; ++nl) {
+        const char c = buf[nl];
         if (c < '0' || c > '9')
             throw std::invalid_argument(
                 "wire: corrupt frame length prefix");
+        if (nl - consumed == maxDigits)
+            frameTooLarge(maxBytes);
         len = len * 10 + static_cast<size_t>(c - '0');
-        any = true;
-        if (len > (64u << 20))
-            throw std::invalid_argument("wire: frame too large");
     }
-    if (!any)
+    if (nl == buf.size())
+        return false;
+    if (nl == consumed)
         throw std::invalid_argument("wire: empty frame length prefix");
+    if (len > maxBytes)
+        frameTooLarge(maxBytes);
     // payload plus its trailing newline must be complete
     if (buf.size() - (nl + 1) < len + 1)
         return false;
-    out.assign(buf, nl + 1, len);
     if (buf[nl + 1 + len] != '\n')
         throw std::invalid_argument("wire: missing frame terminator");
-    consumed = nl + 1 + len + 1;
-    // periodically drop consumed bytes so the buffer stays bounded
-    if (consumed > (1u << 16)) {
+    out.assign(buf, nl + 1, len);
+    const size_t end = nl + 1 + len + 1;
+    offset_ += end - consumed;
+    consumed = end;
+    // drop produced bytes once they dominate the buffer, so it stays
+    // bounded without re-copying a large unread tail on every frame
+    if (consumed > (1u << 16) && consumed * 2 > buf.size()) {
         buf.erase(0, consumed);
         consumed = 0;
     }
@@ -472,30 +641,35 @@ FrameDecoder::next(std::string &out)
 }
 
 bool
-writeFrame(int fd, const std::string &payload)
+writeAll(int fd, std::string_view bytes, Tally tally)
 {
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
+    const auto counter = tallyCounter(tally, true);
     size_t off = 0;
-    while (off < frame.size()) {
+    while (off < bytes.size()) {
         const ssize_t n =
-            ::write(fd, frame.data() + off, frame.size() - off);
+            ::write(fd, bytes.data() + off, bytes.size() - off);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            return false;  // peer gone (EPIPE with SIGPIPE ignored)
+            return false;
         }
         off += static_cast<size_t>(n);
+        if (counter)
+            obs::count(counter, static_cast<uint64_t>(n));
     }
-    obs::count(&obs::Counters::wireBytesSent, frame.size());
     return true;
 }
 
 bool
-readFrame(int fd, FrameDecoder &decoder, std::string &out)
+writeFrame(int fd, const std::string &payload, Tally tally)
 {
+    return writeAll(fd, frameBytes(payload), tally);
+}
+
+bool
+readFrame(int fd, FrameDecoder &decoder, std::string &out, Tally tally)
+{
+    const auto counter = tallyCounter(tally, false);
     for (;;) {
         if (decoder.next(out))
             return true;
@@ -508,10 +682,56 @@ readFrame(int fd, FrameDecoder &decoder, std::string &out)
                 continue;
             return false;
         }
-        obs::count(&obs::Counters::wireBytesReceived,
-                   static_cast<uint64_t>(n));
+        if (counter)
+            obs::count(counter, static_cast<uint64_t>(n));
         decoder.feed(chunk, static_cast<size_t>(n));
     }
+}
+
+bool
+readHello(int fd, FrameDecoder &decoder, const std::string &expectRole,
+          Hello &out, std::string &err)
+{
+    // the hello is read under its own cap; whatever the peer sent
+    // behind it belongs to the connection's decoder
+    FrameDecoder first(kHelloMaxBytes);
+    std::string payload;
+    try {
+        if (!readFrame(fd, first, payload, Tally::Socket)) {
+            err = "peer closed before hello";
+            return false;
+        }
+    } catch (const std::exception &e) {
+        err = std::string("bad hello frame: ") + e.what();
+        return false;
+    }
+    const std::string_view rest = first.pending();
+    decoder.feed(rest.data(), rest.size());
+    try {
+        const JsonValue msg = parseJson(payload);
+        if (messageType(msg) != "hello") {
+            err = "expected hello, got \"" + messageType(msg) + "\"";
+            return false;
+        }
+        out.protocol = static_cast<uint32_t>(msg.at("protocol").asU64());
+        out.role = msg.at("role").asString();
+        if (const JsonValue *pid = msg.find("pid"))
+            out.pid = static_cast<int64_t>(pid->asU64());
+    } catch (const std::exception &e) {
+        err = std::string("bad hello: ") + e.what();
+        return false;
+    }
+    if (out.protocol != kProtocolVersion) {
+        err = "protocol mismatch (peer " + std::to_string(out.protocol) +
+              ", local " + std::to_string(kProtocolVersion) + ")";
+        return false;
+    }
+    if (out.role != expectRole) {
+        err = "unexpected peer role \"" + out.role + "\" (want \"" +
+              expectRole + "\")";
+        return false;
+    }
+    return true;
 }
 
 } // namespace stems::dispatch

@@ -1,7 +1,6 @@
 #include "dispatch/worker.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -76,33 +75,6 @@ class HeartbeatThread
     bool stop = false;
     std::thread thread;
 };
-
-/** The raw on-pipe bytes of one frame (for the Truncate fault). */
-std::string
-frameBytes(const std::string &payload)
-{
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    return frame;
-}
-
-/** Best-effort raw write of @p bytes (torn-frame injection only). */
-void
-writeRaw(int fd, const char *data, size_t len)
-{
-    size_t off = 0;
-    while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        off += static_cast<size_t>(n);
-    }
-}
 
 } // anonymous namespace
 
@@ -207,7 +179,10 @@ runWorker(int inFd, int outFd)
                 const std::string frame =
                     frameBytes(encodeResult(result));
                 std::lock_guard<std::mutex> wire(wireMu);
-                writeRaw(outFd, frame.data(), frame.size() / 2);
+                writeAll(outFd,
+                         std::string_view(frame).substr(
+                             0, frame.size() / 2),
+                         Tally::None);
                 ::_exit(137);
             }
 

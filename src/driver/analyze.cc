@@ -225,7 +225,7 @@ hitRates(const JsonValue &counters)
 /** Busy lanes for the utilization timeline and straggler table:
  *  dispatch_cell spans (one lane per worker pid) when the run was
  *  dispatched, else the runner threads' cell spans (lane per tid),
- *  else a daemon's serve_cell/steal spans (lane per fleet thread). */
+ *  else a daemon's serve_cell spans (lane per fleet thread). */
 struct Lane
 {
     std::string label;
@@ -252,8 +252,7 @@ busyLanes(const Trace &t)
             const std::string *pid = e.arg("pid");
             key = "pid " + (pid ? *pid : std::to_string(e.pid));
         } else {
-            if (runner ? e.name != "cell"
-                       : e.name != "serve_cell" && e.name != "steal")
+            if (e.name != (runner ? "cell" : "serve_cell"))
                 continue;
             const auto it = t.threadNames.find({e.pid, e.tid});
             key = it != t.threadNames.end()
@@ -273,12 +272,12 @@ busyLanes(const Trace &t)
 
 /** Per-request rollup of a `stems serve` trace: the request span
  *  carries queue wait and cell counts; exec time is the sum of the
- *  serve_cell/steal spans tagged with the same request id. */
+ *  serve_cell spans tagged with the same request id. */
 struct ServeRow
 {
     uint64_t request = 0;
     double queueMs = 0, wallMs = 0, execMs = 0;
-    uint64_t cells = 0, stolen = 0, replayed = 0;
+    uint64_t cells = 0, replayed = 0;
 };
 
 std::vector<ServeRow>
@@ -301,11 +300,10 @@ serveBreakdown(const Trace &t)
             return v ? std::stoull(*v) : 0;
         };
         r.cells += count("cells");
-        r.stolen += count("stolen");
         r.replayed += count("replayed");
     }
     for (const Ev &e : t.spans) {
-        if (e.name != "serve_cell" && e.name != "steal")
+        if (e.name != "serve_cell")
             continue;
         const std::string *id = e.arg("request");
         if (!id)
@@ -409,15 +407,13 @@ emitTable(const Inputs &in, const AnalyzeOptions &opts)
             os << "\n== serve requests == (queue wait vs "
                   "execution)\n";
             TablePrinter sv({"Request", "Queue ms", "Wall ms",
-                             "Exec ms", "Cells", "Stolen",
-                             "Replayed"});
+                             "Exec ms", "Cells", "Replayed"});
             for (const ServeRow &r : serveRows)
                 sv.addRow({std::to_string(r.request),
                            TablePrinter::fixed(r.queueMs, 1),
                            TablePrinter::fixed(r.wallMs, 1),
                            TablePrinter::fixed(r.execMs, 1),
                            std::to_string(r.cells),
-                           std::to_string(r.stolen),
                            std::to_string(r.replayed)});
             sv.print(os);
         }
@@ -560,7 +556,7 @@ emitJson(const Inputs &in, const AnalyzeOptions &opts)
     JsonWriter j;
     j.beginObject();
     j.key("analyze").beginObject();
-    j.key("schema").value(uint64_t{2});
+    j.key("schema").value(uint64_t{3});
 
     if (in.trace) {
         const Trace &t = *in.trace;
@@ -643,7 +639,7 @@ emitJson(const Inputs &in, const AnalyzeOptions &opts)
         }
         j.endArray();
 
-        // schema 2: present only for `stems serve` traces
+        // present only for `stems serve` traces
         const auto serveRows = serveBreakdown(t);
         if (!serveRows.empty()) {
             j.key("serve").beginArray();
@@ -654,7 +650,6 @@ emitJson(const Inputs &in, const AnalyzeOptions &opts)
                 j.key("wall_ms").value(r.wallMs);
                 j.key("exec_ms").value(r.execMs);
                 j.key("cells").value(r.cells);
-                j.key("stolen").value(r.stolen);
                 j.key("replayed").value(r.replayed);
                 j.endObject();
             }

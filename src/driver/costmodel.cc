@@ -4,8 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "dispatch/journal.hh"
 #include "dispatch/json.hh"
-#include "dispatch/wire.hh"
 #include "driver/metrics.hh"
 #include "driver/report.hh"
 
@@ -52,38 +52,18 @@ CostModel::calibrate(const std::string &text)
 
     std::map<std::string, std::pair<double, uint64_t>> sums;
     if (text[first] >= '0' && text[first] <= '9') {
-        // a result journal: length-prefixed frames, header first
-        dispatch::FrameDecoder decoder;
-        decoder.feed(text.data(), text.size());
-        std::string payload;
-        bool sawHeader = false;
+        // a result journal: wall_ms rides each result frame
+        dispatch::JournalContents journal;
         try {
-            while (decoder.next(payload)) {
-                const dispatch::JsonValue msg =
-                    dispatch::parseJson(payload);
-                const std::string &type = dispatch::messageType(msg);
-                if (!sawHeader) {
-                    if (type != "journal")
-                        throw std::invalid_argument(
-                            "schedule-from: not a stems journal");
-                    sawHeader = true;
-                    continue;
-                }
-                if (type != "result")
-                    break;
-                CellResult r = dispatch::decodeResult(msg);
-                if (!r.error.empty() ||
-                    !r.metrics.present(metric::ids().wallMs))
-                    continue;
-                const double wall = r.metrics.wallMs();
-                if (wall > 0)
-                    byId_.emplace(r.cell.id, wall);
-            }
-        } catch (const std::invalid_argument &) {
-            if (!sawHeader)
-                throw;
-            // a torn tail (killed writer) ends calibration, not the run
+            journal = dispatch::readJournal(text);
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument(
+                std::string("schedule-from: ") + e.what());
         }
+        for (const auto &[id, r] : journal.results)
+            if (r.metrics.present(metric::ids().wallMs) &&
+                r.metrics.wallMs() > 0)
+                byId_.emplace(id, r.metrics.wallMs());
     } else if (text[first] == '{') {
         // a run report: cells carry id, workload, label, wall_ms
         const dispatch::JsonValue doc = dispatch::parseJson(text);

@@ -5,9 +5,9 @@
 #include <stdexcept>
 #include <unistd.h>
 
+#include "dispatch/wire.hh"
 #include "driver/options.hh"
 #include "driver/report.hh"
-#include "serve/proto.hh"
 #include "serve/socket.hh"
 
 namespace stems::serve {
@@ -19,27 +19,28 @@ submitToServer(const std::string &server,
 {
     std::signal(SIGPIPE, SIG_IGN);
     const int fd = connectTo(server, connectTimeoutMs);
-    dispatch::FrameDecoder decoder;
+    using namespace dispatch;
+    FrameDecoder decoder;
     try {
-        if (!sendFrame(fd, encodeHello("client")))
+        if (!writeFrame(fd, encodeHello("client"), Tally::Socket))
             throw std::runtime_error(
                 "serve: daemon closed during hello");
         Hello peer;
         std::string err;
         if (!readHello(fd, decoder, "serve", peer, err))
             throw std::runtime_error("serve: " + err);
-        if (!sendFrame(fd, encodeSubmit(tokens)))
+        if (!writeFrame(fd, encodeSubmit(tokens), Tally::Socket))
             throw std::runtime_error(
                 "serve: daemon closed during submit");
 
         std::string payload;
         for (;;) {
-            if (!recvFrame(fd, decoder, payload))
+            if (!readFrame(fd, decoder, payload, Tally::Socket))
                 throw std::runtime_error(
                     "serve: daemon closed before replying "
                     "(crashed mid-request?)");
             const ExperimentService::Outcome outcome =
-                decodeResponse(dispatch::parseJson(payload));
+                decodeResponse(parseJson(payload));
             if (outcome.status !=
                 ExperimentService::Outcome::Status::Admitted) {
                 ::close(fd);

@@ -9,10 +9,10 @@
 #include <unistd.h>
 
 #include "dispatch/coordinator.hh"
+#include "dispatch/wire.hh"
 #include "driver/options.hh"
 #include "driver/report.hh"
 #include "obs/obs.hh"
-#include "serve/proto.hh"
 #include "serve/socket.hh"
 
 namespace stems::serve {
@@ -84,7 +84,11 @@ void
 Daemon::serveConnection(int fd)
 {
     obs::setThreadName("serve-conn");
-    dispatch::FrameDecoder decoder;
+    using namespace dispatch;
+    auto send = [fd](const std::string &payload) {
+        return writeFrame(fd, payload, Tally::Socket);
+    };
+    FrameDecoder decoder;
 
     // the versioned handshake gates everything: a peer speaking a
     // different protocol (or an oversized/hostile first frame) gets
@@ -95,11 +99,11 @@ Daemon::serveConnection(int fd)
         if (!cfg.quiet)
             std::cerr << "stems serve: rejected connection: " << err
                       << "\n";
-        sendFrame(fd, encodeError(err));
+        send(encodeError(err));
         ::close(fd);
         return;
     }
-    if (!sendFrame(fd, encodeHello("serve"))) {
+    if (!send(encodeHello("serve"))) {
         ::close(fd);
         return;
     }
@@ -107,35 +111,33 @@ Daemon::serveConnection(int fd)
     std::string payload;
     std::vector<std::string> tokens;
     try {
-        if (!recvFrame(fd, decoder, payload)) {
+        if (!readFrame(fd, decoder, payload, Tally::Socket)) {
             ::close(fd);
             return;  // client went away before submitting
         }
-        const dispatch::JsonValue msg = dispatch::parseJson(payload);
-        if (dispatch::messageType(msg) != "submit")
+        const JsonValue msg = parseJson(payload);
+        if (messageType(msg) != "submit")
             throw std::invalid_argument(
-                "expected submit, got \"" +
-                dispatch::messageType(msg) + "\"");
+                "expected submit, got \"" + messageType(msg) + "\"");
         tokens = decodeSubmit(msg);
     } catch (const std::exception &e) {
-        sendFrame(fd, encodeError(e.what()));
+        send(encodeError(e.what()));
         ::close(fd);
         return;
     }
 
     const ExperimentService::Outcome outcome = service.submit(
-        tokens,
-        [fd](uint64_t id) { sendFrame(fd, encodeAdmitted(id)); });
+        tokens, [send](uint64_t id) { send(encodeAdmitted(id)); });
     using Status = ExperimentService::Outcome::Status;
     switch (outcome.status) {
     case Status::Done:
-        sendFrame(fd, encodeReport(outcome));
+        send(encodeReport(outcome));
         break;
     case Status::Rejected:
-        sendFrame(fd, encodeRejected(outcome.reason));
+        send(encodeRejected(outcome.reason));
         break;
     default:
-        sendFrame(fd, encodeError(outcome.reason));
+        send(encodeError(outcome.reason));
         break;
     }
     ::close(fd);

@@ -62,6 +62,7 @@
 #include <thread>
 #include <vector>
 
+#include "dispatch/wire.hh"
 #include "driver/executor.hh"
 #include "driver/spec.hh"
 
@@ -79,25 +80,8 @@ class ExperimentService
         std::string traceDir;    //!< shared spill dir ("" = temp dir)
     };
 
-    /** One submission's outcome, shipped back over the wire. */
-    struct Outcome
-    {
-        enum class Status
-        {
-            Done,      //!< report built (individual cells may error)
-            Rejected,  //!< admission queue full — reason says so
-            Error,     //!< bad spec or service shutdown
-            Admitted   //!< wire-only interim ack (id assigned)
-        };
-        Status status = Status::Error;
-        std::string reason;  //!< rejection/error detail
-        std::string json;    //!< report texts ("" = sink not requested)
-        std::string csv;
-        std::string table;
-        uint32_t failed = 0;     //!< cells that ended with an error
-        uint64_t replayed = 0;   //!< cells seeded from a journal
-        uint64_t id = 0;         //!< request id (admission order)
-    };
+    /** One submission's outcome, shipped back as a wire message. */
+    using Outcome = dispatch::RequestOutcome;
 
     explicit ExperimentService(Config config);
     ~ExperimentService();

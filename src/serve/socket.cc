@@ -1,6 +1,5 @@
 #include "serve/socket.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -12,10 +11,6 @@
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
-
-#include "dispatch/json.hh"
-#include "driver/report.hh"
-#include "obs/counters.hh"
 
 namespace stems::serve {
 
@@ -187,143 +182,6 @@ connectTo(const std::string &addr, uint32_t deadlineMs)
                                      addr + "\"");
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-}
-
-bool
-sendFrame(int fd, const std::string &payload)
-{
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    size_t off = 0;
-    while (off < frame.size()) {
-        const ssize_t n =
-            ::write(fd, frame.data() + off, frame.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-        obs::count(&obs::Counters::socketBytesSent,
-                   static_cast<uint64_t>(n));
-    }
-    return true;
-}
-
-bool
-recvFrame(int fd, dispatch::FrameDecoder &decoder, std::string &out)
-{
-    char buf[1 << 16];
-    for (;;) {
-        if (decoder.next(out))
-            return true;
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return false;
-        decoder.feed(buf, static_cast<size_t>(n));
-        obs::count(&obs::Counters::socketBytesReceived,
-                   static_cast<uint64_t>(n));
-    }
-}
-
-std::string
-encodeHello(const std::string &role)
-{
-    driver::JsonWriter j;
-    j.beginObject();
-    j.key("type").value("hello");
-    j.key("protocol").value(uint64_t{dispatch::kProtocolVersion});
-    j.key("role").value(role);
-    j.key("pid").value(static_cast<uint64_t>(::getpid()));
-    j.endObject();
-    return j.str();
-}
-
-bool
-readHello(int fd, dispatch::FrameDecoder &decoder,
-          const std::string &expectRole, Hello &out, std::string &err)
-{
-    // the hello is the first frame on a fresh connection, so every
-    // byte fed before it completes belongs to it — capping the fed
-    // total rejects oversized frames without ever buffering them
-    std::string payload;
-    size_t fed = 0;
-    char buf[1024];
-    for (;;) {
-        try {
-            if (decoder.next(payload))
-                break;
-        } catch (const std::exception &e) {
-            err = std::string("corrupt hello frame: ") + e.what();
-            return false;
-        }
-        if (fed >= kHelloMaxBytes) {
-            err = "hello frame exceeds " +
-                  std::to_string(kHelloMaxBytes) + " bytes";
-            return false;
-        }
-        const size_t want =
-            std::min(sizeof(buf), kHelloMaxBytes - fed + 1);
-        const ssize_t n = ::read(fd, buf, want);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0) {
-            err = "peer closed before hello";
-            return false;
-        }
-        decoder.feed(buf, static_cast<size_t>(n));
-        fed += static_cast<size_t>(n);
-        obs::count(&obs::Counters::socketBytesReceived,
-                   static_cast<uint64_t>(n));
-    }
-    if (payload.size() > kHelloMaxBytes) {
-        err = "hello frame exceeds " +
-              std::to_string(kHelloMaxBytes) + " bytes";
-        return false;
-    }
-    try {
-        const dispatch::JsonValue msg = dispatch::parseJson(payload);
-        if (dispatch::messageType(msg) != "hello") {
-            err = "expected hello, got \"" +
-                  dispatch::messageType(msg) + "\"";
-            return false;
-        }
-        out.protocol =
-            static_cast<uint32_t>(msg.at("protocol").asU64());
-        out.role = msg.at("role").asString();
-        if (const dispatch::JsonValue *pid = msg.find("pid"))
-            out.pid = static_cast<int64_t>(pid->asU64());
-    } catch (const std::exception &e) {
-        err = std::string("bad hello: ") + e.what();
-        return false;
-    }
-    if (out.protocol != dispatch::kProtocolVersion) {
-        err = "protocol mismatch (peer " +
-              std::to_string(out.protocol) + ", local " +
-              std::to_string(dispatch::kProtocolVersion) + ")";
-        return false;
-    }
-    if (out.role != expectRole) {
-        err = "unexpected peer role \"" + out.role + "\" (want \"" +
-              expectRole + "\")";
-        return false;
-    }
-    return true;
-}
-
-std::string
-encodeError(const std::string &message)
-{
-    driver::JsonWriter j;
-    j.beginObject();
-    j.key("type").value("error");
-    j.key("message").value(message);
-    j.endObject();
-    return j.str();
 }
 
 } // namespace stems::serve

@@ -1,26 +1,14 @@
 /**
  * @file
- * Socket plumbing for the experiment service: Unix-domain and TCP
- * endpoints, counted framed IO on the dispatch wire format, and the
- * versioned hello handshake every serve-layer connection opens with.
+ * Socket endpoints for the experiment service: listen, accept and
+ * connect on Unix-domain and TCP addresses. Everything that then
+ * rides a connection (frames, their caps and byte counters, and the
+ * versioned hello handshake every connection opens with) is the wire
+ * codec's, described in dispatch/wire.hh.
  *
  * Endpoint syntax (everywhere an address is accepted):
  *   unix:/path/to.sock   Unix-domain stream socket
  *   host:port            TCP (resolved with getaddrinfo)
- *
- * Handshake: the connecting side writes a hello frame first —
- * `{"type":"hello","protocol":N,"role":"...","pid":P}` — and the
- * accepting side validates it before anything else rides the
- * connection: the protocol number must match dispatch::
- * kProtocolVersion exactly, the role must be the expected one, and
- * the frame must fit kHelloMaxBytes (a hostile length prefix cannot
- * make the acceptor buffer an arbitrary frame before version
- * agreement). On success the acceptor replies with its own hello;
- * on any violation it sends a best-effort error frame and closes.
- *
- * All bytes moved here count into the socket_bytes_sent/received
- * telemetry families (distinct from wire_bytes_*, which count the
- * dispatch protocol regardless of transport).
  */
 
 #ifndef STEMS_SERVE_SOCKET_HH
@@ -29,20 +17,7 @@
 #include <cstdint>
 #include <string>
 
-#include "dispatch/wire.hh"
-
 namespace stems::serve {
-
-/** Hello frames larger than this are rejected before buffering. */
-constexpr size_t kHelloMaxBytes = 4096;
-
-/** A validated peer hello. */
-struct Hello
-{
-    uint32_t protocol = 0;
-    std::string role;
-    int64_t pid = 0;
-};
 
 /**
  * Bind + listen on @p addr (`unix:/path` or `host:port`). A stale
@@ -58,31 +33,6 @@ int acceptOn(int listenFd);
  * just-spawned listener needs a beat to bind). Throws on timeout.
  */
 int connectTo(const std::string &addr, uint32_t deadlineMs = 5000);
-
-/** Write one frame; false when the peer is gone. Counts bytes. */
-bool sendFrame(int fd, const std::string &payload);
-
-/** Blocking read of the next frame; false on EOF. Counts bytes. */
-bool recvFrame(int fd, dispatch::FrameDecoder &decoder,
-               std::string &out);
-
-/** This side's hello frame payload. */
-std::string encodeHello(const std::string &role);
-
-/**
- * Read and validate the peer's hello — the first frame on a fresh
- * connection (pass the connection's decoder so trailing bytes are
- * kept for later frames).
- * @return false with @p err describing the violation: oversized
- *         frame, corrupt prefix, unparsable JSON, wrong message
- *         type, protocol mismatch, or unexpected role.
- */
-bool readHello(int fd, dispatch::FrameDecoder &decoder,
-               const std::string &expectRole, Hello &out,
-               std::string &err);
-
-/** `{"type":"error","message":...}` (also the daemon's NACK). */
-std::string encodeError(const std::string &message);
 
 } // namespace stems::serve
 

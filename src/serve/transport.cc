@@ -9,6 +9,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "dispatch/wire.hh"
 #include "dispatch/worker.hh"
 #include "serve/socket.hh"
 
@@ -63,12 +64,13 @@ spawnOnEndpoint(const SocketTransport::Config &cfg,
         // hello handshake before any dispatch frames: both sides
         // agree on the protocol version or the connection dies here
         dispatch::FrameDecoder decoder;
-        if (!sendFrame(fd, encodeHello("coordinator")))
+        if (!dispatch::writeFrame(fd, dispatch::encodeHello("coordinator"),
+                                  dispatch::Tally::Socket))
             throw std::runtime_error(
                 "serve: worker at " + addr + " closed during hello");
-        Hello peer;
+        dispatch::Hello peer;
         std::string err;
-        if (!readHello(fd, decoder, "worker", peer, err))
+        if (!dispatch::readHello(fd, decoder, "worker", peer, err))
             throw std::runtime_error("serve: " + addr + ": " + err);
     } catch (...) {
         if (fd >= 0)
@@ -131,24 +133,30 @@ runListenWorker(const std::string &addr, bool once)
         // validate the coordinator before entering the worker loop;
         // a mismatched or hostile peer gets a clean error frame
         dispatch::FrameDecoder decoder;
-        Hello peer;
+        dispatch::Hello peer;
         std::string err;
-        if (!readHello(fd, decoder, "coordinator", peer, err)) {
+        if (!dispatch::readHello(fd, decoder, "coordinator", peer, err)) {
             std::cerr << "stems worker: rejected connection: " << err
                       << "\n";
-            sendFrame(fd, encodeError(err));
+            dispatch::writeFrame(fd, dispatch::encodeError(err),
+                                 dispatch::Tally::Socket);
             ::close(fd);
             continue;
         }
-        if (!sendFrame(fd, encodeHello("worker"))) {
+        if (!dispatch::writeFrame(fd, dispatch::encodeHello("worker"),
+                                  dispatch::Tally::Socket)) {
             ::close(fd);
             continue;
         }
 
         if (once) {
+            // stop listening before serving: a coordinator that
+            // respawns onto this address meanwhile must be refused
+            // and retry until its new worker binds, not queue on a
+            // listener that never accepts again
+            ::close(listenFd);
             const int rc = dispatch::runWorker(fd, fd);
             ::close(fd);
-            ::close(listenFd);
             for (auto &t : sessions)
                 t.join();
             return rc;

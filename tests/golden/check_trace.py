@@ -151,8 +151,8 @@ def check_analyze(path, serve):
     a = doc.get("analyze")
     if not isinstance(a, dict):
         fail(f"{path}: no analyze object")
-    if a.get("schema") != 2:
-        fail(f"{path}: analyze schema != 2")
+    if a.get("schema") != 3:
+        fail(f"{path}: analyze schema != 3")
     for key in ("trace_extent_ms", "span_count", "phases",
                 "critical_path", "timeline", "hit_rates", "workers"):
         if key not in a:
@@ -181,7 +181,7 @@ def check_analyze(path, serve):
             fail(f"{path}: serve trace but no serve section")
         for r in requests:
             for key in ("request", "queue_ms", "wall_ms", "exec_ms",
-                        "cells", "stolen", "replayed"):
+                        "cells", "replayed"):
                 if key not in r:
                     fail(f"{path}: serve row missing {key}: {r}")
             if not r["cells"] > 0 or \

@@ -129,9 +129,7 @@ TEST(DriverCostSchedule, CalibratesFromJournal)
     const auto cells = selectedCells(spec);
     ASSERT_GE(cells.size(), 2u);
 
-    auto frame = [](const std::string &payload) {
-        return std::to_string(payload.size()) + "\n" + payload + "\n";
-    };
+    using dispatch::frameBytes;
     CellResult r0;
     r0.cell = cells[0];
     r0.metrics.setWallMs(42.0);
@@ -139,10 +137,10 @@ TEST(DriverCostSchedule, CalibratesFromJournal)
     r1.cell = cells[1];
     r1.metrics.setWallMs(7.0);
     const std::string journal =
-        frame("{\"type\":\"journal\",\"version\":1,"
-              "\"spec\":\"0\",\"cells\":2}") +
-        frame(dispatch::encodeResult(r0)) +
-        frame(dispatch::encodeResult(r1)) +
+        frameBytes("{\"type\":\"journal\",\"version\":1,"
+                   "\"spec\":\"0\",\"cells\":2}") +
+        frameBytes(dispatch::encodeResult(r0)) +
+        frameBytes(dispatch::encodeResult(r1)) +
         "17\n{\"type\":\"resu";  // torn tail: calibration stops clean
 
     CostModel model;
@@ -322,7 +320,7 @@ TEST(Analyze, JsonFormatHasAllSections)
         analyzeRun(kFixtureTrace, kFixtureTelemetry, opts);
     const dispatch::JsonValue doc = dispatch::parseJson(out);
     const dispatch::JsonValue &a = doc.at("analyze");
-    EXPECT_EQ(a.at("schema").asU64(), 2u);
+    EXPECT_EQ(a.at("schema").asU64(), 3u);
     EXPECT_EQ(a.at("span_count").asU64(), 7u);
     EXPECT_DOUBLE_EQ(a.at("wall_ms").asDouble(), 15.0);
     EXPECT_FALSE(a.at("phases").items.empty());

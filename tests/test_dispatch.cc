@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -309,8 +310,7 @@ TEST(DispatchWire, RejectsUnknownMetricFamily)
 TEST(DispatchWire, FrameDecoderHandlesChunkedDelivery)
 {
     const std::string payload = R"({"type":"ready","pid":1})";
-    std::string frame = std::to_string(payload.size()) + "\n" +
-        payload + "\n";
+    const std::string frame = frameBytes(payload);
     FrameDecoder dec;
     std::string out;
     // feed one byte at a time: no frame until the terminator arrives
@@ -327,6 +327,8 @@ TEST(DispatchWire, FrameDecoderHandlesChunkedDelivery)
     ASSERT_TRUE(dec.next(out));
     ASSERT_TRUE(dec.next(out));
     EXPECT_FALSE(dec.next(out));
+    // the offset counts every byte of the frames produced so far
+    EXPECT_EQ(dec.offset(), 3 * frame.size());
 }
 
 TEST(DispatchWire, FrameDecoderRejectsCorruptPrefix)
@@ -714,6 +716,37 @@ TEST(DispatchWireHardening, FrameDecoderCapsFrameSize)
     FrameDecoder dec2;
     dec2.feed("\n", 1);  // empty length prefix
     EXPECT_THROW(dec2.next(out), std::invalid_argument);
+
+    // the cap is the decoder's own: one byte over the hello cap fails
+    FrameDecoder hello(kHelloMaxBytes);
+    hello.feed("4097\n", 5);
+    EXPECT_THROW(hello.next(out), std::invalid_argument);
+}
+
+TEST(DispatchWireHardening, RejectsUnterminatedLengthPrefix)
+{
+    // a peer that never sends the prefix's newline must be refused
+    // once the prefix outgrows the cap's digits, not buffered forever
+    const std::string digits(1 << 16, '7');
+    FrameDecoder dec;
+    std::string out;
+    dec.feed(digits.data(), digits.size());
+    EXPECT_THROW(dec.next(out), std::invalid_argument);
+
+    // the same run on a socket, behind a valid hello
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const std::string hello = encodeHello("client");
+    const std::string bytes = frameBytes(hello) + digits;
+    ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(sv[0]);
+    FrameDecoder conn;
+    Hello peer;
+    std::string err;
+    EXPECT_TRUE(readHello(sv[1], conn, "client", peer, err)) << err;
+    EXPECT_THROW(readFrame(sv[1], conn, out), std::invalid_argument);
+    ::close(sv[1]);
 }
 
 TEST(DispatchWireHardening, GarbageResultCostsTheCellNothingFinal)
@@ -855,18 +888,13 @@ journalFrames(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     std::string buf((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
+    FrameDecoder decoder;
+    decoder.feed(buf.data(), buf.size());
     std::vector<std::string> frames;
-    size_t off = 0;
-    while (off < buf.size()) {
-        const size_t nl = buf.find('\n', off);
-        if (nl == std::string::npos)
-            break;
-        const size_t len = std::stoul(buf.substr(off, nl - off));
-        if (buf.size() < nl + 1 + len + 1)
-            break;
-        frames.push_back(buf.substr(off, nl + 1 + len + 1 - off));
-        off = nl + 1 + len + 1;
-    }
+    std::string payload;
+    for (uint64_t start = 0; decoder.next(payload);
+         start = decoder.offset())
+        frames.push_back(buf.substr(start, decoder.offset() - start));
     return frames;
 }
 
@@ -990,6 +1018,50 @@ TEST(DispatchJournal, RejectsResumeUnderDifferentSpec)
     other.resume = true;
     EXPECT_THROW(dispatch::runSpec(other), std::invalid_argument);
     std::filesystem::remove(journal);
+}
+
+TEST(DispatchJournal, ReadJournalKeepsTheCleanPrefix)
+{
+    const std::string header = frameBytes(
+        R"({"type":"journal","version":1,"spec":"00000000000000ff",)"
+        R"("cells":3})");
+    CellResult ok, failed;
+    ok.cell.id = 1;
+    ok.metrics.setWallMs(2.0);
+    failed.cell.id = 2;
+    failed.error = "boom";
+    const std::string clean = header + frameBytes(encodeResult(ok)) +
+        frameBytes(encodeResult(failed)) + frameBytes(encodeResult(ok));
+    // a torn tail and a garbled one both end the clean prefix
+    for (const std::string &tail : {std::string("120\n{\"type\""),
+                                     std::string("x\n{}\n")}) {
+        const JournalContents j = readJournal(clean + tail);
+        ASSERT_TRUE(j.hasHeader);
+        EXPECT_EQ(j.spec, "00000000000000ff");
+        EXPECT_EQ(j.cleanEnd, clean.size());
+        // errored results re-run; the first ok copy wins
+        ASSERT_EQ(j.results.size(), 1u);
+        EXPECT_EQ(j.results.at(1).metrics.wallMs(), 2.0);
+    }
+    EXPECT_FALSE(readJournal("").hasHeader);
+    EXPECT_FALSE(readJournal(header.substr(0, 10)).hasHeader);
+}
+
+TEST(DispatchJournal, ResumeRefusesAFileThatIsNotAJournal)
+{
+    ExperimentSpec spec = parseSpec(
+        {"workloads=sparse", "prefetchers=none", "ncpu=4",
+         "refs=1500", "wall=0"});
+    spec.journalPath = tempPath("journal_foreign");
+    spec.resume = true;
+    for (const std::string &bytes :
+         {std::string("not a journal\n"),
+          frameBytes(R"({"type":"result"})")}) {
+        writeFileBytes(spec.journalPath, bytes);
+        EXPECT_THROW(dispatch::runSpec(spec), std::invalid_argument)
+            << bytes;
+    }
+    std::filesystem::remove(spec.journalPath);
 }
 
 TEST(DispatchJournal, ResumeRequiresJournalKey)

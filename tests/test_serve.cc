@@ -1,7 +1,8 @@
 /**
  * @file
  * Experiment-service tests: the versioned hello handshake (round
- * trip, protocol mismatch, oversized and corrupt frames), the
+ * trip, protocol mismatch, oversized and corrupt frames), the literal
+ * frame bytes of every wire message type, the
  * ExperimentService producing reports byte-identical to the
  * in-process runner (cold, warm-cache and concurrent submissions),
  * admission-queue overflow rejection, daemon SIGKILL + warm-restart
@@ -37,6 +38,7 @@
 #include "serve/socket.hh"
 
 using namespace stems;
+using namespace stems::dispatch;
 using namespace stems::driver;
 using namespace stems::serve;
 
@@ -101,25 +103,6 @@ counterValue(const std::vector<std::pair<std::string, uint64_t>> &snap,
     return 0;
 }
 
-/** Raw write of pre-framed bytes (adversarial hello tests). */
-void
-writeRaw(int fd, const std::string &bytes)
-{
-    size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        ASSERT_GT(n, 0);
-        off += static_cast<size_t>(n);
-    }
-}
-
-std::string
-frameBytes(const std::string &payload)
-{
-    return std::to_string(payload.size()) + "\n" + payload + "\n";
-}
-
 } // anonymous namespace
 
 // ---------------------------------------------------------------------
@@ -130,7 +113,7 @@ TEST(ServeWire, HelloRoundTripsOverSocketPair)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(sendFrame(sv[0], encodeHello("client")));
+    ASSERT_TRUE(writeFrame(sv[0], encodeHello("client")));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -148,8 +131,11 @@ TEST(ServeWire, RejectsProtocolMismatch)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    writeRaw(sv[0], frameBytes(
-        R"({"type":"hello","protocol":1,"role":"client","pid":7})"));
+    ASSERT_TRUE(writeAll(
+        sv[0],
+        frameBytes(
+            R"({"type":"hello","protocol":1,"role":"client","pid":7})"),
+        Tally::None));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -165,7 +151,7 @@ TEST(ServeWire, RejectsUnexpectedRole)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(sendFrame(sv[0], encodeHello("worker")));
+    ASSERT_TRUE(writeFrame(sv[0], encodeHello("worker")));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -184,7 +170,7 @@ TEST(ServeWire, RejectsOversizedHelloWithoutBuffering)
     // the acceptor must bail once kHelloMaxBytes have been fed, not
     // buffer the whole advertised length
     const std::string huge(4 * kHelloMaxBytes, 'x');
-    writeRaw(sv[0], frameBytes(huge));
+    ASSERT_TRUE(writeAll(sv[0], frameBytes(huge), Tally::None));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -199,7 +185,7 @@ TEST(ServeWire, RejectsCorruptLengthPrefix)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    writeRaw(sv[0], "not-a-length\n{}\n");
+    ASSERT_TRUE(writeAll(sv[0], "not-a-length\n{}\n", Tally::None));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -214,7 +200,7 @@ TEST(ServeWire, RejectsNonHelloFirstFrame)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(sendFrame(sv[0], R"({"type":"submit","tokens":[]})"));
+    ASSERT_TRUE(writeFrame(sv[0], R"({"type":"submit","tokens":[]})"));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -223,6 +209,183 @@ TEST(ServeWire, RejectsNonHelloFirstFrame)
     EXPECT_NE(err.find("expected hello"), std::string::npos) << err;
     ::close(sv[0]);
     ::close(sv[1]);
+}
+
+// ---------------------------------------------------------------------
+// pinned frame bytes: every message type, byte for byte
+// ---------------------------------------------------------------------
+
+namespace {
+
+// every message type's frame, byte for byte: a changed byte breaks
+// existing journals and peers built from another commit
+const char *const kPinnedInit =
+    "109\n"
+    R"({"type":"init","protocol":7,"trace_dir":"/spill","oracle_reg)"
+    R"(ions":[256,2048],"trace":true,"heartbeat_ms":200})" "\n";
+const char *const kPinnedReady =
+    "27\n"
+    R"({"type":"ready","pid":4242})" "\n";
+const char *const kPinnedCell =
+    "299\n"
+    R"({"type":"cell","attempt":2,"cell":{"id":3,"workload":"sparse)"
+    R"(","kind":"sms","label":"SMS","options":{"pht-entries":"1024")"
+    R"(},"sweep":{"region":"2048"},"ncpu":4,"refs":1000,"seed":7,"s)"
+    R"(ys":{"ncpu":4,"l1":[65536,2,64,0],"l2":[8388608,8,64,0]},"mo)"
+    R"(de":"l1","timing":true,"timing_only":false,"density":2048}})" "\n";
+const char *const kPinnedHeartbeat =
+    "20\n"
+    R"({"type":"heartbeat"})" "\n";
+const char *const kPinnedResult =
+    "255\n"
+    R"({"type":"result","id":3,"error":"","metrics":{"instructions")"
+    R"(:12345,"wall_ms":"0x1.8p+0"},"counters":[["issued",9]],"tele)"
+    R"(metry":{"phases":[["trace","0x1p-2"]],"counters":[["cells_do)"
+    R"(ne",1]],"rss_kb":2048,"spans":[["worker_cell","X",100,50,1,{)"
+    R"("cell":"3"}]]}})" "\n";
+const char *const kPinnedShutdown =
+    "19\n"
+    R"({"type":"shutdown"})" "\n";
+const char *const kPinnedJournal =
+    "67\n"
+    R"({"type":"journal","version":1,"spec":"0123456789abcdef","cel)"
+    R"(ls":33})" "\n";
+const char *const kPinnedHello =
+    "56\n"
+    R"({"type":"hello","protocol":7,"role":"client","pid":4242})" "\n";
+const char *const kPinnedError =
+    "46\n"
+    R"({"type":"error","message":"protocol mismatch"})" "\n";
+const char *const kPinnedSubmit =
+    "59\n"
+    R"({"type":"submit","tokens":["workloads=sparse","refs=1000"]})" "\n";
+const char *const kPinnedAdmitted =
+    "31\n"
+    R"({"type":"admitted","request":5})" "\n";
+const char *const kPinnedReport =
+    "111\n"
+    R"({"type":"report","request":5,"failed":1,"replayed":2,"json":)"
+    R"("{\"cells\":[]}\n","csv":"id\n","table":"| id |\n"})" "\n";
+const char *const kPinnedRejected =
+    "41\n"
+    R"({"type":"rejected","reason":"queue full"})" "\n";
+
+/** The bytes writeFrame puts on a pipe for @p payload. */
+std::string
+framedOnPipe(const std::string &payload)
+{
+    int p[2];
+    EXPECT_EQ(::pipe(p), 0);
+    EXPECT_TRUE(dispatch::writeFrame(p[1], payload));
+    ::close(p[1]);
+    std::string bytes;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(p[0], buf, sizeof(buf))) > 0;)
+        bytes.append(buf, static_cast<size_t>(n));
+    ::close(p[0]);
+    return bytes;
+}
+
+/** A journal's header frame, as RunJournal writes it to disk. */
+std::string
+journalHeaderFrame()
+{
+    const std::string path = tempPath("pinned.journal");
+    {
+        dispatch::RunJournal journal;
+        journal.open(path, 0x0123456789abcdefULL, 33, false);
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    fs::remove(path);
+    return bytes;
+}
+
+} // anonymous namespace
+
+TEST(WireBytes, EveryMessageTypeKeepsItsFrame)
+{
+    using namespace stems::dispatch;
+
+    WorkerInit init;
+    init.traceDir = "/spill";
+    init.oracleRegionSizes = {256, 2048};
+    init.trace = true;
+    init.heartbeatMs = 200;
+
+    RunCell cell;
+    cell.id = 3;
+    cell.workload = "sparse";
+    cell.engine.kind = "sms";
+    cell.engine.label = "SMS";
+    cell.engine.options = {{"pht-entries", "1024"}};
+    cell.sweepPoint = {{"region", "2048"}};
+    cell.params.ncpu = 4;
+    cell.params.refsPerCpu = 1000;
+    cell.params.seed = 7;
+    cell.sys.ncpu = 4;
+    cell.mode = StudyMode::L1;
+    cell.timing = true;
+    cell.densityRegion = 2048;
+
+    CellResult result;
+    result.cell.id = 3;
+    result.metrics.setU64(metric::ids().instructions, 12345);
+    result.metrics.setWallMs(1.5);
+    result.metrics.pfCounters = {{"issued", 9}};
+    result.telemetry.phases = {{"trace", 0.25}};
+    result.telemetry.counters = {{"cells_done", 1}};
+    result.telemetry.rssKb = 2048;
+    obs::Event span;
+    span.name = "worker_cell";
+    span.tsNs = 100;
+    span.durNs = 50;
+    span.tid = 1;
+    span.args = {{"cell", "3"}};
+    result.telemetry.spans = {span};
+
+    ExperimentService::Outcome report;
+    report.status = ExperimentService::Outcome::Status::Done;
+    report.id = 5;
+    report.failed = 1;
+    report.replayed = 2;
+    report.json = "{\"cells\":[]}\n";
+    report.csv = "id\n";
+    report.table = "| id |\n";
+
+    // the hello carries this process's pid; pin it to a fixed value
+    std::string hello = encodeHello("client");
+    const std::string pid = "\"pid\":" + std::to_string(::getpid());
+    hello.replace(hello.find(pid), pid.size(), "\"pid\":4242");
+
+    const struct
+    {
+        const char *type;
+        std::string frame;
+        const char *pinned;
+    } rows[] = {
+        {"init", framedOnPipe(encodeInit(init)), kPinnedInit},
+        {"ready", framedOnPipe(encodeReady(4242)), kPinnedReady},
+        {"cell", framedOnPipe(encodeCellJob(cell, 2)), kPinnedCell},
+        {"heartbeat", framedOnPipe(encodeHeartbeat()), kPinnedHeartbeat},
+        {"result", framedOnPipe(encodeResult(result)), kPinnedResult},
+        {"shutdown", framedOnPipe(encodeShutdown()), kPinnedShutdown},
+        {"journal", journalHeaderFrame(), kPinnedJournal},
+        {"hello", framedOnPipe(hello), kPinnedHello},
+        {"error", framedOnPipe(encodeError("protocol mismatch")),
+         kPinnedError},
+        {"submit",
+         framedOnPipe(encodeSubmit({"workloads=sparse", "refs=1000"})),
+         kPinnedSubmit},
+        {"admitted", framedOnPipe(encodeAdmitted(5)), kPinnedAdmitted},
+        {"report", framedOnPipe(encodeReport(report)), kPinnedReport},
+        {"rejected", framedOnPipe(encodeRejected("queue full")),
+         kPinnedRejected},
+    };
+    for (const auto &row : rows) {
+        EXPECT_EQ(row.frame, row.pinned) << row.type;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -357,11 +520,14 @@ TEST(ServeDaemon, RejectsMismatchedClientProtocol)
 
     const int fd = connectTo(listen);
     ASSERT_GE(fd, 0);
-    writeRaw(fd, frameBytes(
-        R"({"type":"hello","protocol":999,"role":"client","pid":1})"));
+    ASSERT_TRUE(writeAll(
+        fd,
+        frameBytes(
+            R"({"type":"hello","protocol":999,"role":"client","pid":1})"),
+        Tally::None));
     dispatch::FrameDecoder decoder;
     std::string payload;
-    ASSERT_TRUE(recvFrame(fd, decoder, payload));
+    ASSERT_TRUE(readFrame(fd, decoder, payload));
     const dispatch::JsonValue msg = dispatch::parseJson(payload);
     EXPECT_EQ(dispatch::messageType(msg), "error");
     EXPECT_NE(msg.at("message").asString().find("protocol mismatch"),
@@ -399,21 +565,15 @@ journalFrameCount(const std::string &dir)
         std::ifstream in(entry.path(), std::ios::binary);
         std::string buf((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-        size_t frames = 0, off = 0;
-        while (off < buf.size()) {
-            const size_t nl = buf.find('\n', off);
-            if (nl == std::string::npos)
-                break;
-            size_t len = 0;
-            try {
-                len = std::stoul(buf.substr(off, nl - off));
-            } catch (const std::exception &) {
-                break;
-            }
-            if (buf.size() < nl + 1 + len + 1)
-                break;
-            ++frames;
-            off = nl + 1 + len + 1;
+        dispatch::FrameDecoder decoder;
+        decoder.feed(buf.data(), buf.size());
+        size_t frames = 0;
+        std::string payload;
+        try {
+            while (decoder.next(payload))
+                ++frames;
+        } catch (const std::exception &) {
+            // a torn tail ends the count
         }
         return frames;
     }
@@ -503,16 +663,19 @@ TEST(ServeTransport, SocketDispatchMatchesInProcess)
 
 TEST(ServeTransport, SocketDispatchSurvivesSeededWorkerCrash)
 {
-    // 4 cells on 2 workers: the cell-0 crash leaves more pending
-    // work than the surviving worker can absorb, forcing a respawn
-    // through the spawn-cmd template
+    // 4 cells on 2 workers, and the first attempts of cells 0 and 1
+    // each kill the worker running them. A dead worker runs nothing
+    // more, so the second crash lands on the other initial worker or
+    // on a respawned one; either way both cells still need a second
+    // attempt, which only a worker respawned through the spawn-cmd
+    // template can run. The respawn is certain, not a race.
     const std::vector<std::string> tokens = {
         "workloads=sparse,graph", "prefetchers=sms,none", "ncpu=4",
         "refs=3000", "seed=17", "wall=0"};
     const std::string expected = inProcessJson(parseSpec(tokens));
 
     obs::Counters::get().reset();
-    ScopedEnv plan("STEMS_FAULTS", "crash=cell:0");
+    ScopedEnv plan("STEMS_FAULTS", "crash=cell:0,crash=cell:1");
     ExperimentSpec spec = socketDispatchSpec("fault", tokens);
     const std::string dispatched =
         toJson(spec, dispatch::runSpec(spec));
@@ -543,21 +706,20 @@ const char *kServeTrace = R"({"displayTimeUnit":"ms","traceEvents":[
 {"name":"baseline","ph":"X","ts":500,"dur":200,"pid":1,"tid":1,"args":{}},
 {"name":"baseline_pass","ph":"X","ts":500,"dur":100,"pid":1,"tid":1,"args":{}},
 {"name":"serve_cell","ph":"X","ts":700,"dur":4000,"pid":1,"tid":1,"args":{"request":"1","cell":"0","workload":"sparse","engine":"sms"}},
-{"name":"serve_cell","ph":"X","ts":4700,"dur":3000,"pid":1,"tid":1,"args":{"request":"1","cell":"1","workload":"graph","engine":"sms"}},
-{"name":"steal","ph":"X","ts":5000,"dur":2000,"pid":1,"tid":2,"args":{"request":"1","cell":"1","workload":"graph","engine":"sms"}},
-{"name":"serve_request","ph":"X","ts":0,"dur":8000,"pid":1,"tid":9,"args":{"request":"1","queue_ms":"2.500000","cells":"2","stolen":"1","replayed":"0"}}
+{"name":"serve_cell","ph":"X","ts":4700,"dur":3000,"pid":1,"tid":2,"args":{"request":"1","cell":"1","workload":"graph","engine":"sms"}},
+{"name":"serve_request","ph":"X","ts":0,"dur":8000,"pid":1,"tid":9,"args":{"request":"1","queue_ms":"2.500000","cells":"2","replayed":"0"}}
 ]})";
 
 } // anonymous namespace
 
-TEST(ServeAnalyze, JsonSchemaTwoCarriesServeSection)
+TEST(ServeAnalyze, JsonSchemaThreeCarriesServeSection)
 {
     AnalyzeOptions opts;
     opts.format = "json";
     const std::string out = analyzeRun(kServeTrace, "", opts);
     const dispatch::JsonValue doc = dispatch::parseJson(out);
     const dispatch::JsonValue &a = doc.at("analyze");
-    EXPECT_EQ(a.at("schema").asU64(), 2u);
+    EXPECT_EQ(a.at("schema").asU64(), 3u);
 
     const dispatch::JsonValue &requests = a.at("serve");
     ASSERT_EQ(requests.items.size(), 1u);
@@ -565,10 +727,10 @@ TEST(ServeAnalyze, JsonSchemaTwoCarriesServeSection)
     EXPECT_EQ(r.at("request").asU64(), 1u);
     EXPECT_DOUBLE_EQ(r.at("queue_ms").asDouble(), 2.5);
     EXPECT_DOUBLE_EQ(r.at("wall_ms").asDouble(), 8.0);
-    // exec attribution sums serve_cell AND steal spans per request
-    EXPECT_DOUBLE_EQ(r.at("exec_ms").asDouble(), 9.0);
+    // exec attribution sums the request's serve_cell spans
+    EXPECT_DOUBLE_EQ(r.at("exec_ms").asDouble(), 7.0);
     EXPECT_EQ(r.at("cells").asU64(), 2u);
-    EXPECT_EQ(r.at("stolen").asU64(), 1u);
+    EXPECT_EQ(r.find("stolen"), nullptr);
     EXPECT_EQ(r.at("replayed").asU64(), 0u);
 
     // fleet threads become utilization lanes in a serve trace
