@@ -131,11 +131,8 @@ TEST(ServeWire, RejectsProtocolMismatch)
 {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(writeAll(
-        sv[0],
-        frameBytes(
-            R"({"type":"hello","protocol":1,"role":"client","pid":7})"),
-        Tally::None));
+    ASSERT_TRUE(writeFrame(
+        sv[0], R"({"type":"hello","protocol":1,"role":"client","pid":7})"));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -170,7 +167,7 @@ TEST(ServeWire, RejectsOversizedHelloWithoutBuffering)
     // the acceptor must bail once kHelloMaxBytes have been fed, not
     // buffer the whole advertised length
     const std::string huge(4 * kHelloMaxBytes, 'x');
-    ASSERT_TRUE(writeAll(sv[0], frameBytes(huge), Tally::None));
+    ASSERT_TRUE(writeFrame(sv[0], huge));
 
     dispatch::FrameDecoder decoder;
     Hello hello;
@@ -520,11 +517,8 @@ TEST(ServeDaemon, RejectsMismatchedClientProtocol)
 
     const int fd = connectTo(listen);
     ASSERT_GE(fd, 0);
-    ASSERT_TRUE(writeAll(
-        fd,
-        frameBytes(
-            R"({"type":"hello","protocol":999,"role":"client","pid":1})"),
-        Tally::None));
+    ASSERT_TRUE(writeFrame(
+        fd, R"({"type":"hello","protocol":999,"role":"client","pid":1})"));
     dispatch::FrameDecoder decoder;
     std::string payload;
     ASSERT_TRUE(readFrame(fd, decoder, payload));
