@@ -127,18 +127,12 @@ CostModel::estimate(const RunCell &cell) const
         static_cast<double>(cell.params.refsPerCpu) *
         static_cast<double>(cell.params.ncpu) / 1000.0;
     const double w = kindWeight(cell.engine.kind);
-    double cost = 1.0;  // floor keeps zero-ref cells orderable
-    if (!cell.timingOnly) {
-        // the L1 shadow study walks one merged trace, not a coherent
-        // multiprocessor — substantially cheaper per reference
-        const double mode = cell.mode == StudyMode::L1 ? 0.6 : 1.0;
-        cost += mode * base * w;
-    }
-    if (cell.timing) {
-        // engine timing pass plus a share of the memoized baseline
-        cost += 1.4 * base * w + 0.5 * base;
-    }
-    return cost;
+    // one pass per cell: the timing model rides the system study's
+    // walk. The L1 shadow study walks one merged trace, not a coherent
+    // multiprocessor — substantially cheaper per reference. The 1.0
+    // floor keeps zero-ref cells orderable.
+    const double mode = cell.mode == StudyMode::L1 ? 0.6 : 1.0;
+    return 1.0 + mode * base * w;
 }
 
 std::vector<size_t>

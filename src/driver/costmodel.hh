@@ -11,8 +11,8 @@
  *    (dispatch/journal.hh; wall_ms rides each result frame bit-exact)
  *    or a run report JSON. Matched by cell id first, then by
  *    (workload, engine label) mean.
- *  - **Heuristic**: refs × ncpu scaled by engine kind and the passes
- *    the cell runs (study / timing / both). Only the ordering matters;
+ *  - **Heuristic**: refs × ncpu scaled by engine kind and study mode
+ *    (each cell walks its trace once). Only the ordering matters;
  *    scheduling never changes report bytes (results are placed by cell
  *    id), so a misestimate costs wall time, never correctness.
  */

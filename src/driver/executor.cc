@@ -35,64 +35,6 @@ densityRegionFor(const RunCell &cell)
 }
 
 /**
- * Everything the timing pass depends on: a cell's sys config can
- * differ per cell (geometry sweeps) and generation params could
- * differ across executors sharing code paths (per-seed harnesses),
- * so both are part of the key.
- */
-std::string
-geometryKey(const RunCell &cell)
-{
-    const mem::MemSysConfig &s = cell.sys;
-    return cell.workload + "/g" +
-        std::to_string(s.l1.sizeBytes) + "." +
-        std::to_string(s.l1.assoc) + "." +
-        std::to_string(s.l1.blockSize) + "." +
-        std::to_string(s.l2.sizeBytes) + "." +
-        std::to_string(s.l2.assoc) + "." +
-        std::to_string(s.l2.blockSize) + "/n" +
-        std::to_string(cell.params.ncpu) + "/r" +
-        std::to_string(cell.params.refsPerCpu) + "/s" +
-        std::to_string(cell.params.seed);
-}
-
-/**
- * Baseline memo key: density tracking rides the baseline pass for
- * "none" cells, so an *effective* tracked region size (below-block
- * values disable tracking and share the untracked slot) keys its own
- * slot on top of the geometry.
- */
-std::string
-baselineKey(const RunCell &cell)
-{
-    std::string key = geometryKey(cell);
-    if (const uint32_t region = densityRegionFor(cell))
-        key += "/d" + std::to_string(region);
-    return key;
-}
-
-/**
- * Timing memo key: the timing pass depends on everything the miss
- * baseline depends on *plus* the full engine configuration, so a cell
- * whose engine options change (e.g. a pht-entries sweep) invalidates
- * into its own slot instead of reusing a stale result. The baseline
- * pass is the "none" engine's entry — "none" takes no options, so any
- * option noise on a none engine (the top-level block= key fans out to
- * every engine) is ignored for keying. Density never reaches the
- * timing model, so the key deliberately omits it — density-swept
- * cells share one timing pass per engine.
- */
-std::string
-timingKey(const RunCell &cell, const EngineConfig &engine)
-{
-    std::string key = geometryKey(cell) + "|" + engine.kind;
-    if (engine.kind != "none")
-        for (const auto &[k, v] : engine.options)
-            key += "," + k + "=" + v;
-    return key;
-}
-
-/**
  * Oracle region trackers only make sense at or above the cell's block
  * grain (the paper computes oracle opportunity on the baseline-grain
  * hierarchy); cells swept to a coarser block skip tracking entirely.
@@ -108,13 +50,73 @@ oracleSizesFor(const std::vector<uint32_t> &sizes, const RunCell &cell)
     return sizes;
 }
 
-/** L1-mode study configuration a cell's engine options select. */
+/**
+ * The system study a cell's hierarchy passes run. A timing=only cell
+ * never reads the study, so its passes skip the oracle and density
+ * trackers, which never change the hierarchy's behaviour.
+ */
+study::SystemStudyConfig
+systemConfigFor(const RunCell &cell, const std::vector<uint32_t> &oracle)
+{
+    study::SystemStudyConfig scfg;
+    scfg.sys = cell.sys;
+    if (!cell.timingOnly) {
+        scfg.oracleRegionSizes = oracleSizesFor(oracle, cell);
+        if (const uint32_t region = densityRegionFor(cell)) {
+            scfg.trackDensity = true;
+            scfg.densityRegionSize = region;
+        }
+    }
+    return scfg;
+}
+
+/**
+ * Pass memo key: everything a pass reads. The shadow-L1 baseline
+ * reads the trace and the hierarchy's geometry alone. A hierarchy
+ * pass also reads the full engine configuration (kind plus every
+ * option, so a pht-entries sweep never reuses a stale pass; "none"
+ * takes no options, so option noise on a none engine — the top-level
+ * block= key fans out to every engine — is ignored), the trackers it
+ * runs and whether the core model rides it.
+ */
+std::string
+passKey(const RunCell &cell, const EngineConfig &engine, bool l1Shadow,
+        const study::SystemStudyConfig &scfg)
+{
+    const mem::MemSysConfig &s = cell.sys;
+    std::string key = cell.workload + "/g" +
+        std::to_string(s.l1.sizeBytes) + "." +
+        std::to_string(s.l1.assoc) + "." +
+        std::to_string(s.l1.blockSize) + "." +
+        std::to_string(s.l2.sizeBytes) + "." +
+        std::to_string(s.l2.assoc) + "." +
+        std::to_string(s.l2.blockSize) + "/n" +
+        std::to_string(cell.params.ncpu) + "/r" +
+        std::to_string(cell.params.refsPerCpu) + "/s" +
+        std::to_string(cell.params.seed);
+    if (l1Shadow)
+        return key + "|l1";
+    key += "|" + engine.kind;
+    if (engine.kind != "none")
+        for (const auto &[k, v] : engine.options)
+            key += "," + k + "=" + v;
+    key += "|o";
+    for (uint32_t size : scfg.oracleRegionSizes)
+        key += std::to_string(size) + ",";
+    if (scfg.trackDensity)
+        key += "|d" + std::to_string(scfg.densityRegionSize);
+    if (cell.timing)
+        key += "|t";
+    return key;
+}
+
+/** The L1-mode study @p engine's options select on @p cell. */
 study::L1StudyConfig
-l1ConfigFor(const RunCell &cell)
+l1ConfigFor(const RunCell &cell, const EngineConfig &engine)
 {
     study::L1StudyConfig lcfg;
-    if (cell.engine.kind == "sms")
-        lcfg = l1StudyConfigFromOptions(cell.engine.options);
+    if (engine.kind == "sms")
+        lcfg = l1StudyConfigFromOptions(engine.options);
     else
         lcfg.prefetch = false;
     lcfg.ncpu = cell.params.ncpu;
@@ -146,53 +148,64 @@ CellExecutor::CellExecutor(Config config) : cfg(std::move(config))
         traces.setSpillDir(cfg.traceDir);
 }
 
-const CellExecutor::BaselineSlot &
-CellExecutor::baseline(const RunCell &cell)
+const CellExecutor::PassResult &
+CellExecutor::pass(const RunCell &cell, const EngineConfig &engine,
+                   Lookup lookup)
 {
-    BaselineSlot *slot;
+    const bool l1Shadow =
+        lookup == Lookup::Baseline && cell.mode == StudyMode::L1;
+    const study::SystemStudyConfig scfg =
+        systemConfigFor(cell, cfg.oracleRegionSizes);
+    PassSlot *slot;
     {
         std::lock_guard<std::mutex> lock(memoMu);
-        slot = &baselines[baselineKey(cell)];
+        slot = &passes[passKey(cell, engine, l1Shadow, scfg)];
     }
     bool ran = false;
     std::call_once(slot->once, [&] {
         ran = true;
-        obs::Span span("baseline_pass", {{"workload", cell.workload}});
-        if (cell.mode == StudyMode::System) {
-            study::SystemStudyConfig scfg;
-            scfg.sys = cell.sys;
-            scfg.oracleRegionSizes =
-                oracleSizesFor(cfg.oracleRegionSizes, cell);
-            if (const uint32_t region = densityRegionFor(cell)) {
-                scfg.trackDensity = true;
-                scfg.densityRegionSize = region;
-            }
-            auto r = study::runSystem(viewSet(cell), scfg,
-                                      cell.params.seed);
-            slot->instructions = r.instructions;
-            slot->l1ReadMisses = r.l1ReadMisses;
-            slot->l2ReadMisses = r.l2ReadMisses;
-            slot->falseSharing = r.falseSharing;
-            slot->oracleL1Gens = r.oracleL1Gens;
-            slot->oracleL2Gens = r.oracleL2Gens;
-            slot->l1Density = r.l1Density;
-            slot->l2Density = r.l2Density;
-        } else {
-            study::L1StudyConfig lcfg;
-            lcfg.ncpu = cell.params.ncpu;
-            lcfg.l1 = cell.sys.l1;
-            lcfg.prefetch = false;
-            auto r = study::runL1Study(viewSet(cell), lcfg,
-                                       cell.params.seed);
-            slot->instructions = r.instructions;
-            slot->l1ReadMisses = r.readMisses;
+        PassResult &r = slot->result;
+        if (l1Shadow) {
+            obs::Span span("baseline_pass", {{"workload", cell.workload}});
+            auto l1 = study::runL1Study(viewSet(cell),
+                                        l1ConfigFor(cell, engine),
+                                        cell.params.seed);
+            r.system.instructions = l1.instructions;
+            r.system.l1ReadMisses = l1.readMisses;
+            return;
         }
+        obs::Span span(engine.kind == "none" ? "baseline_pass"
+                                             : "engine_pass",
+                       {{"workload", cell.workload},
+                        {"engine", engine.kind}});
+        obs::count(&obs::Counters::systemPasses);
+        // every engine — "none" included — attaches through the
+        // registry: no pass has engine-specific wiring
+        std::unique_ptr<PrefetcherDeployment> dep;
+        const prefetch::PfAttach attach =
+            registryAttach(engine.kind, dep, engine.options);
+        if (cell.timing) {
+            sim::CoreTimer timer(sim::CoreConfig{}, cell.sys.ncpu);
+            r.system = study::runSystem(viewSet(cell), scfg,
+                                        cell.params.seed, attach, timer);
+            r.timing = timer.finish();
+        } else {
+            r.system = study::runSystem(viewSet(cell), scfg,
+                                        cell.params.seed, attach);
+        }
+        r.pfCounters = dep->counters();
     });
     // `ran` is true exactly once per memo slot regardless of thread
-    // count, so hit/miss totals are deterministic 1-vs-N threads
-    obs::count(ran ? &obs::Counters::baselineMemoMisses
-                   : &obs::Counters::baselineMemoHits);
-    return *slot;
+    // count, and within a spec each slot's first lookup always comes
+    // from the same phase, so hit/miss totals are deterministic 1-vs-N
+    // threads
+    if (lookup == Lookup::Baseline)
+        obs::count(ran ? &obs::Counters::baselineMemoMisses
+                       : &obs::Counters::baselineMemoHits);
+    else if (lookup == Lookup::Timing)
+        obs::count(ran ? &obs::Counters::timingMemoMisses
+                       : &obs::Counters::timingMemoHits);
+    return slot->result;
 }
 
 const trace::StreamSet &
@@ -219,34 +232,6 @@ CellExecutor::prepared(const RunCell &cell)
     return traces.ready(cell.workload, cell.params);
 }
 
-const sim::TimingResult &
-CellExecutor::timingRun(const RunCell &cell, const EngineConfig &engine)
-{
-    TimingSlot *slot;
-    {
-        std::lock_guard<std::mutex> lock(memoMu);
-        slot = &timingRuns[timingKey(cell, engine)];
-    }
-    bool ran = false;
-    std::call_once(slot->once, [&] {
-        ran = true;
-        obs::Span span("timing_pass", {{"workload", cell.workload},
-                                       {"engine", engine.kind}});
-        sim::TimingConfig tc;
-        tc.sys = cell.sys;
-        // every engine — "none" included — attaches through the
-        // registry: the timing model has no engine-specific wiring
-        std::unique_ptr<PrefetcherDeployment> dep;
-        slot->result =
-            sim::runTiming(viewSet(cell), tc, cell.params.seed,
-                           registryAttach(engine.kind, dep,
-                                          engine.options));
-    });
-    obs::count(ran ? &obs::Counters::timingMemoMisses
-                   : &obs::Counters::timingMemoHits);
-    return slot->result;
-}
-
 void
 CellExecutor::runCell(const RunCell &cell, CellResult &out)
 {
@@ -270,58 +255,44 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
     // attributed to the trace phase, not whichever study ran first
     phase("trace", [&] { viewSet(cell); });
 
+    // what the baseline and every engine's system study report
+    auto setStudy = [&](const study::SystemStudyResult &r) {
+        m.setU64(M.instructions, r.instructions);
+        m.setU64(M.l1ReadMisses, r.l1ReadMisses);
+        m.setU64(M.l2ReadMisses, r.l2ReadMisses);
+        m.setU64(M.falseSharing, r.falseSharing);
+        m.setVec(M.oracleL1Gens, r.oracleL1Gens);
+        m.setVec(M.oracleL2Gens, r.oracleL2Gens);
+        if (densityRegionFor(cell)) {
+            m.setVec(M.l1Density, histVec(r.l1Density));
+            m.setVec(M.l2Density, histVec(r.l2Density));
+        }
+    };
+
+    const EngineConfig none;
     if (!cell.timingOnly) {
-        const BaselineSlot *base = nullptr;
-        phase("baseline", [&] { base = &baseline(cell); });
+        const PassResult *base = nullptr;
+        phase("baseline",
+              [&] { base = &pass(cell, none, Lookup::Baseline); });
 
         if (cell.engine.kind == "none") {
-            // a "none" cell IS the baseline run — reuse the memoized pass
-            m.setU64(M.instructions, base->instructions);
-            m.setU64(M.l1ReadMisses, base->l1ReadMisses);
-            m.setU64(M.l2ReadMisses, base->l2ReadMisses);
-            m.setU64(M.falseSharing, base->falseSharing);
-            m.setVec(M.oracleL1Gens, base->oracleL1Gens);
-            m.setVec(M.oracleL2Gens, base->oracleL2Gens);
-            if (densityRegionFor(cell)) {
-                m.setVec(M.l1Density, histVec(base->l1Density));
-                m.setVec(M.l2Density, histVec(base->l2Density));
-            }
+            // a "none" cell IS the baseline run
+            setStudy(base->system);
         } else if (cell.mode == StudyMode::System) {
             phase("system_study", [&] {
-                study::SystemStudyConfig scfg;
-                scfg.sys = cell.sys;
-                scfg.oracleRegionSizes =
-                    oracleSizesFor(cfg.oracleRegionSizes, cell);
-                if (const uint32_t region = densityRegionFor(cell)) {
-                    scfg.trackDensity = true;
-                    scfg.densityRegionSize = region;
-                }
-                std::unique_ptr<PrefetcherDeployment> dep;
-                auto r = study::runSystem(
-                    viewSet(cell), scfg, cell.params.seed,
-                    registryAttach(cell.engine.kind, dep,
-                                   cell.engine.options));
-                m.setU64(M.instructions, r.instructions);
-                m.setU64(M.l1ReadMisses, r.l1ReadMisses);
-                m.setU64(M.l2ReadMisses, r.l2ReadMisses);
-                m.setU64(M.l1Covered, r.l1Covered);
-                m.setU64(M.l2Covered, r.l2Covered);
-                m.setU64(M.l1Overpred, r.l1Overpred);
-                m.setU64(M.l2Overpred, r.l2Overpred);
-                m.setU64(M.falseSharing, r.falseSharing);
-                m.setVec(M.oracleL1Gens, r.oracleL1Gens);
-                m.setVec(M.oracleL2Gens, r.oracleL2Gens);
-                if (scfg.trackDensity) {
-                    m.setVec(M.l1Density, histVec(r.l1Density));
-                    m.setVec(M.l2Density, histVec(r.l2Density));
-                }
-                if (dep)
-                    m.pfCounters = dep->counters();
+                const PassResult &r =
+                    pass(cell, cell.engine, Lookup::Study);
+                setStudy(r.system);
+                m.setU64(M.l1Covered, r.system.l1Covered);
+                m.setU64(M.l2Covered, r.system.l2Covered);
+                m.setU64(M.l1Overpred, r.system.l1Overpred);
+                m.setU64(M.l2Overpred, r.system.l2Overpred);
+                m.pfCounters = r.pfCounters;
             });
         } else {
             phase("l1_study", [&] {
                 auto r = study::runL1Study(viewSet(cell),
-                                           l1ConfigFor(cell),
+                                           l1ConfigFor(cell, cell.engine),
                                            cell.params.seed);
                 m.setU64(M.instructions, r.instructions);
                 m.setU64(M.l1ReadMisses, r.readMisses);
@@ -332,23 +303,22 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
             });
         }
 
-        m.setU64(M.baselineL1ReadMisses, base->l1ReadMisses);
-        m.setU64(M.baselineL2ReadMisses, base->l2ReadMisses);
+        m.setU64(M.baselineL1ReadMisses, base->system.l1ReadMisses);
+        m.setU64(M.baselineL2ReadMisses, base->system.l2ReadMisses);
     }
 
     if (cell.timing) {
         phase("timing", [&] {
-            // the engine-agnostic timing pipeline: the baseline is just
-            // the "none" engine's memoized pass, and every registry
-            // prefetcher runs through the same attach seam
-            EngineConfig none;
-            const sim::TimingResult &baseTiming = timingRun(cell, none);
+            // the system study's passes carry the core model, so in
+            // system mode these lookups find passes already run
+            const sim::TimingResult &baseTiming =
+                pass(cell, none, Lookup::Timing).timing;
             m.setTimingResult(M.baselineTiming, baseTiming);
             m.setValue(M.baselineUipc, baseTiming.uipc());
             const sim::TimingResult &engineTiming =
                 cell.engine.kind == "none"
                     ? baseTiming
-                    : timingRun(cell, cell.engine);
+                    : pass(cell, cell.engine, Lookup::Timing).timing;
             m.setTimingResult(M.timing, engineTiming);
             m.setValue(M.uipc, engineTiming.uipc());
             if (baseTiming.uipc() > 0 && engineTiming.uipc() > 0)

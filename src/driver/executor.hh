@@ -3,10 +3,10 @@
  * CellExecutor: the one cell-execution entry point shared by the
  * in-process thread-pool runner and the dispatch worker subprocesses.
  * Owns the trace cache (with optional on-disk record/replay) and the
- * memoized baseline and timing passes that coverage and speedup are
- * reported against, so any execution context — thread, worker process,
- * future remote transport — produces identical CellResults for
- * identical RunCells.
+ * one memo of hierarchy passes that coverage, speedup and their
+ * baselines are read from, so any execution context — thread, worker
+ * process, future remote transport — produces identical CellResults
+ * for identical RunCells.
  *
  * Cell measurements land in a schema-registered MetricSet (see
  * driver/metrics.hh); the executor is a metric *producer* — it never
@@ -17,7 +17,6 @@
 #ifndef STEMS_DRIVER_EXECUTOR_HH
 #define STEMS_DRIVER_EXECUTOR_HH
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -28,7 +27,7 @@
 #include "driver/spec.hh"
 #include "obs/obs.hh"
 #include "sim/timing.hh"
-#include "study/density.hh"
+#include "study/memstudy.hh"
 #include "study/suite.hh"
 #include "trace/access.hh"
 
@@ -84,46 +83,47 @@ class CellExecutor
     const Config &config() const { return cfg; }
 
   private:
-    struct BaselineSlot
+    /**
+     * What one pass measured: the system study (or, for an L1-mode
+     * baseline, the shadow-L1 study's instructions and read misses),
+     * the timing model when the pass ran it, and the engine's
+     * counters.
+     */
+    struct PassResult
     {
-        std::once_flag once;
-        uint64_t instructions = 0;
-        uint64_t l1ReadMisses = 0;
-        uint64_t l2ReadMisses = 0;
-        uint64_t falseSharing = 0;
-        std::vector<uint64_t> oracleL1Gens;
-        std::vector<uint64_t> oracleL2Gens;
-        std::array<uint64_t, study::kDensityBuckets> l1Density{};
-        std::array<uint64_t, study::kDensityBuckets> l2Density{};
+        study::SystemStudyResult system;
+        sim::TimingResult timing;
+        Counters pfCounters;
     };
 
-    struct TimingSlot
+    struct PassSlot
     {
         std::once_flag once;
-        sim::TimingResult result;
+        PassResult result;
     };
+
+    /** The phase a pass lookup serves; picks its memo counters. */
+    enum class Lookup { Baseline, Study, Timing };
 
     void runCell(const RunCell &cell, CellResult &out);
-    const BaselineSlot &baseline(const RunCell &cell);
 
     /**
-     * Memoized timing pass for @p engine on @p cell's workload and
-     * hierarchy. Keyed on the full engine configuration (kind plus
-     * every option), so cells that differ only in engine options never
-     * share a result; the baseline is simply the "none" engine's
-     * entry.
+     * The memoized pass of @p engine over @p cell's trace and
+     * hierarchy: the no-prefetch pass is the "none" engine's entry,
+     * and an L1-mode baseline is the one shadow-L1 pass. Keyed on
+     * everything a pass reads, so one walk serves every phase and
+     * cell that needs it.
      */
-    const sim::TimingResult &timingRun(const RunCell &cell,
-                                       const EngineConfig &engine);
+    const PassResult &pass(const RunCell &cell, const EngineConfig &engine,
+                           Lookup lookup);
 
     /** The cell's stream views through the TraceCache (zero-copy). */
     const trace::StreamSet &viewSet(const RunCell &cell);
 
     Config cfg;
     study::TraceCache traces;
-    std::mutex memoMu;  //!< guards the memo map shapes
-    std::map<std::string, BaselineSlot> baselines;
-    std::map<std::string, TimingSlot> timingRuns;
+    std::mutex memoMu;  //!< guards the memo map's shape
+    std::map<std::string, PassSlot> passes;
 };
 
 /** The executor settings an experiment spec implies. */

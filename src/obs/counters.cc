@@ -21,6 +21,7 @@ Counters::reset()
     baselineMemoMisses = 0;
     timingMemoHits = 0;
     timingMemoMisses = 0;
+    systemPasses = 0;
     cellsExecuted = 0;
     dispatchRetries = 0;
     cellsRequeued = 0;
@@ -59,6 +60,7 @@ snapshotCounters()
         {"baseline_memo_misses", v(c.baselineMemoMisses)},
         {"timing_memo_hits", v(c.timingMemoHits)},
         {"timing_memo_misses", v(c.timingMemoMisses)},
+        {"system_passes", v(c.systemPasses)},
         {"cells_executed", v(c.cellsExecuted)},
         {"dispatch_retries", v(c.dispatchRetries)},
         {"cells_requeued", v(c.cellsRequeued)},

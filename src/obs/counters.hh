@@ -1,11 +1,12 @@
 /**
  * @file
  * Process-wide named counters for engine observability: TraceCache
- * hits/misses, baseline/timing memo hits/misses, dispatch retries and
- * re-queues, wire bytes. Counting is always on (one relaxed atomic
- * increment at per-cell or per-memo granularity — never per memory
- * reference), and the registry is only *read* when a telemetry sink
- * was requested, so default runs pay nothing observable.
+ * hits/misses, baseline/timing memo hits/misses, hierarchy passes run,
+ * dispatch retries and re-queues, wire bytes. Counting is always on
+ * (one relaxed atomic increment at per-cell or per-memo granularity —
+ * never per memory reference), and the registry is only *read* when a
+ * telemetry sink was requested, so default runs pay nothing
+ * observable.
  *
  * Counter values are deterministic across thread counts: every
  * counted event is tied to a memoization slot (std::call_once) or a
@@ -33,6 +34,7 @@ struct Counters
     std::atomic<uint64_t> baselineMemoMisses{0};
     std::atomic<uint64_t> timingMemoHits{0};
     std::atomic<uint64_t> timingMemoMisses{0};
+    std::atomic<uint64_t> systemPasses{0};  //!< hierarchy walks run
     std::atomic<uint64_t> cellsExecuted{0};
     std::atomic<uint64_t> dispatchRetries{0};
     std::atomic<uint64_t> cellsRequeued{0};

@@ -15,6 +15,7 @@ GhbPcDc::GhbPcDc(const GhbConfig &config) : cfg(config)
     buffer.resize(cfg.ghbEntries);
     indexTable.resize(cfg.itEntries);
     walkScratch.reserve(cfg.maxWalk);
+    deltaScratch.reserve(cfg.maxWalk);
 }
 
 void
@@ -30,31 +31,31 @@ GhbPcDc::observe(const ObservedAccess &a, std::vector<uint64_t> &out)
 
     // insert the new entry, linking to this PC's previous miss
     ItEntry &it = indexTable[a.pc % cfg.itEntries];
-    uint64_t prev = 0;
-    bool has_prev = false;
-    if (it.valid && it.pc == a.pc && inWindow(it.head)) {
-        prev = it.head;
-        has_prev = true;
-    }
+    const bool has_prev = it.valid && it.pc == a.pc && inWindow(it.head);
     const uint64_t seq = head++;
-    GhbEntry &e = buffer[seq % cfg.ghbEntries];
+    const uint32_t slot = headSlot;
+    if (++headSlot == cfg.ghbEntries)
+        headSlot = 0;
+    GhbEntry &e = buffer[slot];
     e.blockAddr = blk;
-    e.link = prev;
+    e.link = has_prev ? it.head : 0;
+    e.linkSlot = has_prev ? it.headSlot : 0;
     e.hasLink = has_prev;
     it.pc = a.pc;
     it.head = seq;
+    it.headSlot = slot;
     it.valid = true;
 
-    // walk this PC's chain, newest -> oldest
+    // walk this PC's chain, newest -> oldest; each entry carries its
+    // predecessor's slot, so a hop needs no modulo
     walkScratch.clear();
-    uint64_t cur = seq;
+    const GhbEntry *g = &e;
     while (walkScratch.size() < cfg.maxWalk) {
-        const GhbEntry &g = buffer[cur % cfg.ghbEntries];
-        walkScratch.push_back(g.blockAddr);
-        if (!g.hasLink || !inWindow(g.link))
-            break;
+        walkScratch.push_back(g->blockAddr);
         // guard against a stale link overwritten by wrap-around
-        cur = g.link;
+        if (!g->hasLink || !inWindow(g->link))
+            break;
+        g = &buffer[g->linkSlot];
     }
     if (walkScratch.size() < 3)
         return;
@@ -62,7 +63,8 @@ GhbPcDc::observe(const ObservedAccess &a, std::vector<uint64_t> &out)
 
     // deltas oldest -> newest: d[i] = addr[i+1] - addr[i]
     const size_t n = walkScratch.size();
-    std::vector<int64_t> deltas(n - 1);
+    std::vector<int64_t> &deltas = deltaScratch;
+    deltas.resize(n - 1);
     for (size_t i = 0; i + 1 < n; ++i) {
         // walkScratch is newest-first; reverse while differencing
         deltas[n - 2 - i] = static_cast<int64_t>(walkScratch[i]) -

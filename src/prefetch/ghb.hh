@@ -60,6 +60,7 @@ class GhbPcDc : public PrefetchAlgorithm
     {
         uint64_t blockAddr = 0;  //!< miss address in blocks
         uint64_t link = 0;       //!< global seq of previous same-PC entry
+        uint32_t linkSlot = 0;   //!< buffer index of that entry
         bool hasLink = false;
     };
 
@@ -67,6 +68,7 @@ class GhbPcDc : public PrefetchAlgorithm
     {
         uint64_t pc = 0;
         uint64_t head = 0;  //!< global seq of newest GHB entry for pc
+        uint32_t headSlot = 0;  //!< buffer index of that entry
         bool valid = false;
     };
 
@@ -80,7 +82,9 @@ class GhbPcDc : public PrefetchAlgorithm
     std::vector<GhbEntry> buffer;
     std::vector<ItEntry> indexTable;
     uint64_t head = 0;  //!< next global sequence number
+    uint32_t headSlot = 0;  //!< buffer index of sequence number head
     std::vector<uint64_t> walkScratch;
+    std::vector<int64_t> deltaScratch;
     GhbStats stats_;
 };
 

@@ -2,22 +2,13 @@
 
 #include <algorithm>
 
-#include "trace/interleaver.hh"
+#include "study/memstudy.hh"
 #include "util/ring.hh"
 
 namespace stems::sim {
 
 namespace {
 
-enum class Cat : uint8_t { L1, OnChip, OffChip };
-
-/**
- * One CPU's analytic out-of-order core, advanced one reference at a
- * time. Keeping the model per-CPU lets the functional annotation pass
- * feed it in place: the simulation makes a single pass over the
- * interleaved view, with no merged trace, no per-CPU re-copy, and no
- * materialised annotation buffer between the two phases.
- */
 /**
  * How far back a dependence distance can reach. Completion times are
  * kept in a fixed power-of-two ring instead of an O(nrefs) vector so
@@ -29,9 +20,16 @@ enum class Cat : uint8_t { L1, OnChip, OffChip };
 constexpr size_t kDepWindow = 8192;
 static_assert((kDepWindow & (kDepWindow - 1)) == 0);
 
-struct CoreModel
+} // anonymous namespace
+
+/**
+ * One CPU's analytic out-of-order core, advanced one reference at a
+ * time, so the hierarchy pass feeds it in place: no merged trace, no
+ * per-CPU re-copy and no materialised annotation buffer.
+ */
+struct CoreTimer::Core
 {
-    CoreModel(const CoreConfig &cfg)
+    Core(const CoreConfig &cfg)
         : cfg(cfg), rob_window(cfg.robEntries + 1), mshr(cfg.mshrs + 1),
           sb(cfg.storeBuffer + 1)
     {
@@ -145,129 +143,90 @@ struct CoreModel
     }
 };
 
-/** One annotated reference, staged between the two batch loops. */
-struct Annotated
+CoreTimer::CoreTimer(const CoreConfig &cfg, uint32_t ncpu)
+    : cfg(cfg), torus(4, 4, cfg.hopLatency), batch(kBatch)
 {
-    trace::MemAccess a;
-    uint32_t lat;
-    Cat cat;
-};
-
-/** Accesses staged per batch; amortizes the annotate/retire switch. */
-constexpr size_t kBatch = 128;
-
-/**
- * Single fused pass over @p view: each reference is annotated by the
- * coherent memory system and retired through its CPU's core model.
- * Batched in groups of kBatch — the annotate loop (cache hierarchy +
- * latency classification) runs back to back, then the core-model
- * retire loop drains the batch. The two loops touch disjoint state
- * (annotation never reads core time), so the split is numerically
- * identical to the interleaved form while keeping each loop's
- * branches and data hot.
- *
- * Kept out of line: with a single caller left, LTO inlines this loop
- * into runTiming, and the timing-heavy paper suite then ran ~5% slower
- * end to end (gcc, 4-vCPU x86-64).
- */
-[[gnu::noinline]] TimingResult
-runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
-              const prefetch::PfAttach &attach)
-{
-    const uint32_t ncpu = cfg.sys.ncpu;
-    Torus torus(4, 4, cfg.core.hopLatency);
-
-    mem::MemorySystem sys(cfg.sys);
-    prefetch::AttachedPrefetcher *pf = attach ? attach(sys) : nullptr;
-
-    std::vector<CoreModel> cores;
     cores.reserve(ncpu);
     for (uint32_t c = 0; c < ncpu; ++c)
-        cores.emplace_back(cfg.core);
+        cores.emplace_back(this->cfg);
+}
 
-    std::vector<Annotated> batch(kBatch);
-    size_t filled = 0;
-    auto drain = [&] {
-        for (size_t k = 0; k < filled; ++k)
-            cores[batch[k].a.cpu].step(batch[k].a, batch[k].lat,
-                                       batch[k].cat);
-        filled = 0;
-    };
+CoreTimer::~CoreTimer() = default;
 
-    const trace::MemAccess *span;
-    uint32_t spanCpu;
-    size_t spanLen;
-    while ((spanLen = view.nextSpan(span, spanCpu)) != 0) {
-        for (size_t k = 0; k < spanLen; ++k) {
-            trace::MemAccess a = span[k];
-            a.cpu = spanCpu;
-            mem::AccessOutcome out = sys.access(a);
-            uint32_t lat;
-            Cat cat;
-            switch (out.level) {
-              case mem::HitLevel::L1:
-                lat = cfg.core.l1Latency;
-                cat = Cat::L1;
-                break;
-              case mem::HitLevel::L2:
-                lat = cfg.core.l2Latency;
-                cat = Cat::OnChip;
-                break;
-              case mem::HitLevel::Remote:
-                lat = cfg.core.l2Latency +
-                    torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                    cfg.core.l2Latency;
-                cat = Cat::OffChip;
-                break;
-              default:  // HitLevel::Memory
-                lat = cfg.core.l2Latency +
-                    torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                    cfg.core.memLatency;
-                cat = Cat::OffChip;
-                break;
-            }
-            if (a.isWrite && out.l1PrefetchHit) {
-                // the attached engine streamed this block read-only;
-                // the store still pays a full fetch-for-ownership
-                // round trip before the store buffer can drain it
-                // (Section 4.7's Qry1 observation) — uniform for any
-                // into-L1 prefetcher, not an SMS special case
-                lat = std::max<uint32_t>(
-                    cfg.core.upgradeLatency,
-                    cfg.core.l2Latency +
-                        torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                        cfg.core.memLatency);
-                cat = Cat::OffChip;
-            }
-            batch[filled++] = {a, lat, cat};
-            if (filled == kBatch)
-                drain();
-        }
+void
+CoreTimer::observe(const trace::MemAccess &a, const mem::AccessOutcome &out)
+{
+    uint32_t lat;
+    Cat cat;
+    switch (out.level) {
+      case mem::HitLevel::L1:
+        lat = cfg.l1Latency;
+        cat = Cat::L1;
+        break;
+      case mem::HitLevel::L2:
+        lat = cfg.l2Latency;
+        cat = Cat::OnChip;
+        break;
+      case mem::HitLevel::Remote:
+        lat = cfg.l2Latency +
+            torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+            cfg.l2Latency;
+        cat = Cat::OffChip;
+        break;
+      default:  // HitLevel::Memory
+        lat = cfg.l2Latency +
+            torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+            cfg.memLatency;
+        cat = Cat::OffChip;
+        break;
     }
-    drain();
+    if (a.isWrite && out.l1PrefetchHit) {
+        // the attached engine streamed this block read-only; the store
+        // still pays a full fetch-for-ownership round trip before the
+        // store buffer can drain it (Section 4.7's Qry1 observation) —
+        // uniform for any into-L1 prefetcher, not an SMS special case
+        lat = std::max<uint32_t>(
+            cfg.upgradeLatency,
+            cfg.l2Latency + torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+                cfg.memLatency);
+        cat = Cat::OffChip;
+    }
+    batch[filled++] = {a, lat, cat};
+    if (filled == kBatch)
+        retire();
+}
 
-    if (pf)
-        pf->drain();
+void
+CoreTimer::retire()
+{
+    for (size_t k = 0; k < filled; ++k)
+        cores[batch[k].a.cpu].step(batch[k].a, batch[k].lat, batch[k].cat);
+    filled = 0;
+}
 
-    // harvest in CPU order (matches the former per-CPU second phase)
+TimingResult
+CoreTimer::finish()
+{
+    retire();
     TimingResult res;
-    for (uint32_t c = 0; c < ncpu; ++c) {
-        res.cycles = std::max(res.cycles, cores[c].retire);
-        res.breakdown += cores[c].bd;
-        res.userInstructions += cores[c].userInstructions;
-        res.systemInstructions += cores[c].systemInstructions;
+    for (const Core &core : cores) {
+        res.cycles = std::max(res.cycles, core.retire);
+        res.breakdown += core.bd;
+        res.userInstructions += core.userInstructions;
+        res.systemInstructions += core.systemInstructions;
     }
     return res;
 }
-
-} // anonymous namespace
 
 TimingResult
 runTiming(const trace::StreamSet &set, const TimingConfig &cfg,
           uint64_t seed, const prefetch::PfAttach &attach)
 {
-    trace::InterleavedView view = trace::canonicalView(set, seed);
-    return runTimingView(view, cfg, attach);
+    study::SystemStudyConfig scfg;
+    scfg.sys = cfg.sys;
+    CoreTimer timer(cfg.core, cfg.sys.ncpu);
+    study::runSystem(set, scfg, seed, attach, timer);
+    return timer.finish();
 }
 
 } // namespace stems::sim

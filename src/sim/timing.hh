@@ -1,35 +1,33 @@
 /**
  * @file
  * Trace-driven out-of-order timing model for the performance
- * experiments (Figures 12-13). A two-phase approach mirrors the
- * paper's methodology at reduced fidelity:
+ * experiments (Figures 12-13), at reduced fidelity against the
+ * paper's methodology.
  *
- *  phase 1 — the interleaved trace runs through the coherent
- *  multiprocessor MemorySystem (with any attached prefetcher — see
- *  below) and each access is annotated with where it hit, including
- *  prefetched-into-L1/L2 provenance from the hierarchy's outcome
- *  bits;
- *
- *  phase 2 — each CPU's annotated stream is replayed through an
- *  analytic out-of-order core model: 8-wide dispatch/retire, a
- *  256-entry ROB bounding the overlap window, MSHR-limited
- *  memory-level parallelism, dependence distances serializing pointer
- *  chases, and a 64-entry store buffer that stalls retirement when
- *  full (the effect that gates Qry1). Head-of-ROB stall cycles are
- *  attributed to off-chip reads, on-chip reads, store-buffer-full, or
- *  other, producing the Figure 13 breakdown.
+ * The model is an observer of the system study's pass
+ * (study::runSystem): the interleaved trace walks the coherent
+ * multiprocessor hierarchy once, with any attached prefetcher, and
+ * CoreTimer sees each reference together with where it hit, including
+ * the prefetched-into-L1/L2 provenance bits. It prices the reference
+ * from that outcome and retires it through its CPU's analytic
+ * out-of-order core: 8-wide dispatch/retire, a 256-entry ROB bounding
+ * the overlap window, MSHR-limited memory-level parallelism,
+ * dependence distances serializing pointer chases, and a 64-entry
+ * store buffer that stalls retirement when full (the effect that
+ * gates Qry1). Head-of-ROB stall cycles are attributed to off-chip
+ * reads, on-chip reads, store-buffer-full, or other, producing the
+ * Figure 13 breakdown.
  *
  * The model is engine-agnostic: it hosts prefetchers through the
- * attach seam (prefetch::PfAttach), the same contract
- * study::runSystem uses, so every registry prefetcher — SMS, GHB
- * PC/DC, stride, next-line — gets a uIPC/speedup number. Prefetches
- * are priced uniformly from the annotation: a block streamed into L1
- * turns its read into an L1 hit; a block prefetched only to L2 turns
- * an off-chip read into an on-chip one; and a store that hits a block
- * any engine streamed read-only still pays a full
- * fetch-for-ownership round trip before the store buffer can drain
- * it (Section 4.7's Qry1 observation). No engine owns a privileged
- * code path.
+ * attach seam (prefetch::PfAttach), so every registry prefetcher —
+ * SMS, GHB PC/DC, stride, next-line — gets a uIPC/speedup number.
+ * Prefetches are priced uniformly from the outcome: a block streamed
+ * into L1 turns its read into an L1 hit; a block prefetched only to
+ * L2 turns an off-chip read into an on-chip one; and a store that
+ * hits a block any engine streamed into L1 read-only still pays a
+ * full fetch-for-ownership round trip before the store buffer can
+ * drain it (Section 4.7's Qry1 observation). No engine owns a
+ * privileged code path.
  */
 
 #ifndef STEMS_SIM_TIMING_HH
@@ -116,16 +114,61 @@ struct TimingResult
 };
 
 /**
- * Run the timing model's fused annotate+retire pass over per-CPU
- * streams (from Workload::generateStreams, wrapped in
+ * The out-of-order core model as a study::runSystem observer.
+ * observe() prices each reference from the hierarchy's outcome and
+ * stages it; every kBatch references the batch retires through the
+ * cores. Pricing never reads core time, so the split is numerically
+ * identical to retiring in place, while the hierarchy walk and the
+ * retire loop each keep their branches and data hot.
+ */
+class CoreTimer
+{
+  public:
+    CoreTimer(const CoreConfig &cfg, uint32_t ncpu);
+    ~CoreTimer();
+    CoreTimer(const CoreTimer &) = delete;
+    CoreTimer &operator=(const CoreTimer &) = delete;
+
+    void observe(const trace::MemAccess &a, const mem::AccessOutcome &out);
+
+    /** Retire what is still staged; the run's timing over all CPUs. */
+    TimingResult finish();
+
+  private:
+    struct Core;
+
+    /** Where a read's stall is charged. */
+    enum class Cat : uint8_t { L1, OnChip, OffChip };
+
+    /** A priced reference, staged between observe() and retire. */
+    struct Staged
+    {
+        trace::MemAccess a;
+        uint32_t lat;
+        Cat cat;
+    };
+
+    /** References staged per batch. */
+    static constexpr size_t kBatch = 128;
+
+    void retire();
+
+    const CoreConfig cfg;
+    Torus torus;
+    std::vector<Core> cores;
+    std::vector<Staged> batch;
+    size_t filled = 0;
+};
+
+/**
+ * Time per-CPU streams (from Workload::generateStreams, wrapped in
  * StreamSet::borrowed, or an mmap'd spill consumed straight from the
  * page cache) in canonical interleaved order for workload seed
- * @p seed.
+ * @p seed: a study::runSystem pass observed by a CoreTimer.
  *
  * @param attach builds a prefetcher deployment onto the run's
  *               MemorySystem before the first reference (empty = no
- *               prefetcher). The returned handle is drained after the
- *               last reference, exactly as in study::runSystem.
+ *               prefetcher), drained after the last one.
  */
 TimingResult runTiming(const trace::StreamSet &set,
                        const TimingConfig &cfg, uint64_t seed = 1,

@@ -1,17 +1,12 @@
 #include "study/memstudy.hh"
 
-#include <memory>
-
 #include "core/oracle.hh"
 #include "prefetch/prefetcher.hh"
-#include "trace/interleaver.hh"
 
 namespace stems::study {
 
-namespace {
-
 /** Adapts a cache's departure stream onto an OracleTracker. */
-class OracleListener : public mem::CacheListener
+class SystemPass::OracleListener : public mem::CacheListener
 {
   public:
     explicit OracleListener(const core::RegionGeometry &geom)
@@ -31,26 +26,13 @@ class OracleListener : public mem::CacheListener
     core::OracleTracker tracker;
 };
 
-/**
- * The study proper, templated over how accesses are delivered:
- * @p drive is called once with a per-access sink and must invoke it
- * for every reference in interleaved order. Instantiated for the
- * merged-trace and zero-copy stream-view front ends below.
- */
-template <typename DriveFn>
-SystemStudyResult
-runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
-              const PfAttach &attach)
+SystemPass::SystemPass(const SystemStudyConfig &cfg,
+                       const PfAttach &attach)
+    : ncpu(cfg.sys.ncpu), nsizes(cfg.oracleRegionSizes.size()),
+      trackDensity(cfg.trackDensity), sys(cfg.sys),
+      pf(attach ? attach(sys) : nullptr)
 {
-    SystemStudyResult res;
-    mem::MemorySystem sys(cfg.sys);
-    const uint32_t ncpu = cfg.sys.ncpu;
-
-    AttachedPrefetcher *pf = attach ? attach(sys) : nullptr;
-
     // oracle trackers, one per (cpu, level, region size)
-    const size_t nsizes = cfg.oracleRegionSizes.size();
-    std::vector<std::unique_ptr<OracleListener>> oracleL1, oracleL2;
     for (size_t s = 0; s < nsizes; ++s) {
         core::RegionGeometry geom(cfg.oracleRegionSizes[s],
                                   cfg.sys.l1.blockSize);
@@ -61,16 +43,9 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
             sys.addL2Listener(c, oracleL2.back().get());
         }
     }
-    auto l1OracleAt = [&](size_t s, uint32_t c) -> OracleListener & {
-        return *oracleL1[s * ncpu + c];
-    };
-    auto l2OracleAt = [&](size_t s, uint32_t c) -> OracleListener & {
-        return *oracleL2[s * ncpu + c];
-    };
 
     // density trackers
-    std::vector<std::unique_ptr<DensityTracker>> densL1, densL2;
-    if (cfg.trackDensity) {
+    if (trackDensity) {
         core::RegionGeometry geom(cfg.densityRegionSize,
                                   cfg.sys.l1.blockSize);
         for (uint32_t c = 0; c < ncpu; ++c) {
@@ -80,43 +55,51 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
             sys.addL2Listener(c, densL2.back().get());
         }
     }
+}
 
-    drive([&](const trace::MemAccess &a) {
-        res.instructions += a.ninst + 1;
-        mem::AccessOutcome out = sys.access(a);
+SystemPass::~SystemPass() = default;
 
-        if (!a.isWrite) {
-            if (out.l1PrefetchHit)
-                ++res.l1Covered;
-            if (out.l2PrefetchHit)
-                ++res.l2Covered;
-        }
+mem::AccessOutcome
+SystemPass::access(const trace::MemAccess &a)
+{
+    res.instructions += a.ninst + 1;
+    const mem::AccessOutcome out = sys.access(a);
 
-        const bool l1_miss = out.level != mem::HitLevel::L1;
-        for (size_t s = 0; s < nsizes; ++s) {
-            l1OracleAt(s, a.cpu).tracker.onAccess(a.addr);
-            if (l1_miss)
-                l2OracleAt(s, a.cpu).tracker.onAccess(a.addr);
-        }
+    if (!a.isWrite) {
+        if (out.l1PrefetchHit)
+            ++res.l1Covered;
+        if (out.l2PrefetchHit)
+            ++res.l2Covered;
+    }
+
+    const bool l1_miss = out.level != mem::HitLevel::L1;
+    for (size_t s = 0; s < nsizes; ++s) {
+        oracleL1[s * ncpu + a.cpu]->tracker.onAccess(a.addr);
         if (l1_miss)
-            ++res.l1Misses;
-        const bool offchip = out.level == mem::HitLevel::Remote ||
-            out.level == mem::HitLevel::Memory;
+            oracleL2[s * ncpu + a.cpu]->tracker.onAccess(a.addr);
+    }
+    if (l1_miss)
+        ++res.l1Misses;
+    const bool offchip = out.level == mem::HitLevel::Remote ||
+        out.level == mem::HitLevel::Memory;
+    if (offchip)
+        ++res.l2Misses;
+    if (trackDensity) {
+        // Figure 5 histograms *misses* per generation density
+        if (l1_miss)
+            densL1[a.cpu]->onAccess(a.addr);
         if (offchip)
-            ++res.l2Misses;
-        if (cfg.trackDensity) {
-            // Figure 5 histograms *misses* per generation density
-            if (l1_miss)
-                densL1[a.cpu]->onAccess(a.addr);
-            if (offchip)
-                densL2[a.cpu]->onAccess(a.addr);
-        }
-    });
+            densL2[a.cpu]->onAccess(a.addr);
+    }
+    return out;
+}
 
+SystemStudyResult
+SystemPass::finish()
+{
     if (pf)
         pf->drain();
 
-    // harvest
     res.l1ReadAccesses = sys.l1ReadAccesses();
     res.l1ReadMisses = sys.l1ReadMisses();
     res.l2ReadMisses = sys.l2ReadMisses();
@@ -132,13 +115,11 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
 
     res.oracleL1Gens.assign(nsizes, 0);
     res.oracleL2Gens.assign(nsizes, 0);
-    for (size_t s = 0; s < nsizes; ++s) {
-        for (uint32_t c = 0; c < ncpu; ++c) {
-            res.oracleL1Gens[s] += l1OracleAt(s, c).tracker.generations();
-            res.oracleL2Gens[s] += l2OracleAt(s, c).tracker.generations();
-        }
+    for (size_t i = 0; i < oracleL1.size(); ++i) {
+        res.oracleL1Gens[i / ncpu] += oracleL1[i]->tracker.generations();
+        res.oracleL2Gens[i / ncpu] += oracleL2[i]->tracker.generations();
     }
-    if (cfg.trackDensity) {
+    if (trackDensity) {
         for (uint32_t c = 0; c < ncpu; ++c) {
             densL1[c]->finalize();
             densL2[c]->finalize();
@@ -151,7 +132,13 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
     return res;
 }
 
-} // anonymous namespace
+SystemStudyResult
+runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
+          uint64_t seed, const PfAttach &attach)
+{
+    NoObserver none;
+    return runSystem(set, cfg, seed, attach, none);
+}
 
 SystemStudyResult
 runSystem(const trace::Trace &t, const SystemStudyConfig &cfg)
@@ -159,8 +146,8 @@ runSystem(const trace::Trace &t, const SystemStudyConfig &cfg)
     // classic PfKind wiring, expressed through the attach hook
     std::unique_ptr<core::SmsController> sms;
     std::unique_ptr<prefetch::PrefetchController> ghb;
-    return runSystem(t, cfg,
-                     [&](mem::MemorySystem &sys) -> AttachedPrefetcher * {
+    SystemPass pass(cfg, [&](mem::MemorySystem &sys)
+                             -> AttachedPrefetcher * {
         if (cfg.pf == PfKind::Sms) {
             sms = std::make_unique<core::SmsController>(sys, cfg.sms);
         } else if (cfg.pf == PfKind::Ghb) {
@@ -171,51 +158,9 @@ runSystem(const trace::Trace &t, const SystemStudyConfig &cfg)
         }
         return nullptr;
     });
-}
-
-SystemStudyResult
-runSystem(const trace::Trace &t, const SystemStudyConfig &cfg,
-          const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&t](auto &&sink) {
-            for (const auto &a : t)
-                sink(a);
-        },
-        cfg, attach);
-}
-
-namespace {
-
-/** Drive @p sink over @p view in span order, cpu field restamped. */
-template <typename Sink>
-void
-driveView(trace::InterleavedView &view, Sink &&sink)
-{
-    const trace::MemAccess *span;
-    uint32_t spanCpu;
-    size_t n;
-    while ((n = view.nextSpan(span, spanCpu)) != 0) {
-        for (size_t k = 0; k < n; ++k) {
-            trace::MemAccess a = span[k];
-            a.cpu = spanCpu;
-            sink(a);
-        }
-    }
-}
-
-} // anonymous namespace
-
-SystemStudyResult
-runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
-          uint64_t seed, const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&set, seed](auto &&sink) {
-            trace::InterleavedView view = trace::canonicalView(set, seed);
-            driveView(view, sink);
-        },
-        cfg, attach);
+    for (const auto &a : t)
+        pass.access(a);
+    return pass.finish();
 }
 
 } // namespace stems::study

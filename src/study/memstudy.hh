@@ -1,11 +1,17 @@
 /**
  * @file
  * Full-system trace study on the multiprocessor memory hierarchy:
- * drives a MemorySystem (optionally with SMS or GHB attached) over an
- * interleaved trace and collects the measurements behind Figures 4, 5
- * and 11 — per-level miss rates, oracle opportunity at a set of
+ * drives a MemorySystem (optionally with a prefetcher attached) over
+ * an interleaved trace and collects the measurements behind Figures
+ * 4, 5 and 11 — per-level miss rates, oracle opportunity at a set of
  * region sizes, access-density histograms, off-chip coverage, and the
  * true/false sharing split.
+ *
+ * The study's per-reference loop is the repository's one walk of the
+ * coherent hierarchy. runSystem takes an observer that sees each
+ * reference together with the hierarchy's outcome, so the timing
+ * model (sim::CoreTimer) rides the same pass: one walk yields both
+ * the system study and the timing result.
  */
 
 #ifndef STEMS_STUDY_MEMSTUDY_HH
@@ -13,7 +19,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/sms.hh"
@@ -22,14 +28,15 @@
 #include "prefetch/ghb.hh"
 #include "study/density.hh"
 #include "trace/access.hh"
+#include "trace/interleaver.hh"
 #include "trace/stream.hh"
 
 namespace stems::study {
 
 /**
  * The attach seam (see prefetch/attach.hh): the experiment engine's
- * registry returns these so runSystem — and sim::runTiming — can host
- * any deployment, not just the built-in PfKind set.
+ * registry returns these so runSystem — and the timing model riding
+ * it — can host any deployment, not just the built-in PfKind set.
  */
 using AttachedPrefetcher = prefetch::AttachedPrefetcher;
 using PfAttach = prefetch::PfAttach;
@@ -73,31 +80,91 @@ struct SystemStudyResult
     std::array<uint64_t, kDensityBuckets> l2Density{};
 };
 
-/** Run one trace through a configured system. */
-SystemStudyResult runSystem(const trace::Trace &t,
-                            const SystemStudyConfig &cfg);
+/**
+ * One system pass in progress: the hierarchy, the attached engine and
+ * the study's trackers. access() services one reference and records
+ * what the study measures; finish() drains the engine and harvests.
+ * The engine and trackers hold this object's address, so it neither
+ * copies nor moves.
+ */
+class SystemPass
+{
+  public:
+    SystemPass(const SystemStudyConfig &cfg, const PfAttach &attach);
+    ~SystemPass();
+    SystemPass(const SystemPass &) = delete;
+    SystemPass &operator=(const SystemPass &) = delete;
+
+    mem::AccessOutcome access(const trace::MemAccess &a);
+    SystemStudyResult finish();
+
+  private:
+    class OracleListener;
+
+    const uint32_t ncpu;
+    const size_t nsizes;  //!< oracle region sizes tracked
+    const bool trackDensity;
+    mem::MemorySystem sys;
+    AttachedPrefetcher *pf;
+    //! indexed [size * ncpu + cpu]
+    std::vector<std::unique_ptr<OracleListener>> oracleL1, oracleL2;
+    std::vector<std::unique_ptr<DensityTracker>> densL1, densL2;
+    SystemStudyResult res;
+};
+
+/** A runSystem observer that watches nothing: the study alone. */
+struct NoObserver
+{
+    void observe(const trace::MemAccess &, const mem::AccessOutcome &) {}
+};
 
 /**
- * Run one trace through a configured system with a caller-supplied
- * prefetcher deployment (cfg.pf is ignored). The handle returned by
- * @p attach is drained after the trace completes, before harvest.
+ * Drive per-CPU streams through a configured system in canonical
+ * interleaved order for workload seed @p seed (the order
+ * workloads::makeTrace materialises), without building the merged
+ * trace. The StreamSet's backing may be an mmap'd spill (consumed
+ * pages are dropped behind the cursor) or in-memory vectors
+ * (StreamSet::borrowed).
+ *
+ * @param attach   builds a prefetcher deployment onto the run's
+ *                 MemorySystem before the first reference (empty = no
+ *                 prefetcher); drained after the last one, before
+ *                 harvest.
+ * @param observer observe(a, outcome) sees every reference right after
+ *                 the hierarchy serviced it (NoObserver,
+ *                 sim::CoreTimer).
  */
-SystemStudyResult runSystem(const trace::Trace &t,
-                            const SystemStudyConfig &cfg,
-                            const PfAttach &attach);
+template <typename Observer>
+SystemStudyResult
+runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
+          uint64_t seed, const PfAttach &attach, Observer &observer)
+{
+    SystemPass pass(cfg, attach);
+    trace::InterleavedView view = trace::canonicalView(set, seed);
+    const trace::MemAccess *span;
+    uint32_t spanCpu;
+    size_t n;
+    while ((n = view.nextSpan(span, spanCpu)) != 0) {
+        for (size_t k = 0; k < n; ++k) {
+            trace::MemAccess a = span[k];
+            a.cpu = spanCpu;
+            observer.observe(a, pass.access(a));
+        }
+    }
+    return pass.finish();
+}
 
-/**
- * Zero-materialization form: drive the system from per-CPU streams in
- * canonical interleaved order (the same order workloads::makeTrace
- * materialises for workload seed @p seed), without building the
- * merged trace. The StreamSet's backing may be an mmap'd spill
- * (consumed pages are dropped behind the cursor) or in-memory vectors
- * (StreamSet::borrowed). Results are byte-identical to the
- * merged-trace overloads by construction.
- */
+/** The system study alone over per-CPU streams (see above). */
 SystemStudyResult runSystem(const trace::StreamSet &set,
                             const SystemStudyConfig &cfg, uint64_t seed,
                             const PfAttach &attach = {});
+
+/**
+ * Run one merged trace, in trace order, through a configured system
+ * with cfg.pf's built-in engine wired in.
+ */
+SystemStudyResult runSystem(const trace::Trace &t,
+                            const SystemStudyConfig &cfg);
 
 } // namespace stems::study
 

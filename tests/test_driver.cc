@@ -966,6 +966,29 @@ TEST(TimingPipeline, TimingMemoKeysOnEngineOptions)
               results[1].metrics.baselineUipc());
 }
 
+TEST(TimingPipeline, UntimedPassesNeverServeTimedCells)
+{
+    // an executor that already walked every (workload, engine) pair
+    // without the core model must still time a later timing=1 spec
+    std::vector<std::string> tokens{
+        "workloads=sparse,graph", "prefetchers=sms,stride,none",
+        "ncpu=4", "refs=2000", "seed=9", "wall=0"};
+    const ExperimentSpec untimed = parseSpec(tokens);
+    tokens.push_back("timing=1");
+    const ExperimentSpec timed = parseSpec(tokens);
+
+    CellExecutor exec(executorConfig(timed));
+    for (const RunCell &cell : expandSpec(untimed))
+        ASSERT_TRUE(exec.execute(cell).error.empty());
+    std::vector<CellResult> results;
+    for (const RunCell &cell : expandSpec(timed)) {
+        results.push_back(exec.execute(cell));
+        ASSERT_TRUE(results.back().error.empty());
+        EXPECT_GT(results.back().metrics.uipc(), 0.0);
+    }
+    EXPECT_EQ(toJson(timed, results), toJson(timed, Runner(timed).run()));
+}
+
 TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
 {
     // the executor's timing cell must equal a hand-wired

@@ -306,6 +306,29 @@ TEST(ObsCounters, DeterministicAcrossThreadCounts)
     obs::Counters::get().reset();
 }
 
+TEST(ObsCounters, TimedSpecWalksTheHierarchyOncePerWorkloadAndEngine)
+{
+    // W workloads x E engines ("none" included): the timing model
+    // rides the system study's pass, so each (workload, engine) pair
+    // walks the hierarchy exactly once and every timing lookup hits
+    constexpr uint64_t kWorkloads = 2, kEngines = 3;
+    auto spec = [](uint32_t threads) {
+        return parseSpec({"workloads=sparse,graph",
+                          "prefetchers=sms,ghb,none", "timing=1",
+                          "ncpu=4", "refs=2000", "seed=5",
+                          "threads=" + std::to_string(threads)});
+    };
+    const auto one = countersAfterFreshRun(spec(1));
+    const auto four = countersAfterFreshRun(spec(4));
+    EXPECT_EQ(one, four);
+    EXPECT_EQ(counterValue(four, "system_passes"), kWorkloads * kEngines);
+    EXPECT_EQ(counterValue(four, "baseline_memo_misses"), kWorkloads);
+    EXPECT_EQ(counterValue(four, "timing_memo_misses"), 0u);
+    EXPECT_EQ(counterValue(four, "timing_memo_hits"),
+              kWorkloads * (2 * kEngines - 1));
+    obs::Counters::get().reset();
+}
+
 // ---------------------------------------------------------------------
 // executor phase telemetry
 // ---------------------------------------------------------------------

@@ -408,6 +408,10 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
               0u);
 
     // second submission of the same spec finds every trace prepared
+    // and every pass memoized
+    const uint64_t passes =
+        counterValue(obs::snapshotCounters(), "system_passes");
+    EXPECT_GT(passes, 0u);
     const auto warm = svc.submit(smallTokens());
     ASSERT_EQ(warm.status, ExperimentService::Outcome::Status::Done);
     EXPECT_EQ(warm.json, expected);
@@ -417,7 +421,36 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
     EXPECT_EQ(counterValue(obs::snapshotCounters(),
                            "serve_requests_admitted"),
               2u);
+    EXPECT_EQ(counterValue(obs::snapshotCounters(), "system_passes"),
+              passes);
     obs::Counters::get().reset();
+}
+
+TEST(ServeService, SharedExecutorKeepsEachModesBaseline)
+{
+    // one executor serves both study modes; the shadow-L1 and system
+    // baselines are distinct passes, whichever mode is served first
+    const std::vector<std::string> system = {
+        "workloads=sparse", "ncpu=4", "refs=2000", "seed=3",
+        "prefetchers=sms,none", "wall=0"};
+    std::vector<std::string> l1 = system;
+    l1.push_back("mode=l1");
+    const std::string wantSystem = inProcessJson(parseSpec(system));
+    const std::string wantL1 = inProcessJson(parseSpec(l1));
+    ASSERT_NE(wantSystem, wantL1);
+
+    for (const bool l1First : {true, false}) {
+        ExperimentService::Config cfg;
+        cfg.fleet = 2;
+        ExperimentService svc(cfg);
+        for (const bool isL1 : {l1First, !l1First}) {
+            const auto out = svc.submit(isL1 ? l1 : system);
+            ASSERT_EQ(out.status, ExperimentService::Outcome::Status::Done);
+            EXPECT_EQ(out.json, isL1 ? wantL1 : wantSystem)
+                << (isL1 ? "mode=l1" : "mode=system") << " served "
+                << (isL1 == l1First ? "first" : "second");
+        }
+    }
 }
 
 TEST(ServeService, RejectsWhenAdmissionQueueFull)
