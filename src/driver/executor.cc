@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 
 #include "driver/registry.hh"
@@ -71,16 +72,13 @@ systemConfigFor(const RunCell &cell, const std::vector<uint32_t> &oracle)
 }
 
 /**
- * Pass memo key: everything a pass reads. The shadow-L1 baseline
- * reads the trace and the hierarchy's geometry alone. A hierarchy
- * pass also reads the full engine configuration (kind plus every
- * option, so a pht-entries sweep never reuses a stale pass; "none"
- * takes no options, so option noise on a none engine — the top-level
- * block= key fans out to every engine — is ignored), the trackers it
- * runs and whether the core model rides it.
+ * Baseline memo key: everything a baseline pass reads. The shadow-L1
+ * baseline reads the trace and the hierarchy's geometry alone; the
+ * no-prefetch pass also reads the trackers it runs and whether the
+ * core model rides it.
  */
 std::string
-passKey(const RunCell &cell, const EngineConfig &engine, bool l1Shadow,
+passKey(const RunCell &cell, bool l1Shadow,
         const study::SystemStudyConfig &scfg)
 {
     const mem::MemSysConfig &s = cell.sys;
@@ -96,10 +94,6 @@ passKey(const RunCell &cell, const EngineConfig &engine, bool l1Shadow,
         std::to_string(cell.params.seed);
     if (l1Shadow)
         return key + "|l1";
-    key += "|" + engine.kind;
-    if (engine.kind != "none")
-        for (const auto &[k, v] : engine.options)
-            key += "," + k + "=" + v;
     key += "|o";
     for (uint32_t size : scfg.oracleRegionSizes)
         key += std::to_string(size) + ",";
@@ -148,52 +142,59 @@ CellExecutor::CellExecutor(Config config) : cfg(std::move(config))
         traces.setSpillDir(cfg.traceDir);
 }
 
+CellExecutor::PassResult
+CellExecutor::runPass(const RunCell &cell, const EngineConfig &engine)
+{
+    obs::Span span(engine.kind == "none" ? "baseline_pass"
+                                         : "engine_pass",
+                   {{"workload", cell.workload},
+                    {"engine", engine.kind}});
+    obs::count(&obs::Counters::systemPasses);
+    const study::SystemStudyConfig scfg =
+        systemConfigFor(cell, cfg.oracleRegionSizes);
+    // every engine — "none" included — attaches through the registry:
+    // no pass has engine-specific wiring
+    std::unique_ptr<PrefetcherDeployment> dep;
+    const prefetch::PfAttach attach =
+        registryAttach(engine.kind, dep, engine.options);
+    PassResult r;
+    if (cell.timing) {
+        sim::CoreTimer timer(sim::CoreConfig{}, cell.sys.ncpu);
+        r.system = study::runSystem(viewSet(cell), scfg,
+                                    cell.params.seed, attach, timer);
+        r.timing = timer.finish();
+    } else {
+        r.system = study::runSystem(viewSet(cell), scfg,
+                                    cell.params.seed, attach);
+    }
+    r.pfCounters = dep->counters();
+    return r;
+}
+
 const CellExecutor::PassResult &
-CellExecutor::pass(const RunCell &cell, const EngineConfig &engine,
-                   Lookup lookup)
+CellExecutor::baselinePass(const RunCell &cell, Lookup lookup)
 {
     const bool l1Shadow =
         lookup == Lookup::Baseline && cell.mode == StudyMode::L1;
-    const study::SystemStudyConfig scfg =
-        systemConfigFor(cell, cfg.oracleRegionSizes);
     PassSlot *slot;
     {
         std::lock_guard<std::mutex> lock(memoMu);
-        slot = &passes[passKey(cell, engine, l1Shadow, scfg)];
+        slot = &passes[passKey(
+            cell, l1Shadow, systemConfigFor(cell, cfg.oracleRegionSizes))];
     }
     bool ran = false;
     std::call_once(slot->once, [&] {
         ran = true;
-        PassResult &r = slot->result;
-        if (l1Shadow) {
-            obs::Span span("baseline_pass", {{"workload", cell.workload}});
-            auto l1 = study::runL1Study(viewSet(cell),
-                                        l1ConfigFor(cell, engine),
-                                        cell.params.seed);
-            r.system.instructions = l1.instructions;
-            r.system.l1ReadMisses = l1.readMisses;
+        const EngineConfig none;
+        if (!l1Shadow) {
+            slot->result = runPass(cell, none);
             return;
         }
-        obs::Span span(engine.kind == "none" ? "baseline_pass"
-                                             : "engine_pass",
-                       {{"workload", cell.workload},
-                        {"engine", engine.kind}});
-        obs::count(&obs::Counters::systemPasses);
-        // every engine — "none" included — attaches through the
-        // registry: no pass has engine-specific wiring
-        std::unique_ptr<PrefetcherDeployment> dep;
-        const prefetch::PfAttach attach =
-            registryAttach(engine.kind, dep, engine.options);
-        if (cell.timing) {
-            sim::CoreTimer timer(sim::CoreConfig{}, cell.sys.ncpu);
-            r.system = study::runSystem(viewSet(cell), scfg,
-                                        cell.params.seed, attach, timer);
-            r.timing = timer.finish();
-        } else {
-            r.system = study::runSystem(viewSet(cell), scfg,
-                                        cell.params.seed, attach);
-        }
-        r.pfCounters = dep->counters();
+        obs::Span span("baseline_pass", {{"workload", cell.workload}});
+        auto l1 = study::runL1Study(viewSet(cell), l1ConfigFor(cell, none),
+                                    cell.params.seed);
+        slot->result.system.instructions = l1.instructions;
+        slot->result.system.l1ReadMisses = l1.readMisses;
     });
     // `ran` is true exactly once per memo slot regardless of thread
     // count, and within a spec each slot's first lookup always comes
@@ -202,7 +203,7 @@ CellExecutor::pass(const RunCell &cell, const EngineConfig &engine,
     if (lookup == Lookup::Baseline)
         obs::count(ran ? &obs::Counters::baselineMemoMisses
                        : &obs::Counters::baselineMemoHits);
-    else if (lookup == Lookup::Timing)
+    else
         obs::count(ran ? &obs::Counters::timingMemoMisses
                        : &obs::Counters::timingMemoHits);
     return slot->result;
@@ -269,19 +270,22 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
         }
     };
 
-    const EngineConfig none;
+    // an engine's pass serves only the cell that names it: its system
+    // study and timing model read one walk, run by whichever phase
+    // needs it first
+    std::optional<PassResult> own;
     if (!cell.timingOnly) {
         const PassResult *base = nullptr;
         phase("baseline",
-              [&] { base = &pass(cell, none, Lookup::Baseline); });
+              [&] { base = &baselinePass(cell, Lookup::Baseline); });
 
         if (cell.engine.kind == "none") {
             // a "none" cell IS the baseline run
             setStudy(base->system);
         } else if (cell.mode == StudyMode::System) {
             phase("system_study", [&] {
-                const PassResult &r =
-                    pass(cell, cell.engine, Lookup::Study);
+                own = runPass(cell, cell.engine);
+                const PassResult &r = *own;
                 setStudy(r.system);
                 m.setU64(M.l1Covered, r.system.l1Covered);
                 m.setU64(M.l2Covered, r.system.l2Covered);
@@ -310,15 +314,19 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
     if (cell.timing) {
         phase("timing", [&] {
             // the system study's passes carry the core model, so in
-            // system mode these lookups find passes already run
+            // system mode both passes read here have already run
             const sim::TimingResult &baseTiming =
-                pass(cell, none, Lookup::Timing).timing;
+                baselinePass(cell, Lookup::Timing).timing;
             m.setTimingResult(M.baselineTiming, baseTiming);
             m.setValue(M.baselineUipc, baseTiming.uipc());
+            if (cell.engine.kind != "none") {
+                obs::count(own ? &obs::Counters::timingMemoHits
+                               : &obs::Counters::timingMemoMisses);
+                if (!own)
+                    own = runPass(cell, cell.engine);
+            }
             const sim::TimingResult &engineTiming =
-                cell.engine.kind == "none"
-                    ? baseTiming
-                    : pass(cell, cell.engine, Lookup::Timing).timing;
+                own ? own->timing : baseTiming;
             m.setTimingResult(M.timing, engineTiming);
             m.setValue(M.uipc, engineTiming.uipc());
             if (baseTiming.uipc() > 0 && engineTiming.uipc() > 0)

@@ -3,8 +3,9 @@
  * CellExecutor: the one cell-execution entry point shared by the
  * in-process thread-pool runner and the dispatch worker subprocesses.
  * Owns the trace cache (with optional on-disk record/replay) and the
- * one memo of hierarchy passes that coverage, speedup and their
- * baselines are read from, so any execution context — thread, worker
+ * memo of baseline passes that every cell of a workload reads; an
+ * engine's pass is walked once per cell and serves that cell's system
+ * study and timing model alike. Any execution context — thread, worker
  * process, future remote transport — produces identical CellResults
  * for identical RunCells.
  *
@@ -102,20 +103,20 @@ class CellExecutor
         PassResult result;
     };
 
-    /** The phase a pass lookup serves; picks its memo counters. */
-    enum class Lookup { Baseline, Study, Timing };
+    /** The phase a baseline lookup serves; picks its memo counters. */
+    enum class Lookup { Baseline, Timing };
 
     void runCell(const RunCell &cell, CellResult &out);
 
+    /** One hierarchy walk of @p engine, timed when @p cell is. */
+    PassResult runPass(const RunCell &cell, const EngineConfig &engine);
+
     /**
-     * The memoized pass of @p engine over @p cell's trace and
-     * hierarchy: the no-prefetch pass is the "none" engine's entry,
-     * and an L1-mode baseline is the one shadow-L1 pass. Keyed on
-     * everything a pass reads, so one walk serves every phase and
-     * cell that needs it.
+     * The memoized baseline pass @p lookup reads: the no-prefetch
+     * pass, or an L1-mode cell's shadow-L1 pass. Keyed on everything
+     * the pass reads, so every cell of a workload shares one walk.
      */
-    const PassResult &pass(const RunCell &cell, const EngineConfig &engine,
-                           Lookup lookup);
+    const PassResult &baselinePass(const RunCell &cell, Lookup lookup);
 
     /** The cell's stream views through the TraceCache (zero-copy). */
     const trace::StreamSet &viewSet(const RunCell &cell);

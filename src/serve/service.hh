@@ -6,10 +6,11 @@
  * have to rebuild kept warm between requests:
  *
  *  - Shared executors. Requests with the same oracle-region config
- *    share one driver::CellExecutor — its TraceCache, baseline memos
- *    and timing memos survive across requests, so resubmitting a spec
- *    (or submitting a sibling that shares workloads) skips trace
- *    generation and baseline passes entirely. Warm reuse is visible
+ *    share one driver::CellExecutor — its TraceCache and baseline-pass
+ *    memo survive across requests, so resubmitting a spec (or
+ *    submitting a sibling that shares workloads) skips trace
+ *    generation and baseline passes entirely; each engine cell walks
+ *    its own pass, as in a batch run. Warm reuse is visible
  *    as serve_cache_warm_hits (cells whose trace was already
  *    prepared at admission time). All executors share one spill dir.
  *

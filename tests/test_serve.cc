@@ -408,10 +408,12 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
               0u);
 
     // second submission of the same spec finds every trace prepared
-    // and every pass memoized
-    const uint64_t passes =
-        counterValue(obs::snapshotCounters(), "system_passes");
-    EXPECT_GT(passes, 0u);
+    // and every baseline memoized: it walks only its engines' passes
+    const auto coldCounters = obs::snapshotCounters();
+    const uint64_t passes = counterValue(coldCounters, "system_passes");
+    const uint64_t baselines =
+        counterValue(coldCounters, "baseline_memo_misses");
+    EXPECT_GT(baselines, 0u);
     const auto warm = svc.submit(smallTokens());
     ASSERT_EQ(warm.status, ExperimentService::Outcome::Status::Done);
     EXPECT_EQ(warm.json, expected);
@@ -421,8 +423,11 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
     EXPECT_EQ(counterValue(obs::snapshotCounters(),
                            "serve_requests_admitted"),
               2u);
+    EXPECT_EQ(counterValue(obs::snapshotCounters(),
+                           "baseline_memo_misses"),
+              baselines);
     EXPECT_EQ(counterValue(obs::snapshotCounters(), "system_passes"),
-              passes);
+              2 * passes - baselines);
     obs::Counters::get().reset();
 }
 
