@@ -19,10 +19,12 @@ Directory::Directory(uint32_t ncpu, uint32_t block_size,
     blockShift = log2i(block_size);
     excl.reset(static_cast<size_t>(ncpu) << kExclBits);
     if (expected_blocks) {
-        // bounded so a pathological hint cannot explode memory
-        constexpr uint64_t kMaxHint = uint64_t{1} << 21;
-        entries.reserve(
-            static_cast<size_t>(std::min(expected_blocks, kMaxHint)));
+        // in regions; bounded at 64k (2M blocks, the 16-node aggregate
+        // L2) so a pathological hint cannot explode memory
+        constexpr uint64_t kMaxHint = uint64_t{1} << 16;
+        const uint64_t regions =
+            (expected_blocks + kRegionMask) >> kRegionShift;
+        entries.reserve(static_cast<size_t>(std::min(regions, kMaxHint)));
     }
 }
 
@@ -57,7 +59,7 @@ Directory::resolveAsFalse(uint64_t k)
 Directory::ReadOutcome
 Directory::read(uint32_t cpu, uint64_t addr, bool demand)
 {
-    Entry &e = entries[blockIndex(addr)];
+    Entry &e = entryOf(blockIndex(addr));
     ReadOutcome out;
     uint16_t bit = static_cast<uint16_t>(1u << cpu);
 
@@ -121,7 +123,7 @@ Directory::write(uint32_t cpu, uint64_t addr)
     if (exclSlot(cpu, bi) == bi + 1)
         return WriteOutcome{};
 
-    Entry &e = entries[bi];
+    Entry &e = entryOf(bi);
     WriteOutcome out;
     uint16_t bit = static_cast<uint16_t>(1u << cpu);
 
@@ -172,11 +174,15 @@ Directory::write(uint32_t cpu, uint64_t addr)
 void
 Directory::evicted(uint32_t cpu, uint64_t addr)
 {
-    exclDrop(cpu, blockIndex(addr));
-    auto it = entries.find(blockIndex(addr));
+    const uint64_t bi = blockIndex(addr);
+    exclDrop(cpu, bi);
+    // find, never insert. An untouched block of a touched region has
+    // a default entry; updating it changes nothing, since sinceInval
+    // and pending only hold keys of blocks read() or write() touched
+    auto it = entries.find(bi >> kRegionShift);
     if (it == entries.end())
         return;
-    Entry &e = it->second;
+    Entry &e = it->second.block[bi & kRegionMask];
     uint16_t bit = static_cast<uint16_t>(1u << cpu);
     e.sharers &= static_cast<uint16_t>(~bit);
     if (e.owner >= 0 && static_cast<uint32_t>(e.owner) == cpu)

@@ -11,6 +11,13 @@
  * 64 B sub-block dirtied by the remote writer while it re-holds the
  * block (the classic Dubois/Torrellas-style deferred classification).
  * This feeds the "false sharing beyond 64B" series of Figure 4.
+ *
+ * Entries are grouped by region, as SMS groups accesses: one table
+ * slot holds the entries of 32 consecutive coherence blocks, so one
+ * probe serves every block of a region (coarse-grain coherence
+ * tracking, Cantin, Lipasti & Smith, ISCA 2005, keeps its state per
+ * region for the same reason). The table is reserved once from the
+ * machine configuration, never from the trace.
  */
 
 #ifndef STEMS_MEM_DIRECTORY_HH
@@ -45,6 +52,8 @@ struct DirectoryStats
     uint64_t upgrades = 0;           //!< writes hitting a shared copy
     uint64_t trueSharing = 0;        //!< coherence read misses, true
     uint64_t falseSharing = 0;       //!< coherence read misses, false
+
+    bool operator==(const DirectoryStats &) const = default;
 };
 
 /**
@@ -76,10 +85,12 @@ class Directory
      * @param client          invalidation sink; may be null for unit
      *                        tests, in which case invalidations are
      *                        counted only
-     * @param expected_blocks footprint hint: pre-sizes the entry
-     *                        table so steady-state runs skip the
-     *                        biggest growth rehashes (0 = grow on
-     *                        demand)
+     * @param expected_blocks footprint hint in coherence blocks:
+     *                        the entry table is reserved for
+     *                        expected_blocks / 32 regions (at most
+     *                        64k regions), so steady-state runs skip
+     *                        the biggest growth rehashes (0 = grow
+     *                        on demand)
      */
     Directory(uint32_t ncpu, uint32_t block_size, CoherenceClient *client,
               uint64_t expected_blocks = 0);
@@ -109,14 +120,16 @@ class Directory
     void evicted(uint32_t cpu, uint64_t addr);
 
     /**
-     * Start fetching the directory entry for @p addr so an imminent
-     * read()/write()/evicted() overlaps the memory latency of the
-     * footprint-sized entry table.
+     * Start fetching the cache line that holds @p addr's directory
+     * entry so an imminent read()/write()/evicted() overlaps the
+     * memory latency of the footprint-sized entry table.
      */
     void
     prefetchEntry(uint64_t addr) const
     {
-        entries.prefetchKey(blockIndex(addr));
+        const uint64_t bi = blockIndex(addr);
+        entries.prefetchKey(bi >> kRegionShift,
+                            (bi & kRegionMask) * sizeof(Entry));
     }
 
     /**
@@ -137,6 +150,16 @@ class Directory
         uint16_t hadCopy = 0;  //!< nodes invalidated, not yet refetched
     };
 
+    static constexpr uint32_t kRegionShift = 5;  //!< 32 blocks a region
+    static constexpr uint64_t kRegionMask =
+        (uint64_t{1} << kRegionShift) - 1;
+
+    /** The entries of one region's 32 consecutive blocks. */
+    struct Region
+    {
+        Entry block[kRegionMask + 1];
+    };
+
     /** Unresolved classification for one (block, reader). */
     struct Pending
     {
@@ -144,6 +167,13 @@ class Directory
     };
 
     uint64_t blockIndex(uint64_t addr) const { return addr >> blockShift; }
+
+    /** Entry of block @p bi, created (with its region) if untouched. */
+    Entry &
+    entryOf(uint64_t bi)
+    {
+        return entries[bi >> kRegionShift].block[bi & kRegionMask];
+    }
 
     /** Key for per-(block, cpu) side tables. */
     uint64_t
@@ -162,22 +192,6 @@ class Directory
 
     void invalidateCopy(uint32_t cpu, uint64_t addr, Entry &e);
     void resolveAsFalse(uint64_t k);
-
-    /**
-     * Region-locality hash for the block-indexed entry table: spatial
-     * workloads touch neighbouring blocks back to back, so the low
-     * bits of the block index are kept adjacent while the region part
-     * is mixed. Probes for blocks of one region then share cache
-     * lines instead of scattering across the footprint-sized table.
-     */
-    struct BlockLocalityHash
-    {
-        uint64_t
-        operator()(uint64_t block_index) const
-        {
-            return util::Mix64{}(block_index >> 5) + (block_index & 31);
-        }
-    };
 
     // ---- exclusive-store filter -------------------------------------
     // Per-CPU direct-mapped cache of block indices whose directory
@@ -209,7 +223,7 @@ class Directory
     uint32_t ncpu_;
     uint32_t blockShift;
     CoherenceClient *client;
-    util::FlatMap<uint64_t, Entry, BlockLocalityHash> entries;
+    util::FlatMap<uint64_t, Region> entries;  //!< keyed by region
     /** keyed by key(): writes accumulated since reader was invalidated */
     util::FlatMap<uint64_t, Bits128> sinceInval;
     /** keyed by key(): classification pending while reader re-holds */

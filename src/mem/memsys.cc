@@ -9,9 +9,12 @@ MemorySystem::MemorySystem(const MemSysConfig &config) : cfg(config)
     if (cfg.l2.blockSize < cfg.l1.blockSize)
         throw std::invalid_argument("L2 block must be >= L1 block");
 
-    // pre-size the directory for the aggregate L2 footprint: every
-    // resident L2 block keeps an entry, and workloads typically touch
-    // more than fits, so this skips the costliest growth rehashes
+    // reserve the directory from the machine configuration alone, for
+    // the aggregate L2's blocks (in 32-block regions). Entries are
+    // never erased, so the table holds every block a pass touched; a
+    // reservation taken from the trace, or growth on demand, would
+    // make a pass's directory memory depend on trace length, which
+    // CI's streaming-replay peak-RSS step checks stays flat
     const uint64_t l2Blocks = uint64_t{cfg.ncpu} *
         (cfg.l2.sizeBytes / cfg.l2.blockSize);
     dir = std::make_unique<Directory>(cfg.ncpu, cfg.l2.blockSize, this,

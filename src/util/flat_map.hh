@@ -204,20 +204,24 @@ class FlatMap
 
     /**
      * Hint that @p key will be probed shortly: start fetching its
-     * home slot so the probe overlaps other work. No-op when the
+     * home slot's flag and the cache line @p value_offset bytes into
+     * its value, so the probe overlaps other work. No-op when the
      * compiler lacks __builtin_prefetch.
      */
     void
-    prefetchKey(const K &key) const
+    prefetchKey(const K &key, size_t value_offset) const
     {
 #if defined(__GNUC__) || defined(__clang__)
         if (!cap)
             return;
         const size_t i = Hash{}(key) & (cap - 1);
         __builtin_prefetch(&full[i]);
-        __builtin_prefetch(&slots[i]);
+        __builtin_prefetch(
+            reinterpret_cast<const char *>(&slots[i].second) +
+            value_offset);
 #else
         (void)key;
+        (void)value_offset;
 #endif
     }
 

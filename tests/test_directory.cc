@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/directory.hh"
@@ -185,38 +189,182 @@ TEST(Directory, RejectsBadConfig)
     EXPECT_THROW(Directory(4, 16384, &cl), std::invalid_argument);
 }
 
+namespace {
+
+/** Reference model of one block's directory state. */
+struct RefBlock
+{
+    uint16_t holders = 0;  //!< nodes holding a copy
+    int owner = -1;        //!< node with the modified copy, or -1
+    uint16_t hadCopy = 0;  //!< nodes invalidated, not yet refetched
+};
+
+/**
+ * Drive random reads, writes and evictions over @p nblocks blocks and
+ * check every outcome and invalidation against RefBlock. The blocks in
+ * play grow from 16 to @p nblocks over the run, so with many blocks
+ * the entry table keeps growing while writes invalidate sharers.
+ */
+void
+checkRandomTraffic(uint32_t ncpu, uint32_t block_size, uint64_t nblocks,
+                   int steps, uint64_t seed)
+{
+    FakeClient cl;
+    Directory d(ncpu, block_size, &cl);
+    stems::trace::Rng rng(seed);
+    std::vector<RefBlock> ref(nblocks);
+    const uint64_t base = 0x100000;
+    const uint64_t chunks = block_size / 64;
+
+    for (int i = 0; i < steps; ++i) {
+        const uint32_t cpu = static_cast<uint32_t>(rng.below(ncpu));
+        const uint16_t bit = static_cast<uint16_t>(1u << cpu);
+        const uint64_t live = std::min<uint64_t>(nblocks, 16 + i / 8);
+        const uint64_t blk = rng.below(live);
+        const uint64_t addr =
+            base + blk * block_size + rng.below(chunks) * 64;
+        RefBlock &b = ref[blk];
+        const double op = rng.uniform();
+        if (op < 0.1) {
+            d.evicted(cpu, addr);
+            b.holders &= static_cast<uint16_t>(~bit);
+            if (b.owner == static_cast<int>(cpu))
+                b.owner = -1;
+            b.hadCopy &= static_cast<uint16_t>(~bit);
+        } else if (op < 0.45) {
+            const size_t before = cl.invals.size();
+            auto w = d.write(cpu, addr);
+            EXPECT_EQ(w.coherenceMiss, (b.hadCopy & bit) != 0) << i;
+            b.hadCopy &= static_cast<uint16_t>(~bit);
+            uint16_t victims = 0;
+            if (b.owner != static_cast<int>(cpu)) {
+                EXPECT_EQ(w.remoteTransfer, b.owner >= 0) << i;
+                EXPECT_EQ(w.upgrade, (b.holders & bit) != 0) << i;
+                victims = b.holders & static_cast<uint16_t>(~bit);
+                b.hadCopy |= victims;
+                b.holders = bit;
+                b.owner = static_cast<int>(cpu);
+            }
+            // the single writer's copy is the only one left
+            ASSERT_EQ(cl.invals.size() - before,
+                      static_cast<size_t>(std::popcount(victims)))
+                << i;
+            for (size_t k = before; k < cl.invals.size(); ++k) {
+                EXPECT_TRUE(victims & (1u << cl.invals[k].first)) << i;
+                EXPECT_EQ(cl.invals[k].second, base + blk * block_size)
+                    << i;
+            }
+        } else {
+            auto r = d.read(cpu, addr);
+            EXPECT_EQ(r.coherenceMiss, (b.hadCopy & bit) != 0) << i;
+            b.hadCopy &= static_cast<uint16_t>(~bit);
+            // a read sources from the modified copy, which downgrades
+            const bool remote =
+                b.owner >= 0 && b.owner != static_cast<int>(cpu);
+            EXPECT_EQ(r.remoteTransfer, remote) << i;
+            if (remote)
+                b.owner = -1;
+            b.holders |= bit;
+        }
+    }
+}
+
+} // anonymous namespace
+
 /**
  * Invariant under random traffic: at most one writer, and a writer
- * excludes other sharers. We verify via the client: after any write,
- * a subsequent read by another cpu must observe a remote transfer
- * (the owner had the only copy).
+ * excludes other sharers. Every outcome and invalidation is checked
+ * against a per-block reference model, on a few hot blocks and on
+ * 4096 blocks (128 regions) entered without a size hint.
  */
 TEST(Directory, SingleWriterInvariantUnderRandomTraffic)
 {
-    FakeClient cl;
-    Directory d(8, 256, &cl);
-    stems::trace::Rng rng(77);
-    std::vector<int> owner(16, -1);  // 16 blocks tracked
+    {
+        SCOPED_TRACE("16 blocks of 256 B");
+        checkRandomTraffic(8, 256, 16, 5000, 77);
+    }
+    for (uint32_t bs : {64u, 2048u}) {
+        SCOPED_TRACE("4096 blocks of " + std::to_string(bs) + " B");
+        checkRandomTraffic(8, bs, 4096, 40000, 78);
+    }
+}
 
-    for (int i = 0; i < 5000; ++i) {
-        uint32_t cpu = static_cast<uint32_t>(rng.below(8));
-        uint64_t blk = rng.below(16);
-        uint64_t addr = 0x100000 + blk * 256 + rng.below(4) * 64;
-        if (rng.chance(0.4)) {
-            d.write(cpu, addr);
-            owner[blk] = static_cast<int>(cpu);
-        } else {
-            auto r = d.read(cpu, addr);
-            if (owner[blk] >= 0 &&
-                owner[blk] != static_cast<int>(cpu)) {
-                EXPECT_TRUE(r.remoteTransfer)
-                    << "read must source from the modified copy";
+/**
+ * Blocks that share a region share a table slot but nothing else:
+ * traffic on the region's last block leaves its first block, and the
+ * next region's first block, exactly as they would be without it.
+ */
+TEST(Directory, RegionNeighboursAreIndependent)
+{
+    for (uint32_t bs : {64u, 2048u}) {
+        SCOPED_TRACE(std::to_string(bs) + " B blocks");
+        const uint64_t region = 0x400000;  // region-aligned at both sizes
+        const uint64_t first = region;
+        const uint64_t last = region + 31 * uint64_t{bs};
+        const uint64_t next = region + 32 * uint64_t{bs};
+
+        // outcomes of a fixed script on `first` and `next`, with or
+        // without interleaved traffic on `last`
+        auto script = [&](bool noisy) {
+            FakeClient cl;
+            Directory d(4, bs, &cl);
+            std::vector<int> out;
+            std::vector<uint64_t> invals;
+            auto noise = [&](uint32_t cpu) {
+                if (!noisy)
+                    return;
+                d.read(cpu, last);
+                d.write((cpu + 1) % 4, last);
+                d.evicted((cpu + 2) % 4, last);
+                d.noteAccess(cpu, last);
+            };
+            auto rd = [&](uint32_t cpu, uint64_t a) {
+                auto r = d.read(cpu, a);
+                out.push_back(r.coherenceMiss * 2 + r.remoteTransfer);
+            };
+            auto wr = [&](uint32_t cpu, uint64_t a) {
+                auto w = d.write(cpu, a);
+                out.push_back(w.coherenceMiss * 4 + w.upgrade * 2 +
+                              w.remoteTransfer);
+            };
+            for (uint64_t a : {first, next}) {
+                rd(0, a);
+                noise(0);
+                rd(1, a);
+                noise(1);
+                wr(2, a);
+                noise(2);
+                rd(0, a);
+                noise(3);
+                wr(1, a);
+                d.evicted(3, a);
+                noise(1);
+                d.evicted(2, a);
+                wr(2, a);
+                noise(0);
+                rd(1, a);
             }
-            if (owner[blk] == static_cast<int>(cpu)) {
-                // owner reading its own block: no transfer
-                EXPECT_FALSE(r.remoteTransfer);
-            }
-            owner[blk] = -1;  // downgraded to shared
-        }
+            for (const auto &[cpu, a] : cl.invals)
+                if (a != last)
+                    invals.push_back(a * 16 + cpu);
+            return std::make_pair(out, invals);
+        };
+        EXPECT_EQ(script(true), script(false));
+
+        // evicting an untouched block of a touched region is a no-op
+        FakeClient cl;
+        Directory d(4, bs, &cl);
+        d.read(0, first);
+        d.write(1, first);  // cpu0 now awaits a coherence miss
+        const DirectoryStats before = d.stats();
+        d.evicted(0, last);
+        d.evicted(2, last);
+        EXPECT_TRUE(d.stats() == before);
+        auto r = d.read(0, last);
+        EXPECT_FALSE(r.coherenceMiss);
+        EXPECT_FALSE(r.remoteTransfer);
+        // and leaves its neighbour's pending coherence miss in place
+        EXPECT_TRUE(d.read(0, first).coherenceMiss);
+        EXPECT_EQ(cl.invals.size(), 1u);
     }
 }
