@@ -22,7 +22,7 @@ using namespace stems;
 static void
 BM_CacheAccess(benchmark::State &state)
 {
-    mem::Cache c({64 * 1024, 2, 64, mem::ReplKind::LRU});
+    mem::Cache c({64 * 1024, 2, 64});
     trace::Rng rng(1);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -10,7 +10,9 @@
  */
 
 #include <cstdio>
+#include <memory>
 
+#include "driver/registry.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
 #include "workloads/oltp.hh"
@@ -26,14 +28,15 @@ main()
     std::printf("generating %s: %u cpus x %llu refs...\n",
                 oltp.name().c_str(), params.ncpu,
                 (unsigned long long)params.refsPerCpu);
-    trace::Trace t = workloads::makeTrace(oltp, params);
+    const auto streams = oltp.generateStreams(params);
+    const auto set = trace::StreamSet::borrowed(streams);
 
-    SystemStudyConfig base;  // Table 1 defaults: 64kB L1s, 8MB L2s
-    auto rb = runSystem(t, base);
-
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    SystemStudyConfig cfg;  // Table 1 defaults: 64kB L1s, 8MB L2s
+    std::unique_ptr<driver::PrefetcherDeployment> none, sms;
+    auto rb = runSystem(set, cfg, params.seed,
+                        driver::registryAttach("none", none));
+    auto rs = runSystem(set, cfg, params.seed,
+                        driver::registryAttach("sms", sms));
 
     std::printf("\n%-28s %12s %12s\n", "", "base", "with SMS");
     std::printf("%-28s %12llu %12llu\n", "L1 read misses",

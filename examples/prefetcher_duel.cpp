@@ -1,8 +1,9 @@
 /**
  * @file
  * Domain scenario 2: prefetcher bake-off. Runs one workload from each
- * class through the memory system under four prefetchers — none,
- * stride, GHB PC/DC, SMS — and prints off-chip coverage side by side.
+ * class through the memory system under four registry prefetchers —
+ * none, stride, GHB PC/DC, SMS — and prints off-chip coverage side by
+ * side.
  * Reproduces in miniature the Section 4.6 argument: delta correlation
  * works on well-ordered streams but collapses when independent
  * spatial regions interleave.
@@ -11,10 +12,11 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "prefetch/stride.hh"
+#include "driver/registry.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
 #include "study/table.hh"
@@ -40,53 +42,22 @@ main(int argc, char **argv)
             std::printf("unknown workload: %s\n", name.c_str());
             return 1;
         }
-        const trace::Trace t =
-            workloads::makeTrace(*workloads::findWorkload(name)->make(),
-                                 params);
+        const auto streams =
+            workloads::findWorkload(name)->make()->generateStreams(params);
+        const auto set = trace::StreamSet::borrowed(streams);
+        const SystemStudyConfig cfg;
+        auto run = [&](const char *engine) {
+            std::unique_ptr<driver::PrefetcherDeployment> dep;
+            return runSystem(set, cfg, params.seed,
+                             driver::registryAttach(engine, dep));
+        };
 
-        SystemStudyConfig base;
-        auto rb = runSystem(t, base);
+        auto rb = run("none");
         const double l2m = double(rb.l2ReadMisses) + 1e-9;
         const double l1m = double(rb.l1ReadMisses) + 1e-9;
-
-        struct V
-        {
-            const char *label;
-            PfKind pf;
-            bool stride;
-        };
-        for (auto v : {V{"stride", PfKind::None, true},
-                       V{"ghb-pc/dc", PfKind::Ghb, false},
-                       V{"sms", PfKind::Sms, false}}) {
-            SystemStudyConfig cfg;
-            cfg.pf = v.pf;
-            if (v.stride) {
-                // bolt a stride prefetcher on via the generic
-                // controller path used for custom algorithms
-                mem::MemorySystem sys(cfg.sys);
-                prefetch::PrefetchController pc(sys, [] {
-                    return std::make_unique<prefetch::StridePrefetcher>(
-                        prefetch::StrideConfig{});
-                });
-                SystemStudyResult r;
-                for (const auto &a : t) {
-                    auto out = sys.access(a);
-                    if (!a.isWrite && out.l1PrefetchHit)
-                        ++r.l1Covered;
-                    if (!a.isWrite && out.l2PrefetchHit)
-                        ++r.l2Covered;
-                }
-                uint64_t op = 0;
-                for (uint32_t c = 0; c < sys.numCpus(); ++c)
-                    op += sys.l2(c).stats().prefetchUnused;
-                table.addRow({name, v.label,
-                              TablePrinter::pct(r.l2Covered / l2m),
-                              TablePrinter::pct(r.l1Covered / l1m),
-                              TablePrinter::pct(op / l2m)});
-                continue;
-            }
-            auto r = runSystem(t, cfg);
-            table.addRow({name, v.label,
+        for (const char *engine : {"stride", "ghb", "sms"}) {
+            auto r = run(engine);
+            table.addRow({name, engine,
                           TablePrinter::pct(r.l2Covered / l2m),
                           TablePrinter::pct(r.l1Covered / l1m),
                           TablePrinter::pct(r.l2Overpred / l2m)});

@@ -34,6 +34,11 @@ readOptions(const JsonValue &v)
     return out;
 }
 
+/**
+ * [size, assoc, block, 0]. The fourth element once named a
+ * replacement policy; it stays, always 0 (LRU), so protocol v7 cell
+ * bytes and journal spec fingerprints do not change.
+ */
 void
 writeCacheConfig(JsonWriter &j, const mem::CacheConfig &c)
 {
@@ -41,7 +46,7 @@ writeCacheConfig(JsonWriter &j, const mem::CacheConfig &c)
     j.value(c.sizeBytes);
     j.value(uint64_t{c.assoc});
     j.value(uint64_t{c.blockSize});
-    j.value(static_cast<uint64_t>(c.repl));
+    j.value(uint64_t{0});
     j.endArray();
 }
 
@@ -54,7 +59,8 @@ readCacheConfig(const JsonValue &v)
     c.sizeBytes = v.items[0].asU64();
     c.assoc = static_cast<uint32_t>(v.items[1].asU64());
     c.blockSize = static_cast<uint32_t>(v.items[2].asU64());
-    c.repl = static_cast<mem::ReplKind>(v.items[3].asU64());
+    if (v.items[3].asU64() != 0)
+        throw std::invalid_argument("wire: cache replacement must be 0");
     return c;
 }
 

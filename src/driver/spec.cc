@@ -333,15 +333,13 @@ workloadKeys(workloads::WorkloadParams &p)
 KeyTable
 cellKeys(mem::MemSysConfig &sys, uint32_t &density)
 {
-    // a positive capacity in units of 2^shift bytes
-    auto size = [](std::string name, uint64_t &bytes, int shift,
+    // a positive capacity in kB
+    auto size = [](std::string name, uint64_t &bytes,
                    std::string help) -> Key {
-        return {std::move(name), std::to_string(bytes >> shift),
+        return {std::move(name), std::to_string(bytes >> 10),
                 std::move(help),
-                [&bytes, shift](const std::string &k,
-                                const std::string &v) {
-                    bytes = parseUnsigned(k, v, 1, UINT64_MAX >> shift)
-                        << shift;
+                [&bytes](const std::string &k, const std::string &v) {
+                    bytes = parseUnsigned(k, v, 1, UINT64_MAX >> 10) << 10;
                 }};
     };
     return {
@@ -351,10 +349,9 @@ cellKeys(mem::MemSysConfig &sys, uint32_t &density)
              sys.l1.blockSize = sys.l2.blockSize =
                  static_cast<uint32_t>(parseUnsigned(k, v, 1, UINT32_MAX));
          }},
-        size("l1-kb", sys.l1.sizeBytes, 10, "L1 capacity"),
+        size("l1-kb", sys.l1.sizeBytes, "L1 capacity"),
         u32Key("l1-assoc", sys.l1.assoc, "L1 ways", 1),
-        size("l2-kb", sys.l2.sizeBytes, 10, "L2 capacity"),
-        size("l2-mb", sys.l2.sizeBytes, 20, "L2 capacity in MB"),
+        size("l2-kb", sys.l2.sizeBytes, "L2 capacity"),
         u32Key("l2-assoc", sys.l2.assoc, "L2 ways", 1),
         {"density", std::to_string(density),
          "Fig 5 density histograms at this region size (0 = off)",

@@ -160,7 +160,7 @@ KeyTable workloadKeys(workloads::WorkloadParams &p);
 
 /**
  * The per-cell axes, bound to @p sys and @p density: cache geometry
- * (block, l1-kb, l1-assoc, l2-kb, l2-mb, l2-assoc) and the density
+ * (block, l1-kb, l1-assoc, l2-kb, l2-assoc) and the density
  * histogram region. Each works as a top-level key or a sweep. axis
  * and applies to every engine, none included.
  */

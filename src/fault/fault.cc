@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <unistd.h>
 
+#include "driver/options.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
 
@@ -62,25 +63,6 @@ baseName(const std::string &path)
     return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-Kind
-parseKind(const std::string &name)
-{
-    if (name == "crash")
-        return Kind::Crash;
-    if (name == "hang")
-        return Kind::Hang;
-    if (name == "garbage")
-        return Kind::Garbage;
-    if (name == "truncate")
-        return Kind::Truncate;
-    if (name == "corrupt-spill")
-        return Kind::CorruptSpill;
-    if (name == "enospc")
-        return Kind::Enospc;
-    throw std::invalid_argument("fault-plan: unknown fault kind \"" +
-                                name + "\"");
-}
-
 /** Parse "P[:always]" or "cell:ID[:always]" into @p c. */
 void
 parseSelector(Clause &c, const std::string &sel)
@@ -97,8 +79,7 @@ parseSelector(Clause &c, const std::string &sel)
         errno = 0;
         const unsigned long long v = std::strtoull(id.c_str(), &end, 10);
         if (id.empty() || errno != 0 || end != id.c_str() + id.size())
-            throw std::invalid_argument(
-                "fault-plan: bad cell id \"" + id + "\"");
+            throw std::invalid_argument("bad cell id \"" + id + "\"");
         c.cell = static_cast<int64_t>(v);
         c.prob = 1.0;
         return;
@@ -108,10 +89,48 @@ parseSelector(Clause &c, const std::string &sel)
     const double p = std::strtod(body.c_str(), &end);
     if (body.empty() || errno != 0 || end != body.c_str() + body.size() ||
         !(p >= 0.0 && p <= 1.0))
-        throw std::invalid_argument(
-            "fault-plan: probability \"" + body +
-            "\" must be in [0,1] (or cell:ID)");
+        throw std::invalid_argument("probability \"" + body +
+                                    "\" must be in [0,1] (or cell:ID)");
     c.prob = p;
+}
+
+/** The clause a KIND=@p value entry declares. */
+Clause
+parseClause(Kind kind, std::string value)
+{
+    Clause c;
+    c.kind = kind;
+    if (kind == Kind::Hang) {
+        const size_t slash = value.find('/');
+        if (slash == std::string::npos)
+            throw std::invalid_argument("hang needs SEL/MS, got \"" +
+                                        value + "\"");
+        const std::string ms = value.substr(slash + 1);
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long v = std::strtoul(ms.c_str(), &end, 10);
+        if (ms.empty() || errno != 0 || end != ms.c_str() + ms.size())
+            throw std::invalid_argument("bad hang duration \"" + ms +
+                                        "\"");
+        c.hangMs = static_cast<uint32_t>(v);
+        value.erase(slash);
+    }
+    if (kind == Kind::CorruptSpill || kind == Kind::Enospc) {
+        // spill faults have no cell identity: probability only
+        char *end = nullptr;
+        errno = 0;
+        const double p = std::strtod(value.c_str(), &end);
+        if (value.empty() || errno != 0 ||
+            end != value.c_str() + value.size() || !(p >= 0.0 && p <= 1.0))
+            throw std::invalid_argument(std::string(kindName(kind)) +
+                                        " probability \"" + value +
+                                        "\" must be in [0,1]");
+        c.prob = p;
+        c.everyAttempt = true;
+    } else {
+        parseSelector(c, value);
+    }
+    return c;
 }
 
 bool
@@ -144,69 +163,21 @@ Plan
 parsePlan(const std::string &spec)
 {
     Plan plan;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        const size_t comma = spec.find(',', pos);
-        const std::string clause = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        pos = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-        if (clause.empty())
-            continue;
-        const size_t eq = clause.find('=');
-        if (eq == std::string::npos)
-            throw std::invalid_argument(
-                "fault-plan: expected KIND=SELECTOR, got \"" + clause +
-                "\"");
-        const std::string key = clause.substr(0, eq);
-        std::string value = clause.substr(eq + 1);
-        if (key == "seed") {
-            char *end = nullptr;
-            errno = 0;
-            plan.seed = std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || errno != 0 ||
-                end != value.c_str() + value.size())
-                throw std::invalid_argument(
-                    "fault-plan: bad seed \"" + value + "\"");
-            continue;
-        }
-        Clause c;
-        c.kind = parseKind(key);
-        if (c.kind == Kind::Hang) {
-            const size_t slash = value.find('/');
-            if (slash == std::string::npos)
-                throw std::invalid_argument(
-                    "fault-plan: hang needs SEL/MS, got \"" + value +
-                    "\"");
-            const std::string ms = value.substr(slash + 1);
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long v =
-                std::strtoul(ms.c_str(), &end, 10);
-            if (ms.empty() || errno != 0 ||
-                end != ms.c_str() + ms.size())
-                throw std::invalid_argument(
-                    "fault-plan: bad hang duration \"" + ms + "\"");
-            c.hangMs = static_cast<uint32_t>(v);
-            value.erase(slash);
-        }
-        if (c.kind == Kind::CorruptSpill || c.kind == Kind::Enospc) {
-            // spill faults have no cell identity: probability only
-            char *end = nullptr;
-            errno = 0;
-            const double p = std::strtod(value.c_str(), &end);
-            if (value.empty() || errno != 0 ||
-                end != value.c_str() + value.size() ||
-                !(p >= 0.0 && p <= 1.0))
-                throw std::invalid_argument(
-                    "fault-plan: " + key + " probability \"" + value +
-                    "\" must be in [0,1]");
-            c.prob = p;
-            c.everyAttempt = true;
-        } else {
-            parseSelector(c, value);
-        }
-        plan.clauses.push_back(std::move(c));
+    driver::KeyTable keys{
+        driver::u64Key("seed", plan.seed, "hash seed of every clause")};
+    for (Kind kind : {Kind::Crash, Kind::Hang, Kind::Garbage,
+                      Kind::Truncate, Kind::CorruptSpill, Kind::Enospc}) {
+        keys.push_back({kindName(kind), "", "",
+                        [&plan, kind](const std::string &,
+                                      const std::string &v) {
+                            plan.clauses.push_back(parseClause(kind, v));
+                        }});
+    }
+    try {
+        driver::parseKeys(keys, driver::splitList(spec));
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument(std::string("fault-plan: ") +
+                                    e.what());
     }
     return plan;
 }

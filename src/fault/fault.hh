@@ -8,9 +8,11 @@
  * so a given plan replays the exact same faults run after run and CI
  * chaos jobs are reproducible.
  *
- * Plan grammar (comma-separated clauses):
+ * Plan grammar (comma-separated clauses, each a key of one table):
  *
- *   seed=N              hash seed shared by every clause (default 1)
+ *   seed=N              hash seed shared by every clause (default 1);
+ *                       N reads like every unsigned key (decimal,
+ *                       0x hex or 0-prefixed octal)
  *   crash=SEL           worker _exit(137)s before executing the cell
  *   hang=SEL/MS         worker wedges (wire lock held) for MS ms
  *   garbage=SEL         worker frames unparseable bytes as the result

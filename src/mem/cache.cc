@@ -10,8 +10,9 @@ Cache::Cache(const CacheConfig &config, std::string name)
 {
     if (!isPow2(cfg.blockSize))
         throw std::invalid_argument(name_ + ": block size not power of 2");
-    if (cfg.assoc == 0)
-        throw std::invalid_argument(name_ + ": zero associativity");
+    if (cfg.assoc == 0 || cfg.assoc > kMaxAssoc)
+        throw std::invalid_argument(name_ + ": associativity not in 1.." +
+                                    std::to_string(kMaxAssoc));
     uint64_t set_bytes = uint64_t{cfg.blockSize} * cfg.assoc;
     if (cfg.sizeBytes < set_bytes || cfg.sizeBytes % set_bytes != 0)
         throw std::invalid_argument(name_ + ": size not a multiple of "
@@ -22,10 +23,7 @@ Cache::Cache(const CacheConfig &config, std::string name)
     blockShift = log2i(cfg.blockSize);
     setShift = blockShift + log2i(sets);
     frames.reset(static_cast<size_t>(sets) * cfg.assoc);
-    if (cfg.repl == ReplKind::LRU && cfg.assoc <= kMaxRankAssoc)
-        resetRanks();  // in-frame LRU, no policy object
-    else
-        repl = makeReplacement(cfg.repl, sets, cfg.assoc);
+    resetRanks();
 }
 
 void
@@ -97,7 +95,7 @@ Cache::allocate(uint32_t set, uint64_t tag)
         }
     }
     if (way == cfg.assoc) {
-        way = victimRepl(base, set);
+        way = victimRepl(base);
         const Frame victim = base[way];
         assert(valid(victim));
         ++stats_.evictions;
@@ -112,7 +110,7 @@ Cache::allocate(uint32_t set, uint64_t tag)
 
     Frame &f = base[way];
     f = (tag << kTagShift) | (f & kRankMask) | kValid;
-    touchRepl(base, set, way);
+    touchRepl(base, way);
     return f;
 }
 
@@ -142,7 +140,7 @@ Cache::access(uint64_t addr, bool is_write, PreMissHook pre_miss,
         }
         if (is_write)
             f |= kDirty;
-        touchRepl(base, set, way);
+        touchRepl(base, way);
         return r;
     }
 

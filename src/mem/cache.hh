@@ -9,24 +9,21 @@
 #ifndef STEMS_MEM_CACHE_HH
 #define STEMS_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "mem/replacement.hh"
 #include "util/bits.hh"
 #include "util/hugepage.hh"
 
 namespace stems::mem {
 
-/** Geometry and policy of one cache. */
+/** Geometry of one cache; replacement is always true LRU. */
 struct CacheConfig
 {
     uint64_t sizeBytes = 64 * 1024;  //!< total data capacity
     uint32_t assoc = 2;              //!< ways per set
     uint32_t blockSize = 64;         //!< bytes per block (power of two)
-    ReplKind repl = ReplKind::LRU;   //!< replacement policy
 };
 
 /**
@@ -91,9 +88,13 @@ struct CacheStats
 class Cache
 {
   public:
+    /** Widest set the in-frame LRU rank field (16 bits) can order. */
+    static constexpr uint32_t kMaxAssoc = uint32_t{1} << 16;
+
     /**
-     * @param config geometry/policy; size, assoc and blockSize must
-     *               describe at least one full set
+     * @param config geometry; size, assoc and blockSize must
+     *               describe at least one full set, and assoc must
+     *               not exceed kMaxAssoc
      * @param name   label used in assertions and debug output
      */
     explicit Cache(const CacheConfig &config, std::string name = "cache");
@@ -190,16 +191,18 @@ class Cache
   private:
     /**
      * One tag frame packed into a word: bit 0 valid, bit 1 dirty,
-     * bit 2 prefetch, bits 3..6 the way's LRU rank (0 = MRU), tag in
-     * bits 7..63. Packing shrinks the tag-array footprint (the
+     * bit 2 prefetch, bits 3..18 the way's LRU rank (0 = MRU), tag in
+     * bits 19..63. Packing shrinks the tag-array footprint (the
      * dominant resident cost of a 16-node system's L2s) to one word
      * per frame, and embedding the recency rank means a hit updates
      * LRU state on the cache line the tag probe just loaded instead
      * of touching a second array. Ranks always form a permutation of
      * the set's ways — invalidation clears a frame but keeps its rank
-     * — which is exactly the classic LRU-stack semantics.
-     * Tags are addr >> setShift, so addresses up to 2^57 * blockSize
-     * bytes are representable — far beyond any simulated footprint.
+     * — which is exactly the classic LRU-stack semantics, for every
+     * associativity up to kMaxAssoc.
+     * Tags are addr >> setShift and keep 45 bits, so a frame
+     * represents addresses below 2^45 * sets * blockSize bytes: 2^51
+     * for one set of 64 B blocks, above any 48-bit virtual address.
      */
     using Frame = uint64_t;
 
@@ -207,11 +210,10 @@ class Cache
     static constexpr uint64_t kDirty = 2;
     static constexpr uint64_t kPrefetch = 4;
     static constexpr uint32_t kRankShift = 3;
-    static constexpr uint64_t kRankMask = uint64_t{15} << kRankShift;
-    static constexpr uint32_t kTagShift = 7;
-
-    /** In-frame ranks need 4 bits; wider sets use a policy object. */
-    static constexpr uint32_t kMaxRankAssoc = 16;
+    static constexpr uint64_t kRankMask = uint64_t{kMaxAssoc - 1}
+                                          << kRankShift;
+    static constexpr uint32_t kTagShift =
+        kRankShift + std::countr_zero(kMaxAssoc);
 
     static bool valid(Frame f) { return f & kValid; }
     static bool dirty(Frame f) { return f & kDirty; }
@@ -238,12 +240,8 @@ class Cache
 
     /** Move @p way to the front of its set's LRU stack. */
     void
-    touchRepl(Frame *base, uint32_t set, uint32_t way)
+    touchRepl(Frame *base, uint32_t way)
     {
-        if (repl) {
-            repl->touch(set, way);
-            return;
-        }
         const uint64_t r = base[way] & kRankMask;
         for (uint32_t w = 0; w < cfg.assoc; ++w) {
             if ((base[w] & kRankMask) < r)
@@ -252,11 +250,10 @@ class Cache
         base[way] &= ~kRankMask;
     }
 
+    /** The way at the back of @p base's LRU stack. */
     uint32_t
-    victimRepl(Frame *base, uint32_t set)
+    victimRepl(const Frame *base) const
     {
-        if (repl)
-            return repl->victim(set);
         const uint64_t back =
             uint64_t{cfg.assoc - 1} << kRankShift;
         for (uint32_t w = 0; w < cfg.assoc; ++w) {
@@ -275,7 +272,6 @@ class Cache
     uint32_t blockShift;
     uint32_t setShift;  //!< blockShift + log2(sets), hoisted
     util::HugeArray<Frame> frames;
-    std::unique_ptr<ReplacementPolicy> repl;  //!< null: in-frame LRU
     CacheListener *listener = nullptr;
     CacheStats stats_;
 };

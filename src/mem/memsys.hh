@@ -47,8 +47,8 @@ class AccessObserver
 struct MemSysConfig
 {
     uint32_t ncpu = 16;
-    CacheConfig l1{64 * 1024, 2, 64, ReplKind::LRU};
-    CacheConfig l2{8 * 1024 * 1024, 8, 64, ReplKind::LRU};
+    CacheConfig l1{64 * 1024, 2, 64};
+    CacheConfig l2{8 * 1024 * 1024, 8, 64};
 };
 
 /**

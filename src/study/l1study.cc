@@ -17,15 +17,11 @@ struct ShadowNode
     std::unique_ptr<core::SmsUnit> unit;  //!< null in baseline runs
 };
 
-/**
- * The study proper, templated over how accesses are delivered:
- * @p drive is called once with a per-access sink and must invoke it
- * for every reference in interleaved order (cpu field already
- * stamped with the stream index).
- */
-template <typename DriveFn>
+} // anonymous namespace
+
 L1StudyResult
-runL1StudyImpl(DriveFn &&drive, const L1StudyConfig &cfg)
+runL1Study(const trace::StreamSet &set, const L1StudyConfig &cfg,
+           uint64_t seed)
 {
     L1StudyResult res;
 
@@ -93,7 +89,8 @@ runL1StudyImpl(DriveFn &&drive, const L1StudyConfig &cfg)
 
     const uint64_t block_mask = ~uint64_t{cfg.l1.blockSize - 1};
 
-    drive([&](const trace::MemAccess &a) {
+    // one reference, its cpu field stamped with the stream index
+    auto step = [&](const trace::MemAccess &a) {
         res.instructions += a.ninst + 1;
 
         // remote stores invalidate other CPUs' copies (64 B coherence)
@@ -125,7 +122,19 @@ runL1StudyImpl(DriveFn &&drive, const L1StudyConfig &cfg)
             if (r.prefetchHit)
                 ++res.coveredReads;
         }
-    });
+    };
+
+    trace::InterleavedView view = trace::canonicalView(set, seed);
+    const trace::MemAccess *span;
+    uint32_t spanCpu;
+    size_t len;
+    while ((len = view.nextSpan(span, spanCpu)) != 0) {
+        for (size_t k = 0; k < len; ++k) {
+            trace::MemAccess a = span[k];
+            a.cpu = spanCpu;
+            step(a);
+        }
+    }
 
     if (!ds_mode) {
         for (auto &n : nodes) {
@@ -148,40 +157,6 @@ runL1StudyImpl(DriveFn &&drive, const L1StudyConfig &cfg)
             res.overpredictions += c->stats().prefetchUnused;
     }
     return res;
-}
-
-} // anonymous namespace
-
-L1StudyResult
-runL1Study(const trace::Trace &t, const L1StudyConfig &cfg)
-{
-    return runL1StudyImpl(
-        [&t](auto &&sink) {
-            for (const auto &a : t)
-                sink(a);
-        },
-        cfg);
-}
-
-L1StudyResult
-runL1Study(const trace::StreamSet &set, const L1StudyConfig &cfg,
-           uint64_t seed)
-{
-    return runL1StudyImpl(
-        [&set, seed](auto &&sink) {
-            trace::InterleavedView view = trace::canonicalView(set, seed);
-            const trace::MemAccess *span;
-            uint32_t spanCpu;
-            size_t n;
-            while ((n = view.nextSpan(span, spanCpu)) != 0) {
-                for (size_t k = 0; k < n; ++k) {
-                    trace::MemAccess a = span[k];
-                    a.cpu = spanCpu;
-                    sink(a);
-                }
-            }
-        },
-        cfg);
 }
 
 } // namespace stems::study

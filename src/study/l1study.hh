@@ -45,7 +45,7 @@ trainerName(TrainerKind k)
 struct L1StudyConfig
 {
     uint32_t ncpu = 16;
-    mem::CacheConfig l1{64 * 1024, 2, 64, mem::ReplKind::LRU};
+    mem::CacheConfig l1{64 * 1024, 2, 64};
     core::SmsConfig sms;  //!< geometry/index/PHT/AGT parameters
     TrainerKind trainer = TrainerKind::AGT;
     core::DsConfig ds;    //!< used when trainer == DecoupledSectored
@@ -64,15 +64,10 @@ struct L1StudyResult
     uint64_t peakFilterOccupancy = 0; //!< max AGT filter demand
 };
 
-/** Run one pass of the trace through the shadow-L1 pipeline. */
-L1StudyResult runL1Study(const trace::Trace &t, const L1StudyConfig &cfg);
-
 /**
- * Zero-materialization form: drive the shadow pipeline from a
- * StreamSet in canonical interleaved order for workload seed @p seed
- * (identical to the order the merged trace materialises), so the
- * merged copy is never built. Results are byte-identical to the
- * merged-trace overload.
+ * Run one pass through the shadow-L1 pipeline: per-CPU streams in the
+ * canonical interleaved order for workload seed @p seed
+ * (trace::canonicalView), without building a merged trace.
  */
 L1StudyResult runL1Study(const trace::StreamSet &set,
                          const L1StudyConfig &cfg, uint64_t seed);

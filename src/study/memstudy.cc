@@ -1,7 +1,6 @@
 #include "study/memstudy.hh"
 
 #include "core/oracle.hh"
-#include "prefetch/prefetcher.hh"
 
 namespace stems::study {
 
@@ -138,29 +137,6 @@ runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
 {
     NoObserver none;
     return runSystem(set, cfg, seed, attach, none);
-}
-
-SystemStudyResult
-runSystem(const trace::Trace &t, const SystemStudyConfig &cfg)
-{
-    // classic PfKind wiring, expressed through the attach hook
-    std::unique_ptr<core::SmsController> sms;
-    std::unique_ptr<prefetch::PrefetchController> ghb;
-    SystemPass pass(cfg, [&](mem::MemorySystem &sys)
-                             -> AttachedPrefetcher * {
-        if (cfg.pf == PfKind::Sms) {
-            sms = std::make_unique<core::SmsController>(sys, cfg.sms);
-        } else if (cfg.pf == PfKind::Ghb) {
-            ghb = std::make_unique<prefetch::PrefetchController>(
-                sys, [&cfg] {
-                    return std::make_unique<prefetch::GhbPcDc>(cfg.ghb);
-                });
-        }
-        return nullptr;
-    });
-    for (const auto &a : t)
-        pass.access(a);
-    return pass.finish();
 }
 
 } // namespace stems::study

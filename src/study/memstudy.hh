@@ -2,10 +2,10 @@
  * @file
  * Full-system trace study on the multiprocessor memory hierarchy:
  * drives a MemorySystem (optionally with a prefetcher attached) over
- * an interleaved trace and collects the measurements behind Figures
- * 4, 5 and 11 — per-level miss rates, oracle opportunity at a set of
- * region sizes, access-density histograms, off-chip coverage, and the
- * true/false sharing split.
+ * per-CPU streams in interleaved order and collects the measurements
+ * behind Figures 4, 5 and 11 — per-level miss rates, oracle
+ * opportunity at a set of region sizes, access-density histograms,
+ * off-chip coverage, and the true/false sharing split.
  *
  * The study's per-reference loop is the repository's one walk of the
  * coherent hierarchy. runSystem takes an observer that sees each
@@ -22,10 +22,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/sms.hh"
 #include "mem/memsys.hh"
 #include "prefetch/attach.hh"
-#include "prefetch/ghb.hh"
 #include "study/density.hh"
 #include "trace/access.hh"
 #include "trace/interleaver.hh"
@@ -35,22 +33,16 @@ namespace stems::study {
 
 /**
  * The attach seam (see prefetch/attach.hh): the experiment engine's
- * registry returns these so runSystem — and the timing model riding
- * it — can host any deployment, not just the built-in PfKind set.
+ * registry (driver::registryAttach) returns these, and it is the one
+ * way an engine joins runSystem and the timing model riding it.
  */
 using AttachedPrefetcher = prefetch::AttachedPrefetcher;
 using PfAttach = prefetch::PfAttach;
 
-/** Which prefetcher (if any) to deploy in a system run. */
-enum class PfKind { None, Sms, Ghb };
-
-/** Configuration of one full-system run. */
+/** Configuration of one full-system run; the engine comes by attach. */
 struct SystemStudyConfig
 {
     mem::MemSysConfig sys;
-    PfKind pf = PfKind::None;
-    core::SmsConfig sms;
-    prefetch::GhbConfig ghb;
     /** Track oracle generations at these region sizes (L1 and L2). */
     std::vector<uint32_t> oracleRegionSizes;
     bool trackDensity = false;
@@ -119,12 +111,11 @@ struct NoObserver
 };
 
 /**
- * Drive per-CPU streams through a configured system in canonical
- * interleaved order for workload seed @p seed (the order
- * workloads::makeTrace materialises), without building the merged
- * trace. The StreamSet's backing may be an mmap'd spill (consumed
- * pages are dropped behind the cursor) or in-memory vectors
- * (StreamSet::borrowed).
+ * Drive per-CPU streams through a configured system in the canonical
+ * interleaved order for workload seed @p seed (trace::canonicalView),
+ * without building a merged trace. The StreamSet's backing may be an
+ * mmap'd spill (consumed pages are dropped behind the cursor) or
+ * in-memory vectors (StreamSet::borrowed).
  *
  * @param attach   builds a prefetcher deployment onto the run's
  *                 MemorySystem before the first reference (empty = no
@@ -158,13 +149,6 @@ runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
 SystemStudyResult runSystem(const trace::StreamSet &set,
                             const SystemStudyConfig &cfg, uint64_t seed,
                             const PfAttach &attach = {});
-
-/**
- * Run one merged trace, in trace order, through a configured system
- * with cfg.pf's built-in engine wired in.
- */
-SystemStudyResult runSystem(const trace::Trace &t,
-                            const SystemStudyConfig &cfg);
 
 } // namespace stems::study
 

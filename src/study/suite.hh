@@ -42,8 +42,9 @@ uint64_t generatorConfigHash(const std::string &name,
  * views behind one ownership model. Freshly-generated workloads are
  * owned vectors; spill replay hands out a zero-copy mapped backing
  * (trace::MappedTrace), so replaying a cell never materialises the
- * trace at all. Consumers (study::runSystem, study::runL1Study,
- * sim::runTiming) take the set through viewSet().
+ * trace at all. The study passes (study::runSystem,
+ * study::runL1Study, sim::runTiming) take nothing but a StreamSet,
+ * which they get through viewSet().
  *
  * Thread-safe: concurrent calls for the same key block until the
  * first caller finishes generating; returned references stay valid for

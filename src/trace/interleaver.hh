@@ -5,11 +5,12 @@
  * memory system observes.
  *
  * Two forms share one chunk schedule: Interleaver::merge materialises
- * a merged trace (serialization, tests), while InterleavedView walks
- * the original per-CPU streams in exactly the same global order
- * without copying them — the zero-copy form the simulation hot paths
- * (sim::runTiming, study::runSystem) iterate, saving a full trace of
- * resident memory per concurrent run.
+ * a merged trace (workloads::makeTrace, for tests and examples that
+ * want one flat sequence), while InterleavedView walks the original
+ * per-CPU streams in exactly the same global order without copying
+ * them — the only form the study passes (study::runSystem,
+ * study::runL1Study, and sim::runTiming riding runSystem) iterate,
+ * saving a full trace of resident memory per concurrent run.
  */
 
 #ifndef STEMS_TRACE_INTERLEAVER_HH

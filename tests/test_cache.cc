@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -15,7 +16,7 @@ namespace {
 CacheConfig
 smallCache(uint32_t assoc = 2, uint32_t block = 64, uint64_t size = 1024)
 {
-    return CacheConfig{size, assoc, block, ReplKind::LRU};
+    return CacheConfig{size, assoc, block};
 }
 
 /** Records every departure for verification. */
@@ -52,6 +53,10 @@ TEST(Cache, RejectsBadGeometry)
     EXPECT_THROW(Cache(CacheConfig{1024, 2, 48}), std::invalid_argument);
     EXPECT_THROW(Cache(CacheConfig{1000, 2, 64}), std::invalid_argument);
     EXPECT_THROW(Cache(CacheConfig{1024, 0, 64}), std::invalid_argument);
+    // wider than the in-frame LRU rank field can order
+    const uint32_t wide = Cache::kMaxAssoc * 2;
+    EXPECT_THROW(Cache(CacheConfig{uint64_t{wide} * 64, wide, 64}),
+                 std::invalid_argument);
 }
 
 TEST(Cache, ColdMissThenHit)
@@ -87,6 +92,54 @@ TEST(Cache, ConflictEvictsLruWay)
     EXPECT_FALSE(c.contains(0x0200));
     EXPECT_TRUE(c.contains(0x0400));
     EXPECT_EQ(c.stats().evictions, 1u);
+}
+
+// LRU victims, observed through the eviction stream
+
+TEST(Lru, VictimIsLeastRecentlyTouched)
+{
+    Cache c(smallCache(4, 64, 256));  // one set of 4 ways
+    Recorder rec;
+    c.setListener(&rec);
+    for (uint64_t b = 0; b < 4; ++b)
+        c.access(b * 64, false);
+    c.access(4 * 64, false);
+    ASSERT_EQ(rec.events.size(), 1u);
+    EXPECT_EQ(rec.events[0].addr, 0u);
+    c.access(1 * 64, false);  // block 1 becomes MRU
+    c.access(5 * 64, false);
+    ASSERT_EQ(rec.events.size(), 2u);
+    EXPECT_EQ(rec.events[1].addr, 2u * 64);
+}
+
+TEST(Lru, SetsAreIndependent)
+{
+    Cache c(smallCache(2, 64, 256));  // 2 sets of 2 ways; stride 128 B
+    Recorder rec;
+    c.setListener(&rec);
+    c.access(0x000, false);  // set 0: 0x000 then 0x080
+    c.access(0x080, false);
+    c.access(0x0c0, false);  // set 1: 0x0c0 then 0x040
+    c.access(0x040, false);
+    c.access(0x100, false);  // set 0 evicts its LRU, 0x000
+    c.access(0x140, false);  // set 1 evicts its LRU, 0x0c0
+    ASSERT_EQ(rec.events.size(), 2u);
+    EXPECT_EQ(rec.events[0].addr, 0x000u);
+    EXPECT_EQ(rec.events[1].addr, 0x0c0u);
+}
+
+TEST(Lru, RetouchingMovesToMru)
+{
+    Cache c(smallCache(3, 64, 192));  // one set of 3 ways
+    Recorder rec;
+    c.setListener(&rec);
+    c.access(0x00, false);
+    c.access(0x40, false);
+    c.access(0x80, false);
+    c.access(0x00, false);  // block 0 becomes MRU
+    c.access(0xc0, false);
+    ASSERT_EQ(rec.events.size(), 1u);
+    EXPECT_EQ(rec.events[0].addr, 0x40u);
 }
 
 TEST(Cache, DirtyEvictionWritesBack)
@@ -238,16 +291,19 @@ class CacheGeometry : public ::testing::TestWithParam<Geometry>
 TEST_P(CacheGeometry, MatchesReferenceModel)
 {
     const Geometry g = GetParam();
-    Cache c(CacheConfig{g.size, g.assoc, g.block, ReplKind::LRU});
+    Cache c(CacheConfig{g.size, g.assoc, g.block});
 
     // reference: per-set LRU lists
     const uint32_t sets = static_cast<uint32_t>(
         g.size / (uint64_t{g.block} * g.assoc));
     std::vector<std::vector<uint64_t>> ref(sets);  // MRU at back
 
+    // at least twice the ways per set, so the widest sets evict too
+    const uint64_t span =
+        std::max<uint64_t>(64, 2 * g.assoc) * g.block * sets;
     stems::trace::Rng rng(g.size ^ g.assoc ^ g.block);
     for (int i = 0; i < 20000; ++i) {
-        uint64_t addr = rng.below(64 * g.block * sets);
+        uint64_t addr = rng.below(span);
         uint64_t blk = addr / g.block;
         uint32_t set = static_cast<uint32_t>(blk % sets);
 
@@ -277,4 +333,6 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Values(Geometry{1024, 1, 64}, Geometry{1024, 2, 64},
                       Geometry{2048, 4, 64}, Geometry{4096, 2, 128},
-                      Geometry{8192, 8, 64}, Geometry{16384, 2, 512}));
+                      Geometry{8192, 8, 64}, Geometry{16384, 2, 512},
+                      Geometry{8192, 32, 64},    // 4 sets of 32 ways
+                      Geometry{4096, 64, 64}));  // fully associative

@@ -651,7 +651,7 @@ TEST(GeometrySweep, GeometryKeysLegalOnlyAsSweepOrTopLevel)
     EXPECT_NO_THROW(parseSpec({"prefetchers=sms", "opt.block=128"}));
     EXPECT_NO_THROW(parseSpec({"l2-kb=4096", "l1-assoc=4"}));
     EXPECT_NO_THROW(parseSpec(
-        {"prefetchers=none", "sweep.l2-mb=4,8"}));
+        {"prefetchers=none", "sweep.l2-kb=4096,8192"}));
 }
 
 TEST(GeometrySweep, BlockAxisAppliesToEveryEngine)
@@ -702,6 +702,17 @@ TEST(DispatchWireHardening, RejectsMalformedU64Fields)
     for (const auto &payload : payloads)
         EXPECT_THROW(decodeResult(parseJson(payload)), std::exception)
             << payload;
+
+    // a cell job whose cache config names a replacement other than 0
+    const RunCell cell = expandSpec(parseSpec({"workloads=sparse"}))[0];
+    std::string job = encodeCellJob(cell);
+    const std::string l1 = R"("l1":[65536,2,64,0])";
+    const size_t at = job.find(l1);
+    ASSERT_NE(at, std::string::npos) << job;
+    EXPECT_NO_THROW(decodeCellJob(parseJson(job)));
+    job.replace(at, l1.size(), R"("l1":[65536,2,64,2])");
+    EXPECT_THROW(decodeCellJob(parseJson(job)), std::invalid_argument)
+        << job;
 }
 
 TEST(DispatchWireHardening, FrameDecoderCapsFrameSize)

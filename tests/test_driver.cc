@@ -28,7 +28,6 @@
 #include "study/l1study.hh"
 #include "workloads/graph.hh"
 #include "study/suite.hh"
-#include "trace/interleaver.hh"
 #include "trace/io.hh"
 #include "trace/stream.hh"
 #include "workloads/workload.hh"
@@ -46,13 +45,26 @@ tinySys()
     return cfg;
 }
 
-/** The interleaved trace @p cache's streams for @p name merge into. */
-trace::Trace
-mergedTrace(study::TraceCache &cache, const std::string &name,
-            const workloads::WorkloadParams &p)
+/**
+ * @p streams with each cpu field set to its stream index, as every
+ * study pass reads them: a spill stores the stream index, a fresh
+ * generation the field as generated.
+ */
+std::vector<trace::Trace>
+stamped(std::vector<trace::Trace> streams)
 {
-    return trace::canonicalInterleaver(p.seed).merge(
-        cache.viewSet(name, p).materialize());
+    for (size_t s = 0; s < streams.size(); ++s)
+        for (auto &a : streams[s])
+            a.cpu = static_cast<uint32_t>(s);
+    return streams;
+}
+
+/** A copy of @p cache's per-CPU streams for @p name, stamped. */
+std::vector<trace::Trace>
+streamsOf(study::TraceCache &cache, const std::string &name,
+          const workloads::WorkloadParams &p)
+{
+    return stamped(cache.viewSet(name, p).materialize());
 }
 
 /** Spec tokens for a quick 2-workload matrix on 4 small CPUs. */
@@ -283,7 +295,7 @@ TEST(ExperimentSpec, AcceptedSyntaxParsesToTheSameValues)
     // base prefixes and surrounding forms still parse as before
     ExperimentSpec spec = parseSpec(
         {"ncpu=0x4", "refs=010", "seed=18446744073709551615",
-         "--threads=2", "--quiet", "timing=only", "l2-mb=4"});
+         "--threads=2", "--quiet", "timing=only", "l2-kb=4096"});
     EXPECT_EQ(spec.params.ncpu, 4u);
     EXPECT_EQ(spec.params.refsPerCpu, 8u);
     EXPECT_EQ(spec.params.seed, UINT64_MAX);
@@ -530,11 +542,11 @@ TEST(TraceCache, SpillDirRoundTripsTraces)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace generated = mergedTrace(writer, "graph", p);
+    const auto generated = streamsOf(writer, "graph", p);
 
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace replayed = mergedTrace(reader, "graph", p);
+    const auto replayed = streamsOf(reader, "graph", p);
     ASSERT_EQ(generated.size(), replayed.size());
     EXPECT_TRUE(generated == replayed);
     std::filesystem::remove_all(dir);
@@ -665,7 +677,7 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace live = mergedTrace(writer, "graph", p);
+    const auto live = streamsOf(writer, "graph", p);
 
     // sabotage the spill: same shape, wrong generator fingerprint
     std::string file;
@@ -681,18 +693,15 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
     // a fresh cache must reject the stale file and regenerate
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace regenerated = mergedTrace(reader, "graph", p);
+    const auto regenerated = streamsOf(reader, "graph", p);
     EXPECT_TRUE(live == regenerated);
 
-    // ... and the rewritten spill now carries the correct hash again;
-    // v4 spills hold per-stream sections, so the merged trace is
-    // recovered through the canonical interleave
+    // ... and the rewritten spill now carries the correct hash again
     auto spill =
         trace::MappedTrace::open(file, study::generatorConfigHash("graph", p));
     ASSERT_TRUE(spill);
-    const trace::Trace replay = trace::canonicalInterleaver(p.seed).merge(
-        trace::StreamSet::mapped(spill).materialize());
-    EXPECT_TRUE(live == replay);
+    EXPECT_TRUE(live ==
+                stamped(trace::StreamSet::mapped(spill).materialize()));
     std::filesystem::remove_all(dir);
 }
 
@@ -1238,7 +1247,7 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
         cfg.sms.pht.entries = 0;
         cfg.sms.agt = {0, 0};
         auto direct =
-            study::runL1Study(mergedTrace(traces, "sparse", p), cfg);
+            study::runL1Study(traces.viewSet("sparse", p), cfg, p.seed);
         EXPECT_EQ(r1[i].metrics.l1Covered(), direct.coveredReads)
             << trainerName(kinds[i]);
         EXPECT_EQ(r1[i].metrics.l1ReadMisses(), direct.readMisses);

@@ -127,6 +127,78 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     EXPECT_TRUE(parsePlan("").empty());
 }
 
+TEST(FaultPlan, EveryRepoPlanParsesClauseByClause)
+{
+    // each plan string the tests and CI install, with the Plan the
+    // hand-rolled parser gave it before plans became a key table
+    struct Want
+    {
+        const char *spec;
+        uint64_t seed;
+        std::vector<Clause> clauses;
+    };
+    auto cl = [](Kind k, double prob, int64_t cell = -1,
+                 bool always = false, uint32_t hang = 0) {
+        return Clause{k, prob, cell, always, hang};
+    };
+    const Kind C = Kind::Crash, H = Kind::Hang, G = Kind::Garbage,
+               T = Kind::Truncate, S = Kind::CorruptSpill,
+               E = Kind::Enospc;
+    const std::vector<Want> wants{
+        {"seed=42,crash=0.5,hang=0.25/3000,garbage=cell:7,"
+         "truncate=0.1:always,corrupt-spill=0.2,enospc=1",
+         42,
+         {cl(C, 0.5), cl(H, 0.25, -1, false, 3000), cl(G, 1, 7),
+          cl(T, 0.1, -1, true), cl(S, 0.2, -1, true), cl(E, 1, -1, true)}},
+        {"crash=cell:5", 1, {cl(C, 1, 5)}},
+        {"crash=cell:5:always", 1, {cl(C, 1, 5, true)}},
+        {"crash=1,hang=1/100,garbage=1,truncate=1",
+         1,
+         {cl(C, 1), cl(H, 1, -1, false, 100), cl(G, 1), cl(T, 1)}},
+        {"seed=3,crash=0.5", 3, {cl(C, 0.5)}},
+        {"crash=cell:1", 1, {cl(C, 1, 1)}},
+        {"crash=cell:3:always", 1, {cl(C, 1, 3, true)}},
+        {"hang=cell:2:always/1500", 1, {cl(H, 1, 2, true, 1500)}},
+        {"seed=9,garbage=cell:1,crash=cell:2:always",
+         9,
+         {cl(G, 1, 1), cl(C, 1, 2, true)}},
+        {"enospc=1", 1, {cl(E, 1, -1, true)}},
+        {"corrupt-spill=1", 1, {cl(S, 1, -1, true)}},
+        {"enospc=0,corrupt-spill=0",
+         1,
+         {cl(E, 0, -1, true), cl(S, 0, -1, true)}},
+        {"crash=cell:2", 1, {cl(C, 1, 2)}},
+        {"crash=cell:0:always", 1, {cl(C, 1, 0, true)}},
+        {"hang=cell:0/30000", 1, {cl(H, 1, 0, false, 30000)}},
+        {"garbage=cell:1", 1, {cl(G, 1, 1)}},
+        {"seed=5,crash=0.4,garbage=0.3,truncate=0.3,hang=0.2/100",
+         5,
+         {cl(C, 0.4), cl(G, 0.3), cl(T, 0.3), cl(H, 0.2, -1, false, 100)}},
+        {"hang=cell:3/30000", 1, {cl(H, 1, 3, false, 30000)}},
+        {"crash=cell:0,crash=cell:1", 1, {cl(C, 1, 0), cl(C, 1, 1)}},
+        {"seed=7,crash=0.3,garbage=0.2,truncate=0.2,hang=0.15/100",
+         7,
+         {cl(C, 0.3), cl(G, 0.2), cl(T, 0.2), cl(H, 0.15, -1, false, 100)}},
+        {"seed=3,crash=0.5,garbage=0.3", 3, {cl(C, 0.5), cl(G, 0.3)}},
+        {",crash=0.5,,", 1, {cl(C, 0.5)}},
+        {"", 1, {}},
+    };
+    for (const auto &w : wants) {
+        const Plan p = parsePlan(w.spec);
+        EXPECT_EQ(p.seed, w.seed) << w.spec;
+        ASSERT_EQ(p.clauses.size(), w.clauses.size()) << w.spec;
+        for (size_t i = 0; i < w.clauses.size(); ++i) {
+            const Clause &got = p.clauses[i], &want = w.clauses[i];
+            EXPECT_EQ(got.kind, want.kind) << w.spec << " #" << i;
+            EXPECT_EQ(got.prob, want.prob) << w.spec << " #" << i;
+            EXPECT_EQ(got.cell, want.cell) << w.spec << " #" << i;
+            EXPECT_EQ(got.everyAttempt, want.everyAttempt)
+                << w.spec << " #" << i;
+            EXPECT_EQ(got.hangMs, want.hangMs) << w.spec << " #" << i;
+        }
+    }
+}
+
 TEST(FaultPlan, UnitValueIsDeterministicAndSeedSensitive)
 {
     const double a = unitValue(7, Kind::Crash, 3, 1);

@@ -152,7 +152,7 @@ TEST(FlatMap, IterationVisitsEveryLiveEntryOnce)
 
 TEST(FlatMap, EraseDuringIteration)
 {
-    // the MshrFile::completeReady pattern
+    // erase-while-iterating, as a retire-ready sweep does
     FlatMap<uint64_t, uint64_t> m;
     size_t kept = 0;
     for (uint64_t k = 0; k < 100; ++k) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "prefetch/ghb.hh"
+#include "trace/rng.hh"
 
 using namespace stems::prefetch;
 using stems::mem::HitLevel;

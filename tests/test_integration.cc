@@ -26,6 +26,17 @@ tinyParams(uint32_t ncpu = 4, uint64_t refs = 6000)
     return p;
 }
 
+/** The system study over @p streams with registry engine @p engine. */
+SystemStudyResult
+runSys(const std::vector<trace::Trace> &streams,
+       const SystemStudyConfig &cfg, uint64_t seed,
+       const std::string &engine)
+{
+    std::unique_ptr<driver::PrefetcherDeployment> dep;
+    return runSystem(trace::StreamSet::borrowed(streams), cfg, seed,
+                     driver::registryAttach(engine, dep));
+}
+
 } // anonymous namespace
 
 /** Whole-suite invariants through the full memory system. */
@@ -36,15 +47,12 @@ TEST_P(SuiteSystem, SmsNeverIncreasesReadMissesMuch)
 {
     auto w = workloads::findWorkload(GetParam())->make();
     auto p = tinyParams();
-    trace::Trace t = workloads::makeTrace(*w, p);
+    const auto streams = w->generateStreams(p);
 
-    SystemStudyConfig base;
-    base.sys.ncpu = p.ncpu;
-    auto rb = runSystem(t, base);
-
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    SystemStudyConfig cfg;
+    cfg.sys.ncpu = p.ncpu;
+    auto rb = runSys(streams, cfg, p.seed, "none");
+    auto rs = runSys(streams, cfg, p.seed, "sms");
 
     // pollution may add a few misses, but never catastrophe
     EXPECT_LT(rs.l1ReadMisses, rb.l1ReadMisses * 1.25) << GetParam();
@@ -82,39 +90,42 @@ TEST(Integration, ShadowL1MatchesMemSysL1OnPrivateStreams)
 {
     // with no sharing and no inclusion pressure, the shadow study's
     // baseline L1 misses equal the full system's
-    trace::Trace t;
+    std::vector<trace::Trace> streams(2);
     trace::Rng rng(4);
     for (int i = 0; i < 30000; ++i) {
         trace::MemAccess a;
         a.cpu = static_cast<uint32_t>(rng.below(2));
         a.pc = 0x1;
         a.addr = (0x1000000ULL << a.cpu) + rng.below(1 << 18);
-        t.push_back(a);
+        streams[a.cpu].push_back(a);
     }
+    const auto set = trace::StreamSet::borrowed(streams);
     L1StudyConfig sc;
     sc.ncpu = 2;
     sc.prefetch = false;
-    auto shadow = runL1Study(t, sc);
+    auto shadow = runL1Study(set, sc, 4);
 
     SystemStudyConfig mc;
     mc.sys.ncpu = 2;
-    mc.sys.l2 = {16 * 1024 * 1024, 16, 64, mem::ReplKind::LRU};
-    auto full = runSystem(t, mc);
+    mc.sys.l2 = {16 * 1024 * 1024, 16, 64};
+    auto full = runSystem(set, mc, 4);
     EXPECT_EQ(shadow.readMisses, full.l1ReadMisses);
 }
 
 TEST(Integration, CoverageIdentityOnSuiteWorkload)
 {
     auto w = workloads::findWorkload("Zeus")->make();
-    trace::Trace t = workloads::makeTrace(*w, tinyParams());
+    const auto p = tinyParams();
+    const auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     L1StudyConfig base;
     base.ncpu = 4;
     base.prefetch = false;
-    auto rb = runL1Study(t, base);
+    auto rb = runL1Study(set, base, p.seed);
     L1StudyConfig sms = base;
     sms.prefetch = true;
-    auto rs = runL1Study(t, sms);
+    auto rs = runL1Study(set, sms, p.seed);
 
     // every baseline read miss is either still a miss or was covered
     // (pollution can only add misses, never remove them uncovered)
@@ -127,19 +138,17 @@ TEST(Integration, OracleBoundsRealSmsCoverage)
     // what SMS actually achieves at the same region size
     auto w = workloads::findWorkload("sparse")->make();
     auto p = tinyParams(4, 20000);
-    trace::Trace t = workloads::makeTrace(*w, p);
+    const auto streams = w->generateStreams(p);
 
-    SystemStudyConfig base;
-    base.sys.ncpu = 4;
-    base.oracleRegionSizes = {2048};
-    auto rb = runSystem(t, base);
+    SystemStudyConfig cfg;
+    cfg.sys.ncpu = 4;
+    cfg.oracleRegionSizes = {2048};
+    auto rb = runSys(streams, cfg, p.seed, "none");
     uint64_t oracle_covered = rb.l1ReadMisses > rb.oracleL1Gens[0]
                                   ? rb.l1ReadMisses - rb.oracleL1Gens[0]
                                   : 0;
 
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    auto rs = runSys(streams, cfg, p.seed, "sms");
     EXPECT_LE(rs.l1Covered, oracle_covered + rb.l1ReadMisses / 20)
         << "SMS cannot beat the oracle (modulo write-covered slack)";
 }
@@ -183,13 +192,15 @@ TEST(Integration, WiderCoreNeverSlower)
 TEST(Integration, UnboundedPhtDominatesBoundedCoverage)
 {
     auto w = workloads::findWorkload("Apache")->make();
-    trace::Trace t = workloads::makeTrace(*w, tinyParams());
+    const auto p = tinyParams();
+    const auto streams = w->generateStreams(p);
 
     auto run_with_pht = [&](uint32_t entries) {
         L1StudyConfig cfg;
         cfg.ncpu = 4;
         cfg.sms.pht.entries = entries;
-        return runL1Study(t, cfg).coveredReads;
+        return runL1Study(trace::StreamSet::borrowed(streams), cfg, p.seed)
+            .coveredReads;
     };
     uint64_t tiny = run_with_pht(256);
     uint64_t infinite = run_with_pht(0);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "mem/memsys.hh"
-#include "mem/mshr.hh"
 
 using namespace stems::mem;
 using stems::trace::MemAccess;
@@ -15,8 +14,8 @@ smallSys(uint32_t ncpu = 4)
 {
     MemSysConfig c;
     c.ncpu = ncpu;
-    c.l1 = {4 * 1024, 2, 64, ReplKind::LRU};
-    c.l2 = {64 * 1024, 8, 64, ReplKind::LRU};
+    c.l1 = {4 * 1024, 2, 64};
+    c.l2 = {64 * 1024, 8, 64};
     return c;
 }
 
@@ -194,38 +193,4 @@ TEST(MemSys, RejectsL2BlockSmallerThanL1)
     c.l2.blockSize = 64;
     c.l1.sizeBytes = 4096;
     EXPECT_THROW(MemorySystem{c}, std::invalid_argument);
-}
-
-TEST(Mshr, MergesSecondaryMisses)
-{
-    MshrFile m(4);
-    EXPECT_TRUE(m.allocate(0x100, 50));
-    EXPECT_TRUE(m.allocate(0x100, 60));  // merged, keeps first time
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_EQ(m.mergedMisses(), 1u);
-    EXPECT_EQ(m.readyAt(0x100), 50u);
-}
-
-TEST(Mshr, FullRejectsNewAllocations)
-{
-    MshrFile m(2);
-    EXPECT_TRUE(m.allocate(0x100, 10));
-    EXPECT_TRUE(m.allocate(0x200, 20));
-    EXPECT_TRUE(m.full());
-    EXPECT_FALSE(m.allocate(0x300, 30));
-    // but a merge into an existing entry still succeeds
-    EXPECT_TRUE(m.allocate(0x200, 25));
-}
-
-TEST(Mshr, CompleteReadyRetires)
-{
-    MshrFile m(4);
-    m.allocate(0x100, 10);
-    m.allocate(0x200, 20);
-    EXPECT_EQ(m.nextReady(), 10u);
-    m.completeReady(15);
-    EXPECT_FALSE(m.outstanding(0x100));
-    EXPECT_TRUE(m.outstanding(0x200));
-    m.clear();
-    EXPECT_EQ(m.size(), 0u);
 }

@@ -148,8 +148,8 @@ TEST(SmsController, StreamsIntoL1AndCoversRepeatPass)
     // pass 2's misses should be largely covered by SMS streams
     mem::MemSysConfig mcfg;
     mcfg.ncpu = 2;
-    mcfg.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    mcfg.l2 = {256 * 1024, 8, 64, mem::ReplKind::LRU};
+    mcfg.l1 = {16 * 1024, 2, 64};
+    mcfg.l2 = {256 * 1024, 8, 64};
     mem::MemorySystem sys(mcfg);
     SmsConfig scfg = testConfig();
     SmsController sms(sys, scfg);
@@ -183,8 +183,8 @@ TEST(SmsController, PerCpuUnitsAreIndependent)
 {
     mem::MemSysConfig mcfg;
     mcfg.ncpu = 2;
-    mcfg.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    mcfg.l2 = {256 * 1024, 8, 64, mem::ReplKind::LRU};
+    mcfg.l1 = {16 * 1024, 2, 64};
+    mcfg.l2 = {256 * 1024, 8, 64};
     mem::MemorySystem sys(mcfg);
     SmsController sms(sys, testConfig());
 

@@ -224,22 +224,20 @@ TEST(StreamEquivalence, TimingEveryEngineMappedVsVectors)
     std::filesystem::remove_all(dir);
 }
 
-TEST(StreamEquivalence, L1StudyMappedVsMergedTrace)
+TEST(StreamEquivalence, L1StudyMappedVsVectors)
 {
     const std::string dir = tempDir("l1view");
     auto streams = makeStreams("sparse", 2, 2000, 19);
     auto m = spillAndMap(streams, dir + "/t.stmt");
     ASSERT_NE(m, nullptr);
 
-    const trace::Trace merged =
-        trace::canonicalInterleaver(19).merge(streams);
-
     for (bool prefetch : {false, true}) {
         study::L1StudyConfig lcfg;
         lcfg.ncpu = 2;
         lcfg.prefetch = prefetch;
 
-        auto live = study::runL1Study(merged, lcfg);
+        auto live = study::runL1Study(trace::StreamSet::borrowed(streams),
+                                      lcfg, 19);
         auto view =
             study::runL1Study(trace::StreamSet::mapped(m), lcfg, 19);
 

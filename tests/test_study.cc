@@ -2,23 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "driver/registry.hh"
 #include "study/density.hh"
 #include "study/l1study.hh"
 #include "study/memstudy.hh"
 #include "study/stats.hh"
 #include "study/suite.hh"
 #include "study/table.hh"
+#include "trace/io.hh"
 
 using namespace stems;
 using namespace stems::study;
 
 namespace {
 
-/** A synthetic workload with a strongly repeating spatial pattern. */
-trace::Trace
-patternedTrace(uint32_t ncpu, uint32_t regions, uint64_t stride = 2048)
+/** Interleave seed of the synthetic streams below. */
+constexpr uint64_t kSeed = 1;
+
+/** Per-CPU streams with a strongly repeating spatial pattern. */
+std::vector<trace::Trace>
+patternedStreams(uint32_t ncpu, uint32_t regions, uint64_t stride = 2048)
 {
-    trace::Trace t;
+    std::vector<trace::Trace> streams(ncpu);
     for (uint32_t r = 0; r < regions; ++r) {
         for (uint32_t c = 0; c < ncpu; ++c) {
             uint64_t base = 0x10000000 + (uint64_t{r} * ncpu + c) * stride;
@@ -28,11 +35,30 @@ patternedTrace(uint32_t ncpu, uint32_t regions, uint64_t stride = 2048)
                 a.pc = 0x900 + off;
                 a.addr = base + off * 64;
                 a.ninst = 3;
-                t.push_back(a);
+                streams[c].push_back(a);
             }
         }
     }
-    return t;
+    return streams;
+}
+
+L1StudyResult
+runL1(const std::vector<trace::Trace> &streams, const L1StudyConfig &cfg)
+{
+    return runL1Study(trace::StreamSet::borrowed(streams), cfg, kSeed);
+}
+
+/** The system study with registry engine @p engine ("" = none). */
+SystemStudyResult
+runSys(const std::vector<trace::Trace> &streams,
+       const SystemStudyConfig &cfg, const std::string &engine = "",
+       driver::Options opts = {})
+{
+    std::unique_ptr<driver::PrefetcherDeployment> dep;
+    return runSystem(trace::StreamSet::borrowed(streams), cfg, kSeed,
+                     engine.empty() ? PfAttach{}
+                                    : driver::registryAttach(
+                                          engine, dep, std::move(opts)));
 }
 
 } // anonymous namespace
@@ -42,7 +68,7 @@ TEST(L1Study, BaselineHasNoCoverage)
     L1StudyConfig cfg;
     cfg.ncpu = 2;
     cfg.prefetch = false;
-    auto r = runL1Study(patternedTrace(2, 400), cfg);
+    auto r = runL1(patternedStreams(2, 400), cfg);
     EXPECT_EQ(r.coveredReads, 0u);
     EXPECT_EQ(r.overpredictions, 0u);
     EXPECT_GT(r.readMisses, 0u);
@@ -53,12 +79,12 @@ TEST(L1Study, SmsCoversRepeatingPattern)
     L1StudyConfig base;
     base.ncpu = 2;
     base.prefetch = false;
-    trace::Trace t = patternedTrace(2, 1500);
-    auto rb = runL1Study(t, base);
+    const auto t = patternedStreams(2, 1500);
+    auto rb = runL1(t, base);
 
     L1StudyConfig sms = base;
     sms.prefetch = true;
-    auto rs = runL1Study(t, sms);
+    auto rs = runL1(t, sms);
 
     EXPECT_GT(rs.coveredReads, rb.readMisses / 2)
         << "a fixed 4-block pattern must be highly covered";
@@ -73,21 +99,22 @@ TEST(L1Study, InstructionsCounted)
     L1StudyConfig cfg;
     cfg.ncpu = 2;
     cfg.prefetch = false;
-    trace::Trace t = patternedTrace(2, 10);
-    auto r = runL1Study(t, cfg);
-    EXPECT_EQ(r.instructions, t.size() * 4);  // ninst=3 + the ref
-    EXPECT_EQ(r.readAccesses, t.size());
+    const auto t = patternedStreams(2, 10);
+    const uint64_t refs = trace::StreamSet::borrowed(t).totalRefs();
+    auto r = runL1(t, cfg);
+    EXPECT_EQ(r.instructions, refs * 4);  // ninst=3 + the ref
+    EXPECT_EQ(r.readAccesses, refs);
 }
 
 TEST(L1Study, TrainerVariantsAllProduceCoverage)
 {
-    trace::Trace t = patternedTrace(2, 1500);
+    const auto t = patternedStreams(2, 1500);
     for (TrainerKind k : {TrainerKind::AGT, TrainerKind::LogicalSectored,
                           TrainerKind::DecoupledSectored}) {
         L1StudyConfig cfg;
         cfg.ncpu = 2;
         cfg.trainer = k;
-        auto r = runL1Study(t, cfg);
+        auto r = runL1(t, cfg);
         EXPECT_GT(r.coveredReads, 100u) << trainerName(k);
     }
 }
@@ -102,25 +129,25 @@ TEST(L1Study, DsSeesMoreMissesThanTraditional)
     for (int r = 0; r < 400; ++r)
         blocks.push_back(0x40000000 + rng.below(1 << 16) * 2048 +
                          rng.below(32) * 64);
-    trace::Trace t;
+    std::vector<trace::Trace> t(1);
     for (int round = 0; round < 3; ++round) {
         for (uint64_t b : blocks) {
             trace::MemAccess a;
             a.cpu = 0;
             a.pc = 0x1;
             a.addr = b;
-            t.push_back(a);
+            t[0].push_back(a);
         }
     }
     L1StudyConfig trad;
     trad.ncpu = 1;
     trad.prefetch = false;
-    auto rt = runL1Study(t, trad);
+    auto rt = runL1(t, trad);
 
     L1StudyConfig ds = trad;
     ds.trainer = TrainerKind::DecoupledSectored;
     ds.prefetch = true;
-    auto rd = runL1Study(t, ds);
+    auto rd = runL1(t, ds);
     EXPECT_GT(rd.readMisses, rt.readMisses);
 }
 
@@ -163,13 +190,13 @@ TEST(Density, TracksGenerationsAndAccesses)
 
 TEST(SystemStudy, OracleOpportunityGrowsWithRegionSize)
 {
-    trace::Trace t = patternedTrace(2, 800);
+    const auto t = patternedStreams(2, 800);
     SystemStudyConfig cfg;
     cfg.sys.ncpu = 2;
-    cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
+    cfg.sys.l1 = {16 * 1024, 2, 64};
+    cfg.sys.l2 = {128 * 1024, 8, 64};
     cfg.oracleRegionSizes = {128, 2048, 8192};
-    auto r = runSystem(t, cfg);
+    auto r = runSys(t, cfg);
     EXPECT_GT(r.oracleL1Gens[0], r.oracleL1Gens[1]);
     EXPECT_GE(r.oracleL1Gens[1], r.oracleL1Gens[2]);
     EXPECT_LE(r.oracleL1Gens[1], r.l1ReadMisses);
@@ -177,17 +204,13 @@ TEST(SystemStudy, OracleOpportunityGrowsWithRegionSize)
 
 TEST(SystemStudy, SmsProducesOffChipCoverage)
 {
-    trace::Trace t = patternedTrace(2, 3000);
-    SystemStudyConfig base;
-    base.sys.ncpu = 2;
-    base.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    base.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
-    auto rb = runSystem(t, base);
-
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    sms.sms.pht.entries = 4096;
-    auto rs = runSystem(t, sms);
+    const auto t = patternedStreams(2, 3000);
+    SystemStudyConfig cfg;
+    cfg.sys.ncpu = 2;
+    cfg.sys.l1 = {16 * 1024, 2, 64};
+    cfg.sys.l2 = {128 * 1024, 8, 64};
+    auto rb = runSys(t, cfg);
+    auto rs = runSys(t, cfg, "sms", {{"pht-entries", "4096"}});
 
     EXPECT_GT(rs.l1Covered, 0u);
     EXPECT_GT(rs.l2Covered, 0u);
@@ -197,32 +220,31 @@ TEST(SystemStudy, SmsProducesOffChipCoverage)
 TEST(SystemStudy, GhbCoversStridedStream)
 {
     // single-cpu sequential sweep: GHB's best case
-    trace::Trace t;
+    std::vector<trace::Trace> t(1);
     for (uint64_t i = 0; i < 50000; ++i) {
         trace::MemAccess a;
         a.cpu = 0;
         a.pc = 0x1;
         a.addr = 0x20000000 + i * 64;
-        t.push_back(a);
+        t[0].push_back(a);
     }
     SystemStudyConfig cfg;
     cfg.sys.ncpu = 1;
-    cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
-    cfg.pf = PfKind::Ghb;
-    auto r = runSystem(t, cfg);
+    cfg.sys.l1 = {16 * 1024, 2, 64};
+    cfg.sys.l2 = {128 * 1024, 8, 64};
+    auto r = runSys(t, cfg, "ghb");
     EXPECT_GT(r.l2Covered, 10000u);
 }
 
 TEST(SystemStudy, DensityHistogramsSumToLevelMisses)
 {
-    trace::Trace t = patternedTrace(2, 500);
+    const auto t = patternedStreams(2, 500);
     SystemStudyConfig cfg;
     cfg.sys.ncpu = 2;
-    cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
+    cfg.sys.l1 = {16 * 1024, 2, 64};
+    cfg.sys.l2 = {128 * 1024, 8, 64};
     cfg.trackDensity = true;
-    auto r = runSystem(t, cfg);
+    auto r = runSys(t, cfg);
     uint64_t l1_total = 0, l2_total = 0;
     for (size_t b = 0; b < kDensityBuckets; ++b) {
         l1_total += r.l1Density[b];
@@ -328,36 +350,37 @@ expectSameSystemResult(const SystemStudyResult &a,
 
 } // anonymous namespace
 
-TEST(SystemStudy, StreamViewMatchesMergedTraceByteForByte)
+TEST(SystemStudy, MappedSpillMatchesBorrowedStreamsByteForByte)
 {
-    // the zero-copy overload must reproduce the merged-trace pipeline
-    // exactly, with every tracker (oracle, density, SMS) engaged
+    // a spill replayed through its mapping must reproduce the in-memory
+    // streams exactly, with every tracker (oracle, density, SMS) engaged
     workloads::WorkloadParams p;
     p.ncpu = 4;
     p.refsPerCpu = 4000;
     p.seed = 11;
+    const std::string file =
+        ::testing::TempDir() + "/stems_study_mapped.stmt";
 
     for (const char *name : {"sparse", "graph", "OLTP-DB2"}) {
         auto w = workloads::findWorkload(name)->make();
         auto streams = w->generateStreams(p);
-        trace::Trace merged =
-            trace::Interleaver(1, 16, p.seed * 977 + 13).merge(streams);
+        ASSERT_TRUE(trace::writeTraceStreams(streams, file));
+        auto mapped = trace::MappedTrace::open(file);
+        ASSERT_NE(mapped, nullptr);
 
         SystemStudyConfig cfg;
         cfg.sys.ncpu = p.ncpu;
-        cfg.pf = PfKind::Sms;
         cfg.oracleRegionSizes = {512, 2048};
         cfg.trackDensity = true;
 
-        auto viaTrace = runSystem(merged, cfg);
-        std::unique_ptr<core::SmsController> sms;
-        auto viaView = runSystem(
-            trace::StreamSet::borrowed(streams), cfg, p.seed,
-            [&](mem::MemorySystem &sys) -> AttachedPrefetcher * {
-                sms = std::make_unique<core::SmsController>(sys,
-                                                            cfg.sms);
-                return nullptr;
-            });
-        expectSameSystemResult(viaTrace, viaView);
+        std::unique_ptr<driver::PrefetcherDeployment> d1, d2;
+        auto viaVectors =
+            runSystem(trace::StreamSet::borrowed(streams), cfg, p.seed,
+                      driver::registryAttach("sms", d1));
+        auto viaMapped =
+            runSystem(trace::StreamSet::mapped(mapped), cfg, p.seed,
+                      driver::registryAttach("sms", d2));
+        expectSameSystemResult(viaVectors, viaMapped);
     }
+    std::remove(file.c_str());
 }

@@ -22,8 +22,8 @@ smallConfig(uint32_t ncpu = 2)
 {
     TimingConfig cfg;
     cfg.sys.ncpu = ncpu;
-    cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
-    cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
+    cfg.sys.l1 = {16 * 1024, 2, 64};
+    cfg.sys.l2 = {128 * 1024, 8, 64};
     return cfg;
 }
 
