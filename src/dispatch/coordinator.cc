@@ -137,25 +137,30 @@ namespace {
  *  declared wedged and killed. */
 constexpr uint32_t kHeartbeatMissBudget = 4;
 
+/** Respawn backoff base: a slot's delay doubles per consecutive
+ *  loss from here, so a crash-looping worker cannot pin the
+ *  coordinator in a fork storm. */
+constexpr uint32_t kBackoffBaseMs = 50;
+
 /** Respawn backoff ceiling. */
 constexpr uint32_t kBackoffCapMs = 5000;
 
 /** Deterministic backoff with jitter for the Nth consecutive loss. */
 uint32_t
-backoffDelayMs(uint32_t baseMs, uint32_t streak, uint64_t salt)
+backoffDelayMs(uint32_t streak, uint64_t salt)
 {
-    if (baseMs == 0 || streak == 0)
+    if (streak == 0)
         return 0;
     const uint32_t shift = std::min<uint32_t>(streak - 1, 6);
-    const uint64_t exp =
-        std::min<uint64_t>(uint64_t{baseMs} << shift, kBackoffCapMs);
-    // jitter in [0, baseMs) desynchronizes a pool crashing in lockstep
+    const uint64_t exp = std::min<uint64_t>(
+        uint64_t{kBackoffBaseMs} << shift, kBackoffCapMs);
+    // jitter in [0, base) desynchronizes a pool crashing in lockstep
     uint64_t h = salt * 0x9e3779b97f4a7c15ULL + streak;
     h ^= h >> 29;
     h *= 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 32;
     return static_cast<uint32_t>(
-        std::min<uint64_t>(exp + h % baseMs, kBackoffCapMs));
+        std::min<uint64_t>(exp + h % kBackoffBaseMs, kBackoffCapMs));
 }
 
 } // anonymous namespace
@@ -265,12 +270,10 @@ Coordinator::run(driver::CellScheduler &sched)
         w.cell = -1;
         reap(w);
         ++w.failStreak;
-        const uint32_t delay = backoffDelayMs(
-            cfg.backoffMs, w.failStreak,
-            static_cast<uint64_t>(&w - pool.data()) + 1);
-        if (delay > 0)
-            w.nextSpawnAt =
-                Clock::now() + std::chrono::milliseconds(delay);
+        w.nextSpawnAt = Clock::now() +
+            std::chrono::milliseconds(backoffDelayMs(
+                w.failStreak,
+                static_cast<uint64_t>(&w - pool.data()) + 1));
         if (cell >= 0)
             sched.lost(static_cast<size_t>(cell), "dispatch: " + reason,
                        cfg.maxAttempts);
@@ -459,37 +462,12 @@ Coordinator::run(driver::CellScheduler &sched)
             }
         }
         size_t alive = 0;
-        {
-            // with schedule=cost, fill idle workers fastest-first so
-            // the longest pending cells (the LPT queue front) land on
-            // the fastest incarnations and the slowest worker takes
-            // work last
-            std::vector<Worker *> idle;
-            for (auto &w : pool) {
-                if (!w.alive)
-                    continue;
-                ++alive;
-                if (w.ready && w.cell == -1)
-                    idle.push_back(&w);
-            }
-            if (spec.scheduleCost && idle.size() > 1) {
-                auto meanCellMs = [&](const Worker *w) {
-                    if (w->stats < 0)
-                        return 0.0;
-                    const WorkerStats &ws = workerStats_[w->stats];
-                    return ws.cellsDone
-                        ? ws.busyMs /
-                              static_cast<double>(ws.cellsDone)
-                        : 0.0;
-                };
-                std::stable_sort(
-                    idle.begin(), idle.end(),
-                    [&](const Worker *a, const Worker *b) {
-                        return meanCellMs(a) < meanCellMs(b);
-                    });
-            }
-            for (Worker *w : idle)
-                assign(*w);
+        for (auto &w : pool) {
+            if (!w.alive)
+                continue;
+            ++alive;
+            if (w.ready && w.cell == -1)
+                assign(w);
         }
         if (alive == 0) {
             // every slot is dead; if any may still respawn (budget

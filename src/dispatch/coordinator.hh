@@ -12,8 +12,8 @@
  * cell-error path (the report's "error" field) instead of taking down
  * the sweep. Dead workers are replaced as long as work remains —
  * never more replacements than there are unassigned cells — behind
- * exponential backoff with deterministic jitter, within a respawn
- * budget; when the pool is unrecoverable the remaining cells degrade
+ * exponential backoff with deterministic jitter (50 ms base, doubled
+ * per consecutive loss, 5 s cap), within a respawn budget; when the pool is unrecoverable the remaining cells degrade
  * to in-process execution instead of erroring. Idle workers
  * speculatively re-run tail stragglers' cells (first result wins)
  * when configured.
@@ -21,7 +21,8 @@
  * The coordinator only manages processes: spawn, reap, backoff,
  * heartbeats, timeouts and the poll loop. It claims, re-queues, fails
  * and duplicates cells through a driver::CellScheduler, which owns the
- * claim order and the results.
+ * claim order and the results: the pool's workers are identical
+ * processes, so each idle one simply takes the next claim.
  *
  * Workers share generated .stmt traces through the TraceCache spill
  * dir (a temp dir is provisioned when the spec has none), so each
@@ -92,14 +93,6 @@ struct DispatchConfig
      * is killed fast, while a slow-but-heartbeating cell runs on.
      */
     uint32_t heartbeatMs = 0;
-
-    /**
-     * Base respawn backoff in ms (0 = immediate respawn). A slot's
-     * delay doubles per consecutive loss (capped at 5 s) with
-     * deterministic jitter, so a crash-looping worker cannot pin the
-     * coordinator in a fork storm.
-     */
-    uint32_t backoffMs = 50;
 
     /**
      * Hand idle workers extra copies of tail stragglers under the

@@ -248,7 +248,6 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
         dcfg.maxAttempts = spec.dispatchRetries;
         dcfg.trace = !spec.traceOut.empty();
         dcfg.heartbeatMs = spec.dispatchHeartbeatMs;
-        dcfg.backoffMs = spec.dispatchBackoffMs;
         dcfg.speculate = spec.dispatchSpeculate;
         dcfg.workerExe = spec.dispatchWorkerExe;
         // workers= swaps the pipe transport for sockets; the dispatch

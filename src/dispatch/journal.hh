@@ -51,8 +51,8 @@ struct JournalContents
 };
 
 /**
- * Parse a journal file's bytes: the one reader behind resume and
- * schedule-from calibration. Scanning stops at the first torn,
+ * Parse a journal file's bytes: the one reader behind resume.
+ * Scanning stops at the first torn,
  * corrupt or non-result frame. Throws std::invalid_argument when the
  * first frame is not a version-1 journal header.
  */

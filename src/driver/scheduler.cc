@@ -1,8 +1,8 @@
 #include "driver/scheduler.hh"
 
 #include <algorithm>
+#include <numeric>
 
-#include "driver/costmodel.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
 #include "obs/sampler.hh"
@@ -17,14 +17,59 @@ constexpr double kDuplicateFloorMs = 2000;
 /** Completed round trips needed before the median means anything. */
 constexpr size_t kDuplicateMinSamples = 3;
 
+/**
+ * Relative per-reference weight of an engine kind: how much a pass
+ * slows down when this prefetcher is attached. Rough; only the
+ * resulting order matters.
+ */
+double
+kindWeight(const std::string &kind)
+{
+    if (kind == "none")
+        return 1.0;
+    if (kind == "next-line")
+        return 1.1;
+    if (kind == "stride")
+        return 1.15;
+    if (kind == "ghb")
+        return 1.7;
+    if (kind == "sms")
+        return 2.2;
+    return 1.5;  // unknown registrations: assume mid-weight
+}
+
 } // anonymous namespace
+
+double
+estimatedCost(const RunCell &cell)
+{
+    // work scales with the references driven through one pass (the
+    // timing model rides the system study's walk). The shadow-L1
+    // study walks one merged trace, not a coherent multiprocessor, so
+    // it is cheaper per reference. The 1.0 floor keeps zero-ref cells
+    // orderable.
+    const double refs = static_cast<double>(cell.params.refsPerCpu) *
+        static_cast<double>(cell.params.ncpu) / 1000.0;
+    const double mode = cell.mode == StudyMode::L1 ? 0.6 : 1.0;
+    return 1.0 + mode * refs * kindWeight(cell.engine.kind);
+}
 
 CellScheduler::CellScheduler(const ExperimentSpec &spec)
     : cells_(selectedCells(spec)), state_(cells_.size()),
       results_(cells_.size()), toReport_(cells_.size())
 {
-    for (size_t i : scheduleOrder(spec, cells_))
-        pending_.push_back(i);
+    // heaviest first, ties by id: a workload's engine cells spread
+    // across the lanes instead of queueing on its one baseline pass
+    std::vector<double> cost(cells_.size());
+    for (size_t i = 0; i < cells_.size(); ++i)
+        cost[i] = estimatedCost(cells_[i]);
+    pending_.resize(cells_.size());
+    std::iota(pending_.begin(), pending_.end(), size_t{0});
+    std::sort(pending_.begin(), pending_.end(), [&](size_t a, size_t b) {
+        if (cost[a] != cost[b])
+            return cost[a] > cost[b];
+        return cells_[a].id < cells_[b].id;
+    });
     obs::gaugeAdd(&obs::Gauges::cellsPending,
                   static_cast<int64_t>(pending_.size()));
 }

@@ -5,8 +5,11 @@
  * processes and the serve fleet all drain one of these per spec. It
  * owns:
  *
- *  - claim order: re-queued cells first, then driver::scheduleOrder
- *    (fifo, or schedule=cost longest-first);
+ *  - claim order: re-queued cells first, then pending cells by
+ *    estimatedCost(), heaviest first, ties by cell id. The heavy
+ *    engine cells of the first workloads go out together instead of
+ *    queueing behind one workload's shared baseline pass; equal-cost
+ *    cells (an L1 sweep) claim in id order;
  *  - per-cell attempt, in-flight and completion state;
  *  - result placement by cell index, where the first result wins and
  *    a later copy is dropped, so reports are byte-identical whatever
@@ -44,6 +47,14 @@
 namespace stems::driver {
 
 /**
+ * A cell's estimated cost in arbitrary comparable units: references
+ * driven through its pass, scaled by engine kind and study mode. It
+ * orders claims and weights the progress ETA; a misestimate costs
+ * wall time, never report bytes (results are placed by cell index).
+ */
+double estimatedCost(const RunCell &cell);
+
+/**
  * Called once per completed cell, serialized, in completion order.
  * @p done counts the cells reported so far and @p total the cells the
  * run will report (journal-seeded cells are never reported).
@@ -54,7 +65,7 @@ using ProgressFn = std::function<void(const CellResult &, size_t done,
 class CellScheduler
 {
   public:
-    /** The cells of @p spec (cells= filter applied), in its schedule=
+    /** The cells of @p spec (cells= filter applied), pending in claim
      *  order. Throws std::invalid_argument on a bad cells= filter. */
     explicit CellScheduler(const ExperimentSpec &spec);
     ~CellScheduler();
@@ -98,7 +109,7 @@ class CellScheduler
     /**
      * A lane lost its copy of cell @p i (crash, timeout, protocol
      * error). When no other copy is in flight, the cell is re-queued
-     * ahead of the schedule, or, once it has used @p maxAttempts
+     * ahead of every pending cell, or, once it has used @p maxAttempts
      * attempts, completed with the error "<reason> after N
      * attempt(s)".
      */

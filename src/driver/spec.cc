@@ -254,14 +254,10 @@ specRows(SpecParse &p)
              s.timing = s.timingOnly || parseBool(k, v);
          }},
         u32Key("threads", s.threads, "runner threads (0 = all cores)"),
-        enumKey("schedule", s.scheduleCost, {{"fifo", false}, {"cost", true}},
-                "expansion order, or longest-estimated first"),
-        strKey("schedule-from", s.scheduleFrom, "cost model calibration"),
         u32Key("dispatch", s.dispatch, "worker processes (0 = in-process)"),
         u32Key("dispatch-timeout-ms", s.dispatchTimeoutMs, "0 = none"),
         u32Key("dispatch-retries", s.dispatchRetries, "tries per cell", 1),
         u32Key("dispatch-heartbeat-ms", s.dispatchHeartbeatMs, "0 = off"),
-        u32Key("dispatch-backoff-ms", s.dispatchBackoffMs, "respawn base"),
         boolKey("dispatch-speculate", s.dispatchSpeculate,
                 "copy tail stragglers to idle lanes, first result wins"),
         strKey("workers", s.dispatchWorkers, "socket worker endpoints"),
@@ -287,7 +283,6 @@ specRows(SpecParse &p)
         boolKey("quiet", s.quiet, "no progress lines"),
         boolKey("wall", s.emitWall, "wall_ms in JSON (0 = byte-stable)"),
         strKey("trace-out", s.traceOut, "Chrome trace-event JSON"),
-        boolKey("telemetry", s.telemetry, "counters JSON on stderr"),
         strKey("telemetry-out", s.telemetryOut, "counters JSON file"),
         strKey("stats-out", s.statsOut, "sampled time-series JSONL"),
         u32Key("stats-interval-ms", s.statsIntervalMs, "sampler period", 1),

@@ -61,14 +61,8 @@ struct ExperimentSpec
     // observability sinks (see src/obs/); never touch report output
     std::string traceOut;      //!< Chrome trace-event JSON ("" = off)
     std::string telemetryOut;  //!< counters JSON file ("" = off)
-    bool telemetry = false;    //!< dump counters JSON to stderr
     std::string statsOut;      //!< time-series JSONL file ("" = off)
     uint32_t statsIntervalMs = 100;  //!< sampler period (stats-out)
-
-    // scheduling (see driver/costmodel.hh); never changes report bytes
-    bool scheduleCost = false;   //!< LPT order + slowest-worker-last
-    std::string scheduleFrom;    //!< calibration journal/report ("" =
-                                 //!< heuristic cost model)
 
     /** Track oracle spatial generations at these region sizes. */
     std::vector<uint32_t> oracleRegionSizes;
@@ -87,7 +81,6 @@ struct ExperimentSpec
     uint32_t dispatchTimeoutMs = 0;   //!< per-cell timeout (0 = none)
     uint32_t dispatchRetries = 3;     //!< attempts per cell before error
     uint32_t dispatchHeartbeatMs = 0; //!< liveness period (0 = off)
-    uint32_t dispatchBackoffMs = 50;  //!< respawn backoff base
     bool dispatchSpeculate = false;   //!< re-dispatch tail stragglers
     std::string dispatchWorkerExe;    //!< "" = this binary
 

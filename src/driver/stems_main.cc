@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,10 +27,10 @@
 #include "dispatch/merge.hh"
 #include "driver/analyze.hh"
 #include "driver/commands.hh"
-#include "driver/costmodel.hh"
 #include "driver/figures.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
@@ -72,33 +71,21 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
         spec.telemetryOut == "-";
     const bool showEta = !quiet && !(spec.table && stdoutBusy);
 
-    // per-cell cost estimates power the progress ETA — the same model
-    // schedule=cost dispatches by (see driver/costmodel.hh)
-    std::map<uint32_t, double> costById;
-    double totalCost = 0;
-    if (showEta) {
-        const CostModel model = CostModel::fromSpec(spec);
-        for (const auto &cell : selectedCells(spec)) {
-            const double c = model.estimate(cell);
-            costById.emplace(cell.id, c);
-            totalCost += c;
-        }
-    }
-
     // progress lines are composed before the single stream write so
-    // they cannot interleave with worker stderr mid-line; doneCost and
-    // lastPrint are guarded by the runner's progress mutex (the
-    // dispatch coordinator calls from one thread)
+    // they cannot interleave with worker stderr mid-line. The ETA
+    // weighs cells by the scheduler's estimatedCost; its state belongs
+    // to one runSpec call (a figure may run several specs) and is
+    // reset by run() below. doneCost and lastPrint are guarded by the
+    // scheduler's hook mutex
+    double totalCost = 0;
     double doneCost = 0;
-    const auto progressStart = std::chrono::steady_clock::now();
-    auto lastPrint = progressStart - std::chrono::seconds(10);
+    std::chrono::steady_clock::time_point progressStart;
+    std::chrono::steady_clock::time_point lastPrint;
     const auto progress = [&](const CellResult &r, size_t done,
                               size_t total) {
         if (quiet)
             return;
-        const auto it = costById.find(r.cell.id);
-        if (it != costById.end())
-            doneCost += it->second;
+        doneCost += estimatedCost(r.cell);
         // rate-limit: a large sweep would otherwise flood stderr with
         // one line per cell; failures and the final cell always print
         const auto now = std::chrono::steady_clock::now();
@@ -155,6 +142,12 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
     // and resume splicing, dispatch-vs-in-process selection
     std::vector<CellResult> results;
     const RunFn run = [&](const ExperimentSpec &s) {
+        totalCost = 0;
+        for (const auto &cell : selectedCells(s))
+            totalCost += estimatedCost(cell);
+        doneCost = 0;
+        progressStart = std::chrono::steady_clock::now();
+        lastPrint = progressStart - std::chrono::seconds(10);
         results = dispatch::runSpec(s, progress, &workerStats);
         return results;
     };
@@ -186,13 +179,9 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
     // complete before any telemetry text appears anywhere
     if (!spec.traceOut.empty())
         writeReport(spec.traceOut, obs::Recorder::get().chromeJson());
-    if (spec.telemetry || !spec.telemetryOut.empty()) {
-        const std::string dump =
-            dispatch::telemetryJson(runWallMs, workerStats);
-        if (!spec.telemetryOut.empty())
-            writeReport(spec.telemetryOut, dump);
-        if (spec.telemetry)
-            std::cerr << dump;
+    if (!spec.telemetryOut.empty()) {
+        writeReport(spec.telemetryOut,
+                    dispatch::telemetryJson(runWallMs, workerStats));
         if (!workerStats.empty())
             std::cerr << dispatch::workerSummary(workerStats,
                                                  runWallMs);

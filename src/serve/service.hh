@@ -21,10 +21,10 @@
  *
  *  - One scheduler per request. Each request's cells sit in a
  *    driver::CellScheduler that the fleet threads drain as thread
- *    lanes, earliest-admitted request first. Claim order (FIFO or
- *    schedule=cost), placement by cell index and journal seeding all
- *    come from it. Thread lanes share one executor, so they never
- *    duplicate cells.
+ *    lanes, earliest-admitted request first. Claim order (heaviest
+ *    estimated cell first, as in every lane), placement by cell index
+ *    and journal seeding all come from it. Thread lanes share one
+ *    executor, so they never duplicate cells.
  *
  *  - Per-request journals. With journalDir set, each request appends
  *    to a crash-safe journal named by its spec fingerprint through

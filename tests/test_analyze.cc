@@ -1,10 +1,9 @@
 /**
  * @file
- * PR 8 observability tests: cost-model scheduling (LPT order is
+ * Claim-order and analyze tests: the heaviest-first claim order is
  * deterministic and never changes report bytes, in-process or
- * dispatched; calibration loads journals and reports) and the offline
- * `stems analyze` pipeline (golden table over a committed fixture,
- * JSON schema, input validation).
+ * dispatched; and the offline `stems analyze` pipeline (golden table
+ * over a committed fixture, JSON schema, input validation).
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +14,10 @@
 #include "dispatch/coordinator.hh"
 #include "dispatch/journal.hh"
 #include "dispatch/json.hh"
-#include "dispatch/wire.hh"
 #include "driver/analyze.hh"
-#include "driver/costmodel.hh"
-#include "driver/metrics.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
 using namespace stems;
@@ -51,167 +48,87 @@ mixedSpec(uint32_t threads)
 } // namespace
 
 // -------------------------------------------------------------------
-// cost model and schedule=cost
+// claim order: heaviest estimated cell first
 // -------------------------------------------------------------------
-
-TEST(DriverCostSchedule, FifoOrderIsIdentity)
-{
-    const ExperimentSpec spec = mixedSpec(1);
-    const auto cells = selectedCells(spec);
-    const auto order = scheduleOrder(spec, cells);
-    ASSERT_EQ(order.size(), cells.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-}
 
 TEST(DriverCostSchedule, LptPutsHeavierEnginesFirst)
 {
-    ExperimentSpec spec = mixedSpec(1);
-    spec.scheduleCost = true;
-    const auto cells = selectedCells(spec);
-    const auto order = scheduleOrder(spec, cells);
+    const ExperimentSpec spec = mixedSpec(1);
+    CellScheduler sched(spec);
+    const auto &cells = sched.cells();
+    std::vector<size_t> order;
+    while (const auto i = sched.claim())
+        order.push_back(*i);
     ASSERT_EQ(order.size(), cells.size());
 
     // heuristic weights rank sms > ghb > none within a workload, and
     // the order is a permutation
-    CostModel model;
     std::vector<char> seen(cells.size(), 0);
     double prev = -1;
     for (const size_t i : order) {
         ASSERT_LT(i, cells.size());
         EXPECT_FALSE(seen[i]);
         seen[i] = 1;
-        const double c = model.estimate(cells[i]);
-        if (prev >= 0)
+        const double c = estimatedCost(cells[i]);
+        if (prev >= 0) {
             EXPECT_LE(c, prev);  // non-increasing cost
+        }
         prev = c;
     }
     EXPECT_EQ(cells[order.front()].engine.kind, "sms");
     EXPECT_EQ(cells[order.back()].engine.kind, "none");
 
     // deterministic: same spec, same order
-    EXPECT_EQ(order, scheduleOrder(spec, cells));
-}
-
-TEST(DriverCostSchedule, CalibratesFromReportJson)
-{
-    const ExperimentSpec spec = mixedSpec(1);
-    const auto cells = selectedCells(spec);
-    ASSERT_GE(cells.size(), 3u);
-
-    // a prior run's report: cell 0 measured slow, cell 1 fast, cell 2
-    // failed (must be ignored)
-    std::ostringstream report;
-    report << "{\"cells\":[";
-    report << "{\"id\":" << cells[0].id
-           << ",\"workload\":\"W\",\"label\":\"sms\","
-              "\"wall_ms\":250.0},";
-    report << "{\"id\":" << cells[1].id
-           << ",\"workload\":\"W\",\"label\":\"ghb\","
-              "\"wall_ms\":10.0},";
-    report << "{\"id\":" << cells[2].id
-           << ",\"workload\":\"W\",\"label\":\"none\","
-              "\"error\":\"boom\",\"wall_ms\":999.0}";
-    report << "]}";
-
-    CostModel model;
-    model.calibrate(report.str());
-    EXPECT_TRUE(model.calibrated());
-    EXPECT_DOUBLE_EQ(model.estimate(cells[0]), 250.0);
-    EXPECT_DOUBLE_EQ(model.estimate(cells[1]), 10.0);
-    // the failed cell falls back to the heuristic, not 999
-    EXPECT_NE(model.estimate(cells[2]), 999.0);
-}
-
-TEST(DriverCostSchedule, CalibratesFromJournal)
-{
-    const ExperimentSpec spec = mixedSpec(1);
-    const auto cells = selectedCells(spec);
-    ASSERT_GE(cells.size(), 2u);
-
-    using dispatch::frameBytes;
-    CellResult r0;
-    r0.cell = cells[0];
-    r0.metrics.setWallMs(42.0);
-    CellResult r1;
-    r1.cell = cells[1];
-    r1.metrics.setWallMs(7.0);
-    const std::string journal =
-        frameBytes("{\"type\":\"journal\",\"version\":1,"
-                   "\"spec\":\"0\",\"cells\":2}") +
-        frameBytes(dispatch::encodeResult(r0)) +
-        frameBytes(dispatch::encodeResult(r1)) +
-        "17\n{\"type\":\"resu";  // torn tail: calibration stops clean
-
-    CostModel model;
-    model.calibrate(journal);
-    EXPECT_TRUE(model.calibrated());
-    EXPECT_DOUBLE_EQ(model.estimate(cells[0]), 42.0);
-    EXPECT_DOUBLE_EQ(model.estimate(cells[1]), 7.0);
-}
-
-TEST(DriverCostSchedule, RejectsUnreadableOrForeignCalibration)
-{
-    ExperimentSpec spec = mixedSpec(1);
-    spec.scheduleFrom = "/nonexistent/calibration.json";
-    EXPECT_THROW(CostModel::fromSpec(spec), std::invalid_argument);
-
-    CostModel model;
-    EXPECT_THROW(model.calibrate("not json"), std::invalid_argument);
-    EXPECT_THROW(model.calibrate("{\"foo\":1}"),
-                 std::invalid_argument);
-    EXPECT_THROW(model.calibrate(""), std::invalid_argument);
+    CellScheduler again(spec);
+    for (const size_t i : order)
+        EXPECT_EQ(again.claim(), i);
 }
 
 TEST(DriverCostSchedule, ReportBytesIdenticalInProcess)
 {
-    for (uint32_t threads : {1u, 4u}) {
-        ExperimentSpec fifo = mixedSpec(threads);
-        Runner fifoRunner(fifo);
-        const std::string fifoJson = toJson(fifo, fifoRunner.run());
+    // one lane claims strictly in cost order; four finish out of it.
+    // Both reports render through the threads=1 spec, whose header
+    // echoes threads=1
+    const ExperimentSpec serial = mixedSpec(1);
+    Runner serialRunner(serial);
+    const std::string serialJson = toJson(serial, serialRunner.run());
 
-        ExperimentSpec cost = mixedSpec(threads);
-        cost.scheduleCost = true;
-        Runner costRunner(cost);
-        EXPECT_EQ(toJson(cost, costRunner.run()), fifoJson)
-            << "schedule=cost changed report bytes at threads="
-            << threads;
-    }
+    ExperimentSpec parallel = mixedSpec(4);
+    Runner parallelRunner(parallel);
+    EXPECT_EQ(toJson(serial, parallelRunner.run()), serialJson)
+        << "threads=4 changed report bytes";
 }
 
 TEST(DriverCostSchedule, ReportBytesIdenticalTimingOnly)
 {
-    auto timingSpec = [](bool cost, uint32_t threads) {
-        ExperimentSpec spec = parseSpec(
+    auto timingSpec = [](uint32_t threads) {
+        return parseSpec(
             {"workloads=Qry2,em3d", "prefetchers=sms,none",
              "timing=only", "ncpu=2", "refs=600", "seed=5",
              "wall=0", "threads=" + std::to_string(threads)});
-        spec.scheduleCost = cost;
-        return spec;
     };
-    const ExperimentSpec fifo = timingSpec(false, 4);
-    Runner fifoRunner(fifo);
-    const std::string fifoJson = toJson(fifo, fifoRunner.run());
+    const ExperimentSpec serial = timingSpec(1);
+    Runner serialRunner(serial);
+    const std::string serialJson = toJson(serial, serialRunner.run());
 
-    const ExperimentSpec cost = timingSpec(true, 4);
-    Runner costRunner(cost);
-    EXPECT_EQ(toJson(cost, costRunner.run()), fifoJson);
+    const ExperimentSpec parallel = timingSpec(4);
+    Runner parallelRunner(parallel);
+    EXPECT_EQ(toJson(serial, parallelRunner.run()), serialJson);
 }
 
 TEST(DispatchCostSchedule, ReportBytesIdenticalDispatched)
 {
-    ExperimentSpec fifo = mixedSpec(1);
-    Runner fifoRunner(fifo);
-    const std::string fifoJson = toJson(fifo, fifoRunner.run());
+    ExperimentSpec inproc = mixedSpec(1);
+    Runner inprocRunner(inproc);
+    const std::string inprocJson = toJson(inproc, inprocRunner.run());
 
-    ExperimentSpec cost = mixedSpec(1);
-    cost.scheduleCost = true;
-    cost.dispatch = 2;
-    cost.dispatchWorkerExe = stemsBinary();
-    const auto results = dispatch::runSpec(cost, nullptr);
+    ExperimentSpec dispatched = mixedSpec(1);
+    dispatched.dispatch = 2;
+    dispatched.dispatchWorkerExe = stemsBinary();
+    const auto results = dispatch::runSpec(dispatched, nullptr);
     for (const auto &r : results)
         EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_EQ(toJson(cost, results), fifoJson);
+    EXPECT_EQ(toJson(dispatched, results), inprocJson);
 }
 
 // -------------------------------------------------------------------

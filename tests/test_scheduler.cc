@@ -1,7 +1,8 @@
 /**
  * @file
  * CellScheduler unit tests, with no executor and no processes: claim
- * order (fifo, cost, re-queued first), first-result-wins placement
+ * order (heaviest estimated first, ties by id, re-queued first),
+ * first-result-wins placement
  * with one hook call per cell, journal seeding, the look-ahead cursor
  * and the duplication rule.
  */
@@ -10,10 +11,11 @@
 
 #include <chrono>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "driver/costmodel.hh"
 #include "driver/scheduler.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
@@ -23,12 +25,12 @@ using namespace stems::driver;
 
 namespace {
 
-/** Four cells: (sparse, graph) x (none, sms). */
+/** Four cells: (sparse, graph) x (none, sms); claim order 1, 3, 0, 2. */
 ExperimentSpec
-fourCells(const char *schedule = "schedule=fifo")
+fourCells()
 {
     return parseSpec({"workloads=sparse,graph", "prefetchers=none,sms",
-                      "ncpu=4", "refs=1000", schedule});
+                      "ncpu=4", "refs=1000"});
 }
 
 /** A result tagged through its error text, to tell copies apart. */
@@ -53,36 +55,58 @@ claimAll(CellScheduler &sched)
 
 TEST(Scheduler, ClaimsFollowFifoAndCostOrder)
 {
-    CellScheduler fifo(fourCells());
+    // equal estimated costs claim in id (expansion) order
+    CellScheduler fifo(parseSpec({"workloads=sparse,graph,em3d,ocean",
+                                  "prefetchers=sms", "ncpu=4",
+                                  "refs=1000"}));
     EXPECT_EQ(claimAll(fifo), (std::vector<size_t>{0, 1, 2, 3}));
 
-    const ExperimentSpec cost = fourCells("schedule=cost");
-    CellScheduler lpt(cost);
+    CellScheduler lpt(fourCells());
     const std::vector<size_t> order = claimAll(lpt);
-    EXPECT_EQ(order, scheduleOrder(cost, selectedCells(cost)));
+    for (size_t k = 1; k < order.size(); ++k)
+        EXPECT_GE(estimatedCost(lpt.cells()[order[k - 1]]),
+                  estimatedCost(lpt.cells()[order[k]]));
     // the sms cells are the expensive ones and go first
     EXPECT_EQ(order, (std::vector<size_t>{1, 3, 0, 2}));
+}
+
+TEST(Scheduler, ClaimsSpreadAcrossWorkloadsAndDrainNoneLast)
+{
+    // expanded workload-major, so expansion order would start four
+    // lanes on one workload's cells, all waiting on its baseline pass
+    CellScheduler sched(parseSpec({"workloads=sparse,graph,em3d,ocean",
+                                   "prefetchers=sms,ghb,none",
+                                   "ncpu=4", "refs=1000"}));
+    const std::vector<size_t> order = claimAll(sched);
+    ASSERT_EQ(order.size(), 12u);
+    std::set<std::string> firstFour;
+    for (size_t k = 0; k < 4; ++k)
+        firstFour.insert(sched.cells()[order[k]].workload);
+    EXPECT_EQ(firstFour.size(), 4u);
+    for (size_t k = 0; k < order.size(); ++k)
+        EXPECT_EQ(sched.cells()[order[k]].engine.kind == "none", k >= 8)
+            << "claim " << k;
 }
 
 TEST(Scheduler, RequeuedCellIsClaimedFirst)
 {
     obs::Counters::get().reset();
     CellScheduler sched(fourCells());
-    ASSERT_EQ(sched.claim(), 0u);
     ASSERT_EQ(sched.claim(), 1u);
-    sched.lost(0, "worker exited", 3);
+    ASSERT_EQ(sched.claim(), 3u);
+    sched.lost(1, "worker exited", 3);
     EXPECT_EQ(sched.pending(), 3u);
+    EXPECT_EQ(sched.claim(), 1u);
+    EXPECT_EQ(sched.attempts(1), 2u);
     EXPECT_EQ(sched.claim(), 0u);
-    EXPECT_EQ(sched.attempts(0), 2u);
-    EXPECT_EQ(sched.claim(), 2u);
     EXPECT_EQ(obs::Counters::get().cellsRequeued.load(), 1u);
 
     // past the attempt cap the cell completes with an error instead
-    sched.lost(0, "worker exited", 2);
-    EXPECT_TRUE(sched.done(0));
+    sched.lost(1, "worker exited", 2);
+    EXPECT_TRUE(sched.done(1));
     EXPECT_EQ(sched.pending(), 1u);
     obs::Counters::get().reset();
-    EXPECT_EQ(sched.takeResults()[0].error,
+    EXPECT_EQ(sched.takeResults()[1].error,
               "worker exited after 2 attempt(s)");
 }
 
@@ -128,7 +152,7 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
         total = all;
     });
     const std::vector<size_t> order = claimAll(sched);
-    EXPECT_EQ(order, (std::vector<size_t>{0, 3}));
+    EXPECT_EQ(order, (std::vector<size_t>{3, 0}));
     for (const size_t i : order)
         sched.complete(i, CellResult{});
     EXPECT_TRUE(sched.finished());
@@ -142,14 +166,14 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
 TEST(Scheduler, LookaheadSkipsClaimedCells)
 {
     CellScheduler sched(fourCells());
-    EXPECT_EQ(sched.takeLookahead(), 0u);
+    EXPECT_EQ(sched.takeLookahead(), 1u);
     EXPECT_EQ(sched.takeLookahead(), std::nullopt);  // handed out once
-    ASSERT_EQ(sched.claim(), 0u);
     ASSERT_EQ(sched.claim(), 1u);
-    EXPECT_EQ(sched.takeLookahead(), 2u);
-    ASSERT_EQ(sched.claim(), 2u);
-    EXPECT_EQ(sched.awaitLookahead(), 3u);
     ASSERT_EQ(sched.claim(), 3u);
+    EXPECT_EQ(sched.takeLookahead(), 0u);
+    ASSERT_EQ(sched.claim(), 0u);
+    EXPECT_EQ(sched.awaitLookahead(), 2u);
+    ASSERT_EQ(sched.claim(), 2u);
     // nothing pending: a warmer stops instead of blocking
     EXPECT_EQ(sched.awaitLookahead(), std::nullopt);
     EXPECT_EQ(sched.takeLookahead(), std::nullopt);
@@ -166,32 +190,33 @@ TEST(Scheduler, DuplicatesOnlyPastThresholdWithNothingPending)
     sched.onComplete([&](const CellResult &, size_t, size_t) {
         ++hooked;
     });
-    ASSERT_EQ(sched.claim(), 0u);  // the straggler
-    for (size_t i = 1; i <= 3; ++i) {
+    // claim order: sms (1), ghb (2), stride (3), next-line (4), none (0)
+    ASSERT_EQ(sched.claim(), 1u);  // the straggler
+    for (size_t i = 2; i <= 4; ++i) {
         ASSERT_EQ(sched.claim(), i);
         sched.complete(i, CellResult{});
     }
-    // three fast round trips, but cell 4 is still pending
+    // three fast round trips, but cell 0 is still pending
     EXPECT_EQ(sched.duplicate(), std::nullopt);
     std::this_thread::sleep_for(std::chrono::milliseconds(2100));
     EXPECT_EQ(sched.duplicate(), std::nullopt);
 
-    // nothing pending: cell 0 is past the 2 s floor, cell 4 is not
-    ASSERT_EQ(sched.claim(), 4u);
-    EXPECT_EQ(sched.duplicate(), 0u);
-    EXPECT_EQ(sched.attempts(0), 2u);
+    // nothing pending: cell 1 is past the 2 s floor, cell 0 is not
+    ASSERT_EQ(sched.claim(), 0u);
+    EXPECT_EQ(sched.duplicate(), 1u);
+    EXPECT_EQ(sched.attempts(1), 2u);
     EXPECT_EQ(sched.duplicate(), std::nullopt);  // one copy per cell
     EXPECT_EQ(obs::Counters::get().cellsStolen.load(), 1u);
 
     // the original copy is lost; the duplicate still runs, so the
     // cell is neither re-queued nor failed
-    sched.lost(0, "worker exited", 2);
+    sched.lost(1, "worker exited", 2);
     EXPECT_EQ(sched.pending(), 0u);
-    EXPECT_FALSE(sched.done(0));
-    EXPECT_TRUE(sched.complete(0, tagged("copy")));
-    EXPECT_TRUE(sched.complete(4, CellResult{}));
+    EXPECT_FALSE(sched.done(1));
+    EXPECT_TRUE(sched.complete(1, tagged("copy")));
+    EXPECT_TRUE(sched.complete(0, CellResult{}));
     EXPECT_TRUE(sched.finished());
     EXPECT_EQ(hooked, 5);
-    EXPECT_EQ(sched.takeResults()[0].error, "copy");
+    EXPECT_EQ(sched.takeResults()[1].error, "copy");
     obs::Counters::get().reset();
 }
