@@ -18,6 +18,7 @@
 #include "dispatch/wire.hh"
 #include "driver/executor.hh"
 #include "driver/report.hh"
+#include "driver/runner.hh"
 #include "obs/counters.hh"
 #include "obs/histogram.hh"
 #include "obs/obs.hh"
@@ -496,19 +497,14 @@ Coordinator::run(driver::CellScheduler &sched)
                     continue;
             }
             // pool unrecoverable (spawn failures / budget exhausted):
-            // degrade to in-process execution of whatever is left
+            // degrade to in-process lanes for whatever is left
             // instead of erroring the cells — slower, never wrong
-            if (sched.pending() > 0) {
+            if (const size_t left = sched.pending()) {
                 std::cerr << "stems dispatch: worker pool "
                              "unrecoverable; running "
-                          << sched.pending()
-                          << " remaining cell(s) in-process\n";
-                driver::CellExecutor exec(
-                    driver::executorConfig(spec));
-                while (const auto cell = sched.claim()) {
-                    obs::count(&obs::Counters::degradedCells);
-                    sched.complete(*cell, exec.execute(cells[*cell]));
-                }
+                          << left << " remaining cell(s) in-process\n";
+                obs::count(&obs::Counters::degradedCells, left);
+                driver::drainInProcess(spec, sched);
             }
             break;
         }

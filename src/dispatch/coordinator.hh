@@ -2,19 +2,20 @@
  * @file
  * The dispatch coordinator: farms an experiment spec's cells to a pool
  * of worker subprocesses over the wire protocol and folds their
- * results into the same ordered CellResult vector driver::Runner
- * produces — reports built from either path are byte-identical.
+ * results into the same cell-indexed CellResult vector an in-process
+ * run produces — reports built from either path are byte-identical.
  *
  * Fault tolerance: a worker that crashes, returns garbage, misses its
  * liveness heartbeats, or blows a per-cell timeout is reaped and its
  * in-flight cell re-queued to another worker; after a per-cell
- * attempt cap the failure is recorded through the runner's existing
+ * attempt cap the failure is recorded through the existing
  * cell-error path (the report's "error" field) instead of taking down
  * the sweep. Dead workers are replaced as long as work remains —
  * never more replacements than there are unassigned cells — behind
  * exponential backoff with deterministic jitter (50 ms base, doubled
- * per consecutive loss, 5 s cap), within a respawn budget; when the pool is unrecoverable the remaining cells degrade
- * to in-process execution instead of erroring. Idle workers
+ * per consecutive loss, 5 s cap), within a respawn budget. When the
+ * pool is unrecoverable, an in-process driver::Runner lane pool
+ * drains the remaining cells instead of erroring them. Idle workers
  * speculatively re-run tail stragglers' cells (first result wins)
  * when configured.
  *
@@ -128,7 +129,7 @@ struct WorkerStats
 std::string workerSummary(const std::vector<WorkerStats> &stats,
                           double wallMs);
 
-/** Multi-process analogue of driver::Runner. */
+/** Multi-process analogue of the driver::Runner lane pool. */
 class Coordinator
 {
   public:
@@ -143,7 +144,7 @@ class Coordinator
                 std::unique_ptr<Transport> transport = nullptr);
     ~Coordinator();
 
-    /** Run all cells; results ordered as driver::Runner orders them. */
+    /** Run all cells; results ordered by cell index. */
     std::vector<driver::CellResult>
     run(const driver::ProgressFn &progress = {});
 

@@ -16,6 +16,7 @@
 #include "dispatch/wire.hh"
 #include "driver/options.hh"
 #include "driver/report.hh"
+#include "driver/runner.hh"
 #include "fault/fault.hh"
 #include "serve/transport.hh"
 #include "obs/counters.hh"
@@ -210,7 +211,8 @@ RunJournal::close()
 
 std::vector<CellResult>
 runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
-        std::vector<WorkerStats> *statsOut, double *wallMsOut)
+        std::vector<WorkerStats> *statsOut, double *wallMsOut,
+        const StartFn &onStart)
 {
     if (statsOut)
         statsOut->clear();
@@ -238,6 +240,8 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
         if (progress)
             progress(r, done, total);
     });
+    if (onStart)
+        onStart(sched);
     if (sched.pending() == 0)
         return sched.takeResults();
 
@@ -271,7 +275,7 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
             *wallMsOut = coord.wallMs();
     } else {
         const auto start = std::chrono::steady_clock::now();
-        driver::Runner(spec).run(sched);
+        driver::drainInProcess(spec, sched);
         if (wallMsOut)
             *wallMsOut = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)

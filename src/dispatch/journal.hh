@@ -26,12 +26,13 @@
 #define STEMS_DISPATCH_JOURNAL_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "dispatch/coordinator.hh"
-#include "driver/runner.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
 namespace stems::dispatch {
@@ -105,26 +106,31 @@ class RunJournal
     std::map<uint32_t, driver::CellResult> replayed_;
 };
 
+/** Sees a run's scheduler once it is seeded, before any cell runs. */
+using StartFn = std::function<void(const driver::CellScheduler &)>;
+
 /**
  * The one spec-execution entry point the CLI and tests share: honours
  * spec.faultPlan (installed process-wide and exported as STEMS_FAULTS
  * so dispatched workers inherit it), spec.journalPath / spec.resume
  * (journaled cells seed the scheduler and are never claimed; every
  * completed cell is appended), and spec.dispatch (Coordinator vs
- * in-process Runner draining the same driver::CellScheduler). Results
- * are ordered like driver::Runner's, so reports are byte-identical
- * across in-process, dispatched, resumed, and merged paths.
+ * driver::drainInProcess on the same driver::CellScheduler). Results
+ * are ordered by cell index, so reports are byte-identical across
+ * in-process, dispatched, resumed, and merged paths.
  *
  * @param progress   forwarded per completed cell (journaled cells
  *                   replayed on resume do NOT re-fire progress)
  * @param statsOut   per-worker health stats when dispatched
  * @param wallMsOut  the run's wall ms (0 when everything replayed)
+ * @param onStart    called once journal seeding is done: the cells
+ *                   not yet done() are the ones this call executes
  */
 std::vector<driver::CellResult>
 runSpec(const driver::ExperimentSpec &spec,
         const driver::ProgressFn &progress = {},
         std::vector<WorkerStats> *statsOut = nullptr,
-        double *wallMsOut = nullptr);
+        double *wallMsOut = nullptr, const StartFn &onStart = {});
 
 } // namespace stems::dispatch
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * CellExecutor: the one cell-execution entry point shared by the
- * in-process thread-pool runner and the dispatch worker subprocesses.
+ * in-process lane pool (driver/runner.hh: execute() from its lanes,
+ * prefetch() from its warmer) and the dispatch worker subprocesses.
  * Owns the trace cache (with optional on-disk record/replay) and the
  * memo of baseline passes that every cell of a workload reads; an
  * engine's pass is walked once per cell and serves that cell's system
@@ -72,7 +73,7 @@ class CellExecutor
 
     /**
      * Build (generate or map-replay) @p cell's trace ahead of its
-     * execution — the look-ahead warmer's entry. Never counts a
+     * execution — the lane pool warmer's entry. Never counts a
      * trace-cache lookup and never throws; a failing prefetch simply
      * leaves the work to the executing thread.
      */

@@ -1,92 +1,165 @@
 #include "driver/runner.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <optional>
 
+#include "fault/fault.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
 
 namespace stems::driver {
 
-Runner::Runner(const ExperimentSpec &spec)
-    : spec(spec), cells_(selectedCells(spec)),
-      executor_(executorConfig(spec))
+Runner::Runner(uint32_t lanes, std::string laneName,
+               std::string warmerName)
 {
-}
-
-std::vector<CellResult>
-Runner::run(const ProgressFn &progress)
-{
-    CellScheduler sched(spec);
-    sched.onComplete(progress);
-    run(sched);
-    return sched.takeResults();
-}
-
-void
-Runner::run(CellScheduler &sched)
-{
-    uint32_t nthreads = spec.threads;
-    if (nthreads == 0) {
-        nthreads = std::thread::hardware_concurrency();
-        if (nthreads == 0)
-            nthreads = 1;
-    }
-    nthreads = std::min<uint32_t>(
-        nthreads, static_cast<uint32_t>(std::max<size_t>(
-                      sched.pending(), 1)));
-    const auto queuedAt = std::chrono::steady_clock::now();
-
-    auto lane = [&] {
-        while (const auto i = sched.claim()) {
-            const RunCell &cell = sched.cells()[*i];
-            // a stall = the lane reached a cell the warmer had not
-            // finished (or started) preparing; the lane pays the
-            // generate/replay cost inline
-            if (!executor_.prepared(cell))
-                obs::count(&obs::Counters::streamStalls);
-            CellResult result;
-            {
-                // queue_ms: how long the cell sat behind earlier work
-                // before a lane picked it up
-                const double waitMs =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - queuedAt)
-                        .count();
-                obs::Span span("cell",
-                               {{"workload", cell.workload},
-                                {"engine", cell.engine.kind},
-                                {"id", std::to_string(cell.id)},
-                                {"queue_ms", std::to_string(waitMs)}});
-                result = executor_.execute(cell);
-            }
-            sched.complete(*i, std::move(result));
-        }
-    };
-
+    if (lanes == 0)
+        lanes = std::max(std::thread::hardware_concurrency(), 1u);
+    for (uint32_t k = 0; k < lanes; ++k)
+        threads.emplace_back(
+            [this, name = laneName + "-" + std::to_string(k)] {
+                obs::setThreadName(name);
+                loop(true);
+            });
     // the warmer prepares (generates, or maps a spill of) the
     // look-ahead cell's trace while the lanes simulate. It only warms
     // the TraceCache (CellExecutor::prefetch never counts a lookup and
     // never fails a cell), so reports are byte-identical either way
-    std::thread warmer([&] {
-        obs::setThreadName("warmer");
-        while (const auto i = sched.awaitLookahead())
-            executor_.prefetch(sched.cells()[*i]);
+    threads.emplace_back([this, name = std::move(warmerName)] {
+        obs::setThreadName(name);
+        loop(false);
     });
-    if (nthreads <= 1) {
-        lane();
-    } else {
-        std::vector<std::thread> pool;
-        for (uint32_t k = 0; k < nthreads; ++k)
-            pool.emplace_back([&, k] {
-                obs::setThreadName("runner-" + std::to_string(k));
-                lane();
-            });
-        for (auto &th : pool)
-            th.join();
+}
+
+void
+Runner::attach(CellScheduler &sched, CellExecutor &exec,
+               std::string request)
+{
+    std::lock_guard<std::mutex> lk(mu);
+    attached.push_back({&sched, &exec, std::move(request),
+                        std::chrono::steady_clock::now()});
+    cv.notify_all();
+}
+
+bool
+Runner::wait(CellScheduler &sched)
+{
+    std::unique_lock<std::mutex> lk(mu);
+    const auto at = std::find_if(
+        attached.begin(), attached.end(),
+        [&](const Attachment &a) { return a.sched == &sched; });
+    cv.wait(lk, [&] {
+        return (stopping || sched.finished()) && at->users == 0;
+    });
+    attached.erase(at);
+    return sched.finished();
+}
+
+void
+Runner::stop()
+{
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        stopping = true;
     }
-    warmer.join();
+    cv.notify_all();
+    for (auto &t : threads)
+        t.join();
+    threads.clear();
+}
+
+void
+Runner::loop(bool lane)
+{
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+        // a lane claims from, and the warmer looks ahead into, the
+        // earliest attachment that has a cell for it
+        Attachment *at = nullptr;
+        std::optional<size_t> i;
+        cv.wait(lk, [&] {
+            if (stopping)
+                return true;
+            for (Attachment &a : attached)
+                if ((i = lane ? a.sched->claim()
+                              : a.sched->takeLookahead())) {
+                    at = &a;
+                    return true;
+                }
+            return false;
+        });
+        if (stopping)
+            return;
+        ++at->users;
+        lk.unlock();
+        if (lane) {
+            cv.notify_all();  // the look-ahead cursor moved
+            execute(*at, *i);
+        } else {
+            at->exec->prefetch(at->sched->cells()[*i]);
+        }
+        lk.lock();
+        --at->users;
+        cv.notify_all();
+    }
+}
+
+void
+Runner::execute(const Attachment &at, size_t i)
+{
+    const RunCell &cell = at.sched->cells()[i];
+    // a stall = the lane reached a cell the warmer had not finished
+    // (or started) preparing; the lane pays that cost inline
+    if (!at.exec->prepared(cell))
+        obs::count(&obs::Counters::streamStalls);
+    if (fault::active()) {
+        // of the cell-context faults, a lane honours only hang
+        fault::setCellContext(cell.id, at.sched->attempts(i));
+        if (const fault::Clause *hang =
+                fault::cellFault(fault::Kind::Hang))
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(hang->hangMs));
+        fault::clearCellContext();
+    }
+    CellResult result;
+    {
+        std::optional<obs::Span> span;
+        if (at.request.empty()) {
+            // queue_ms: how long the cell sat behind earlier work
+            // before a lane picked it up
+            const double waitMs =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - at.attachedAt)
+                    .count();
+            span.emplace("cell",
+                         std::initializer_list<obs::EventArg>{
+                             {"workload", cell.workload},
+                             {"engine", cell.engine.kind},
+                             {"id", std::to_string(cell.id)},
+                             {"queue_ms", std::to_string(waitMs)}});
+        } else {
+            span.emplace("serve_cell",
+                         std::initializer_list<obs::EventArg>{
+                             {"request", at.request},
+                             {"cell", std::to_string(cell.id)},
+                             {"workload", cell.workload},
+                             {"engine", cell.engine.kind}});
+        }
+        result = at.exec->execute(cell);
+    }
+    at.sched->complete(i, std::move(result));
+}
+
+void
+drainInProcess(const ExperimentSpec &spec, CellScheduler &sched)
+{
+    CellExecutor exec(executorConfig(spec));
+    const uint32_t lanes = spec.threads > 0
+        ? spec.threads
+        : std::thread::hardware_concurrency();
+    Runner pool(static_cast<uint32_t>(
+        std::min<size_t>(lanes, sched.pending())));
+    pool.attach(sched, exec);
+    pool.wait(sched);
 }
 
 } // namespace stems::driver

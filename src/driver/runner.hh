@@ -1,46 +1,87 @@
 /**
  * @file
- * The thread-pooled runner: executes an experiment spec's cells as
- * thread lanes draining a CellScheduler through one shared
- * CellExecutor (each cell owns its MemorySystem, so runs are
- * embarrassingly parallel). One warmer thread prepares the look-ahead
- * cell's trace while the lanes simulate. Multi-process execution of
- * the same cells lives in dispatch/coordinator.hh; both paths share the
- * executor, so results are identical wherever a cell ran.
+ * The lane pool, where every in-process cell runs: N lane threads and
+ * one look-ahead warmer for the pool's whole lifetime. Lanes claim
+ * from the earliest-attached CellScheduler that has a pending cell and
+ * execute it through that attachment's CellExecutor; the warmer
+ * prepares the earliest unwarmed look-ahead cell across attachments.
+ * `stems run` and the coordinator's fallback drain one spec through
+ * drainInProcess(); the serve daemon attaches each admitted request to
+ * its one pool.
  */
 
 #ifndef STEMS_DRIVER_RUNNER_HH
 #define STEMS_DRIVER_RUNNER_HH
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <list>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "driver/executor.hh"
 #include "driver/scheduler.hh"
-#include "driver/spec.hh"
 
 namespace stems::driver {
 
-/** Executes an experiment spec's cells across a thread pool. */
 class Runner
 {
   public:
-    explicit Runner(const ExperimentSpec &spec);
+    /** @p lanes threads (0 = every core) named "<laneName>-K", plus
+     *  one warmer thread named @p warmerName. */
+    explicit Runner(uint32_t lanes, std::string laneName = "runner",
+                    std::string warmerName = "warmer");
+    ~Runner() { stop(); }
 
-    /** Run all cells; results ordered by cell id. */
-    std::vector<CellResult> run(const ProgressFn &progress = {});
+    /**
+     * Queue @p sched behind every earlier attachment; its cells run
+     * through @p exec. A non-empty @p request spans each cell as the
+     * daemon's `serve_cell` of that request, else as `stems run`'s
+     * `cell` with its queue_ms.
+     */
+    void attach(CellScheduler &sched, CellExecutor &exec,
+                std::string request = {});
 
-    /** Drain @p sched (built from this runner's spec) until every
-     *  pending cell has run. */
-    void run(CellScheduler &sched);
+    /**
+     * Block until attached @p sched has finished or the pool stopped,
+     * and no thread still uses it; then detach it. Returns whether it
+     * finished.
+     */
+    bool wait(CellScheduler &sched);
 
-    /** The expanded (and cells=-filtered) cells, fixed at construction. */
-    const std::vector<RunCell> &cells() const { return cells_; }
+    /** Let each lane finish its cell, join every thread and return
+     *  every waiter. Idempotent. */
+    void stop();
 
   private:
-    ExperimentSpec spec;
-    std::vector<RunCell> cells_;
-    CellExecutor executor_;
+    struct Attachment
+    {
+        CellScheduler *sched;
+        CellExecutor *exec;
+        std::string request;
+        std::chrono::steady_clock::time_point attachedAt;
+        uint32_t users = 0;  //!< threads inside one of its cells
+    };
+
+    /** A lane's loop, or the warmer's when !@p lane. */
+    void loop(bool lane);
+    void execute(const Attachment &at, size_t i);
+
+    std::mutex mu;
+    std::condition_variable cv;  //!< attach, claim, settle, stop
+    bool stopping = false;
+    std::list<Attachment> attached;  //!< in attach order
+    std::vector<std::thread> threads;
 };
+
+/**
+ * Drain @p sched (built from @p spec) through an executor built from
+ * @p spec on a pool of min(threads= or every core, pending) lanes.
+ */
+void drainInProcess(const ExperimentSpec &spec, CellScheduler &sched);
 
 } // namespace stems::driver
 

@@ -137,34 +137,17 @@ CellScheduler::claim()
     }
     obs::gaugeAdd(&obs::Gauges::cellsPending, -1);
     obs::gaugeAdd(&obs::Gauges::workersBusy, 1);
-    cv_.notify_all();  // the look-ahead cursor moved
     return i;
-}
-
-std::optional<size_t>
-CellScheduler::lookaheadLocked()
-{
-    if (pending_.empty() || state_[pending_.front()].warmed)
-        return std::nullopt;
-    state_[pending_.front()].warmed = true;
-    return pending_.front();
 }
 
 std::optional<size_t>
 CellScheduler::takeLookahead()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return lookaheadLocked();
-}
-
-std::optional<size_t>
-CellScheduler::awaitLookahead()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] {
-        return pending_.empty() || !state_[pending_.front()].warmed;
-    });
-    return lookaheadLocked();
+    if (pending_.empty() || state_[pending_.front()].warmed)
+        return std::nullopt;
+    state_[pending_.front()].warmed = true;
+    return pending_.front();
 }
 
 void
@@ -187,11 +170,8 @@ CellScheduler::publish(size_t i)
         if (hook_)
             hook_(results_[i], reported_, toReport_);
     }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++settled_;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lk(mu_);
+    ++settled_;
 }
 
 bool
@@ -234,7 +214,6 @@ CellScheduler::lost(size_t i, const std::string &reason,
             obs::count(&obs::Counters::cellsRequeued);
             obs::instant("cell_requeued",
                          {{"cell", std::to_string(cells_[i].id)}});
-            cv_.notify_all();
             return;
         }
         CellResult failed;

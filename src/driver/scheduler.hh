@@ -1,9 +1,9 @@
 /**
  * @file
  * CellScheduler: the one cell scheduler under every execution lane.
- * The in-process runner's threads, the dispatch coordinator's worker
- * processes and the serve fleet all drain one of these per spec. It
- * owns:
+ * The lane pool's threads (driver/runner.hh, under `stems run` and
+ * `stems serve`) and the dispatch coordinator's worker processes all
+ * drain one of these per spec. It owns:
  *
  *  - claim order: re-queued cells first, then pending cells by
  *    estimatedCost(), heaviest first, ties by cell id. The heavy
@@ -17,11 +17,11 @@
  *  - journal seeding: replayed cells are complete and never claimed;
  *  - the single completion hook (journal appends, progress);
  *  - the cells_pending / workers_busy / cells_done gauges;
- *  - the look-ahead cursor, the next unclaimed cell, which a warmer
- *    thread prepares while the lanes simulate;
+ *  - the look-ahead cursor, the next unclaimed cell, which the lane
+ *    pool's warmer prepares while its lanes simulate;
  *  - the duplication rule for straggling in-flight cells.
  *
- * Thread lanes share one executor and one CPU pool, so they look ahead
+ * Pool lanes share one executor and one CPU pool, so they look ahead
  * but never duplicate. Process lanes each have their own TraceCache,
  * so they duplicate but never look ahead.
  *
@@ -31,7 +31,6 @@
 #ifndef STEMS_DRIVER_SCHEDULER_HH
 #define STEMS_DRIVER_SCHEDULER_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -94,10 +93,6 @@ class CellScheduler
      */
     std::optional<size_t> takeLookahead();
 
-    /** takeLookahead(), blocking until it has a cell; nullopt once
-     *  nothing is pending. */
-    std::optional<size_t> awaitLookahead();
-
     /**
      * Deliver one copy's result for cell @p i. The first result is
      * placed (its cell metadata replaced by the scheduler's, which is
@@ -154,12 +149,10 @@ class CellScheduler
     void placeLocked(size_t i, CellResult result);
     /** Run the hook for a placed cell, then count it settled. */
     void publish(size_t i);
-    std::optional<size_t> lookaheadLocked();
 
     std::vector<RunCell> cells_;
 
     mutable std::mutex mu_;
-    std::condition_variable cv_;  //!< claims, re-queues, settles
     std::deque<size_t> pending_;
     std::vector<Cell> state_;
     std::vector<CellResult> results_;

@@ -29,7 +29,6 @@
 #include "driver/commands.hh"
 #include "driver/figures.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/scheduler.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
@@ -75,8 +74,8 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
     // they cannot interleave with worker stderr mid-line. The ETA
     // weighs cells by the scheduler's estimatedCost; its state belongs
     // to one runSpec call (a figure may run several specs) and is
-    // reset by run() below. doneCost and lastPrint are guarded by the
-    // scheduler's hook mutex
+    // reset by run()'s start hook below. doneCost and lastPrint are
+    // guarded by the scheduler's hook mutex
     double totalCost = 0;
     double doneCost = 0;
     std::chrono::steady_clock::time_point progressStart;
@@ -115,20 +114,6 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
         std::cerr << line.str();
     };
 
-    if (!quiet) {
-        const size_t nCells = selectedCells(spec).size();
-        if (spec.dispatch > 0)
-            std::cerr << "stems: " << nCells << " cells across "
-                      << std::min<size_t>(spec.dispatch, nCells)
-                      << " worker processes\n";
-        else
-            std::cerr << "stems: " << nCells << " cells ("
-                      << spec.workloads.size() << " workloads x "
-                      << spec.engines.size() << " prefetchers"
-                      << (spec.sweeps.empty() ? "" : " x sweep")
-                      << ")\n";
-    }
-
     // time-series sampler: ticks in the background for the duration
     // of the run, reading atomics only — report bytes are identical
     // with it on or off
@@ -142,13 +127,32 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
     // and resume splicing, dispatch-vs-in-process selection
     std::vector<CellResult> results;
     const RunFn run = [&](const ExperimentSpec &s) {
-        totalCost = 0;
-        for (const auto &cell : selectedCells(s))
-            totalCost += estimatedCost(cell);
-        doneCost = 0;
-        progressStart = std::chrono::steady_clock::now();
-        lastPrint = progressStart - std::chrono::seconds(10);
-        results = dispatch::runSpec(s, progress, &workerStats);
+        // the header and the ETA cover only the cells this call
+        // executes, not the ones a resumed journal already holds
+        const dispatch::StartFn start = [&](const CellScheduler &sched) {
+            totalCost = 0;
+            for (size_t i = 0; i < sched.cells().size(); ++i)
+                if (!sched.done(i))
+                    totalCost += estimatedCost(sched.cells()[i]);
+            doneCost = 0;
+            progressStart = std::chrono::steady_clock::now();
+            lastPrint = progressStart - std::chrono::seconds(10);
+            const size_t nCells = sched.pending();
+            if (quiet)
+                return;
+            if (s.dispatch > 0)
+                std::cerr << "stems: " << nCells << " cells across "
+                          << std::min<size_t>(s.dispatch, nCells)
+                          << " worker processes\n";
+            else
+                std::cerr << "stems: " << nCells << " cells ("
+                          << s.workloads.size() << " workloads x "
+                          << s.engines.size() << " prefetchers"
+                          << (s.sweeps.empty() ? "" : " x sweep")
+                          << ")\n";
+        };
+        results = dispatch::runSpec(s, progress, &workerStats, nullptr,
+                                    start);
         return results;
     };
     int failed = 0;

@@ -20,11 +20,11 @@ namespace {
 Plan gPlan;
 bool gActive = false;
 
-// worker-context site identity (set around each cell execution; the
-// worker loop is single-threaded, so plain globals suffice)
-bool gHaveCell = false;
-uint32_t gCellId = 0;
-uint32_t gAttempt = 1;
+// cell-context site identity, set around each cell execution by the
+// thread that runs it (a worker's loop or a pool lane)
+thread_local bool gHaveCell = false;
+thread_local uint32_t gCellId = 0;
+thread_local uint32_t gAttempt = 1;
 
 // per-path spill-write ordinals so a regenerated spill rolls a fresh
 // deterministic decision; guarded — runner pool threads spill

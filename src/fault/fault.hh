@@ -14,7 +14,7 @@
  *                       N reads like every unsigned key (decimal,
  *                       0x hex or 0-prefixed octal)
  *   crash=SEL           worker _exit(137)s before executing the cell
- *   hang=SEL/MS         worker wedges (wire lock held) for MS ms
+ *   hang=SEL/MS         worker (wire lock held) or lane wedges MS ms
  *   garbage=SEL         worker frames unparseable bytes as the result
  *   truncate=SEL        worker writes half the result frame, then dies
  *   corrupt-spill=P     flip one byte of a just-committed .stmt spill
@@ -27,9 +27,10 @@
  *        | cell:ID            exactly that cell, first attempt only
  *        | cell:ID:always     exactly that cell, every attempt
  *
- * Worker-context faults (crash/hang/garbage/truncate) fire only when
- * a cell context has been set (i.e. inside `stems worker`); the spill
- * faults fire in any process with a plan installed.
+ * Cell-context faults fire only on a thread with a cell context set:
+ * `stems worker` honours all four (crash/hang/garbage/truncate), an
+ * in-process lane (driver/runner.hh) only hang. The spill faults fire
+ * in any process with a plan installed.
  *
  * Injection sites are all on cold paths (per cell, per spill write);
  * with no plan installed each site is a single branch on a bool.
@@ -86,8 +87,7 @@ Plan parsePlan(const std::string &spec);
 /**
  * Install @p plan process-wide, enabling the injection sites.
  * Not thread-safe against concurrent injection queries — install
- * before any worker/runner threads start (tests may re-install
- * between runs).
+ * while no cell executes (tests may re-install between runs).
  */
 void installPlan(Plan plan);
 
@@ -106,9 +106,9 @@ bool active();
 const Plan &currentPlan();
 
 /**
- * Set the worker-context site identity before executing a cell;
- * attempts count from 1. Worker-context clauses never fire while no
- * context is set.
+ * Set the calling thread's cell-context site identity before
+ * executing a cell; attempts count from 1. Cell-context clauses never
+ * fire on a thread with no context set.
  */
 void setCellContext(uint32_t cellId, uint32_t attempt);
 void clearCellContext();

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <unistd.h>
 
@@ -39,11 +38,10 @@ struct ExperimentService::Request
     uint64_t enqueuedNs = 0;
     uint64_t activatedNs = 0;
     double queueMs = 0;
-    std::string failure;          //!< "service stopped" style abort
 };
 
 ExperimentService::ExperimentService(Config config)
-    : cfg(std::move(config))
+    : cfg(std::move(config)), lanes(cfg.fleet, "serve", "serve-warmer")
 {
     if (cfg.traceDir.empty()) {
         // one shared spill dir for every executor: a workload's trace
@@ -59,17 +57,6 @@ ExperimentService::ExperimentService(Config config)
         std::error_code ec;
         fs::create_directories(cfg.journalDir, ec);
     }
-
-    uint32_t n = cfg.fleet;
-    if (n == 0) {
-        n = std::thread::hardware_concurrency();
-        if (n == 0)
-            n = 1;
-    }
-    cfg.fleet = n;
-    for (uint32_t k = 0; k < n; ++k)
-        fleet.emplace_back([this, k] { fleetLoop(k); });
-    warmer = std::thread([this] { warmLoop(); });
 }
 
 ExperimentService::~ExperimentService()
@@ -150,79 +137,10 @@ ExperimentService::activateLocked()
             if (!req->sched.done(i) && req->executor->prepared(cells[i]))
                 obs::count(&obs::Counters::serveCacheWarmHits);
 
+        // attaching here, under mu, keeps the pool's claim order the
+        // admission order: the earliest-admitted request goes first
+        lanes.attach(req->sched, *req->executor, std::to_string(req->id));
         active.push_back(std::move(req));
-    }
-}
-
-void
-ExperimentService::fleetLoop(uint32_t index)
-{
-    obs::setThreadName("serve-" + std::to_string(index));
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-        // claim the next cell of the earliest-admitted active request
-        // that has one
-        std::shared_ptr<Request> req;
-        std::optional<size_t> idx;
-        workCv.wait(lk, [&] {
-            if (stopping)
-                return true;
-            for (const auto &r : active)
-                if ((idx = r->sched.claim())) {
-                    req = r;
-                    return true;
-                }
-            return false;
-        });
-        if (stopping)
-            return;
-        warmCv.notify_one();  // the look-ahead cursor moved
-        lk.unlock();
-
-        const driver::RunCell &cell = req->sched.cells()[*idx];
-        if (!req->executor->prepared(cell))
-            obs::count(&obs::Counters::streamStalls);
-        driver::CellResult result;
-        {
-            obs::Span span("serve_cell",
-                           {{"request", std::to_string(req->id)},
-                            {"cell", std::to_string(cell.id)},
-                            {"workload", cell.workload},
-                            {"engine", cell.engine.kind}});
-            result = req->executor->execute(cell);
-        }
-        // the scheduler's hook appends to the request journal
-        req->sched.complete(*idx, std::move(result));
-
-        lk.lock();
-        if (req->sched.finished())
-            stateCv.notify_all();
-    }
-}
-
-void
-ExperimentService::warmLoop()
-{
-    obs::setThreadName("serve-warmer");
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-        std::shared_ptr<Request> req;
-        std::optional<size_t> idx;
-        warmCv.wait(lk, [&] {
-            if (stopping)
-                return true;
-            for (const auto &r : active)
-                if ((idx = r->sched.takeLookahead())) {
-                    req = r;
-                    return true;
-                }
-            return false;
-        });
-        if (stopping)
-            return;
-        lk.unlock();
-        req->executor->prefetch(req->sched.cells()[*idx]);
-        lk.lock();
     }
 }
 
@@ -283,22 +201,19 @@ ExperimentService::submit(
             obs::count(&obs::Counters::serveRequestsQueued);
         queued.push_back(req);
         activateLocked();
-        workCv.notify_all();
-        warmCv.notify_one();
-        stateCv.wait(lk, [&] {
-            return req->activeNow || !req->failure.empty();
-        });
-        if (onAdmitted && req->failure.empty()) {
+        stateCv.wait(lk, [&] { return req->activeNow || stopping; });
+        bool finished = false;
+        if (req->activeNow) {
             lk.unlock();
-            onAdmitted(req->id);
+            if (onAdmitted)
+                onAdmitted(req->id);
+            // false once stop() has stopped the lanes
+            finished = lanes.wait(req->sched);
             lk.lock();
         }
-        stateCv.wait(lk, [&] {
-            return req->sched.finished() || !req->failure.empty();
-        });
-        if (!req->failure.empty()) {
+        if (!finished) {
             out.status = Outcome::Status::Error;
-            out.reason = req->failure;
+            out.reason = "service stopped";
             out.id = req->id;
             return out;
         }
@@ -306,8 +221,7 @@ ExperimentService::submit(
             std::remove(active.begin(), active.end(), req),
             active.end());
         activateLocked();
-        workCv.notify_all();
-        warmCv.notify_one();
+        stateCv.notify_all();
     }
 
     // the request span covers activation → completion; queue_ms is
@@ -360,20 +274,10 @@ ExperimentService::stop()
         if (stopping)
             return;
         stopping = true;
-        for (const auto &req : queued)
-            req->failure = "service stopped";
-        for (const auto &req : active)
-            req->failure = "service stopped";
         queued.clear();
     }
-    workCv.notify_all();
-    warmCv.notify_all();
     stateCv.notify_all();
-    for (auto &t : fleet)
-        t.join();
-    fleet.clear();
-    if (warmer.joinable())
-        warmer.join();
+    lanes.stop();
 }
 
 } // namespace stems::serve

@@ -1,9 +1,9 @@
 /**
  * @file
  * ExperimentService: the long-lived heart of `stems serve`. One
- * process-resident fleet of executor threads serves spec submissions
- * for as long as the daemon lives, with everything a batch run would
- * have to rebuild kept warm between requests:
+ * process-resident driver::Runner pool of `fleet` lanes serves spec
+ * submissions for as long as the daemon lives, with everything a
+ * batch run would have to rebuild kept warm between requests:
  *
  *  - Shared executors. Requests with the same oracle-region config
  *    share one driver::CellExecutor — its TraceCache and baseline-pass
@@ -20,11 +20,11 @@
  *    degrades to fast rejections, never to an unbounded queue).
  *
  *  - One scheduler per request. Each request's cells sit in a
- *    driver::CellScheduler that the fleet threads drain as thread
- *    lanes, earliest-admitted request first. Claim order (heaviest
- *    estimated cell first, as in every lane), placement by cell index
- *    and journal seeding all come from it. Thread lanes share one
- *    executor, so they never duplicate cells.
+ *    driver::CellScheduler that is attached to the pool when the
+ *    request is admitted, so the lanes drain the earliest-admitted
+ *    request first and the pool's warmer looks ahead into it, exactly
+ *    as under `stems run`. Claim order, placement by cell index and
+ *    journal seeding all come from the scheduler.
  *
  *  - Per-request journals. With journalDir set, each request appends
  *    to a crash-safe journal named by its spec fingerprint through
@@ -32,10 +32,6 @@
  *    when the same spec is resubmitted, and the journaled cells seed
  *    the scheduler instead of running again. The journal is deleted
  *    once its report has been built.
- *
- *  - Look-ahead. One warmer thread prepares the trace of the next
- *    unclaimed cell (CellExecutor::prefetch) while the fleet
- *    simulates, like the runner's warmer.
  *
  * Reports are built with the same driver::toJson/toCsv/toTable the
  * CLI uses, on the spec parsed from the submitted tokens — so a
@@ -60,11 +56,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dispatch/wire.hh"
 #include "driver/executor.hh"
+#include "driver/runner.hh"
 #include "driver/spec.hh"
 
 namespace stems::serve {
@@ -74,7 +70,7 @@ class ExperimentService
   public:
     struct Config
     {
-        uint32_t fleet = 0;      //!< executor threads (0 = all cores)
+        uint32_t fleet = 0;      //!< pool lanes (0 = all cores)
         uint32_t maxActive = 2;  //!< concurrently executing requests
         uint32_t maxQueued = 8;  //!< waiting requests before rejection
         std::string journalDir;  //!< per-request journals ("" = off)
@@ -104,7 +100,7 @@ class ExperimentService
     size_t activeRequests() const;
 
     /**
-     * Stop the fleet. Queued and in-flight requests fail with
+     * Stop the lanes. Queued and in-flight requests fail with
      * "service stopped"; their journals survive for warm restart.
      */
     void stop();
@@ -115,15 +111,11 @@ class ExperimentService
     driver::CellExecutor &executorLocked(
         const driver::ExperimentSpec &spec);
     void activateLocked();
-    void fleetLoop(uint32_t index);
-    void warmLoop();
 
     Config cfg;
     std::string ownedTraceDir;  //!< temp spill dir we created
 
     mutable std::mutex mu;
-    std::condition_variable workCv;   //!< fleet: work may exist
-    std::condition_variable warmCv;   //!< warmer: a cursor moved
     std::condition_variable stateCv;  //!< submitters: request state
     bool stopping = false;
     uint64_t nextId = 0;
@@ -133,8 +125,8 @@ class ExperimentService
     std::map<std::string, std::unique_ptr<driver::CellExecutor>>
         executors;
 
-    std::vector<std::thread> fleet;
-    std::thread warmer;
+    /** Declared last: its lanes use the executors above. */
+    driver::Runner lanes;
 };
 
 } // namespace stems::serve

@@ -86,8 +86,9 @@ class TraceCache
 
     /**
      * Build (generate-or-replay) the set for @p name ahead of its
-     * consumer, without counting a cache lookup — the look-ahead
-     * warmer's entry. Safe to race with viewSet().
+     * consumer, without counting a cache lookup — the lane pool's
+     * look-ahead warmer's entry (driver/runner.hh). Safe to race with
+     * viewSet().
      */
     void prepare(const std::string &name,
                  const workloads::WorkloadParams &p);

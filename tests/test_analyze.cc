@@ -16,7 +16,6 @@
 #include "dispatch/json.hh"
 #include "driver/analyze.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
@@ -90,12 +89,10 @@ TEST(DriverCostSchedule, ReportBytesIdenticalInProcess)
     // Both reports render through the threads=1 spec, whose header
     // echoes threads=1
     const ExperimentSpec serial = mixedSpec(1);
-    Runner serialRunner(serial);
-    const std::string serialJson = toJson(serial, serialRunner.run());
+    const std::string serialJson = toJson(serial, dispatch::runSpec(serial));
 
     ExperimentSpec parallel = mixedSpec(4);
-    Runner parallelRunner(parallel);
-    EXPECT_EQ(toJson(serial, parallelRunner.run()), serialJson)
+    EXPECT_EQ(toJson(serial, dispatch::runSpec(parallel)), serialJson)
         << "threads=4 changed report bytes";
 }
 
@@ -108,19 +105,16 @@ TEST(DriverCostSchedule, ReportBytesIdenticalTimingOnly)
              "wall=0", "threads=" + std::to_string(threads)});
     };
     const ExperimentSpec serial = timingSpec(1);
-    Runner serialRunner(serial);
-    const std::string serialJson = toJson(serial, serialRunner.run());
+    const std::string serialJson = toJson(serial, dispatch::runSpec(serial));
 
     const ExperimentSpec parallel = timingSpec(4);
-    Runner parallelRunner(parallel);
-    EXPECT_EQ(toJson(serial, parallelRunner.run()), serialJson);
+    EXPECT_EQ(toJson(serial, dispatch::runSpec(parallel)), serialJson);
 }
 
 TEST(DispatchCostSchedule, ReportBytesIdenticalDispatched)
 {
     ExperimentSpec inproc = mixedSpec(1);
-    Runner inprocRunner(inproc);
-    const std::string inprocJson = toJson(inproc, inprocRunner.run());
+    const std::string inprocJson = toJson(inproc, dispatch::runSpec(inproc));
 
     ExperimentSpec dispatched = mixedSpec(1);
     dispatched.dispatch = 2;

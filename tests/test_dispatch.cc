@@ -25,7 +25,6 @@
 #include "dispatch/merge.hh"
 #include "dispatch/wire.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 
@@ -84,8 +83,7 @@ ablTokens()
 std::string
 inProcessJson(const ExperimentSpec &spec)
 {
-    Runner runner(spec);
-    return toJson(spec, runner.run());
+    return toJson(spec, dispatch::runSpec(spec));
 }
 
 std::string
@@ -477,16 +475,16 @@ TEST(Dispatch, CellFilterKeepsIdsAndSubsets)
     auto tokens = fig11Tokens();
     tokens.push_back("cells=3,5-7");
     ExperimentSpec spec = parseSpec(tokens);
-    Runner runner(spec);
-    ASSERT_EQ(runner.cells().size(), 4u);
-    EXPECT_EQ(runner.cells()[0].id, 3u);
-    EXPECT_EQ(runner.cells()[1].id, 5u);
-    EXPECT_EQ(runner.cells()[3].id, 7u);
+    const std::vector<RunCell> cells = selectedCells(spec);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].id, 3u);
+    EXPECT_EQ(cells[1].id, 5u);
+    EXPECT_EQ(cells[3].id, 7u);
 
     EXPECT_THROW(parseSpec({"cells=5-3"}), std::invalid_argument);
     EXPECT_THROW(parseSpec({"cells=x"}), std::invalid_argument);
     tokens.back() = "cells=900";
-    EXPECT_THROW(Runner(parseSpec(tokens)), std::invalid_argument);
+    EXPECT_THROW(selectedCells(parseSpec(tokens)), std::invalid_argument);
 }
 
 TEST(DispatchMerge, PartialRunsMergeByteIdenticallyToFullRun)
@@ -530,8 +528,7 @@ TEST(DispatchMerge, OkCellRepairsEarlierError)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms,none", "ncpu=4",
          "refs=1500", "wall=0"});
-    Runner runner(spec);
-    auto results = runner.run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 2u);
     const std::string good = toJson(spec, results);
 
@@ -573,12 +570,12 @@ TEST(TimingOnly, MatchesFullTimingUipcExactly)
     std::vector<std::string> tokens{
         "workloads=sparse,Apache", "prefetchers=sms,none", "ncpu=4",
         "refs=2000", "seed=9", "timing=1"};
-    auto fullResults = Runner(parseSpec(tokens)).run();
+    auto fullResults = dispatch::runSpec(parseSpec(tokens));
     tokens.back() = "timing=only";
     ExperimentSpec lean = parseSpec(tokens);
     EXPECT_TRUE(lean.timing);
     EXPECT_TRUE(lean.timingOnly);
-    auto leanResults = Runner(lean).run();
+    auto leanResults = dispatch::runSpec(lean);
 
     ASSERT_EQ(fullResults.size(), leanResults.size());
     for (size_t i = 0; i < fullResults.size(); ++i) {
@@ -624,7 +621,7 @@ TEST(GeometrySweep, L2SizeAxisReshapesEachCell)
     EXPECT_EQ(cells[0].engine.options.count("l2-kb"), 0u);
     ASSERT_EQ(cells[0].sweepPoint.count("l2-kb"), 1u);
 
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
     // each L2 size gets its own memoized baseline: a smaller L2 must

@@ -14,22 +14,22 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "dispatch/journal.hh"
 #include "dispatch/json.hh"
 #include "dispatch/wire.hh"
 #include "driver/analyze.hh"
 #include "driver/commands.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "sim/timing.hh"
 #include "study/l1study.hh"
-#include "workloads/graph.hh"
 #include "study/suite.hh"
 #include "trace/io.hh"
 #include "trace/stream.hh"
+#include "workloads/graph.hh"
 #include "workloads/workload.hh"
 
 using namespace stems;
@@ -459,8 +459,8 @@ TEST(Runner, DeterministicAcrossThreadCounts)
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
 
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 4u);
     ASSERT_EQ(r1.size(), r4.size());
     for (size_t i = 0; i < r1.size(); ++i) {
@@ -478,11 +478,12 @@ TEST(Runner, TraceRecordThenReplayMatchesLiveStats)
 {
     const std::string dir = tempDir("traces");
 
-    auto live = Runner(parseSpec(quickTokens())).run();
+    auto live = dispatch::runSpec(parseSpec(quickTokens()));
 
     auto tokens = quickTokens();
     tokens.push_back("trace-dir=" + dir);
-    auto recorded = Runner(parseSpec(tokens)).run();  // generates + writes
+    // generates + writes
+    auto recorded = dispatch::runSpec(parseSpec(tokens));
 
     // the spill directory now holds one .stmt per workload (plus the
     // generation .lock files guarding concurrent generators)
@@ -495,7 +496,7 @@ TEST(Runner, TraceRecordThenReplayMatchesLiveStats)
     }
     EXPECT_EQ(files, 2u);
 
-    auto replayed = Runner(parseSpec(tokens)).run();  // reads from disk
+    auto replayed = dispatch::runSpec(parseSpec(tokens));  // reads from disk
 
     ASSERT_EQ(live.size(), recorded.size());
     ASSERT_EQ(live.size(), replayed.size());
@@ -520,13 +521,13 @@ TEST(TraceCommand, SpillReplaysInALaterRun)
                                        "prefetchers=sms,none", "ncpu=4",
                                        "refs=3000", "seed=7", "wall=0"};
     const ExperimentSpec liveSpec = parseSpec(tokens);
-    const std::string live = toJson(liveSpec, Runner(liveSpec).run());
+    const std::string live = toJson(liveSpec, dispatch::runSpec(liveSpec));
 
     tokens.push_back("trace-dir=" + dir);
     const ExperimentSpec spec = parseSpec(tokens);
     const auto &replays = obs::Counters::get().traceSpillReplays;
     const uint64_t before = replays.load();
-    const std::string replayed = toJson(spec, Runner(spec).run());
+    const std::string replayed = toJson(spec, dispatch::runSpec(spec));
     EXPECT_GT(replays.load(), before);
     EXPECT_EQ(live, replayed);
     std::filesystem::remove_all(dir);
@@ -558,7 +559,7 @@ TEST(Runner, CellErrorsAreCapturedNotFatal)
         {"workloads=sparse", "prefetchers=sms", "ncpu=4", "refs=1000"});
     // sabotage: an invalid option value surfaces as a cell error
     spec.engines[0].options["region"] = "1000";  // not a power of two
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].error.empty());
 }
@@ -572,7 +573,7 @@ TEST(Report, JsonAndCsvCarryTheMatrix)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms,none", "ncpu=4",
          "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     const std::string json = toJson(spec, results);
     EXPECT_NE(json.find("\"workload\":\"sparse\""), std::string::npos);
     EXPECT_NE(json.find("\"prefetcher\":\"sms\""), std::string::npos);
@@ -758,7 +759,7 @@ TEST(SuiteExtension, HashJoinRunsThroughTheEngine)
     ExperimentSpec spec = parseSpec(
         {"workloads=hashjoin", "prefetchers=sms,none", "ncpu=4",
          "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -843,7 +844,7 @@ TEST(SuiteExtension, PacketRunsThroughTheEngine)
     ExperimentSpec spec = parseSpec(
         {"workloads=packet", "prefetchers=sms,none", "ncpu=4",
          "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -895,7 +896,7 @@ TEST(SuiteExtension, LsmCompactRunsThroughTheEngine)
     ExperimentSpec spec = parseSpec(
         {"workloads=lsmcompact", "prefetchers=sms,none", "ncpu=4",
          "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -912,7 +913,7 @@ TEST(TimingPipeline, EveryRegistryEngineReportsUipcAndSpeedup)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms,ghb,stride,next-line,none",
          "timing=only", "ncpu=4", "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 5u);
     for (const auto &r : results) {
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -936,8 +937,8 @@ TEST(TimingPipeline, GhbStrideTimingDeterministicAcrossThreadCounts)
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
 
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 4u);
     ASSERT_EQ(r1.size(), r4.size());
     for (auto *rs : {&r1, &r4})
@@ -962,7 +963,7 @@ TEST(TimingPipeline, TimingMemoKeysOnEngineOptions)
          "pf.tiny.pht-entries=64", "pf.tiny.pht-assoc=4",
          "pf.tiny.region=256",
          "timing=only", "ncpu=4", "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 3u);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -995,7 +996,7 @@ TEST(TimingPipeline, UntimedPassesNeverServeTimedCells)
         ASSERT_TRUE(results.back().error.empty());
         EXPECT_GT(results.back().metrics.uipc(), 0.0);
     }
-    EXPECT_EQ(toJson(timed, results), toJson(timed, Runner(timed).run()));
+    EXPECT_EQ(toJson(timed, results), toJson(timed, dispatch::runSpec(timed)));
 }
 
 TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
@@ -1006,7 +1007,7 @@ TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms", "timing=only",
          "ncpu=4", "refs=2000", "seed=21"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].error.empty()) << results[0].error;
 
@@ -1052,8 +1053,8 @@ TEST(Equivalence, PaperSuitePlusGraphJsonIdenticalAcrossThreadCounts)
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
 
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 24u);
     ASSERT_EQ(r1.size(), r4.size());
     for (auto *rs : {&r1, &r4})
@@ -1164,7 +1165,7 @@ TEST(DensityAxis, CellsCarrySevenBucketHistograms)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=none", "density=2048",
          "ncpu=4", "refs=2000"});
-    auto results = Runner(spec).run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].error.empty()) << results[0].error;
     const MetricSet &m = results[0].metrics;
@@ -1178,7 +1179,7 @@ TEST(DensityAxis, CellsCarrySevenBucketHistograms)
     ExperimentSpec plain = parseSpec(
         {"workloads=sparse", "prefetchers=none", "ncpu=4",
          "refs=2000"});
-    auto base = Runner(plain).run();
+    auto base = dispatch::runSpec(plain);
     ASSERT_TRUE(base[0].error.empty());
     EXPECT_EQ(base[0].metrics.l1ReadMisses(), m.l1ReadMisses());
     EXPECT_EQ(base[0].metrics.l2ReadMisses(), m.l2ReadMisses());
@@ -1194,8 +1195,8 @@ TEST(DensityAxis, SweepsPerCellAndStaysDeterministic)
     ExperimentSpec one = parseSpec(tokens);
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 2u);
     EXPECT_EQ(r1[0].cell.densityRegion, 512u);
     EXPECT_EQ(r1[1].cell.densityRegion, 2048u);
@@ -1220,8 +1221,8 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
     ExperimentSpec one = parseSpec(tokens);
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 6u);
     for (auto *rs : {&r1, &r4})
         for (auto &r : *rs) {

@@ -23,10 +23,10 @@
 #include <unistd.h>
 
 #include "dispatch/coordinator.hh"
+#include "dispatch/journal.hh"
 #include "dispatch/json.hh"
 #include "dispatch/wire.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "obs/histogram.hh"
@@ -65,8 +65,7 @@ std::vector<std::pair<std::string, uint64_t>>
 countersAfterFreshRun(const ExperimentSpec &spec)
 {
     obs::Counters::get().reset();
-    Runner runner(spec);
-    const auto results = runner.run();
+    const auto results = dispatch::runSpec(spec);
     for (const auto &r : results)
         EXPECT_TRUE(r.error.empty()) << r.error;
     // the look-ahead warmer's two families count a race between the
@@ -336,8 +335,7 @@ TEST(ObsCounters, TimedSpecWalksTheHierarchyOncePerWorkloadAndEngine)
 TEST(ObsTelemetry, CellResultsCarryPhaseTimings)
 {
     ExperimentSpec spec = smallSpec(1);
-    Runner runner(spec);
-    const auto results = runner.run();
+    const auto results = dispatch::runSpec(spec);
     ASSERT_FALSE(results.empty());
     for (const auto &r : results) {
         ASSERT_TRUE(r.error.empty()) << r.error;
@@ -467,16 +465,14 @@ TEST(ObsReport, JsonByteIdenticalWithRecorderEnabled)
     const ExperimentSpec spec = smallSpec(2);
 
     ASSERT_FALSE(obs::Recorder::get().enabled());
-    Runner off(spec);
-    const std::string jsonOff = toJson(spec, off.run());
-    const std::string tableOff = toTable(spec, off.run());
+    const std::string jsonOff = toJson(spec, dispatch::runSpec(spec));
+    const std::string tableOff = toTable(spec, dispatch::runSpec(spec));
 
     std::string jsonOn, tableOn;
     {
         ScopedRecorder rec;
         obs::Counters::get().reset();
-        Runner on(spec);
-        const auto results = on.run();
+        const auto results = dispatch::runSpec(spec);
         jsonOn = toJson(spec, results);
         tableOn = toTable(spec, results);
     }
@@ -492,8 +488,7 @@ TEST(ObsReport, JsonByteIdenticalWithRecorderEnabled)
 TEST(ReportGroups, AggregateMatchesHandRolledFold)
 {
     const ExperimentSpec spec = smallSpec(2);
-    Runner runner(spec);
-    const auto results = runner.run();
+    const auto results = dispatch::runSpec(spec);
 
     std::map<std::pair<std::string, std::string>, MetricSet> cells;
     for (const auto &r : results) {
@@ -528,8 +523,7 @@ TEST(ReportGroups, AggregateMatchesHandRolledFold)
 TEST(ReportGroups, ErrorCellsAreSkipped)
 {
     const ExperimentSpec spec = smallSpec(1);
-    Runner runner(spec);
-    auto results = runner.run();
+    auto results = dispatch::runSpec(spec);
     ASSERT_FALSE(results.empty());
     const auto before = aggregateGroups(results);
     results[0].error = "synthetic failure";
@@ -545,8 +539,7 @@ TEST(ReportGroups, ErrorCellsAreSkipped)
 TEST(ReportGroups, OptInOnlyInReportSinks)
 {
     ExperimentSpec spec = smallSpec(2);
-    Runner runner(spec);
-    const auto results = runner.run();
+    const auto results = dispatch::runSpec(spec);
 
     spec.groups = false;
     const std::string plainTable = toTable(spec, results);
@@ -618,8 +611,7 @@ TEST(ObsHistogram, CellWallCountDeterministicAcrossThreads)
     // count is one per executed cell — identical for 1 and 4 threads
     auto cellWallCount = [](uint32_t threads) {
         obs::Histograms::get().reset();
-        Runner runner(smallSpec(threads));
-        const auto results = runner.run();
+        const auto results = dispatch::runSpec(smallSpec(threads));
         for (const auto &r : results)
             EXPECT_TRUE(r.error.empty()) << r.error;
         const auto snap = obs::snapshotHistograms();

@@ -1,0 +1,139 @@
+/**
+ * @file
+ * Lane pool (driver::Runner) tests: two schedulers attached to one
+ * 2-lane pool drain in attach order, the warmer hands each cell out at
+ * most once across both, and stop() returns the waiter of a scheduler
+ * it left unfinished.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <future>
+#include <string>
+#include <vector>
+
+#include "driver/executor.hh"
+#include "driver/runner.hh"
+#include "driver/scheduler.hh"
+#include "driver/spec.hh"
+#include "fault/fault.hh"
+#include "obs/counters.hh"
+
+using namespace stems;
+using namespace stems::driver;
+
+namespace {
+
+/** Eight small cells: (sparse, graph) x four engines. */
+ExperimentSpec
+firstSpec()
+{
+    return parseSpec({"workloads=sparse,graph",
+                      "prefetchers=none,sms,ghb,stride", "ncpu=2",
+                      "refs=600", "seed=3", "wall=0"});
+}
+
+/** Two small cells sharing the first spec's sparse trace. */
+ExperimentSpec
+secondSpec()
+{
+    return parseSpec({"workloads=sparse", "prefetchers=none,sms",
+                      "ncpu=2", "refs=600", "seed=3", "wall=0"});
+}
+
+/** Whether any cell of @p sched has been claimed. */
+bool
+anyClaimed(const CellScheduler &sched)
+{
+    for (size_t i = 0; i < sched.cells().size(); ++i)
+        if (sched.attempts(i) > 0)
+            return true;
+    return false;
+}
+
+/** A fault plan installed for one scope. */
+class ScopedPlan
+{
+  public:
+    explicit ScopedPlan(const std::string &spec)
+    {
+        fault::installPlan(fault::parsePlan(spec));
+    }
+    ~ScopedPlan() { fault::installPlan(fault::Plan{}); }
+};
+
+} // anonymous namespace
+
+TEST(Pool, SecondSchedulerClaimsOnlyOnceFirstHasNoPendingCell)
+{
+    CellExecutor exec(executorConfig(firstSpec()));
+    CellScheduler first(firstSpec());
+    CellScheduler second(secondSpec());
+    // pending() only falls while the pool drains, so a claim from the
+    // second scheduler ahead of the first's last pending cell shows
+    // at one of these completions
+    std::atomic<int> early{0};
+    first.onComplete([&](const CellResult &, size_t, size_t) {
+        if (first.pending() > 0 && anyClaimed(second))
+            ++early;
+    });
+    second.onComplete([&](const CellResult &, size_t, size_t) {
+        if (first.pending() > 0)
+            ++early;
+    });
+
+    Runner pool(2);
+    pool.attach(first, exec);
+    pool.attach(second, exec);
+    EXPECT_TRUE(pool.wait(first));
+    EXPECT_TRUE(pool.wait(second));
+    EXPECT_EQ(early.load(), 0);
+    for (const auto &r : first.takeResults())
+        EXPECT_TRUE(r.error.empty()) << r.error;
+    for (const auto &r : second.takeResults())
+        EXPECT_TRUE(r.error.empty()) << r.error;
+}
+
+TEST(Pool, LookaheadHandsOutEachCellAtMostOnceAcrossSchedulers)
+{
+    obs::Counters::get().reset();
+    CellExecutor exec(executorConfig(firstSpec()));
+    CellScheduler first(firstSpec());
+    CellScheduler second(secondSpec());
+    {
+        Runner pool(2);
+        pool.attach(first, exec);
+        pool.attach(second, exec);
+        EXPECT_TRUE(pool.wait(first));
+        EXPECT_TRUE(pool.wait(second));
+    }
+    // every warmer hand-out that prepares a trace counts once
+    uint64_t prefetches = 0;
+    for (const auto &[name, v] : obs::snapshotCounters())
+        if (name == "trace_prefetch_ahead")
+            prefetches = v;
+    EXPECT_LE(prefetches,
+              first.cells().size() + second.cells().size());
+    EXPECT_EQ(first.takeLookahead(), std::nullopt);
+    EXPECT_EQ(second.takeLookahead(), std::nullopt);
+    obs::Counters::get().reset();
+}
+
+TEST(Pool, StopReturnsTheWaiterOfAnUnfinishedScheduler)
+{
+    // every lane sleeps 300 ms before each cell, so eight cells on two
+    // lanes cannot finish before stop() lands
+    ScopedPlan hang("hang=1/300");
+    CellExecutor exec(executorConfig(firstSpec()));
+    CellScheduler sched(firstSpec());
+    Runner pool(2);
+    pool.attach(sched, exec);
+    auto waiter =
+        std::async(std::launch::async, [&] { return pool.wait(sched); });
+    pool.stop();
+    EXPECT_FALSE(waiter.get());
+    EXPECT_FALSE(sched.finished());
+    EXPECT_GT(sched.pending(), 0u);
+    pool.stop();  // idempotent
+}

@@ -172,10 +172,10 @@ TEST(Scheduler, LookaheadSkipsClaimedCells)
     ASSERT_EQ(sched.claim(), 3u);
     EXPECT_EQ(sched.takeLookahead(), 0u);
     ASSERT_EQ(sched.claim(), 0u);
-    EXPECT_EQ(sched.awaitLookahead(), 2u);
+    EXPECT_EQ(sched.takeLookahead(), 2u);
     ASSERT_EQ(sched.claim(), 2u);
-    // nothing pending: a warmer stops instead of blocking
-    EXPECT_EQ(sched.awaitLookahead(), std::nullopt);
+    // nothing pending: the cursor stays empty
+    EXPECT_EQ(sched.takeLookahead(), std::nullopt);
     EXPECT_EQ(sched.takeLookahead(), std::nullopt);
 }
 

@@ -29,8 +29,8 @@
 #include "dispatch/wire.hh"
 #include "driver/analyze.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/spec.hh"
+#include "fault/fault.hh"
 #include "obs/counters.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
@@ -74,8 +74,7 @@ smallTokens()
 std::string
 inProcessJson(const ExperimentSpec &spec)
 {
-    Runner runner(spec);
-    return toJson(spec, runner.run());
+    return toJson(spec, dispatch::runSpec(spec));
 }
 
 /** Scoped environment variable for the worker fault hooks. */
@@ -460,18 +459,24 @@ TEST(ServeService, SharedExecutorKeepsEachModesBaseline)
 
 TEST(ServeService, RejectsWhenAdmissionQueueFull)
 {
+    // the lane wedges 1 s before cell 0, holding the occupant active
+    // however fast its cells run; installed before the service's lanes
+    // start and removed after they stop
+    fault::installPlan(fault::parsePlan("hang=cell:0/1000"));
+    struct Uninstall
+    {
+        ~Uninstall() { fault::installPlan(fault::Plan{}); }
+    } uninstall;
+
     ExperimentService::Config cfg;
     cfg.fleet = 1;
     cfg.maxActive = 1;
     cfg.maxQueued = 0;
     ExperimentService svc(cfg);
 
-    // occupy the only active slot with a long request
-    std::vector<std::string> slow = {
-        "workloads=paper", "prefetchers=sms:SMS", "ncpu=4",
-        "refs=8000", "seed=3", "wall=0"};
+    // occupy the only active slot
     std::thread occupant([&] {
-        const auto out = svc.submit(slow);
+        const auto out = svc.submit(smallTokens());
         EXPECT_EQ(out.status,
                   ExperimentService::Outcome::Status::Done);
     });

@@ -19,7 +19,6 @@
 #include "dispatch/journal.hh"
 #include "driver/registry.hh"
 #include "driver/report.hh"
-#include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "sim/timing.hh"
@@ -364,8 +363,8 @@ TEST(Streamer, ReportsIdenticalAcrossThreadCountsAndVsStreamingOff)
     tokens.back() = "threads=4";
     ExperimentSpec four = parseSpec(tokens);
 
-    auto r1 = Runner(one).run();
-    auto r4 = Runner(four).run();
+    auto r1 = dispatch::runSpec(one);
+    auto r4 = dispatch::runSpec(four);
     ASSERT_EQ(r1.size(), 4u);
     for (auto *rs : {&rOff, &r1, &r4})
         for (auto &r : *rs) {
@@ -390,7 +389,7 @@ TEST(Streamer, PrefetchesAheadAndCountsSlotTiedMisses)
 
         auto tokens = streamTokens(dir);
         tokens.push_back(threads);
-        auto results = Runner(parseSpec(tokens)).run();
+        auto results = dispatch::runSpec(parseSpec(tokens));
         ASSERT_EQ(results.size(), 4u);
 
         uint64_t misses = 0, prefetches = 0, stalls = 0;
@@ -411,7 +410,7 @@ TEST(Streamer, PrefetchesAheadAndCountsSlotTiedMisses)
 
         // second run replays the spills through the mapped path
         obs::Counters::get().reset();
-        auto replay = Runner(parseSpec(tokens)).run();
+        auto replay = dispatch::runSpec(parseSpec(tokens));
         ASSERT_EQ(replay.size(), 4u);
         uint64_t replayMapped = 0;
         for (const auto &[name, v] : obs::snapshotCounters())
@@ -428,7 +427,7 @@ TEST(Streamer, DispatchedMatchesInProcWithStreaming)
     const std::string dir = tempDir("streamdisp");
 
     ExperimentSpec inproc = parseSpec(streamTokens(dir));
-    const std::string clean = toJson(inproc, Runner(inproc).run());
+    const std::string clean = toJson(inproc, dispatch::runSpec(inproc));
 
     ExperimentSpec disp = parseSpec(streamTokens(dir));
     disp.dispatch = 2;
