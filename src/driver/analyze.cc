@@ -581,8 +581,11 @@ emitJson(const Inputs &in, const AnalyzeOptions &opts)
         for (const Ev *e : criticalPath(t, opts.criticalPathCap)) {
             j.beginObject();
             j.key("name").value(e->name);
-            j.key("start_ms").value(e->tsUs / 1000.0);
-            j.key("dur_ms").value(e->durUs / 1000.0);
+            // at the trace's own ns resolution: six significant
+            // digits would round a µs step hundreds of ms into a run
+            // to end after the step it unblocked
+            j.key("start_ms").fixed(e->tsUs / 1000.0, 6);
+            j.key("dur_ms").fixed(e->durUs / 1000.0, 6);
             j.key("args").beginObject();
             for (const auto &[k, v] : e->args)
                 j.key(k).value(v);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <new>
 #include <optional>
 #include <stdexcept>
 
@@ -142,6 +143,53 @@ CellExecutor::CellExecutor(Config config) : cfg(std::move(config))
         traces.setSpillDir(cfg.traceDir);
 }
 
+CellExecutor::SystemLease::SystemLease(CellExecutor &owner,
+                                       const mem::MemSysConfig &geometry)
+    : owner(owner)
+{
+    std::unique_ptr<mem::MemorySystem> stale;
+    {
+        std::lock_guard<std::mutex> lock(owner.systemsMu);
+        auto &free = owner.freeSystems;
+        const auto it = std::find_if(
+            free.begin(), free.end(),
+            [&](const auto &s) { return s->config() == geometry; });
+        if (it != free.end()) {
+            sys = std::move(*it);
+            free.erase(it);
+            return;
+        }
+        // no free system fits: the oldest free one (if any) makes way,
+        // so the systems alive never outnumber the passes holding one
+        if (!free.empty()) {
+            stale = std::move(free.front());
+            free.erase(free.begin());
+        }
+    }
+    stale.reset();  // freed before the build, not after
+    sys = std::make_unique<mem::MemorySystem>(geometry);
+    std::lock_guard<std::mutex> lock(owner.systemsMu);
+    ++owner.systemsBuilt;
+}
+
+CellExecutor::SystemLease::~SystemLease()
+{
+    sys->reset();  // drops the finished pass's listeners, too
+    std::lock_guard<std::mutex> lock(owner.systemsMu);
+    try {
+        owner.freeSystems.push_back(std::move(sys));
+    } catch (const std::bad_alloc &) {
+        // the list cannot grow: the system is freed, not kept
+    }
+}
+
+uint64_t
+CellExecutor::memorySystemsBuilt() const
+{
+    std::lock_guard<std::mutex> lock(systemsMu);
+    return systemsBuilt;
+}
+
 CellExecutor::PassResult
 CellExecutor::runPass(const RunCell &cell, const EngineConfig &engine)
 {
@@ -152,6 +200,10 @@ CellExecutor::runPass(const RunCell &cell, const EngineConfig &engine)
     obs::count(&obs::Counters::systemPasses);
     const study::SystemStudyConfig scfg =
         systemConfigFor(cell, cfg.oracleRegionSizes);
+    const trace::StreamSet &set = viewSet(cell);
+    // declared before the deployment, so the system goes back to the
+    // free list only once nothing of this pass refers to it
+    const SystemLease sys(*this, cell.sys);
     // every engine — "none" included — attaches through the registry:
     // no pass has engine-specific wiring
     std::unique_ptr<PrefetcherDeployment> dep;
@@ -160,12 +212,13 @@ CellExecutor::runPass(const RunCell &cell, const EngineConfig &engine)
     PassResult r;
     if (cell.timing) {
         sim::CoreTimer timer(sim::CoreConfig{}, cell.sys.ncpu);
-        r.system = study::runSystem(viewSet(cell), scfg,
-                                    cell.params.seed, attach, timer);
+        r.system = study::runSystem(set, scfg, cell.params.seed, *sys,
+                                    attach, timer);
         r.timing = timer.finish();
     } else {
-        r.system = study::runSystem(viewSet(cell), scfg,
-                                    cell.params.seed, attach);
+        study::NoObserver none;
+        r.system = study::runSystem(set, scfg, cell.params.seed, *sys,
+                                    attach, none);
     }
     r.pfCounters = dep->counters();
     return r;

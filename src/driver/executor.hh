@@ -10,6 +10,15 @@
  * process, future remote transport — produces identical CellResults
  * for identical RunCells.
  *
+ * It also owns the memory systems its passes walk. A 16-node system
+ * is tens of megabytes of directory and tag tables, so instead of
+ * building one per pass the executor keeps a free list: a pass checks
+ * out a system of its cell's geometry, and returns it reset() to the
+ * freshly constructed state. A system exists only while a pass holds
+ * it or while it waits on the list, so there are never more systems
+ * than passes that ran at once: one per lane of `stems run` or the
+ * serve daemon, one in each dispatch worker.
+ *
  * Cell measurements land in a schema-registered MetricSet (see
  * driver/metrics.hh); the executor is a metric *producer* — it never
  * serializes, so new families need only a registration plus an emit
@@ -21,12 +30,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "driver/metrics.hh"
 #include "driver/spec.hh"
+#include "mem/memsys.hh"
 #include "obs/obs.hh"
 #include "sim/timing.hh"
 #include "study/memstudy.hh"
@@ -84,6 +95,10 @@ class CellExecutor
 
     const Config &config() const { return cfg; }
 
+    /** Memory systems built so far; a checkout that reuses a free
+     *  system of its geometry builds none. */
+    uint64_t memorySystemsBuilt() const;
+
   private:
     /**
      * What one pass measured: the system study (or, for an L1-mode
@@ -102,6 +117,26 @@ class CellExecutor
     {
         std::once_flag once;
         PassResult result;
+    };
+
+    /**
+     * A memory system lent to one pass: checked out of the free list
+     * (or built) on construction, reset() and put back on
+     * destruction, whether the pass finished or threw.
+     */
+    class SystemLease
+    {
+      public:
+        SystemLease(CellExecutor &owner, const mem::MemSysConfig &geometry);
+        ~SystemLease();
+        SystemLease(const SystemLease &) = delete;
+        SystemLease &operator=(const SystemLease &) = delete;
+
+        mem::MemorySystem &operator*() const { return *sys; }
+
+      private:
+        CellExecutor &owner;
+        std::unique_ptr<mem::MemorySystem> sys;
     };
 
     /** The phase a baseline lookup serves; picks its memo counters. */
@@ -126,6 +161,10 @@ class CellExecutor
     study::TraceCache traces;
     std::mutex memoMu;  //!< guards the memo map's shape
     std::map<std::string, PassSlot> passes;
+    mutable std::mutex systemsMu;  //!< guards the two below
+    /** Reset systems no pass holds, oldest return first. */
+    std::vector<std::unique_ptr<mem::MemorySystem>> freeSystems;
+    uint64_t systemsBuilt = 0;
 };
 
 /** The executor settings an experiment spec implies. */

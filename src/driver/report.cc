@@ -147,6 +147,20 @@ JsonWriter::value(bool v)
 }
 
 JsonWriter &
+JsonWriter::fixed(double v, int decimals)
+{
+    separate();
+    if (std::isfinite(v)) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+        out += buf;
+    } else {
+        out += "null";
+    }
+    return *this;
+}
+
+JsonWriter &
 JsonWriter::null()
 {
     separate();

@@ -31,6 +31,8 @@ class JsonWriter
     JsonWriter &value(uint64_t v);
     JsonWriter &value(double v);
     JsonWriter &value(bool v);
+    /** @p v with exactly @p decimals digits after the point. */
+    JsonWriter &fixed(double v, int decimals);
     JsonWriter &null();
 
     const std::string &str() const { return out; }

@@ -29,8 +29,10 @@
  *
  * Cell-context faults fire only on a thread with a cell context set:
  * `stems worker` honours all four (crash/hang/garbage/truncate), an
- * in-process lane (driver/runner.hh) only hang. The spill faults fire
- * in any process with a plan installed.
+ * in-process lane (driver/runner.hh) only hang — under `stems run`
+ * and the `stems serve` daemon alike, which installs STEMS_FAULTS at
+ * start-up. The spill faults fire in any process with a plan
+ * installed.
  *
  * Injection sites are all on cold paths (per cell, per spill write);
  * with no plan installed each site is a single branch on a bool.
@@ -93,9 +95,10 @@ void installPlan(Plan plan);
 
 /**
  * Install from the STEMS_FAULTS environment variable (plan grammar);
- * no-op when it is unset. Called by `stems worker` at
- * startup (`stems run` exports its --fault-plan= as STEMS_FAULTS so
- * forked workers inherit it).
+ * no-op when it is unset. Called by `stems worker` and `stems serve`
+ * at startup (`stems run` exports its --fault-plan= as STEMS_FAULTS so
+ * forked workers inherit it; a daemon takes its plan from its own
+ * environment, since submitted specs' fault-plan= is ignored).
  */
 void installFromEnv();
 

@@ -23,11 +23,11 @@ Cache::Cache(const CacheConfig &config, std::string name)
     blockShift = log2i(cfg.blockSize);
     setShift = blockShift + log2i(sets);
     frames.reset(static_cast<size_t>(sets) * cfg.assoc);
-    resetRanks();
+    reset();
 }
 
 void
-Cache::resetRanks()
+Cache::reset()
 {
     // way w starts at rank assoc-1-w: the back of every LRU stack is
     // way 0, matching timestamp LRU's untouched lowest-way-first order
@@ -36,6 +36,7 @@ Cache::resetRanks()
         for (uint32_t w = 0; w < cfg.assoc; ++w)
             base[w] = uint64_t{cfg.assoc - 1 - w} << kRankShift;
     }
+    stats_.reset();
 }
 
 uint32_t

@@ -24,6 +24,8 @@ struct CacheConfig
     uint64_t sizeBytes = 64 * 1024;  //!< total data capacity
     uint32_t assoc = 2;              //!< ways per set
     uint32_t blockSize = 64;         //!< bytes per block (power of two)
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**
@@ -79,6 +81,8 @@ struct CacheStats
     {
         *this = CacheStats{};
     }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /**
@@ -156,6 +160,13 @@ class Cache
 
     /** Drop all blocks without listener notification. */
     void flush();
+
+    /**
+     * Return to the freshly constructed state: every frame invalid,
+     * every LRU stack in its initial order, every counter zero. The
+     * listener stays subscribed. The constructor ends here too.
+     */
+    void reset();
 
     /**
      * Start fetching the tag line for @p addr's set so an imminent
@@ -262,9 +273,6 @@ class Cache
         }
         return 0;  // unreachable: ranks are a permutation
     }
-
-    /** Initial LRU stack: way 0 at the back, like untouched stamps. */
-    void resetRanks();
 
     CacheConfig cfg;
     std::string name_;

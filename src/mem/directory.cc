@@ -26,6 +26,18 @@ Directory::Directory(uint32_t ncpu, uint32_t block_size,
             (expected_blocks + kRegionMask) >> kRegionShift;
         entries.reserve(static_cast<size_t>(std::min(regions, kMaxHint)));
     }
+    reset();
+}
+
+void
+Directory::reset()
+{
+    entries.clear();
+    sinceInval.clear();
+    pending.clear();
+    std::fill(excl.begin(), excl.end(), uint64_t{0});
+    stats_ = DirectoryStats{};
+    finalized = false;
 }
 
 void

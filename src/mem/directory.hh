@@ -140,6 +140,14 @@ class Directory
 
     const DirectoryStats &stats() const { return stats_; }
 
+    /**
+     * Return to the freshly constructed state: no entries, no pending
+     * classifications, an empty exclusive-store filter, zero stats,
+     * not finalized. The tables keep their capacity. The constructor
+     * ends here too.
+     */
+    void reset();
+
     uint32_t blockSize() const { return uint32_t{1} << blockShift; }
 
   private:

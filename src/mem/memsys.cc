@@ -33,6 +33,20 @@ MemorySystem::MemorySystem(const MemSysConfig &config) : cfg(config)
 }
 
 void
+MemorySystem::reset()
+{
+    for (uint32_t c = 0; c < cfg.ncpu; ++c) {
+        l1s[c]->reset();
+        l2s[c]->reset();
+        l1Hooks[c]->clear();
+        l2Hooks[c]->clear();
+    }
+    dir->reset();
+    observers.clear();
+    memWritebacks = 0;
+}
+
+void
 MemorySystem::L1Hook::evicted(uint64_t addr, bool dirty, bool wasPf)
 {
     if (dirty) {

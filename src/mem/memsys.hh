@@ -3,6 +3,11 @@
  * The multiprocessor memory system: per-node private L1 and L2 caches
  * kept inclusive, glued by a full-map invalidation directory. This is
  * the substrate every trace-based experiment in the paper runs on.
+ *
+ * A 16-node system is tens of megabytes of tables, so a system is
+ * built once and reused: reset() returns it to exactly its freshly
+ * constructed state between passes, through the same code the
+ * constructors end with (Cache::reset, Directory::reset).
  */
 
 #ifndef STEMS_MEM_MEMSYS_HH
@@ -49,6 +54,8 @@ struct MemSysConfig
     uint32_t ncpu = 16;
     CacheConfig l1{64 * 1024, 2, 64};
     CacheConfig l2{8 * 1024 * 1024, 8, 64};
+
+    bool operator==(const MemSysConfig &) const = default;
 };
 
 /**
@@ -61,6 +68,16 @@ class MemorySystem : public CoherenceClient
 {
   public:
     explicit MemorySystem(const MemSysConfig &config);
+
+    /**
+     * Return to the freshly constructed state, keeping every table's
+     * storage: all caches and the directory reset, every listener
+     * added by addL1Listener/addL2Listener and every observer
+     * dropped, the memory writeback count zero. A pass that borrows a
+     * built system (study::runSystem) leaves its listeners behind;
+     * reset() is what makes the system safe to lend again.
+     */
+    void reset();
 
     /**
      * Run one demand access through node a.cpu's hierarchy, updating
@@ -120,6 +137,7 @@ class MemorySystem : public CoherenceClient
         void evicted(uint64_t addr, bool dirty, bool wasPf) override;
         void invalidated(uint64_t addr, bool wasPf) override;
         void add(CacheListener *l) { extra.push_back(l); }
+        void clear() { extra.clear(); }
 
       private:
         MemorySystem *sys;
@@ -135,6 +153,7 @@ class MemorySystem : public CoherenceClient
         void evicted(uint64_t addr, bool dirty, bool wasPf) override;
         void invalidated(uint64_t addr, bool wasPf) override;
         void add(CacheListener *l) { extra.push_back(l); }
+        void clear() { extra.clear(); }
 
       private:
         MemorySystem *sys;

@@ -12,6 +12,7 @@
 #include "dispatch/wire.hh"
 #include "driver/options.hh"
 #include "driver/report.hh"
+#include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "serve/socket.hh"
 
@@ -186,6 +187,9 @@ cmdServe(const std::vector<std::string> &args)
             throw std::invalid_argument(
                 "stems serve needs listen=ADDR (unix:/path or "
                 "host:port)");
+        // chaos plan (STEMS_FAULTS): the lanes honour hang clauses,
+        // the spill writer the spill clauses, as under `stems run`
+        fault::installFromEnv();
     } catch (const std::exception &e) {
         std::cerr << "stems serve: " << e.what() << "\n";
         return 2;

@@ -1,5 +1,7 @@
 #include "study/memstudy.hh"
 
+#include <cassert>
+
 #include "core/oracle.hh"
 
 namespace stems::study {
@@ -26,11 +28,12 @@ class SystemPass::OracleListener : public mem::CacheListener
 };
 
 SystemPass::SystemPass(const SystemStudyConfig &cfg,
-                       const PfAttach &attach)
+                       mem::MemorySystem &sys, const PfAttach &attach)
     : ncpu(cfg.sys.ncpu), nsizes(cfg.oracleRegionSizes.size()),
-      trackDensity(cfg.trackDensity), sys(cfg.sys),
+      trackDensity(cfg.trackDensity), sys(sys),
       pf(attach ? attach(sys) : nullptr)
 {
+    assert(sys.config() == cfg.sys);
     // oracle trackers, one per (cpu, level, region size)
     for (size_t s = 0; s < nsizes; ++s) {
         core::RegionGeometry geom(cfg.oracleRegionSizes[s],

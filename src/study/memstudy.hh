@@ -12,6 +12,12 @@
  * reference together with the hierarchy's outcome, so the timing
  * model (sim::CoreTimer) rides the same pass: one walk yields both
  * the system study and the timing result.
+ *
+ * A pass borrows its MemorySystem. A caller that runs many passes
+ * (driver::CellExecutor) lends each one a built system and reset()s
+ * it afterwards, so the hierarchy's tens of megabytes of tables are
+ * allocated once per concurrent pass, not once per pass; the
+ * overloads without a system build a private one.
  */
 
 #ifndef STEMS_STUDY_MEMSTUDY_HH
@@ -73,16 +79,22 @@ struct SystemStudyResult
 };
 
 /**
- * One system pass in progress: the hierarchy, the attached engine and
- * the study's trackers. access() services one reference and records
- * what the study measures; finish() drains the engine and harvests.
- * The engine and trackers hold this object's address, so it neither
- * copies nor moves.
+ * One system pass in progress on a borrowed hierarchy, with the
+ * attached engine and the study's trackers. access() services one
+ * reference and records what the study measures; finish() drains the
+ * engine and harvests. The trackers hold this object's address and
+ * subscribe to the hierarchy, so it neither copies nor moves, and the
+ * hierarchy must be reset() before it serves another pass.
  */
 class SystemPass
 {
   public:
-    SystemPass(const SystemStudyConfig &cfg, const PfAttach &attach);
+    /**
+     * @param sys a system in its freshly constructed state (new, or
+     *            reset()) whose config() is cfg.sys
+     */
+    SystemPass(const SystemStudyConfig &cfg, mem::MemorySystem &sys,
+               const PfAttach &attach);
     ~SystemPass();
     SystemPass(const SystemPass &) = delete;
     SystemPass &operator=(const SystemPass &) = delete;
@@ -96,7 +108,7 @@ class SystemPass
     const uint32_t ncpu;
     const size_t nsizes;  //!< oracle region sizes tracked
     const bool trackDensity;
-    mem::MemorySystem sys;
+    mem::MemorySystem &sys;
     AttachedPrefetcher *pf;
     //! indexed [size * ncpu + cpu]
     std::vector<std::unique_ptr<OracleListener>> oracleL1, oracleL2;
@@ -111,16 +123,19 @@ struct NoObserver
 };
 
 /**
- * Drive per-CPU streams through a configured system in the canonical
- * interleaved order for workload seed @p seed (trace::canonicalView),
- * without building a merged trace. The StreamSet's backing may be an
- * mmap'd spill (consumed pages are dropped behind the cursor) or
- * in-memory vectors (StreamSet::borrowed).
+ * Drive per-CPU streams through @p sys in the canonical interleaved
+ * order for workload seed @p seed (trace::canonicalView), without
+ * building a merged trace. The StreamSet's backing may be an mmap'd
+ * spill (consumed pages are dropped behind the cursor) or in-memory
+ * vectors (StreamSet::borrowed).
  *
- * @param attach   builds a prefetcher deployment onto the run's
- *                 MemorySystem before the first reference (empty = no
- *                 prefetcher); drained after the last one, before
- *                 harvest.
+ * @param sys      the borrowed hierarchy: freshly constructed or
+ *                 reset(), of geometry cfg.sys. The pass leaves its
+ *                 end state and its listeners on it, so reset() it
+ *                 before it serves another pass.
+ * @param attach   builds a prefetcher deployment onto @p sys before
+ *                 the first reference (empty = no prefetcher);
+ *                 drained after the last one, before harvest.
  * @param observer observe(a, outcome) sees every reference right after
  *                 the hierarchy serviced it (NoObserver,
  *                 sim::CoreTimer).
@@ -128,9 +143,10 @@ struct NoObserver
 template <typename Observer>
 SystemStudyResult
 runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
-          uint64_t seed, const PfAttach &attach, Observer &observer)
+          uint64_t seed, mem::MemorySystem &sys, const PfAttach &attach,
+          Observer &observer)
 {
-    SystemPass pass(cfg, attach);
+    SystemPass pass(cfg, sys, attach);
     trace::InterleavedView view = trace::canonicalView(set, seed);
     const trace::MemAccess *span;
     uint32_t spanCpu;
@@ -145,7 +161,17 @@ runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
     return pass.finish();
 }
 
-/** The system study alone over per-CPU streams (see above). */
+/** As above, on a private system built from cfg.sys. */
+template <typename Observer>
+SystemStudyResult
+runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
+          uint64_t seed, const PfAttach &attach, Observer &observer)
+{
+    mem::MemorySystem sys(cfg.sys);
+    return runSystem(set, cfg, seed, sys, attach, observer);
+}
+
+/** The system study alone, on a private system (see above). */
 SystemStudyResult runSystem(const trace::StreamSet &set,
                             const SystemStudyConfig &cfg, uint64_t seed,
                             const PfAttach &attach = {});

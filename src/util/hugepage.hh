@@ -5,8 +5,11 @@
  * random over tens of megabytes, so with 4 KiB pages nearly every
  * probe adds a dTLB miss on top of the data-cache miss; backing the
  * arrays with 2 MiB transparent huge pages drops the page count by
- * 512x. Falls back to plain allocation when THP or the platform
- * support is unavailable — behaviour is identical either way.
+ * 512x. Only a request that fills at least one whole huge page gets
+ * them: a smaller one, such as a 1 MiB L2 tag array, would be rounded
+ * up to a whole 2 MiB page and double its resident size. Falls back
+ * to plain allocation when THP or the platform support is
+ * unavailable — behaviour is identical either way.
  */
 
 #ifndef STEMS_UTIL_HUGEPAGE_HH
@@ -25,8 +28,8 @@ namespace stems::util {
 
 /**
  * A fixed-size value-initialized array allocated on 2 MiB-aligned
- * storage with MADV_HUGEPAGE when the request is large enough to
- * benefit.
+ * storage with MADV_HUGEPAGE when the request fills at least one huge
+ * page.
  */
 template <typename T>
 class HugeArray
@@ -62,7 +65,7 @@ class HugeArray
             return;
         n = count;
         const size_t bytes = count * sizeof(T);
-        if (bytes >= kHugeThreshold) {
+        if (bytes >= kHugePage) {
             const size_t rounded =
                 (bytes + kHugePage - 1) & ~(kHugePage - 1);
             void *raw = std::aligned_alloc(kHugePage, rounded);
@@ -106,7 +109,6 @@ class HugeArray
 
   private:
     static constexpr size_t kHugePage = size_t{2} << 20;
-    static constexpr size_t kHugeThreshold = size_t{1} << 20;
 
     void
     swap(HugeArray &o) noexcept

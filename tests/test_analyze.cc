@@ -249,6 +249,32 @@ TEST(Analyze, JsonFormatHasAllSections)
     EXPECT_NEAR(w0.at("utilization").asDouble(), 10.0 / 15.0, 1e-5);
 }
 
+TEST(Analyze, CriticalPathStaysChronologicalAtMicrosecondSteps)
+{
+    // a 6 us step 412 ms into the run, inside a 6.7 us parent: at six
+    // significant digits the step's printed end (412.346 + 0.006)
+    // would land after its parent's (412.345 + 0.0067)
+    const char *trace = R"({"displayTimeUnit":"ms","traceEvents":[
+{"name":"trace","ph":"X","ts":0.000,"dur":400000.000,"pid":1,"tid":1,"args":{}},
+{"name":"system_study","ph":"X","ts":412345.000,"dur":6.700,"pid":1,"tid":1,"args":{}},
+{"name":"baseline","ph":"X","ts":412345.600,"dur":6.000,"pid":1,"tid":1,"args":{}}
+]})";
+    AnalyzeOptions opts;
+    opts.format = "json";
+    const dispatch::JsonValue doc =
+        dispatch::parseJson(analyzeRun(trace, "", opts));
+    const auto &path = doc.at("analyze").at("critical_path").items;
+    ASSERT_EQ(path.size(), 3u);
+    EXPECT_EQ(path[1].at("name").asString(), "baseline");
+    double prevEnd = 0;
+    for (const dispatch::JsonValue &step : path) {
+        const double end = step.at("start_ms").asDouble() +
+            step.at("dur_ms").asDouble();
+        EXPECT_GE(end, prevEnd - 1e-6) << step.at("name").asString();
+        prevEnd = end;
+    }
+}
+
 TEST(Analyze, TelemetryOnlySkipsTraceSections)
 {
     const std::string out = analyzeRun("", kFixtureTelemetry, {});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "mem/memsys.hh"
 
 using namespace stems::mem;
@@ -193,4 +196,132 @@ TEST(MemSys, RejectsL2BlockSmallerThanL1)
     c.l2.blockSize = 64;
     c.l1.sizeBytes = 4096;
     EXPECT_THROW(MemorySystem{c}, std::invalid_argument);
+}
+
+namespace {
+
+/** One step of a random hierarchy workout. */
+struct Op
+{
+    enum Kind { Access, PrefetchL1, PrefetchL2 } kind;
+    MemAccess a;
+};
+
+/**
+ * A random mix over @p ncpu nodes: loads, stores and L1/L2 prefetches
+ * over a footprint large enough to evict from every level, and shared
+ * enough to invalidate and downgrade.
+ */
+std::vector<Op>
+randomOps(uint32_t ncpu, size_t n, uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<Op> ops;
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t cpu = static_cast<uint32_t>(rng() % ncpu);
+        // 32k blocks of 64 B: 2 MiB, past the directory's reservation
+        const uint64_t addr = (rng() % 32768) * 64 + rng() % 64;
+        const uint64_t r = rng() % 10;
+        ops.push_back({r == 0 ? Op::PrefetchL1
+                              : r == 1 ? Op::PrefetchL2 : Op::Access,
+                       acc(cpu, addr, r >= 7, 0x40 + rng() % 8)});
+    }
+    return ops;
+}
+
+/** What a system reports after @p ops: every outcome and counter. */
+struct Observed
+{
+    std::vector<int> outcomes;
+    std::vector<CacheStats> caches;
+    DirectoryStats beforeFinalize;
+    DirectoryStats dir;
+    uint64_t writebacks = 0;
+
+    bool operator==(const Observed &) const = default;
+};
+
+/** Run @p ops on @p sys; finalize its directory when @p finalize. */
+Observed
+drive(MemorySystem &sys, const std::vector<Op> &ops, bool finalize = true)
+{
+    Observed o;
+    for (const Op &op : ops) {
+        if (op.kind == Op::Access) {
+            const AccessOutcome out = sys.access(op.a);
+            o.outcomes.push_back(static_cast<int>(out.level) * 8 +
+                                 out.l1PrefetchHit * 4 +
+                                 out.l2PrefetchHit * 2 +
+                                 out.coherenceMiss);
+        } else {
+            o.outcomes.push_back(static_cast<int>(sys.prefetch(
+                op.a.cpu, op.a.addr, op.kind == Op::PrefetchL1)));
+        }
+    }
+    for (uint32_t c = 0; c < sys.numCpus(); ++c) {
+        o.caches.push_back(sys.l1(c).stats());
+        o.caches.push_back(sys.l2(c).stats());
+    }
+    o.beforeFinalize = sys.directory().stats();
+    o.dir = finalize ? sys.directory().finalize() : o.beforeFinalize;
+    o.writebacks = sys.memoryWritebacks();
+    return o;
+}
+
+} // anonymous namespace
+
+TEST(MemorySystem, ResetEqualsFreshConstruction)
+{
+    struct Counting : AccessObserver, CacheListener
+    {
+        uint64_t events = 0;
+        void onAccess(const MemAccess &, const AccessOutcome &) override
+        {
+            ++events;
+        }
+        void evicted(uint64_t, bool, bool) override { ++events; }
+        void invalidated(uint64_t, bool) override { ++events; }
+    };
+
+    // 256 B coherence blocks track four 64 B chunks each, so stale
+    // sharing bookkeeping from an earlier trace would show
+    for (const auto &[ncpu, block] : {std::pair{2u, 64u},
+                                      std::pair{16u, 256u}}) {
+        SCOPED_TRACE(ncpu);
+        MemSysConfig cfg = smallSys(ncpu);
+        cfg.l2.blockSize = block;
+        const auto a = randomOps(ncpu, 40000, ncpu);
+        const auto b = randomOps(ncpu, 40000, ncpu + 100);
+
+        // trace A with listeners and an observer attached, left
+        // unfinalized, then reset
+        MemorySystem reused(cfg);
+        Counting listener;
+        reused.addObserver(&listener);
+        for (uint32_t c = 0; c < ncpu; ++c) {
+            reused.addL1Listener(c, &listener);
+            reused.addL2Listener(c, &listener);
+        }
+        const Observed onA = drive(reused, a, false);
+        const uint64_t heard = listener.events;
+        EXPECT_GT(onA.dir.invalidationsSent, 0u);
+        EXPECT_GT(onA.writebacks, 0u);
+        reused.reset();
+
+        MemorySystem fresh(cfg);
+        const Observed want = drive(fresh, b);
+        EXPECT_GT(want.dir.trueSharing, 0u);
+        // with 256 B blocks B ends with classifications still pending:
+        // finalize counts them, so a reset must clear the finalized
+        // flag too (a 64 B block's only chunk is always the written one)
+        if (block > 64) {
+            EXPECT_GT(want.dir.falseSharing,
+                      want.beforeFinalize.falseSharing);
+        }
+        EXPECT_TRUE(drive(reused, b) == want);
+        reused.reset();
+        EXPECT_TRUE(drive(reused, b) == want);
+        // reset dropped the listeners and the observer
+        EXPECT_EQ(listener.events, heard);
+    }
 }

@@ -2,8 +2,9 @@
  * @file
  * Lane pool (driver::Runner) tests: two schedulers attached to one
  * 2-lane pool drain in attach order, the warmer hands each cell out at
- * most once across both, and stop() returns the waiter of a scheduler
- * it left unfinished.
+ * most once across both, stop() returns the waiter of a scheduler it
+ * left unfinished, and the executor's memory systems are reused across
+ * passes without changing a cell.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "driver/executor.hh"
+#include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/scheduler.hh"
 #include "driver/spec.hh"
@@ -136,4 +138,62 @@ TEST(Pool, StopReturnsTheWaiterOfAnUnfinishedScheduler)
     EXPECT_FALSE(sched.finished());
     EXPECT_GT(sched.pending(), 0u);
     pool.stop();  // idempotent
+}
+
+namespace {
+
+/** Drain @p spec through @p exec on a pool of @p lanes. */
+std::vector<CellResult>
+drain(const ExperimentSpec &spec, CellExecutor &exec, uint32_t lanes)
+{
+    CellScheduler sched(spec);
+    Runner pool(lanes);
+    pool.attach(sched, exec);
+    EXPECT_TRUE(pool.wait(sched));
+    return sched.takeResults();
+}
+
+} // anonymous namespace
+
+TEST(Pool, ReusedSystemsAcrossGeometriesMatchFreshExecutors)
+{
+    // one lane walks every engine at two L2 sizes, so its executor
+    // lends reset systems to later passes and replaces them when the
+    // geometry changes
+    const ExperimentSpec spec = parseSpec(
+        {"workloads=sparse,graph",
+         "prefetchers=sms,ghb,stride,next-line,none", "sweep.l2-kb=64,128",
+         "timing=1", "ncpu=4", "refs=1500", "seed=5", "wall=0",
+         "threads=1"});
+    CellExecutor shared(executorConfig(spec));
+    const std::vector<CellResult> reused = drain(spec, shared, 1);
+    // 2 workloads x 2 geometries x (baseline + 4 engines)
+    EXPECT_LT(shared.memorySystemsBuilt(), 20u);
+    EXPECT_GE(shared.memorySystemsBuilt(), 2u);
+
+    std::vector<CellResult> fresh;
+    const CellScheduler order(spec);
+    for (const RunCell &cell : order.cells()) {
+        CellExecutor own(executorConfig(spec));
+        fresh.push_back(own.execute(cell));
+    }
+    ASSERT_EQ(reused.size(), 20u);
+    for (const CellResult &r : reused)
+        EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_EQ(toJson(spec, reused), toJson(spec, fresh));
+}
+
+TEST(Pool, FourLanesBuildAtMostFourSystems)
+{
+    const ExperimentSpec spec = parseSpec(
+        {"workloads=paper", "prefetchers=sms,ghb,stride,next-line,none",
+         "timing=1", "ncpu=2", "refs=500", "seed=5", "wall=0",
+         "threads=4"});
+    CellExecutor exec(executorConfig(spec));
+    const std::vector<CellResult> results = drain(spec, exec, 4);
+    ASSERT_EQ(results.size(), 55u);
+    for (const CellResult &r : results)
+        EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_GE(exec.memorySystemsBuilt(), 1u);
+    EXPECT_LE(exec.memorySystemsBuilt(), 4u);
 }

@@ -29,6 +29,7 @@
 #include "dispatch/wire.hh"
 #include "driver/analyze.hh"
 #include "driver/report.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 #include "fault/fault.hh"
 #include "obs/counters.hh"
@@ -577,10 +578,13 @@ namespace {
 
 pid_t
 spawnDaemonCli(const std::string &listen,
-               const std::string &journalDir)
+               const std::string &journalDir,
+               const std::string &faults = "")
 {
     const pid_t pid = ::fork();
     if (pid == 0) {
+        if (!faults.empty())
+            ::setenv("STEMS_FAULTS", faults.c_str(), 1);
         const std::string bin = stemsBinary();
         const std::string listenKey = "listen=" + listen;
         const std::string journalKey = "journal-dir=" + journalDir;
@@ -632,8 +636,19 @@ TEST(ServeDaemon, WarmRestartsAfterSigkillWithoutLosingCells)
     fs::create_directories(journalDir);
 
     // first daemon: submit in a background thread, wait until at
-    // least one completed cell hit the journal, then SIGKILL it
-    const pid_t first = spawnDaemonCli(listen, journalDir);
+    // least one completed cell hit the journal, then SIGKILL it. Its
+    // one lane wedges before the last cell it claims, so the request
+    // is still running when the signal lands, however fast the other
+    // cells finish
+    uint32_t lastClaimed = 0;
+    {
+        driver::CellScheduler order(parseSpec(tokens));
+        while (const auto i = order.claim())
+            lastClaimed = order.cells()[*i].id;
+    }
+    const pid_t first = spawnDaemonCli(
+        listen, journalDir,
+        "hang=cell:" + std::to_string(lastClaimed) + "/30000");
     ASSERT_GT(first, 0);
     std::thread doomed([&] {
         try {
