@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <iostream>
 #include <poll.h>
+#include <set>
 #include <stdexcept>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -116,10 +117,16 @@ LocalProcessTransport::spawn()
 // coordinator
 // ---------------------------------------------------------------------
 
-/** One pool slot's connection, decode state and in-flight assignment. */
+/**
+ * One pool slot's connection, decode state and in-flight assignment,
+ * plus the workloads of every cell handed to its current process: that
+ * process has their traces mapped and their baselines memoized, so it
+ * prefers their equal-cost cells. A respawn starts an empty set.
+ */
 struct Coordinator::Worker
 {
     WorkerProcess proc;
+    std::set<std::string> workloads;  //!< held by this incarnation
     FrameDecoder decoder;
     bool alive = false;
     bool ready = false;     //!< handshake complete, can take cells
@@ -296,6 +303,7 @@ Coordinator::run(driver::CellScheduler &sched)
         w.alive = true;
         w.ready = false;
         w.cell = -1;
+        w.workloads.clear();
         w.decoder = FrameDecoder();
         w.lastHeardAt = Clock::now();
         WorkerStats stats;
@@ -319,6 +327,7 @@ Coordinator::run(driver::CellScheduler &sched)
         if (attempt > 1)
             obs::count(&obs::Counters::dispatchRetries);
         w.cell = static_cast<int>(cell);
+        w.workloads.insert(cells[cell].workload);
         w.assignedAtNs = obs::monotonicNs();
         if (cfg.timeoutMs > 0)
             w.deadline = Clock::now() +
@@ -337,7 +346,9 @@ Coordinator::run(driver::CellScheduler &sched)
     auto assign = [&](Worker &w) {
         if (!w.alive || !w.ready || w.cell != -1)
             return;
-        if (const auto cell = sched.claim())
+        if (const auto cell = sched.claim([&](const RunCell &c) {
+                return w.workloads.contains(c.workload);
+            }))
             dispatchCell(w, *cell);
     };
 
@@ -636,8 +647,8 @@ std::string
 workerSummary(const std::vector<WorkerStats> &stats, double wallMs)
 {
     study::TablePrinter t({"Worker", "Cells", "Busy ms", "Util",
-                           "Trace ms", "Study ms", "Timing ms",
-                           "RSS MB", "Lost"});
+                           "Trace ms", "Base ms", "Study ms",
+                           "Timing ms", "RSS MB", "Lost"});
     auto phaseTotal = [](const WorkerStats &ws, const char *a,
                          const char *b) {
         double ms = 0;
@@ -655,9 +666,9 @@ workerSummary(const std::vector<WorkerStats> &stats, double wallMs)
                   study::TablePrinter::fixed(
                       phaseTotal(ws, "trace", nullptr), 1),
                   study::TablePrinter::fixed(
-                      phaseTotal(ws, "system_study", "l1_study") +
-                          phaseTotal(ws, "baseline", nullptr),
-                      1),
+                      phaseTotal(ws, "baseline", nullptr), 1),
+                  study::TablePrinter::fixed(
+                      phaseTotal(ws, "system_study", "l1_study"), 1),
                   study::TablePrinter::fixed(
                       phaseTotal(ws, "timing", nullptr), 1),
                   study::TablePrinter::fixed(

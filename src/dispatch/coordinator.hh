@@ -22,8 +22,11 @@
  * The coordinator only manages processes: spawn, reap, backoff,
  * heartbeats, timeouts and the poll loop. It claims, re-queues, fails
  * and duplicates cells through a driver::CellScheduler, which owns the
- * claim order and the results: the pool's workers are identical
- * processes, so each idle one simply takes the next claim.
+ * claim order and the results. Each worker process keeps the traces
+ * and baseline passes of the workloads it has run, so an idle worker
+ * claims with a preference for those workloads: of the cells as heavy
+ * as the next claim, it takes one of its own workloads first. A
+ * respawned worker holds nothing and prefers nothing.
  *
  * Workers share generated .stmt traces through the TraceCache spill
  * dir (a temp dir is provisioned when the spec has none), so each

@@ -461,8 +461,8 @@ emitTable(const Inputs &in, const AnalyzeOptions &opts)
 
         const JsonValue &workers = in.telemetry->at("workers");
         if (!workers.items.empty()) {
-            // the same numbers the live run printed in its worker
-            // summary, recomputed from the telemetry artifact
+            // the live run's worker summary, recomputed from the
+            // telemetry artifact, with its Base ms inside Study ms
             os << "\n== workers == (wall "
                << TablePrinter::fixed(wallMs, 1) << " ms)\n";
             TablePrinter wt({"Worker", "Cells", "Busy ms", "Util",

@@ -6,9 +6,11 @@
  * Owns the trace cache (with optional on-disk record/replay) and the
  * memo of baseline passes that every cell of a workload reads; an
  * engine's pass is walked once per cell and serves that cell's system
- * study and timing model alike. Any execution context — thread, worker
- * process, future remote transport — produces identical CellResults
- * for identical RunCells.
+ * study and timing model alike. Both live as long as the executor: a
+ * dispatch worker's persist across its cells, which is why the
+ * coordinator hands a worker cells of the workloads it already ran.
+ * Any execution context — thread, worker process, future remote
+ * transport — produces identical CellResults for identical RunCells.
  *
  * It also owns the memory systems its passes walk. A 16-node system
  * is tens of megabytes of directory and tag tables, so instead of
@@ -17,7 +19,9 @@
  * freshly constructed state. A system exists only while a pass holds
  * it or while it waits on the list, so there are never more systems
  * than passes that ran at once: one per lane of `stems run` or the
- * serve daemon, one in each dispatch worker.
+ * serve daemon, one in each dispatch worker. A lane claims the cells
+ * of its last cell's geometry first among equal-cost ones, so a
+ * geometry sweep builds a system per geometry switch, not per pass.
  *
  * Cell measurements land in a schema-registered MetricSet (see
  * driver/metrics.hh); the executor is a metric *producer* — it never

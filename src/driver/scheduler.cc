@@ -55,19 +55,19 @@ estimatedCost(const RunCell &cell)
 }
 
 CellScheduler::CellScheduler(const ExperimentSpec &spec)
-    : cells_(selectedCells(spec)), state_(cells_.size()),
-      results_(cells_.size()), toReport_(cells_.size())
+    : cells_(selectedCells(spec)), cost_(cells_.size()),
+      state_(cells_.size()), results_(cells_.size()),
+      toReport_(cells_.size())
 {
     // heaviest first, ties by id: a workload's engine cells spread
     // across the lanes instead of queueing on its one baseline pass
-    std::vector<double> cost(cells_.size());
     for (size_t i = 0; i < cells_.size(); ++i)
-        cost[i] = estimatedCost(cells_[i]);
+        cost_[i] = estimatedCost(cells_[i]);
     pending_.resize(cells_.size());
     std::iota(pending_.begin(), pending_.end(), size_t{0});
     std::sort(pending_.begin(), pending_.end(), [&](size_t a, size_t b) {
-        if (cost[a] != cost[b])
-            return cost[a] > cost[b];
+        if (cost_[a] != cost_[b])
+            return cost_[a] > cost_[b];
         return cells_[a].id < cells_[b].id;
     });
     obs::gaugeAdd(&obs::Gauges::cellsPending,
@@ -121,15 +121,28 @@ CellScheduler::onComplete(ProgressFn hook)
 }
 
 std::optional<size_t>
-CellScheduler::claim()
+CellScheduler::claim(const Preference &prefers)
 {
     size_t i;
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (pending_.empty())
             return std::nullopt;
-        i = pending_.front();
-        pending_.pop_front();
+        // a pending cell with an attempt was re-queued by lost() and
+        // sits in front of the cost order; the rest stay sorted by
+        // cost, so the front's ties are a contiguous run
+        auto pick = pending_.begin();
+        if (prefers && state_[*pick].attempts == 0) {
+            const double front = cost_[*pick];
+            for (auto it = pick;
+                 it != pending_.end() && cost_[*it] == front; ++it)
+                if (prefers(cells_[*it])) {
+                    pick = it;
+                    break;
+                }
+        }
+        i = *pick;
+        pending_.erase(pick);
         Cell &c = state_[i];
         ++c.attempts;
         ++c.running;

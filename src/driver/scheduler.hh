@@ -9,7 +9,9 @@
  *    estimatedCost(), heaviest first, ties by cell id. The heavy
  *    engine cells of the first workloads go out together instead of
  *    queueing behind one workload's shared baseline pass; equal-cost
- *    cells (an L1 sweep) claim in id order;
+ *    cells (an L1 sweep) claim in id order. A claimer may pass a
+ *    preference that breaks ties only: among the cells as heavy as
+ *    the front one it takes the first it prefers (see claim());
  *  - per-cell attempt, in-flight and completion state;
  *  - result placement by cell index, where the first result wins and
  *    a later copy is dropped, so reports are byte-identical whatever
@@ -83,13 +85,26 @@ class CellScheduler
     /** Install the completion hook; call before any lane starts. */
     void onComplete(ProgressFn hook);
 
-    /** Claim the next cell, counting an attempt; nullopt when none is
-     *  pending. */
-    std::optional<size_t> claim();
+    /** Which cells a claimer would rather run next. */
+    using Preference = std::function<bool(const RunCell &)>;
 
     /**
-     * The look-ahead cursor for a warmer: the cell claim() would
-     * return next, if it was never handed out before; else nullopt.
+     * Claim the next cell, counting an attempt; nullopt when none is
+     * pending. A re-queued front cell is always taken. Otherwise, of
+     * the pending cells whose estimated cost equals the front cell's,
+     * the first in claim order that @p prefers accepts is taken, and
+     * the front when it accepts none or is empty. A dispatch worker
+     * prefers the workloads whose trace and baseline it already holds,
+     * a pool lane the geometry of its last cell; a preference never
+     * moves a lighter cell ahead of a heavier one. @p prefers runs
+     * under the scheduler's lock and must not call into it.
+     */
+    std::optional<size_t> claim(const Preference &prefers = {});
+
+    /**
+     * The look-ahead cursor for a warmer: the cell claim() without a
+     * preference would return next, if it was never handed out
+     * before; else nullopt.
      */
     std::optional<size_t> takeLookahead();
 
@@ -151,6 +166,7 @@ class CellScheduler
     void publish(size_t i);
 
     std::vector<RunCell> cells_;
+    std::vector<double> cost_;  //!< estimatedCost() by cell index
 
     mutable std::mutex mu_;
     std::deque<size_t> pending_;

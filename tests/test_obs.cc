@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 #include <unistd.h>
 
@@ -428,6 +429,35 @@ TEST(ObsDispatch, MergedTraceCarriesCoordinatorAndWorkerSpans)
     EXPECT_EQ(cellsDone, results.size());
     EXPECT_FALSE(
         dispatch::workerSummary(stats, coord.wallMs()).empty());
+
+    // The summary's phase columns fold the phases they name: the
+    // baseline pass has its own column, apart from the study passes.
+    {
+        dispatch::WorkerStats built;
+        built.pid = 42;
+        built.cellsDone = 3;
+        built.busyMs = 100;
+        built.phaseMs = {{"trace", 10},        {"baseline", 7.5},
+                         {"system_study", 20}, {"l1_study", 5},
+                         {"timing", 3},        {"baseline", 1}};
+        built.rssKb = 2048;
+        std::istringstream table(dispatch::workerSummary({built}, 200));
+        std::string title, header, rule, row;
+        std::getline(table, title);
+        std::getline(table, header);
+        std::getline(table, rule);
+        std::getline(table, row);
+        EXPECT_NE(header.find("Trace ms  Base ms  Study ms  Timing ms"),
+                  std::string::npos)
+            << header;
+        std::istringstream fields(row);
+        std::vector<std::string> cols;
+        for (std::string f; fields >> f;)
+            cols.push_back(f);
+        EXPECT_EQ(cols, (std::vector<std::string>{
+                            "42", "3", "100.0", "50.0%", "10.0", "8.5",
+                            "25.0", "3.0", "2.0", "0"}));
+    }
 
     // Wire traffic was counted on the coordinator side.
     const auto snap = obs::snapshotCounters();

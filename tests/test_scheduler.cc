@@ -1,14 +1,15 @@
 /**
  * @file
  * CellScheduler unit tests, with no executor and no processes: claim
- * order (heaviest estimated first, ties by id, re-queued first),
- * first-result-wins placement
+ * order (heaviest estimated first, ties by id, re-queued first), the
+ * claimer's tie-breaking preference, first-result-wins placement
  * with one hook call per cell, journal seeding, the look-ahead cursor
  * and the duplication rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -108,6 +109,110 @@ TEST(Scheduler, RequeuedCellIsClaimedFirst)
     obs::Counters::get().reset();
     EXPECT_EQ(sched.takeResults()[1].error,
               "worker exited after 2 attempt(s)");
+}
+
+namespace {
+
+/** A claimer that prefers the cells of workload @p name. */
+CellScheduler::Preference
+prefersWorkload(const std::string &name)
+{
+    return [name](const RunCell &c) { return c.workload == name; };
+}
+
+} // anonymous namespace
+
+TEST(Scheduler, PreferenceTakesAnEqualCostCellAheadOfALowerId)
+{
+    CellScheduler sched(fourCells());
+    // cells 1 (sparse) and 3 (graph) are the equal-cost sms cells
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), 3u);
+    EXPECT_EQ(sched.attempts(3), 1u);
+    EXPECT_EQ(sched.pending(), 3u);
+    EXPECT_EQ(sched.claim(), 1u);
+    // among the none cells the preference skips the front again
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), 2u);
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), 0u);
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), std::nullopt);
+}
+
+TEST(Scheduler, PreferenceNeverTakesALighterCellAheadOfAHeavierOne)
+{
+    CellScheduler sched(fourCells());
+    const auto graph = prefersWorkload("graph");
+    EXPECT_EQ(sched.claim(graph), 3u);
+    // graph's none cell (2) is preferred but lighter than sparse's sms
+    // cell (1), which is pending, so the heavier cell goes first
+    EXPECT_EQ(sched.claim(graph), 1u);
+    EXPECT_EQ(sched.claim(graph), 2u);
+    EXPECT_EQ(sched.claim(graph), 0u);
+
+    // over a spec with five cost levels, a claimer that prefers one
+    // workload still claims in non-increasing cost
+    CellScheduler wide(parseSpec({"workloads=sparse,graph,em3d,ocean",
+                                  "prefetchers=sms,ghb,stride,next-line,"
+                                  "none",
+                                  "ncpu=4", "refs=1000"}));
+    const auto ocean = prefersWorkload("ocean");
+    std::vector<size_t> order;
+    while (const auto i = wide.claim(ocean))
+        order.push_back(*i);
+    ASSERT_EQ(order.size(), 20u);
+    for (size_t k = 1; k < order.size(); ++k) {
+        EXPECT_GE(estimatedCost(wide.cells()[order[k - 1]]),
+                  estimatedCost(wide.cells()[order[k]]));
+        // each cost level starts with its ocean cell
+        if (wide.cells()[order[k]].engine.kind !=
+            wide.cells()[order[k - 1]].engine.kind) {
+            EXPECT_EQ(wide.cells()[order[k]].workload, "ocean")
+                << "claim " << k;
+        }
+    }
+    EXPECT_EQ(wide.cells()[order[0]].workload, "ocean");
+}
+
+TEST(Scheduler, RequeuedCellIsClaimedFirstWhateverTheClaimerPrefers)
+{
+    obs::Counters::get().reset();
+    CellScheduler sched(fourCells());
+    ASSERT_EQ(sched.claim(), 1u);
+    sched.lost(1, "worker exited", 3);
+    // the re-queued sparse cell ties with graph's sms cell (3), which
+    // this claimer prefers; the re-queued cell still goes first
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), 1u);
+    EXPECT_EQ(sched.attempts(1), 2u);
+    EXPECT_EQ(sched.claim(prefersWorkload("graph")), 3u);
+    obs::Counters::get().reset();
+}
+
+TEST(Scheduler, ClaimerWithoutPreferenceSeesHeaviestFirstIdOrder)
+{
+    // two geometries, five engines: twenty cells with five cost ties
+    const ExperimentSpec spec = parseSpec(
+        {"workloads=sparse,graph",
+         "prefetchers=sms,ghb,stride,next-line,none",
+         "sweep.l2-kb=64,128", "ncpu=4", "refs=1000"});
+    CellScheduler probe(spec);
+    std::vector<size_t> expected(probe.cells().size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](size_t a, size_t b) {
+                         return estimatedCost(probe.cells()[a]) >
+                             estimatedCost(probe.cells()[b]);
+                     });
+
+    CellScheduler none(spec);
+    EXPECT_EQ(claimAll(none), expected);
+    // a preference every cell meets, or none does, is no preference
+    for (const bool all : {true, false}) {
+        CellScheduler sched(spec);
+        std::vector<size_t> order;
+        while (const auto i =
+                   sched.claim([all](const RunCell &) { return all; }))
+            order.push_back(*i);
+        EXPECT_EQ(order, expected) << "prefers all: " << all;
+    }
 }
 
 TEST(Scheduler, FirstResultWinsAndHookFiresOnce)
