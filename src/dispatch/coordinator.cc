@@ -643,42 +643,72 @@ Coordinator::run(driver::CellScheduler &sched)
                   .count();
 }
 
-std::string
-workerSummary(const std::vector<WorkerStats> &stats, double wallMs)
+WorkerPhases
+workerPhases(const WorkerStats &ws)
 {
-    study::TablePrinter t({"Worker", "Cells", "Busy ms", "Util",
-                           "Trace ms", "Base ms", "Study ms",
-                           "Timing ms", "RSS MB", "Lost"});
-    auto phaseTotal = [](const WorkerStats &ws, const char *a,
-                         const char *b) {
-        double ms = 0;
-        for (const auto &[name, v] : ws.phaseMs)
-            if (name == a || (b && name == b))
-                ms += v;
-        return ms;
-    };
+    WorkerPhases p;
+    for (const auto &[name, ms] : ws.phaseMs) {
+        if (name == "trace")
+            p.traceMs += ms;
+        else if (name == "baseline")
+            p.baseMs += ms;
+        else if (name == "system_study" || name == "l1_study")
+            p.studyMs += ms;
+        else if (name == "timing")
+            p.timingMs += ms;
+    }
+    return p;
+}
+
+std::string
+workerTable(const std::vector<WorkerStats> &stats, double wallMs)
+{
+    using study::TablePrinter;
+    TablePrinter t({"Worker", "Cells", "Busy ms", "Util", "Trace ms",
+                    "Base ms", "Study ms", "Timing ms", "RSS MB",
+                    "Lost"});
     for (const auto &ws : stats) {
-        const double util = wallMs > 0 ? ws.busyMs / wallMs : 0;
-        t.addRow({std::to_string(ws.pid),
-                  std::to_string(ws.cellsDone),
-                  study::TablePrinter::fixed(ws.busyMs, 1),
-                  study::TablePrinter::pct(util),
-                  study::TablePrinter::fixed(
-                      phaseTotal(ws, "trace", nullptr), 1),
-                  study::TablePrinter::fixed(
-                      phaseTotal(ws, "baseline", nullptr), 1),
-                  study::TablePrinter::fixed(
-                      phaseTotal(ws, "system_study", "l1_study"), 1),
-                  study::TablePrinter::fixed(
-                      phaseTotal(ws, "timing", nullptr), 1),
-                  study::TablePrinter::fixed(
+        const WorkerPhases p = workerPhases(ws);
+        t.addRow({std::to_string(ws.pid), std::to_string(ws.cellsDone),
+                  TablePrinter::fixed(ws.busyMs, 1),
+                  TablePrinter::pct(wallMs > 0 ? ws.busyMs / wallMs : 0),
+                  TablePrinter::fixed(p.traceMs, 1),
+                  TablePrinter::fixed(p.baseMs, 1),
+                  TablePrinter::fixed(p.studyMs, 1),
+                  TablePrinter::fixed(p.timingMs, 1),
+                  TablePrinter::fixed(
                       static_cast<double>(ws.rssKb) / 1024.0, 1),
                   std::to_string(ws.lost)});
     }
     std::ostringstream os;
-    os << "stems dispatch: worker summary (wall "
-       << study::TablePrinter::fixed(wallMs, 1) << " ms)\n";
     t.print(os);
+    return os.str();
+}
+
+std::vector<WorkerStats>
+workerStatsFromJson(const JsonValue &workers)
+{
+    std::vector<WorkerStats> stats;
+    for (const JsonValue &w : workers.items) {
+        WorkerStats &ws = stats.emplace_back();
+        ws.pid = static_cast<pid_t>(w.at("pid").asU64());
+        ws.cellsDone = w.at("cells").asU64();
+        ws.busyMs = w.at("busy_ms").asDouble();
+        ws.lost = w.at("lost").asU64();
+        ws.rssKb = w.at("peak_rss_kb").asU64();
+        for (const auto &[name, ms] : w.at("phases").members)
+            ws.phaseMs.emplace_back(name, ms.asDouble());
+    }
+    return stats;
+}
+
+std::string
+workerSummary(const std::vector<WorkerStats> &stats, double wallMs)
+{
+    std::ostringstream os;
+    os << "stems dispatch: worker summary (wall "
+       << study::TablePrinter::fixed(wallMs, 1) << " ms)\n"
+       << workerTable(stats, wallMs);
 
     // fault-tolerance footer: only the families that actually fired,
     // so a clean run's summary stays unchanged

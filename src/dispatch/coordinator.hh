@@ -51,6 +51,8 @@
 
 namespace stems::dispatch {
 
+struct JsonValue;
+
 /** A spawned worker's process handle and pipe endpoints. */
 struct WorkerProcess
 {
@@ -125,12 +127,35 @@ struct WorkerStats
     uint64_t rssKb = 0;     //!< worker peak RSS high-water mark
 };
 
+/** A worker's phase wall-ms totals, grouped as its table prints them. */
+struct WorkerPhases
+{
+    double traceMs = 0;
+    double baseMs = 0;    //!< the baseline pass
+    double studyMs = 0;   //!< the system and L1 study passes
+    double timingMs = 0;
+};
+
+WorkerPhases workerPhases(const WorkerStats &ws);
+
 /**
- * The per-worker utilization/straggler summary as an ASCII table.
- * @param wallMs the dispatch run's wall time (utilization denominator)
+ * The per-worker table alone, one row per incarnation: the body of
+ * workerSummary() and of `stems analyze`'s workers section.
+ * @param wallMs the run's wall time (utilization denominator)
+ */
+std::string workerTable(const std::vector<WorkerStats> &stats,
+                        double wallMs);
+
+/**
+ * The per-worker utilization/straggler summary: a title, the
+ * workerTable() and a footer naming the fault-tolerance counters that
+ * fired in this process.
  */
 std::string workerSummary(const std::vector<WorkerStats> &stats,
                           double wallMs);
+
+/** WorkerStats read back from the "workers" array of telemetryJson(). */
+std::vector<WorkerStats> workerStatsFromJson(const JsonValue &workers);
 
 /** Multi-process analogue of the driver::Runner lane pool. */
 class Coordinator

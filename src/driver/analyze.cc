@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dispatch/coordinator.hh"
 #include "dispatch/json.hh"
 #include "driver/report.hh"
 #include "study/table.hh"
@@ -459,43 +460,12 @@ emitTable(const Inputs &in, const AnalyzeOptions &opts)
                            : "-"});
         ht.print(os);
 
-        const JsonValue &workers = in.telemetry->at("workers");
-        if (!workers.items.empty()) {
-            // the live run's worker summary, recomputed from the
-            // telemetry artifact, with its Base ms inside Study ms
+        const auto workers =
+            dispatch::workerStatsFromJson(in.telemetry->at("workers"));
+        if (!workers.empty())
             os << "\n== workers == (wall "
-               << TablePrinter::fixed(wallMs, 1) << " ms)\n";
-            TablePrinter wt({"Worker", "Cells", "Busy ms", "Util",
-                             "Trace ms", "Study ms", "Timing ms",
-                             "RSS MB", "Lost"});
-            for (const JsonValue &w : workers.items) {
-                const JsonValue &phases = w.at("phases");
-                auto phase = [&phases](const char *name) {
-                    const JsonValue *v = phases.find(name);
-                    return v ? v->asDouble() : 0.0;
-                };
-                const double busy = w.at("busy_ms").asDouble();
-                wt.addRow(
-                    {std::to_string(w.at("pid").asU64()),
-                     std::to_string(w.at("cells").asU64()),
-                     TablePrinter::fixed(busy, 1),
-                     TablePrinter::pct(wallMs > 0 ? busy / wallMs
-                                                  : 0),
-                     TablePrinter::fixed(phase("trace"), 1),
-                     TablePrinter::fixed(phase("system_study") +
-                                             phase("l1_study") +
-                                             phase("baseline"),
-                                         1),
-                     TablePrinter::fixed(phase("timing"), 1),
-                     TablePrinter::fixed(
-                         static_cast<double>(
-                             w.at("peak_rss_kb").asU64()) /
-                             1024.0,
-                         1),
-                     std::to_string(w.at("lost").asU64())});
-            }
-            wt.print(os);
-        }
+               << TablePrinter::fixed(wallMs, 1) << " ms)\n"
+               << dispatch::workerTable(workers, wallMs);
     }
 
     if (in.trace) {
@@ -676,27 +646,21 @@ emitJson(const Inputs &in, const AnalyzeOptions &opts)
 
         const double wallMs = in.telemetry->at("wall_ms").asDouble();
         j.key("workers").beginArray();
-        for (const JsonValue &w :
-             in.telemetry->at("workers").items) {
-            const JsonValue &phases = w.at("phases");
-            auto phase = [&phases](const char *name) {
-                const JsonValue *v = phases.find(name);
-                return v ? v->asDouble() : 0.0;
-            };
-            const double busy = w.at("busy_ms").asDouble();
+        for (const dispatch::WorkerStats &w : dispatch::workerStatsFromJson(
+                 in.telemetry->at("workers"))) {
+            const dispatch::WorkerPhases p = dispatch::workerPhases(w);
             j.beginObject();
-            j.key("pid").value(w.at("pid").asU64());
-            j.key("cells").value(w.at("cells").asU64());
-            j.key("busy_ms").value(busy);
+            j.key("pid").value(static_cast<uint64_t>(w.pid));
+            j.key("cells").value(w.cellsDone);
+            j.key("busy_ms").value(w.busyMs);
             j.key("utilization")
-                .value(wallMs > 0 ? busy / wallMs : 0.0);
-            j.key("trace_ms").value(phase("trace"));
-            j.key("study_ms").value(phase("system_study") +
-                                    phase("l1_study") +
-                                    phase("baseline"));
-            j.key("timing_ms").value(phase("timing"));
-            j.key("peak_rss_kb").value(w.at("peak_rss_kb").asU64());
-            j.key("lost").value(w.at("lost").asU64());
+                .value(wallMs > 0 ? w.busyMs / wallMs : 0.0);
+            j.key("trace_ms").value(p.traceMs);
+            j.key("base_ms").value(p.baseMs);
+            j.key("study_ms").value(p.studyMs);
+            j.key("timing_ms").value(p.timingMs);
+            j.key("peak_rss_kb").value(w.rssKb);
+            j.key("lost").value(w.lost);
             j.endObject();
         }
         j.endArray();

@@ -19,9 +19,7 @@
  * freshly constructed state. A system exists only while a pass holds
  * it or while it waits on the list, so there are never more systems
  * than passes that ran at once: one per lane of `stems run` or the
- * serve daemon, one in each dispatch worker. A lane claims the cells
- * of its last cell's geometry first among equal-cost ones, so a
- * geometry sweep builds a system per geometry switch, not per pass.
+ * serve daemon, one in each dispatch worker.
  *
  * Cell measurements land in a schema-registered MetricSet (see
  * driver/metrics.hh); the executor is a metric *producer* — it never

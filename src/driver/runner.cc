@@ -70,13 +70,6 @@ Runner::stop()
 void
 Runner::loop(bool lane)
 {
-    // lanes share one executor and its baseline memo, so a lane has no
-    // workload to prefer; it prefers its last cell's geometry, whose
-    // reset system the executor's free list most likely holds
-    std::optional<mem::MemSysConfig> lastSys;
-    const CellScheduler::Preference sameSys = [&](const RunCell &c) {
-        return !lastSys || c.sys == *lastSys;
-    };
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
         // a lane claims from, and the warmer looks ahead into, the
@@ -87,7 +80,7 @@ Runner::loop(bool lane)
             if (stopping)
                 return true;
             for (Attachment &a : attached)
-                if ((i = lane ? a.sched->claim(sameSys)
+                if ((i = lane ? a.sched->claim()
                               : a.sched->takeLookahead())) {
                     at = &a;
                     return true;
@@ -100,7 +93,6 @@ Runner::loop(bool lane)
         lk.unlock();
         if (lane) {
             cv.notify_all();  // the look-ahead cursor moved
-            lastSys = at->sched->cells()[*i].sys;
             execute(*at, *i);
         } else {
             at->exec->prefetch(at->sched->cells()[*i]);

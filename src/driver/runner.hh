@@ -5,10 +5,8 @@
  * from the earliest-attached CellScheduler that has a pending cell and
  * execute it through that attachment's CellExecutor; the warmer
  * prepares the earliest unwarmed look-ahead cell across attachments.
- * Lanes share their executor's traces and baseline memo, so a lane
- * prefers no workload; among equal-cost cells it prefers its last
- * cell's memory-system geometry, whose reset system the executor's
- * free list holds. Cells of one geometry claim in plain cost order.
+ * Lanes share their executor's traces and baseline memo, so they claim
+ * with no preference, in plain cost order (see CellScheduler::claim).
  * `stems run` and the coordinator's fallback drain one spec through
  * drainInProcess(); the serve daemon attaches each admitted request to
  * its one pool.

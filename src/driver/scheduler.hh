@@ -94,8 +94,8 @@ class CellScheduler
      * the pending cells whose estimated cost equals the front cell's,
      * the first in claim order that @p prefers accepts is taken, and
      * the front when it accepts none or is empty. A dispatch worker
-     * prefers the workloads whose trace and baseline it already holds,
-     * a pool lane the geometry of its last cell; a preference never
+     * prefers the workloads whose trace and baseline it already holds;
+     * pool lanes share those, so they pass none. A preference never
      * moves a lighter cell ahead of a heavier one. @p prefers runs
      * under the scheduler's lock and must not call into it.
      */

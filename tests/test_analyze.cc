@@ -153,7 +153,8 @@ const char *kFixtureTelemetry =
     R"("buckets":{"12":1,"14":1}}},)"
     R"("workers":[)"
     R"({"pid":11,"cells":1,"busy_ms":10.0,"lost":0,)"
-    R"("peak_rss_kb":2048,"phases":{"trace":2.0,"system_study":6.5}},)"
+    R"("peak_rss_kb":2048,)"
+    R"("phases":{"trace":2.0,"baseline":1.5,"system_study":6.5}},)"
     R"({"pid":12,"cells":1,"busy_ms":4.0,"lost":1,)"
     R"("peak_rss_kb":1024,"phases":{"trace":1.0,"system_study":2.0}})"
     R"(]}})";
@@ -205,15 +206,20 @@ TEST(Analyze, GoldenTableOverFixture)
         << "full output:\n"
         << out;
 
-    // telemetry-derived sections: spot-check the worker table numbers
+    // telemetry-derived sections: spot-check the worker table, the
+    // live summary's columns with the baseline apart from the study
     EXPECT_NE(out.find("trace_cache    3     1       75.0%"),
               std::string::npos)
         << out;
-    EXPECT_NE(out.find("11      1      10.0     66.7%  2.0       "
+    EXPECT_NE(out.find("Worker  Cells  Busy ms  Util   Trace ms  Base ms  "
+                       "Study ms  Timing ms  RSS MB  Lost"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("11      1      10.0     66.7%  2.0       1.5      "
                        "6.5       0.0        2.0     0"),
               std::string::npos)
         << out;
-    EXPECT_NE(out.find("12      1      4.0      26.7%  1.0       "
+    EXPECT_NE(out.find("12      1      4.0      26.7%  1.0       0.0      "
                        "2.0       0.0        1.0     1"),
               std::string::npos)
         << out;
@@ -247,6 +253,9 @@ TEST(Analyze, JsonFormatHasAllSections)
     // worker utilization matches busy/wall
     const dispatch::JsonValue &w0 = a.at("workers").items[0];
     EXPECT_NEAR(w0.at("utilization").asDouble(), 10.0 / 15.0, 1e-5);
+    // the baseline pass is reported apart from the study passes
+    EXPECT_DOUBLE_EQ(w0.at("base_ms").asDouble(), 1.5);
+    EXPECT_DOUBLE_EQ(w0.at("study_ms").asDouble(), 6.5);
 }
 
 TEST(Analyze, CriticalPathStaysChronologicalAtMicrosecondSteps)

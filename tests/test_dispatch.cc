@@ -3,21 +3,29 @@
  * Dispatch subsystem tests: the JSON reader and wire protocol round
  * trips, multi-process runs producing reports byte-identical to the
  * in-process runner (the fig11 and abl_sms_params cell sets), worker
- * crash/timeout recovery, retry-cap error capture, report merging
- * (identity, associativity, idempotence, ok-repairs-error), the
- * timing-only cell mode, and per-cell cache-geometry sweeps.
+ * crash/timeout recovery, retry-cap error capture, which workloads
+ * each worker is handed, report merging (identity, associativity,
+ * idempotence, ok-repairs-error), the timing-only cell mode, and
+ * per-cell cache-geometry sweeps.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "dispatch/coordinator.hh"
 #include "dispatch/json.hh"
@@ -464,6 +472,224 @@ TEST(Dispatch, CellTimeoutRequeuesToAnotherWorker)
     EXPECT_GE(counterValue(obs::snapshotCounters(), "cells_requeued"),
               1u);
     obs::Counters::get().reset();
+}
+
+// ---------------------------------------------------------------------
+// workload-affine claims
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One scripted step: which spawned worker acts, and how. */
+struct Step
+{
+    enum Action { Ready, Reply, Exit };
+    size_t worker;  //!< spawn order: a respawn gets the next index
+    Action action;
+};
+
+/**
+ * A transport whose workers are threads of this process playing one
+ * shared script a step at a time, so the coordinator claims in a fixed
+ * order. A step ends once the coordinator has reacted to it: Ready and
+ * Reply wait for the next cell while any of the run's @p jobs is still
+ * to be handed out, and Exit waits for the coordinator to close its
+ * end. The workload of every cell handed to each spawn is recorded.
+ */
+class ScriptedTransport : public Transport
+{
+  public:
+    ScriptedTransport(std::vector<Step> script, size_t jobs)
+        : script(std::move(script)), jobs(jobs)
+    {
+    }
+
+    ~ScriptedTransport() override
+    {
+        for (std::thread &t : threads)
+            t.join();
+    }
+
+    WorkerProcess spawn() override
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        if (broken)
+            throw std::runtime_error("the script stalled");
+        int toWorker[2], fromWorker[2];
+        if (::pipe(toWorker) != 0)
+            throw std::runtime_error("pipe");
+        if (::pipe(fromWorker) != 0) {
+            ::close(toWorker[0]);
+            ::close(toWorker[1]);
+            throw std::runtime_error("pipe");
+        }
+        const size_t me = handed.size();
+        handed.emplace_back();
+        threads.emplace_back([this, me, in = toWorker[0],
+                              out = fromWorker[1]] { play(me, in, out); });
+        WorkerProcess proc;
+        proc.toWorker = toWorker[1];
+        proc.fromWorker = fromWorker[0];
+        return proc;
+    }
+
+    /** The workloads handed to each spawned worker, in order. */
+    std::vector<std::vector<std::string>> workloads()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        return handed;
+    }
+
+    bool stalled()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        return broken;
+    }
+
+  private:
+    void play(size_t me, int in, int out)
+    {
+        FrameDecoder decoder;
+        std::string frame;
+        CellResult result;
+        // the next cell job into result.cell; false at shutdown or EOF
+        auto takeCell = [&] {
+            if (!readFrame(in, decoder, frame, Tally::None))
+                return false;
+            const JsonValue msg = parseJson(frame);
+            if (messageType(msg) != "cell")
+                return false;
+            result.cell = decodeCellJob(msg);
+            std::lock_guard<std::mutex> lk(mu);
+            handed[me].push_back(result.cell.workload);
+            ++given;
+            return true;
+        };
+        // read until the coordinator closes its end; hanging up first
+        // makes it do so at once
+        auto drain = [&](bool hangUp) {
+            if (hangUp)
+                ::close(out);
+            while (readFrame(in, decoder, frame, Tally::None)) {
+            }
+            ::close(in);
+            if (!hangUp)
+                ::close(out);
+        };
+
+        readFrame(in, decoder, frame, Tally::None);  // init
+        for (size_t k = 0; k < script.size(); ++k) {
+            if (script[k].worker != me)
+                continue;
+            bool more;
+            {
+                std::unique_lock<std::mutex> lk(mu);
+                if (!cv.wait_for(lk, std::chrono::seconds(30),
+                                 [&] { return step == k || broken; }) ||
+                    broken) {
+                    broken = true;
+                    cv.notify_all();
+                    lk.unlock();
+                    drain(true);
+                    return;
+                }
+                more = given < jobs;
+            }
+            if (script[k].action == Step::Exit) {
+                // the coordinator closes its end as it counts the loss
+                drain(true);
+            } else {
+                writeFrame(out,
+                           script[k].action == Step::Ready
+                               ? encodeReady(0)
+                               : encodeResult(result),
+                           Tally::None);
+                if (more)
+                    takeCell();
+            }
+            std::lock_guard<std::mutex> lk(mu);
+            ++step;
+            cv.notify_all();
+            if (script[k].action == Step::Exit)
+                return;
+        }
+        drain(false);
+    }
+
+    const std::vector<Step> script;
+    const size_t jobs;
+
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t step = 0;    //!< the script step playing now
+    size_t given = 0;   //!< cells handed out so far, re-sends included
+    bool broken = false;  //!< a step waited too long: give up
+    std::vector<std::vector<std::string>> handed;
+    std::vector<std::thread> threads;
+};
+
+/** Run @p spec on two scripted workers; the workloads each spawn got. */
+std::vector<std::vector<std::string>>
+playScript(const ExperimentSpec &spec, std::vector<Step> script,
+           size_t jobs)
+{
+    auto transport =
+        std::make_unique<ScriptedTransport>(std::move(script), jobs);
+    ScriptedTransport &scripted = *transport;
+    Coordinator coord(spec, localConfig(2), std::move(transport));
+    const std::vector<CellResult> results = coord.run();
+    EXPECT_FALSE(scripted.stalled());
+    for (const CellResult &r : results)
+        EXPECT_TRUE(r.error.empty()) << r.error;
+    return scripted.workloads();
+}
+
+using Strings = std::vector<std::string>;
+
+} // anonymous namespace
+
+TEST(DispatchAffinity, WorkerTakesEqualCostCellsOfItsOwnWorkloads)
+{
+    // claim order: the sms cells of sparse, graph, em3d, then their
+    // none cells; workers 0 and 1 take turns
+    const ExperimentSpec spec = parseSpec(
+        {"workloads=sparse,graph,em3d", "prefetchers=sms,none", "ncpu=4",
+         "refs=1000", "seed=3", "wall=0"});
+    const auto handed = playScript(
+        spec,
+        {{0, Step::Ready}, {1, Step::Ready}, {0, Step::Reply},
+         {1, Step::Reply}, {0, Step::Reply}, {1, Step::Reply},
+         {0, Step::Reply}, {1, Step::Reply}},
+        6);
+    // worker 1 holds graph, so it skips sparse, the front none cell;
+    // claiming without a preference would hand it sparse here and
+    // graph's none cell to worker 0
+    EXPECT_EQ(handed, (std::vector<Strings>{{"sparse", "em3d", "sparse"},
+                                            {"graph", "graph", "em3d"}}));
+}
+
+TEST(DispatchAffinity, RespawnedWorkerHoldsNoWorkload)
+{
+    const ExperimentSpec spec = parseSpec(
+        {"workloads=sparse,graph,em3d,ocean", "prefetchers=sms,none",
+         "ncpu=4", "refs=1000", "seed=3", "wall=0"});
+    // worker 0 runs graph's sms cell, then exits holding em3d's; its
+    // respawn (spawn 2) claims when the none cells of every workload
+    // are pending, sparse's first
+    const auto handed = playScript(
+        spec,
+        {{1, Step::Ready}, {0, Step::Ready}, {0, Step::Reply},
+         {0, Step::Exit}, {1, Step::Reply}, {1, Step::Reply},
+         {2, Step::Ready}, {2, Step::Reply}, {1, Step::Reply},
+         {2, Step::Reply}, {1, Step::Reply}, {2, Step::Reply}},
+        9);
+    ASSERT_EQ(handed.size(), 3u);
+    EXPECT_EQ(handed[0], (Strings{"graph", "em3d"}));
+    // the re-queued em3d cell goes to the live worker first
+    EXPECT_EQ(handed[1], (Strings{"sparse", "em3d", "ocean", "em3d"}));
+    // a respawn that kept its predecessor's graph would take graph's
+    // none cell ahead of sparse's
+    EXPECT_EQ(handed[2], (Strings{"sparse", "graph", "ocean"}));
 }
 
 // ---------------------------------------------------------------------
