@@ -236,7 +236,6 @@ Coordinator::run(driver::CellScheduler &sched)
 
     WorkerInit init;
     init.traceDir = spec.traceDir;
-    init.oracleRegionSizes = spec.oracleRegionSizes;
     init.trace = cfg.trace;
     init.heartbeatMs = cfg.heartbeatMs;
     const std::string initFrame = encodeInit(init);

@@ -16,10 +16,12 @@
  * SIGKILLed coordinator loses at most the cell in flight; a torn tail
  * frame (killed mid-write) is detected on resume and truncated away.
  *
- * The spec fingerprint hashes every selected cell's wire encoding:
- * resuming under a different spec (or a different cells= filter) is
- * rejected instead of splicing unrelated results. Duplicate frames
- * for one cell fold first-ok-wins, mirroring `stems merge`.
+ * The spec fingerprint hashes every selected cell's wire encoding,
+ * which carries every setting a cell reads (oracle region sizes
+ * included): resuming under a different spec (or a different cells=
+ * filter) is rejected instead of splicing unrelated results.
+ * Duplicate frames for one cell fold first-ok-wins, mirroring
+ * `stems merge`.
  */
 
 #ifndef STEMS_DISPATCH_JOURNAL_HH

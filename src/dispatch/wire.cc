@@ -219,10 +219,6 @@ encodeInit(const WorkerInit &init)
     j.key("type").value("init");
     j.key("protocol").value(uint64_t{init.protocol});
     j.key("trace_dir").value(init.traceDir);
-    j.key("oracle_regions").beginArray();
-    for (uint32_t s : init.oracleRegionSizes)
-        j.value(uint64_t{s});
-    j.endArray();
     j.key("trace").value(init.trace);
     j.key("heartbeat_ms").value(uint64_t{init.heartbeatMs});
     j.endObject();
@@ -240,9 +236,6 @@ decodeInit(const JsonValue &msg)
             std::to_string(init.protocol) + ", worker " +
             std::to_string(kProtocolVersion) + ")");
     init.traceDir = msg.at("trace_dir").asString();
-    for (const auto &s : msg.at("oracle_regions").items)
-        init.oracleRegionSizes.push_back(
-            static_cast<uint32_t>(s.asU64()));
     init.trace = msg.at("trace").asBool();
     init.heartbeatMs =
         static_cast<uint32_t>(msg.at("heartbeat_ms").asU64());
@@ -292,6 +285,10 @@ encodeCellJob(const driver::RunCell &cell, uint32_t attempt)
     j.key("timing").value(cell.timing);
     j.key("timing_only").value(cell.timingOnly);
     j.key("density").value(uint64_t{cell.densityRegion});
+    j.key("oracle").beginArray();
+    for (uint32_t s : cell.oracleRegionSizes)
+        j.value(uint64_t{s});
+    j.endArray();
     j.endObject();
     j.endObject();
     return j.str();
@@ -325,6 +322,11 @@ decodeCellJob(const JsonValue &msg)
     cell.timing = c.at("timing").asBool();
     cell.timingOnly = c.at("timing_only").asBool();
     cell.densityRegion = static_cast<uint32_t>(c.at("density").asU64());
+    const JsonValue &oracle = c.at("oracle");
+    if (oracle.kind != JsonValue::Kind::Array)
+        throw std::invalid_argument("wire: bad oracle region sizes");
+    for (const auto &s : oracle.items)
+        cell.oracleRegionSizes.push_back(static_cast<uint32_t>(s.asU64()));
     return cell;
 }
 

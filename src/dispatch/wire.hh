@@ -77,7 +77,10 @@
  * Every field is required: decodeInit rejects any protocol version
  * but its own, and journals are written by the same encoder. Protocol
  * v7 dropped v6's advisory "prefetch" frame (worker processes never
- * look ahead).
+ * look ahead). Protocol v8 moved the oracle region sizes from init to
+ * each cell job ("oracle"): init now carries no setting a cell reads,
+ * so a cell's encoding — and a journal's spec fingerprint — covers
+ * everything it measures.
  *
  * Since protocol v3, result metrics are schema-driven: the encoder
  * iterates the MetricSchema and writes every present family under its
@@ -103,14 +106,14 @@
 namespace stems::dispatch {
 
 /** Wire protocol version; bumped on incompatible message changes. */
-constexpr uint32_t kProtocolVersion = 7;
+constexpr uint32_t kProtocolVersion = 8;
 
-/** Spec-global settings shipped to a worker before any cells. */
+/** Worker-process settings shipped before any cells; no cell reads
+ *  them (everything a cell measures rides its cell job). */
 struct WorkerInit
 {
     uint32_t protocol = kProtocolVersion;
     std::string traceDir;  //!< shared .stmt spill dir ("" = live gen)
-    std::vector<uint32_t> oracleRegionSizes;
     bool trace = false;    //!< enable the worker's span recorder (v4)
     uint32_t heartbeatMs = 0;  //!< liveness frame period (v5; 0 = off)
 };

@@ -104,10 +104,8 @@ runWorker(int inFd, int outFd)
             return 2;
         }
         const WorkerInit init = decodeInit(msg);
-        driver::CellExecutor::Config cfg;
-        cfg.traceDir = init.traceDir;
-        cfg.oracleRegionSizes = init.oracleRegionSizes;
-        executor = std::make_unique<driver::CellExecutor>(cfg);
+        executor = std::make_unique<driver::CellExecutor>(
+            driver::CellExecutor::Config{init.traceDir});
         heartbeatMs = init.heartbeatMs;
         if (init.trace) {
             obs::Recorder::get().enable();

@@ -42,14 +42,14 @@ densityRegionFor(const RunCell &cell)
  * hierarchy); cells swept to a coarser block skip tracking entirely.
  */
 std::vector<uint32_t>
-oracleSizesFor(const std::vector<uint32_t> &sizes, const RunCell &cell)
+oracleSizesFor(const RunCell &cell)
 {
     const uint32_t block =
         std::max(cell.sys.l1.blockSize, cell.sys.l2.blockSize);
-    for (uint32_t s : sizes)
+    for (uint32_t s : cell.oracleRegionSizes)
         if (s < block)
             return {};
-    return sizes;
+    return cell.oracleRegionSizes;
 }
 
 /**
@@ -58,12 +58,12 @@ oracleSizesFor(const std::vector<uint32_t> &sizes, const RunCell &cell)
  * trackers, which never change the hierarchy's behaviour.
  */
 study::SystemStudyConfig
-systemConfigFor(const RunCell &cell, const std::vector<uint32_t> &oracle)
+systemConfigFor(const RunCell &cell)
 {
     study::SystemStudyConfig scfg;
     scfg.sys = cell.sys;
     if (!cell.timingOnly) {
-        scfg.oracleRegionSizes = oracleSizesFor(oracle, cell);
+        scfg.oracleRegionSizes = oracleSizesFor(cell);
         if (const uint32_t region = densityRegionFor(cell)) {
             scfg.trackDensity = true;
             scfg.densityRegionSize = region;
@@ -137,10 +137,10 @@ histVec(const std::array<uint64_t, study::kDensityBuckets> &h)
 
 } // anonymous namespace
 
-CellExecutor::CellExecutor(Config config) : cfg(std::move(config))
+CellExecutor::CellExecutor(Config config)
 {
-    if (!cfg.traceDir.empty())
-        traces.setSpillDir(cfg.traceDir);
+    if (!config.traceDir.empty())
+        traces.setSpillDir(config.traceDir);
 }
 
 CellExecutor::SystemLease::SystemLease(CellExecutor &owner,
@@ -198,8 +198,7 @@ CellExecutor::runPass(const RunCell &cell, const EngineConfig &engine)
                    {{"workload", cell.workload},
                     {"engine", engine.kind}});
     obs::count(&obs::Counters::systemPasses);
-    const study::SystemStudyConfig scfg =
-        systemConfigFor(cell, cfg.oracleRegionSizes);
+    const study::SystemStudyConfig scfg = systemConfigFor(cell);
     const trace::StreamSet &set = viewSet(cell);
     // declared before the deployment, so the system goes back to the
     // free list only once nothing of this pass refers to it
@@ -232,8 +231,7 @@ CellExecutor::baselinePass(const RunCell &cell, Lookup lookup)
     PassSlot *slot;
     {
         std::lock_guard<std::mutex> lock(memoMu);
-        slot = &passes[passKey(
-            cell, l1Shadow, systemConfigFor(cell, cfg.oracleRegionSizes))];
+        slot = &passes[passKey(cell, l1Shadow, systemConfigFor(cell))];
     }
     bool ran = false;
     std::call_once(slot->once, [&] {
@@ -394,10 +392,7 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
 CellExecutor::Config
 executorConfig(const ExperimentSpec &spec)
 {
-    CellExecutor::Config cfg;
-    cfg.traceDir = spec.traceDir;
-    cfg.oracleRegionSizes = spec.oracleRegionSizes;
-    return cfg;
+    return {spec.traceDir};
 }
 
 CellResult

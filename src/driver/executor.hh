@@ -68,12 +68,14 @@ struct CellResult
 class CellExecutor
 {
   public:
-    /** Spec-global settings a cell's execution depends on. */
+    /**
+     * Where the executor keeps its traces; never what a cell
+     * measures. Every setting a cell reads rides its RunCell, so one
+     * executor serves cells of any spec.
+     */
     struct Config
     {
         std::string traceDir;  //!< record/replay directory ("" = off)
-        /** Track oracle generations at these region sizes. */
-        std::vector<uint32_t> oracleRegionSizes;
     };
 
     explicit CellExecutor(Config config);
@@ -94,8 +96,6 @@ class CellExecutor
 
     /** Whether @p cell's trace is already built (non-blocking). */
     bool prepared(const RunCell &cell);
-
-    const Config &config() const { return cfg; }
 
     /** Memory systems built so far; a checkout that reuses a free
      *  system of its geometry builds none. */
@@ -159,7 +159,6 @@ class CellExecutor
     /** The cell's stream views through the TraceCache (zero-copy). */
     const trace::StreamSet &viewSet(const RunCell &cell);
 
-    Config cfg;
     study::TraceCache traces;
     std::mutex memoMu;  //!< guards the memo map's shape
     std::map<std::string, PassSlot> passes;

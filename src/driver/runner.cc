@@ -20,10 +20,10 @@ Runner::Runner(uint32_t lanes, std::string laneName,
                 obs::setThreadName(name);
                 loop(true);
             });
-    // the warmer prepares (generates, or maps a spill of) the
-    // look-ahead cell's trace while the lanes simulate. It only warms
-    // the TraceCache (CellExecutor::prefetch never counts a lookup and
-    // never fails a cell), so reports are byte-identical either way
+    // the warmer prepares (generates, or maps a spill of) traces
+    // while the lanes simulate. It only warms the TraceCache
+    // (CellExecutor::prefetch never counts a lookup and never fails a
+    // cell), so reports are byte-identical either way
     threads.emplace_back([this, name = std::move(warmerName)] {
         obs::setThreadName(name);
         loop(false);
@@ -72,7 +72,7 @@ Runner::loop(bool lane)
 {
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-        // a lane claims from, and the warmer looks ahead into, the
+        // a lane claims from, and the warmer prepares for, the
         // earliest attachment that has a cell for it
         Attachment *at = nullptr;
         std::optional<size_t> i;
@@ -80,8 +80,7 @@ Runner::loop(bool lane)
             if (stopping)
                 return true;
             for (Attachment &a : attached)
-                if ((i = lane ? a.sched->claim()
-                              : a.sched->takeLookahead())) {
+                if ((i = lane ? a.sched->claim() : nextToWarm(a))) {
                     at = &a;
                     return true;
                 }
@@ -91,16 +90,28 @@ Runner::loop(bool lane)
             return;
         ++at->users;
         lk.unlock();
-        if (lane) {
-            cv.notify_all();  // the look-ahead cursor moved
+        if (lane)
             execute(*at, *i);
-        } else {
+        else
             at->exec->prefetch(at->sched->cells()[*i]);
-        }
         lk.lock();
         --at->users;
         cv.notify_all();
     }
+}
+
+std::optional<size_t>
+Runner::nextToWarm(Attachment &a)
+{
+    // the cursor only moves forward: a cell passed over is done or its
+    // trace is built, and a cell handed out is being built
+    const std::vector<RunCell> &cells = a.sched->cells();
+    while (a.warmNext < cells.size()) {
+        const size_t i = a.warmNext++;
+        if (!a.sched->done(i) && !a.exec->prepared(cells[i]))
+            return i;
+    }
+    return std::nullopt;
 }
 
 void

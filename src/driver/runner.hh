@@ -1,10 +1,13 @@
 /**
  * @file
  * The lane pool, where every in-process cell runs: N lane threads and
- * one look-ahead warmer for the pool's whole lifetime. Lanes claim
- * from the earliest-attached CellScheduler that has a pending cell and
- * execute it through that attachment's CellExecutor; the warmer
- * prepares the earliest unwarmed look-ahead cell across attachments.
+ * one trace warmer for the pool's whole lifetime. Lanes claim from the
+ * earliest-attached CellScheduler that has a pending cell and execute
+ * it through that attachment's CellExecutor. The warmer keeps a cursor
+ * per attachment and, earliest attachment first, walks its cells in
+ * id order, preparing the trace of each cell that is not done and
+ * whose trace is not yet prepared: it builds each trace once, ahead
+ * of the lanes, whatever order they claim in.
  * Lanes share their executor's traces and baseline memo, so they claim
  * with no preference, in plain cost order (see CellScheduler::claim).
  * `stems run` and the coordinator's fallback drain one spec through
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +70,13 @@ class Runner
         std::string request;
         std::chrono::steady_clock::time_point attachedAt;
         uint32_t users = 0;  //!< threads inside one of its cells
+        size_t warmNext = 0;  //!< the warmer's cursor into cells()
     };
 
     /** A lane's loop, or the warmer's when !@p lane. */
     void loop(bool lane);
+    /** The next cell of @p a whose trace the warmer should prepare. */
+    static std::optional<size_t> nextToWarm(Attachment &a);
     void execute(const Attachment &at, size_t i);
 
     std::mutex mu;

@@ -153,16 +153,6 @@ CellScheduler::claim(const Preference &prefers)
     return i;
 }
 
-std::optional<size_t>
-CellScheduler::takeLookahead()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (pending_.empty() || state_[pending_.front()].warmed)
-        return std::nullopt;
-    state_[pending_.front()].warmed = true;
-    return pending_.front();
-}
-
 void
 CellScheduler::placeLocked(size_t i, CellResult result)
 {

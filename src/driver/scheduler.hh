@@ -19,13 +19,12 @@
  *  - journal seeding: replayed cells are complete and never claimed;
  *  - the single completion hook (journal appends, progress);
  *  - the cells_pending / workers_busy / cells_done gauges;
- *  - the look-ahead cursor, the next unclaimed cell, which the lane
- *    pool's warmer prepares while its lanes simulate;
  *  - the duplication rule for straggling in-flight cells.
  *
- * Pool lanes share one executor and one CPU pool, so they look ahead
- * but never duplicate. Process lanes each have their own TraceCache,
- * so they duplicate but never look ahead.
+ * Pool lanes share one executor and one CPU pool, so they never
+ * duplicate; the pool's warmer reads only cells() and done()
+ * (driver/runner.hh). Process lanes each have their own TraceCache,
+ * so they duplicate but have no warmer.
  *
  * Thread-safe: lanes claim and complete concurrently.
  */
@@ -102,13 +101,6 @@ class CellScheduler
     std::optional<size_t> claim(const Preference &prefers = {});
 
     /**
-     * The look-ahead cursor for a warmer: the cell claim() without a
-     * preference would return next, if it was never handed out
-     * before; else nullopt.
-     */
-    std::optional<size_t> takeLookahead();
-
-    /**
      * Deliver one copy's result for cell @p i. The first result is
      * placed (its cell metadata replaced by the scheduler's, which is
      * authoritative) and reported to the hook before this returns; a
@@ -156,7 +148,6 @@ class CellScheduler
         uint32_t running = 0;     //!< copies in flight
         bool done = false;
         bool duplicated = false;  //!< an extra copy was claimed
-        bool warmed = false;      //!< handed out as the look-ahead
         uint64_t claimedNs = 0;   //!< start of the latest claim
     };
 

@@ -455,6 +455,7 @@ expandSpec(const ExperimentSpec &spec)
                 cell.params = spec.params;
                 cell.sys = spec.sys;
                 cell.densityRegion = spec.densityRegion;
+                cell.oracleRegionSizes = spec.oracleRegionSizes;
                 const KeyTable axes =
                     cellKeys(cell.sys, cell.densityRegion);
                 for (const auto &[k, v] : point) {

@@ -118,6 +118,8 @@ struct RunCell
     bool timing = false;
     bool timingOnly = false;
     uint32_t densityRegion = 0;  //!< density-histogram region (0 = off)
+    /** Oracle generation region sizes (the spec's oracle-regions=). */
+    std::vector<uint32_t> oracleRegionSizes;
 };
 
 /**

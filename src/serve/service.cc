@@ -28,7 +28,6 @@ struct ExperimentService::Request
     uint64_t id = 0;
     driver::ExperimentSpec spec;
     driver::CellScheduler sched;
-    driver::CellExecutor *executor = nullptr;
 
     dispatch::RunJournal journal;
     std::string journalFile;
@@ -40,19 +39,24 @@ struct ExperimentService::Request
     double queueMs = 0;
 };
 
-ExperimentService::ExperimentService(Config config)
-    : cfg(std::move(config)), lanes(cfg.fleet, "serve", "serve-warmer")
+namespace {
+
+/** A fresh temporary spill directory, or "" when none can be made. */
+std::string
+makeSpillDir()
 {
-    if (cfg.traceDir.empty()) {
-        // one shared spill dir for every executor: a workload's trace
-        // is generated once per daemon lifetime, not once per request
-        std::string tmpl = fs::temp_directory_path() /
-                           "stems-serve-XXXXXX";
-        if (::mkdtemp(tmpl.data()) != nullptr) {
-            ownedTraceDir = tmpl;
-            cfg.traceDir = tmpl;
-        }
-    }
+    std::string tmpl = fs::temp_directory_path() / "stems-serve-XXXXXX";
+    return ::mkdtemp(tmpl.data()) != nullptr ? tmpl : std::string();
+}
+
+} // anonymous namespace
+
+ExperimentService::ExperimentService(Config config)
+    : cfg(std::move(config)),
+      ownedTraceDir(cfg.traceDir.empty() ? makeSpillDir() : ""),
+      executor({cfg.traceDir.empty() ? ownedTraceDir : cfg.traceDir}),
+      lanes(cfg.fleet, "serve", "serve-warmer")
+{
     if (!cfg.journalDir.empty()) {
         std::error_code ec;
         fs::create_directories(cfg.journalDir, ec);
@@ -73,25 +77,6 @@ ExperimentService::activeRequests() const
 {
     std::lock_guard<std::mutex> lk(mu);
     return active.size();
-}
-
-driver::CellExecutor &
-ExperimentService::executorLocked(const driver::ExperimentSpec &spec)
-{
-    driver::CellExecutor::Config ecfg = driver::executorConfig(spec);
-    ecfg.traceDir = cfg.traceDir;
-    std::string key;
-    for (uint32_t s : ecfg.oracleRegionSizes) {
-        key += std::to_string(s);
-        key += ',';
-    }
-    auto it = executors.find(key);
-    if (it == executors.end())
-        it = executors
-                 .emplace(key, std::make_unique<driver::CellExecutor>(
-                                   std::move(ecfg)))
-                 .first;
-    return *it->second;
 }
 
 void
@@ -134,12 +119,12 @@ ExperimentService::activateLocked()
         // (a prior request generated or mapped it) are warm hits
         const auto &cells = req->sched.cells();
         for (size_t i = 0; i < cells.size(); ++i)
-            if (!req->sched.done(i) && req->executor->prepared(cells[i]))
+            if (!req->sched.done(i) && executor.prepared(cells[i]))
                 obs::count(&obs::Counters::serveCacheWarmHits);
 
         // attaching here, under mu, keeps the pool's claim order the
         // admission order: the earliest-admitted request goes first
-        lanes.attach(req->sched, *req->executor, std::to_string(req->id));
+        lanes.attach(req->sched, executor, std::to_string(req->id));
         active.push_back(std::move(req));
     }
 }
@@ -195,7 +180,6 @@ ExperimentService::submit(
             return out;
         }
         req->id = ++nextId;
-        req->executor = &executorLocked(req->spec);
         req->enqueuedNs = obs::monotonicNs();
         if (active.size() >= cfg.maxActive)
             obs::count(&obs::Counters::serveRequestsQueued);

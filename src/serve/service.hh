@@ -5,14 +5,15 @@
  * submissions for as long as the daemon lives, with everything a
  * batch run would have to rebuild kept warm between requests:
  *
- *  - Shared executors. Requests with the same oracle-region config
- *    share one driver::CellExecutor — its TraceCache and baseline-pass
- *    memo survive across requests, so resubmitting a spec (or
- *    submitting a sibling that shares workloads) skips trace
- *    generation and baseline passes entirely; each engine cell walks
- *    its own pass, as in a batch run. Warm reuse is visible
- *    as serve_cache_warm_hits (cells whose trace was already
- *    prepared at admission time). All executors share one spill dir.
+ *  - One executor. Every request runs through the daemon's one
+ *    driver::CellExecutor: a RunCell carries every setting its
+ *    passes read, so specs need no executor of their own. Its
+ *    TraceCache and baseline-pass memo survive across requests, so
+ *    resubmitting a spec (or submitting a sibling that shares
+ *    workloads) skips trace generation and baseline passes entirely;
+ *    each engine cell walks its own pass, as in a batch run. Warm
+ *    reuse is visible as serve_cache_warm_hits (cells whose trace was
+ *    already prepared at admission time).
  *
  *  - Admission queuing. At most maxActive requests execute at once;
  *    up to maxQueued more wait FIFO; beyond that submissions are
@@ -22,7 +23,7 @@
  *  - One scheduler per request. Each request's cells sit in a
  *    driver::CellScheduler that is attached to the pool when the
  *    request is admitted, so the lanes drain the earliest-admitted
- *    request first and the pool's warmer looks ahead into it, exactly
+ *    request first and the pool's warmer prepares its traces, exactly
  *    as under `stems run`. Claim order, placement by cell index and
  *    journal seeding all come from the scheduler.
  *
@@ -52,7 +53,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,7 +74,7 @@ class ExperimentService
         uint32_t maxActive = 2;  //!< concurrently executing requests
         uint32_t maxQueued = 8;  //!< waiting requests before rejection
         std::string journalDir;  //!< per-request journals ("" = off)
-        std::string traceDir;    //!< shared spill dir ("" = temp dir)
+        std::string traceDir;    //!< spill dir ("" = temp dir)
     };
 
     /** One submission's outcome, shipped back as a wire message. */
@@ -108,8 +108,6 @@ class ExperimentService
   private:
     struct Request;
 
-    driver::CellExecutor &executorLocked(
-        const driver::ExperimentSpec &spec);
     void activateLocked();
 
     Config cfg;
@@ -121,11 +119,10 @@ class ExperimentService
     uint64_t nextId = 0;
     std::deque<std::shared_ptr<Request>> queued;
     std::vector<std::shared_ptr<Request>> active;
-    /** Executors keyed by oracle-region config, never evicted. */
-    std::map<std::string, std::unique_ptr<driver::CellExecutor>>
-        executors;
+    /** Every request's cells run here, whatever their spec. */
+    driver::CellExecutor executor;
 
-    /** Declared last: its lanes use the executors above. */
+    /** Declared last: its lanes use the executor above. */
     driver::Runner lanes;
 };
 

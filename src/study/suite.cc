@@ -95,7 +95,7 @@ TraceCache::viewSetImpl(const std::string &name,
     std::call_once(s.setOnce, [&] {
         // the miss is counted inside the once so it stays slot-tied
         // (exactly one per distinct key) no matter which caller — a
-        // consumer or the look-ahead warmer — gets here first
+        // consumer or the lane pool warmer — gets here first
         obs::count(&obs::Counters::traceCacheMisses);
         const uint64_t hash = generatorConfigHash(name, p);
         const std::string file = spillPath(name, p);
@@ -150,7 +150,7 @@ TraceCache::viewSetImpl(const std::string &name,
     });
     // a hit for every counted lookup after the slot's first, whoever
     // built it — deterministic across thread counts; prepare() passes
-    // count_lookup=false so the look-ahead warmer never perturbs it
+    // count_lookup=false so the lane pool warmer never perturbs it
     if (count_lookup && s.looked.exchange(true, std::memory_order_relaxed))
         obs::count(&obs::Counters::traceCacheHits);
     return s.set;

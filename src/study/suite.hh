@@ -86,9 +86,10 @@ class TraceCache
 
     /**
      * Build (generate-or-replay) the set for @p name ahead of its
-     * consumer, without counting a cache lookup — the lane pool's
-     * look-ahead warmer's entry (driver/runner.hh). Safe to race with
-     * viewSet().
+     * consumer, without counting a cache lookup — the lane pool
+     * warmer's entry (driver/runner.hh). Safe to race with viewSet():
+     * a caller that arrives while another builds the set waits for
+     * it.
      */
     void prepare(const std::string &name,
                  const workloads::WorkloadParams &p);

@@ -1156,6 +1156,15 @@ TEST(DispatchJournal, SpecFingerprintTracksCellsAndFilters)
         {"workloads=sparse", "prefetchers=none", "refs=1500",
          "wall=0"});
     EXPECT_NE(full, specFingerprint(selectedCells(other)));
+
+    // the same cells tracking oracle generations at other region
+    // sizes measure other counts
+    auto oracle = fig11Tokens();
+    oracle.push_back("oracle-regions=512,1024");
+    const uint64_t small = specFingerprint(selectedCells(parseSpec(oracle)));
+    EXPECT_NE(full, small);
+    oracle.back() = "oracle-regions=4096,8192";
+    EXPECT_NE(small, specFingerprint(selectedCells(parseSpec(oracle))));
 }
 
 TEST(DispatchJournal, ResumeSplicesByteIdenticallyInProcess)
@@ -1237,20 +1246,29 @@ TEST(DispatchJournal, ResumeCompletedRunReExecutesNothing)
 
 TEST(DispatchJournal, RejectsResumeUnderDifferentSpec)
 {
-    ExperimentSpec spec = parseSpec(
-        {"workloads=sparse", "prefetchers=sms,none", "ncpu=4",
-         "refs=1500", "seed=27", "wall=0"});
+    const std::vector<std::string> tokens = {
+        "workloads=sparse", "prefetchers=sms,none", "ncpu=4",
+        "refs=1500", "seed=27", "wall=0", "oracle-regions=512,1024"};
+    ExperimentSpec spec = parseSpec(tokens);
     const std::string journal = tempPath("journal_mismatch");
     std::filesystem::remove(journal);
     spec.journalPath = journal;
     (void)dispatch::runSpec(spec);
 
-    ExperimentSpec other = parseSpec(
-        {"workloads=graph", "prefetchers=none", "ncpu=4",
-         "refs=1500", "wall=0"});
-    other.journalPath = journal;
-    other.resume = true;
-    EXPECT_THROW(dispatch::runSpec(other), std::invalid_argument);
+    // another spec's cells, and the same cells under other oracle
+    // region sizes, whose counts the journal does not hold
+    std::vector<std::string> resized = tokens;
+    resized.back() = "oracle-regions=4096,8192";
+    for (const auto &others :
+         {std::vector<std::string>{"workloads=graph", "prefetchers=none",
+                                   "ncpu=4", "refs=1500", "wall=0"},
+          resized}) {
+        ExperimentSpec other = parseSpec(others);
+        other.journalPath = journal;
+        other.resume = true;
+        EXPECT_THROW(dispatch::runSpec(other), std::invalid_argument)
+            << others[0] << " " << others.back();
+    }
     std::filesystem::remove(journal);
 }
 

@@ -3,8 +3,8 @@
  * CellScheduler unit tests, with no executor and no processes: claim
  * order (heaviest estimated first, ties by id, re-queued first), the
  * claimer's tie-breaking preference, first-result-wins placement
- * with one hook call per cell, journal seeding, the look-ahead cursor
- * and the duplication rule.
+ * with one hook call per cell, journal seeding and the duplication
+ * rule.
  */
 
 #include <gtest/gtest.h>
@@ -266,22 +266,6 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
     const auto results = sched.takeResults();
     EXPECT_EQ(results[2].metrics.wallMs(), 2.5);
     EXPECT_EQ(results[2].cell.id, 2u);
-}
-
-TEST(Scheduler, LookaheadSkipsClaimedCells)
-{
-    CellScheduler sched(fourCells());
-    EXPECT_EQ(sched.takeLookahead(), 1u);
-    EXPECT_EQ(sched.takeLookahead(), std::nullopt);  // handed out once
-    ASSERT_EQ(sched.claim(), 1u);
-    ASSERT_EQ(sched.claim(), 3u);
-    EXPECT_EQ(sched.takeLookahead(), 0u);
-    ASSERT_EQ(sched.claim(), 0u);
-    EXPECT_EQ(sched.takeLookahead(), 2u);
-    ASSERT_EQ(sched.claim(), 2u);
-    // nothing pending: the cursor stays empty
-    EXPECT_EQ(sched.takeLookahead(), std::nullopt);
-    EXPECT_EQ(sched.takeLookahead(), std::nullopt);
 }
 
 TEST(Scheduler, DuplicatesOnlyPastThresholdWithNothingPending)

@@ -217,19 +217,20 @@ namespace {
 // every message type's frame, byte for byte: a changed byte breaks
 // existing journals and peers built from another commit
 const char *const kPinnedInit =
-    "109\n"
-    R"({"type":"init","protocol":7,"trace_dir":"/spill","oracle_reg)"
-    R"(ions":[256,2048],"trace":true,"heartbeat_ms":200})" "\n";
+    "81\n"
+    R"({"type":"init","protocol":8,"trace_dir":"/spill","trace":true,)"
+    R"("heartbeat_ms":200})" "\n";
 const char *const kPinnedReady =
     "27\n"
     R"({"type":"ready","pid":4242})" "\n";
 const char *const kPinnedCell =
-    "299\n"
+    "319\n"
     R"({"type":"cell","attempt":2,"cell":{"id":3,"workload":"sparse)"
     R"(","kind":"sms","label":"SMS","options":{"pht-entries":"1024")"
     R"(},"sweep":{"region":"2048"},"ncpu":4,"refs":1000,"seed":7,"s)"
     R"(ys":{"ncpu":4,"l1":[65536,2,64,0],"l2":[8388608,8,64,0]},"mo)"
-    R"(de":"l1","timing":true,"timing_only":false,"density":2048}})" "\n";
+    R"(de":"l1","timing":true,"timing_only":false,"density":2048,"o)"
+    R"(racle":[256,2048]}})" "\n";
 const char *const kPinnedHeartbeat =
     "20\n"
     R"({"type":"heartbeat"})" "\n";
@@ -249,7 +250,7 @@ const char *const kPinnedJournal =
     R"(ls":33})" "\n";
 const char *const kPinnedHello =
     "56\n"
-    R"({"type":"hello","protocol":7,"role":"client","pid":4242})" "\n";
+    R"({"type":"hello","protocol":8,"role":"client","pid":4242})" "\n";
 const char *const kPinnedError =
     "46\n"
     R"({"type":"error","message":"protocol mismatch"})" "\n";
@@ -307,7 +308,6 @@ TEST(WireBytes, EveryMessageTypeKeepsItsFrame)
 
     WorkerInit init;
     init.traceDir = "/spill";
-    init.oracleRegionSizes = {256, 2048};
     init.trace = true;
     init.heartbeatMs = 200;
 
@@ -325,6 +325,7 @@ TEST(WireBytes, EveryMessageTypeKeepsItsFrame)
     cell.mode = StudyMode::L1;
     cell.timing = true;
     cell.densityRegion = 2048;
+    cell.oracleRegionSizes = {256, 2048};
 
     CellResult result;
     result.cell.id = 3;
@@ -456,6 +457,39 @@ TEST(ServeService, SharedExecutorKeepsEachModesBaseline)
                 << (isL1 == l1First ? "first" : "second");
         }
     }
+}
+
+TEST(ServeService, OneExecutorServesSpecsOfAnyOracleRegions)
+{
+    // two specs whose cells differ only in their oracle region sizes
+    // run through the daemon's one executor, which the sizes ride in
+    // on each cell
+    const std::vector<std::string> plain = smallTokens();
+    std::vector<std::string> oracle = plain;
+    oracle.push_back("oracle-regions=512,4096");
+    const std::string wantPlain = inProcessJson(parseSpec(plain));
+    const std::string wantOracle = inProcessJson(parseSpec(oracle));
+    ASSERT_NE(wantPlain, wantOracle);
+
+    obs::Counters::get().reset();
+    ExperimentService::Config cfg;
+    cfg.fleet = 2;
+    ExperimentService svc(cfg);
+    const auto first = svc.submit(plain);
+    ASSERT_EQ(first.status, ExperimentService::Outcome::Status::Done);
+    EXPECT_EQ(first.json, wantPlain);
+    EXPECT_EQ(counterValue(obs::snapshotCounters(),
+                           "serve_cache_warm_hits"),
+              0u);
+
+    // every cell of the second finds its trace already prepared
+    const auto second = svc.submit(oracle);
+    ASSERT_EQ(second.status, ExperimentService::Outcome::Status::Done);
+    EXPECT_EQ(second.json, wantOracle);
+    EXPECT_EQ(counterValue(obs::snapshotCounters(),
+                           "serve_cache_warm_hits"),
+              selectedCells(parseSpec(oracle)).size());
+    obs::Counters::get().reset();
 }
 
 TEST(ServeService, RejectsWhenAdmissionQueueFull)
