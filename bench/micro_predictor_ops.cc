@@ -1,10 +1,11 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the predictor structures'
- * software cost: AGT access, PHT lookup/update, prediction-register
- * streaming, GHB observation, full SMS unit access, and the cache
- * model itself. These bound the simulator's throughput and document
- * the relative cost of each structure.
+ * software cost: AGT access, victimization and eviction-stream misses,
+ * PHT lookup/update, prediction-register streaming and idle polls, GHB
+ * observation, full SMS unit access, and the cache model itself.
+ * These bound the simulator's throughput and document the relative
+ * cost of each structure.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,6 +42,42 @@ BM_AgtAccess(benchmark::State &state)
         agt.onAccess(0x400000 + rng.below(64) * 4, rng.below(1 << 22));
 }
 BENCHMARK(BM_AgtAccess);
+
+/** A full filter table fed only new regions: every access victimizes. */
+static void
+BM_AgtVictimize(benchmark::State &state)
+{
+    core::RegionGeometry geom;
+    core::ActiveGenerationTable agt(geom, {32, 64});
+    uint64_t region = 0;
+    for (auto _ : state)
+        agt.onAccess(0x400000, ++region * geom.regionSize());
+    benchmark::DoNotOptimize(agt.stats().filterVictims);
+}
+BENCHMARK(BM_AgtVictimize);
+
+/**
+ * The L1's eviction stream against full tables: nearly every departing
+ * block belongs to a region the AGT does not hold.
+ */
+static void
+BM_AgtRemovalMiss(benchmark::State &state)
+{
+    core::RegionGeometry geom;
+    core::ActiveGenerationTable agt(geom, {32, 64});
+    for (uint64_t r = 0; r < 64; ++r) {  // fill the accumulation table
+        agt.onAccess(0x400000, r * geom.regionSize());
+        agt.onAccess(0x400004, r * geom.regionSize() + 64);
+    }
+    for (uint64_t r = 64; r < 96; ++r)  // and the filter table
+        agt.onAccess(0x400000, r * geom.regionSize());
+    trace::Rng rng(7);
+    for (auto _ : state)
+        agt.onBlockRemoved((96 + rng.below(1 << 20)) * geom.regionSize(),
+                           false);
+    benchmark::DoNotOptimize(agt.stats().generationsTrained);
+}
+BENCHMARK(BM_AgtRemovalMiss);
 
 static void
 BM_PhtLookup(benchmark::State &state)
@@ -86,6 +123,17 @@ BM_PrfStream(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PrfStream);
+
+/** The closing call of every eager drain: no register is busy. */
+static void
+BM_PrfIdle(benchmark::State &state)
+{
+    core::RegionGeometry geom;
+    core::PredictionRegisterFile prf(16, geom);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(prf.nextRequest());
+}
+BENCHMARK(BM_PrfIdle);
 
 static void
 BM_GhbObserve(benchmark::State &state)

@@ -27,7 +27,7 @@ ActiveGenerationTable::victimizeAccum()
         return;
     // capacity terminates the generation: transfer the pattern to the
     // PHT exactly as an eviction-triggered ending would
-    const size_t way = accumCam.lruWay();
+    const uint32_t way = accumCam.lruWay();
     TriggerInfo trigger = accumCam.payload(way).trigger;
     SpatialPattern pattern = accumCam.payload(way).pattern;
     accumCam.erase(way);
@@ -39,12 +39,12 @@ ActiveGenerationTable::victimizeAccum()
 
 void
 ActiveGenerationTable::promote(const TriggerInfo &trigger, uint64_t rid,
-                               uint32_t off)
+                               uint64_t h, uint32_t off)
 {
     ++stats_.promotions;
     if (boundedAccum()) {
         victimizeAccum();
-        const size_t way = accumCam.insert(rid, tick);
+        const uint32_t way = accumCam.insert(rid, h);
         AccumPayload &p = accumCam.payload(way);
         p.trigger = trigger;
         p.pattern.set(trigger.offset);
@@ -66,15 +66,16 @@ void
 ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
 {
     const uint64_t rid = geom.regionId(addr);
+    const uint64_t h = regionHash(rid);
     const uint32_t off = geom.offsetOf(addr);
     ++tick;
 
     // 1) already accumulating: record the block (step 3 in Figure 2)
     if (boundedAccum()) {
-        if (const size_t way = accumCam.find(rid);
+        if (const uint32_t way = accumCam.find(rid, h);
             way != AgtCam<AccumPayload>::kNone) {
             accumCam.payload(way).pattern.set(off);
-            accumCam.touch(way, tick);
+            accumCam.touch(way);
             return;
         }
     } else if (auto it = accumMap.find(rid); it != accumMap.end()) {
@@ -86,15 +87,15 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
     // 2) in the filter table: second distinct block promotes the
     //    generation into the accumulation table (step 2 in Figure 2)
     if (boundedFilter()) {
-        if (const size_t way = filterCam.find(rid);
+        if (const uint32_t way = filterCam.find(rid, h);
             way != AgtCam<FilterPayload>::kNone) {
             if (filterCam.payload(way).trigger.offset == off) {
-                filterCam.touch(way, tick);  // re-touch trigger block
+                filterCam.touch(way);  // re-touch trigger block
                 return;
             }
             TriggerInfo trigger = filterCam.payload(way).trigger;
             filterCam.erase(way);
-            promote(trigger, rid, off);
+            promote(trigger, rid, h, off);
             return;
         }
     } else if (auto it = filterMap.find(rid); it != filterMap.end()) {
@@ -104,7 +105,7 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
         }
         TriggerInfo trigger = it->second.trigger;
         filterMap.erase(it);
-        promote(trigger, rid, off);
+        promote(trigger, rid, h, off);
         return;
     }
 
@@ -116,7 +117,7 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
     trigger.offset = off;
     if (boundedFilter()) {
         victimizeFilter();
-        const size_t way = filterCam.insert(rid, tick);
+        const uint32_t way = filterCam.insert(rid, h);
         filterCam.payload(way).trigger = trigger;
         stats_.peakFilterOccupancy = std::max<uint64_t>(
             stats_.peakFilterOccupancy, filterCam.size());
@@ -138,9 +139,10 @@ ActiveGenerationTable::onBlockRemoved(uint64_t block_addr,
 {
     (void)invalidation;  // replacements and invalidations both end here
     const uint64_t rid = geom.regionId(block_addr);
+    const uint64_t h = regionHash(rid);
 
     if (boundedFilter()) {
-        if (const size_t way = filterCam.find(rid);
+        if (const uint32_t way = filterCam.find(rid, h);
             way != AgtCam<FilterPayload>::kNone) {
             // only the trigger access happened: nothing to predict
             filterCam.erase(way);
@@ -154,7 +156,7 @@ ActiveGenerationTable::onBlockRemoved(uint64_t block_addr,
     }
 
     if (boundedAccum()) {
-        if (const size_t way = accumCam.find(rid);
+        if (const uint32_t way = accumCam.find(rid, h);
             way != AgtCam<AccumPayload>::kNone) {
             TriggerInfo trigger = accumCam.payload(way).trigger;
             SpatialPattern pattern = accumCam.payload(way).pattern;
@@ -179,7 +181,7 @@ ActiveGenerationTable::drain()
     // end every live multi-block generation (end-of-run bookkeeping)
     if (boundedAccum()) {
         while (!accumCam.empty()) {
-            const size_t way = accumCam.firstValid();
+            const uint32_t way = accumCam.firstValid();
             TriggerInfo trigger = accumCam.payload(way).trigger;
             SpatialPattern pattern = accumCam.payload(way).pattern;
             accumCam.erase(way);

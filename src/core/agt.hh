@@ -10,8 +10,8 @@
  * sectored training structures.
  *
  * Bounded tables are modelled as what they are in hardware: small
- * fully-associative CAMs, stored struct-of-arrays so the region-id
- * match and LRU victim scans stream through a few L1 cache lines.
+ * fully-associative CAMs (AgtCam) where a match, an insert, a touch
+ * and a victim choice each take one step, as one CAM operation does.
  * Unbounded tables (the figures' limit studies) fall back to a
  * FlatMap.
  */
@@ -20,7 +20,7 @@
 #define STEMS_CORE_AGT_HH
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -51,134 +51,208 @@ struct AgtStats
     uint64_t peakAccumOccupancy = 0;
 };
 
+/** The hash AgtCam indexes a region id by (Fibonacci hashing). */
+inline uint64_t
+regionHash(uint64_t rid)
+{
+    return rid * 0x9e3779b97f4a7c15ULL;
+}
+
 /**
  * A fixed-capacity fully-associative table with LRU victimization,
- * keyed by region id. Keys, use stamps and payloads live in parallel
- * arrays; a zero stamp marks a free way (stamps issued by the AGT
- * start at 1). Match, free-way and victim scans are linear over
- * at most `capacity` contiguous words — L1-resident for the paper's
- * 32/64-entry tables.
+ * keyed by region id, at one step per event:
+ *
+ *  - an exact open-addressed index maps region id to way: a power of
+ *    two at least twice the capacity of (region id, way) slots, linear
+ *    probing and backward-shift deletion, as util::FlatMap does, so a
+ *    lookup (hit or miss) probes about two slots;
+ *  - an intrusive doubly-linked list orders the ways by use: insert()
+ *    and touch() move a way to the head, erase() unlinks it, and the
+ *    tail is the LRU victim;
+ *  - a bitmask of occupied ways, one word per 64 ways, gives insert()
+ *    the lowest free way and drains their lowest-way-first order.
+ *
+ * Callers hash the region id once per event (regionHash()) and hand
+ * the hash to every table they probe.
  */
 template <typename Payload>
 class AgtCam
 {
   public:
-    static constexpr size_t kNone = static_cast<size_t>(-1);
+    static constexpr uint32_t kNone = UINT32_MAX;
 
     explicit AgtCam(uint32_t capacity)
-        : cap(capacity), rids(capacity, 0), last(capacity, 0),
-          pay(capacity)
-    {}
+        : cap(capacity), used((capacity + 63) / 64, 0), prev(capacity),
+          next(capacity), slotOf(capacity), pay(capacity)
+    {
+        uint32_t bits = 1;
+        while ((uint64_t{1} << bits) < 2 * uint64_t{capacity})
+            ++bits;
+        shift = 64 - bits;
+        index.assign(size_t{1} << bits, Slot{});
+    }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     bool full() const { return size_ >= cap; }
 
-    size_t
-    find(uint64_t rid) const
+    /** Way holding region @p rid, or kNone. @p h = regionHash(rid). */
+    uint32_t
+    find(uint64_t rid, uint64_t h) const
     {
-        // spatial streams touch the same region many times in a row:
-        // a one-entry memo short-circuits the associative scan
-        if (lastWay != kNone && rids[lastWay] == rid &&
-            last[lastWay] != 0)
-            return lastWay;
-        // counting presence filter: most remaining lookups come from
-        // the L1's eviction stream and miss, so reject them without
-        // scanning
-        const uint64_t h = util::Mix64{}(rid);
-        if (presence[h & kPresenceMask] == 0 ||
-            presence[(h >> 8) & kPresenceMask] == 0)
-            return kNone;
-        for (size_t i = 0; i < cap; ++i) {
-            if (rids[i] == rid && last[i] != 0) {
-                lastWay = i;
-                return i;
-            }
+        const size_t mask = index.size() - 1;
+        for (size_t i = h >> shift;; i = (i + 1) & mask) {
+            const Slot &s = index[i];
+            if (s.way == kNone || s.rid == rid)
+                return s.way;
         }
-        return kNone;
     }
 
-    /** @pre !full() and rid absent */
-    size_t
-    insert(uint64_t rid, uint64_t tick)
+    /**
+     * Take the lowest free way for @p rid as the most recently used.
+     * @pre !full() and rid absent; @p h = regionHash(rid)
+     */
+    uint32_t
+    insert(uint64_t rid, uint64_t h)
     {
-        const uint64_t h = util::Mix64{}(rid);
-        ++presence[h & kPresenceMask];
-        ++presence[(h >> 8) & kPresenceMask];
-        for (size_t i = 0; i < cap; ++i) {
-            if (last[i] == 0) {
-                rids[i] = rid;
-                last[i] = tick;
-                pay[i] = Payload{};
-                ++size_;
-                lastWay = i;
-                return i;
-            }
-        }
-        assert(false && "AgtCam::insert on full table");
-        return kNone;
+        assert(!full() && "AgtCam::insert on full table");
+        size_t w = 0;
+        while (freeBits(w) == 0)
+            ++w;
+        const uint32_t way = static_cast<uint32_t>(
+            w * 64 + std::countr_zero(freeBits(w)));
+        used[w] |= uint64_t{1} << (way & 63);
+
+        const size_t mask = index.size() - 1;
+        size_t i = h >> shift;
+        while (index[i].way != kNone)
+            i = (i + 1) & mask;
+        index[i] = {rid, way, static_cast<uint32_t>(h >> shift)};
+        slotOf[way] = static_cast<uint32_t>(i);
+
+        pay[way] = Payload{};
+        linkHead(way);
+        ++size_;
+        return way;
     }
 
     void
-    erase(size_t i)
+    erase(uint32_t way)
     {
-        const uint64_t h = util::Mix64{}(rids[i]);
-        --presence[h & kPresenceMask];
-        --presence[(h >> 8) & kPresenceMask];
-        last[i] = 0;
+        used[way >> 6] &= ~(uint64_t{1} << (way & 63));
+        unlink(way);
+        eraseSlot(slotOf[way]);
         --size_;
-        if (lastWay == i)
-            lastWay = kNone;
+    }
+
+    /** Mark @p way the most recently used. */
+    void
+    touch(uint32_t way)
+    {
+        if (way == head)
+            return;
+        unlink(way);
+        linkHead(way);
     }
 
     /** Way holding the least-recently-used entry. @pre !empty() */
-    size_t
-    lruWay() const
-    {
-        size_t best = kNone;
-        uint64_t bestUse = UINT64_MAX;
-        for (size_t i = 0; i < cap; ++i) {
-            if (last[i] != 0 && last[i] < bestUse) {
-                bestUse = last[i];
-                best = i;
-            }
-        }
-        return best;
-    }
+    uint32_t lruWay() const { return tail; }
 
-    /** Any valid way (drain loops). @pre !empty() */
-    size_t
+    /** The lowest occupied way (drain order). @pre !empty() */
+    uint32_t
     firstValid() const
     {
-        for (size_t i = 0; i < cap; ++i)
-            if (last[i] != 0)
-                return i;
-        return kNone;
+        size_t w = 0;
+        while (used[w] == 0)
+            ++w;
+        return static_cast<uint32_t>(w * 64 + std::countr_zero(used[w]));
     }
 
-    uint64_t rid(size_t i) const { return rids[i]; }
-    uint64_t lastUse(size_t i) const { return last[i]; }
-    void touch(size_t i, uint64_t tick) { last[i] = tick; }
-    Payload &payload(size_t i) { return pay[i]; }
+    Payload &payload(uint32_t way) { return pay[way]; }
 
     void
     clear()
     {
-        std::fill(last.begin(), last.end(), 0);
-        presence.fill(0);
+        std::fill(used.begin(), used.end(), 0);
+        std::fill(index.begin(), index.end(), Slot{});
+        head = tail = kNone;
         size_ = 0;
-        lastWay = kNone;
     }
 
   private:
-    static constexpr size_t kPresenceMask = 255;
+    /** One index slot; way == kNone marks it empty. */
+    struct Slot
+    {
+        uint64_t rid = 0;
+        uint32_t way = kNone;
+        uint32_t home = 0;  //!< the slot its hash maps to
+    };
+
+    /** Free ways of bitmask word @p w (ways past the capacity are not). */
+    uint64_t
+    freeBits(size_t w) const
+    {
+        const uint32_t past = static_cast<uint32_t>(cap - w * 64);
+        const uint64_t valid =
+            past >= 64 ? ~uint64_t{0} : (uint64_t{1} << past) - 1;
+        return ~used[w] & valid;
+    }
+
+    void
+    linkHead(uint32_t way)
+    {
+        prev[way] = kNone;
+        next[way] = head;
+        if (head != kNone)
+            prev[head] = way;
+        else
+            tail = way;
+        head = way;
+    }
+
+    void
+    unlink(uint32_t way)
+    {
+        if (prev[way] != kNone)
+            next[prev[way]] = next[way];
+        else
+            head = next[way];
+        if (next[way] != kNone)
+            prev[next[way]] = prev[way];
+        else
+            tail = prev[way];
+    }
+
+    /**
+     * Backward-shift deletion: slide back every later entry of the
+     * probe cluster whose probe path covers the hole, so chains stay
+     * tombstone-free.
+     */
+    void
+    eraseSlot(size_t hole)
+    {
+        const size_t mask = index.size() - 1;
+        for (size_t i = (hole + 1) & mask; index[i].way != kNone;
+             i = (i + 1) & mask) {
+            if (((i - index[i].home) & mask) >= ((i - hole) & mask)) {
+                index[hole] = index[i];
+                slotOf[index[hole].way] = static_cast<uint32_t>(hole);
+                hole = i;
+            }
+        }
+        index[hole] = Slot{};
+    }
 
     uint32_t cap;
-    std::vector<uint64_t> rids;
-    std::vector<uint64_t> last;  //!< LRU stamp; 0 = way free
+    uint32_t shift = 0;             //!< index slot = hash >> shift
+    std::vector<Slot> index;        //!< region id -> way
+    std::vector<uint64_t> used;     //!< occupied-way bitmask
+    std::vector<uint32_t> prev;     //!< LRU list, towards the head
+    std::vector<uint32_t> next;     //!< LRU list, towards the tail
+    std::vector<uint32_t> slotOf;   //!< each way's index slot
     std::vector<Payload> pay;
-    std::array<uint16_t, 256> presence{};  //!< 2-hash counting filter
-    mutable size_t lastWay = kNone;        //!< one-entry find() memo
+    uint32_t head = kNone;          //!< most recently used way
+    uint32_t tail = kNone;          //!< least recently used way
     size_t size_ = 0;
 };
 
@@ -247,8 +321,12 @@ class ActiveGenerationTable : public PatternTrainer
     /** Make room in the accumulation table, training the victim. */
     void victimizeAccum();
 
-    /** Move a trigger into the accumulation table with @p off set. */
-    void promote(const TriggerInfo &trigger, uint64_t rid, uint32_t off);
+    /**
+     * Move a trigger into the accumulation table with @p off set.
+     * @p h = regionHash(rid)
+     */
+    void promote(const TriggerInfo &trigger, uint64_t rid, uint64_t h,
+                 uint32_t off);
 
     RegionGeometry geom;
     AgtConfig cfg;

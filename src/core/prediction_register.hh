@@ -6,6 +6,11 @@
  * clearing each bit as its request issues and freeing the register
  * when the pattern is exhausted. Multiple active registers are
  * serviced round-robin.
+ *
+ * A bitmask of busy registers (one word per 64) makes each operation
+ * one step: allocation takes the lowest clear bit, and a request finds
+ * the first busy register at or after the round-robin cursor with a
+ * shift and a count of trailing zeros. An idle file answers at once.
  */
 
 #ifndef STEMS_CORE_PREDICTION_REGISTER_HH
@@ -60,10 +65,10 @@ class PredictionRegisterFile
     std::optional<uint64_t> nextRequest();
 
     /** True if any register still holds pending blocks. */
-    bool anyPending() const;
+    bool anyPending() const { return busyRegs != 0; }
 
     /** Number of busy registers. */
-    uint32_t busyCount() const;
+    uint32_t busyCount() const { return busyRegs; }
 
     const PrfStats &stats() const { return stats_; }
 
@@ -72,12 +77,13 @@ class PredictionRegisterFile
     {
         uint64_t regionBase = 0;
         SpatialPattern pending;
-        bool busy = false;
     };
 
     RegionGeometry geom;
     std::vector<Reg> regs;
-    uint32_t rr = 0;  //!< round-robin cursor
+    std::vector<uint64_t> busy;  //!< bit r set: register r is busy
+    uint32_t busyRegs = 0;       //!< set bits in busy
+    uint32_t rr = 0;             //!< round-robin cursor
     PrfStats stats_;
 };
 

@@ -17,6 +17,26 @@ struct ShadowNode
     std::unique_ptr<core::SmsUnit> unit;  //!< null in baseline runs
 };
 
+void invalidate(mem::Cache *c, uint64_t blk) { c->invalidate(blk); }
+
+void
+invalidate(core::DecoupledSectoredCache *c, uint64_t blk)
+{
+    c->invalidateBlock(blk);
+}
+
+/** Drop @p blk from every node's cache but the writer's. */
+template <typename Node>
+void
+invalidateRemote(Node *const *nodes, uint32_t n, uint32_t writer,
+                 uint64_t blk)
+{
+    for (uint32_t o = 0; o < writer; ++o)
+        invalidate(nodes[o], blk);
+    for (uint32_t o = writer + 1; o < n; ++o)
+        invalidate(nodes[o], blk);
+}
+
 } // anonymous namespace
 
 L1StudyResult
@@ -88,52 +108,53 @@ runL1Study(const trace::StreamSet &set, const L1StudyConfig &cfg,
     }
 
     const uint64_t block_mask = ~uint64_t{cfg.l1.blockSize - 1};
+    const uint32_t ncpu = cfg.ncpu;
 
-    // one reference, its cpu field stamped with the stream index
-    auto step = [&](const trace::MemAccess &a) {
-        res.instructions += a.ninst + 1;
-
-        // remote stores invalidate other CPUs' copies (64 B coherence)
-        if (a.isWrite) {
-            const uint64_t blk = a.addr & block_mask;
-            for (uint32_t o = 0; o < cfg.ncpu; ++o) {
-                if (o == a.cpu)
-                    continue;
-                if (!ds_mode)
-                    nodes[o].cache->invalidate(blk);
-                else
-                    ds[o]->invalidateBlock(blk);
+    // the per-reference loop, with the DS/AGT choice made once: a
+    // mode's access returns the shadow L1's outcome for one reference
+    auto walk = [&](auto &&access) {
+        trace::InterleavedView view = trace::canonicalView(set, seed);
+        const trace::MemAccess *span;
+        uint32_t cpu;
+        size_t len;
+        while ((len = view.nextSpan(span, cpu)) != 0) {
+            for (const trace::MemAccess *a = span; a != span + len; ++a) {
+                res.instructions += a->ninst + 1;
+                const mem::AccessResult r = access(*a, cpu);
+                if (!a->isWrite) {
+                    ++res.readAccesses;
+                    res.readMisses += !r.hit;
+                    res.coveredReads += r.prefetchHit;
+                }
             }
-        }
-
-        mem::AccessResult r;
-        if (!ds_mode) {
-            r = nodes[a.cpu].cache->access(a.addr, a.isWrite);
-            if (nodes[a.cpu].unit)
-                nodes[a.cpu].unit->onAccess(a.pc, a.addr);
-        } else {
-            r = ds[a.cpu]->access(a.pc, a.addr, a.isWrite);
-        }
-
-        if (!a.isWrite) {
-            ++res.readAccesses;
-            if (!r.hit)
-                ++res.readMisses;
-            if (r.prefetchHit)
-                ++res.coveredReads;
         }
     };
 
-    trace::InterleavedView view = trace::canonicalView(set, seed);
-    const trace::MemAccess *span;
-    uint32_t spanCpu;
-    size_t len;
-    while ((len = view.nextSpan(span, spanCpu)) != 0) {
-        for (size_t k = 0; k < len; ++k) {
-            trace::MemAccess a = span[k];
-            a.cpu = spanCpu;
-            step(a);
+    if (!ds_mode) {
+        std::vector<mem::Cache *> caches(ncpu);
+        std::vector<core::SmsUnit *> units(ncpu);  // null in baselines
+        for (uint32_t c = 0; c < ncpu; ++c) {
+            caches[c] = nodes[c].cache.get();
+            units[c] = nodes[c].unit.get();
         }
+        walk([&](const trace::MemAccess &a, uint32_t cpu) {
+            // remote stores invalidate other CPUs' copies (64 B
+            // coherence)
+            if (a.isWrite)
+                invalidateRemote(caches.data(), ncpu, cpu,
+                                 a.addr & block_mask);
+            const mem::AccessResult r =
+                caches[cpu]->access(a.addr, a.isWrite);
+            if (units[cpu])
+                units[cpu]->onAccess(a.pc, a.addr);
+            return r;
+        });
+    } else {
+        walk([&](const trace::MemAccess &a, uint32_t cpu) {
+            if (a.isWrite)
+                invalidateRemote(ds.data(), ncpu, cpu, a.addr & block_mask);
+            return ds[cpu]->access(a.pc, a.addr, a.isWrite);
+        });
     }
 
     if (!ds_mode) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/agt.hh"
+#include "trace/rng.hh"
 
 using namespace stems::core;
 
@@ -235,4 +237,103 @@ TEST(Agt, PeakOccupancyTracked)
     for (uint32_t r = 0; r < 4; ++r)
         agt.onAccess(0x1, r * 2048);
     EXPECT_EQ(agt.stats().peakFilterOccupancy, 4u);
+}
+
+TEST(AgtCam, VictimOrderEqualsMinStampOrderAtEveryCapacity)
+{
+    // the LRU list against the stamp scan it replaced, at capacities
+    // the paper defaults never reach: one way, and one past each
+    // bitmask word
+    for (uint32_t cap : {1u, 2u, 63u, 64u, 65u, 130u}) {
+        AgtCam<int> cam(cap);
+        struct Way
+        {
+            uint64_t rid, stamp;
+        };
+        std::vector<std::optional<Way>> model(cap);
+        uint64_t tick = 0;
+        stems::trace::Rng rng(cap);
+        auto valid = [&] {
+            std::vector<uint32_t> v;
+            for (uint32_t w = 0; w < cap; ++w)
+                if (model[w])
+                    v.push_back(w);
+            return v;
+        };
+        for (int step = 0; step < 20000; ++step) {
+            ++tick;
+            const std::vector<uint32_t> live = valid();
+            const uint64_t op = rng.below(8);
+            if (live.size() < cap && (live.empty() || op < 4)) {
+                uint64_t rid;
+                do {
+                    rid = rng.below(4 * uint64_t{cap} + 8);
+                } while (cam.find(rid, regionHash(rid)) !=
+                         AgtCam<int>::kNone);
+                uint32_t lowest = 0;
+                while (model[lowest])
+                    ++lowest;
+                ASSERT_EQ(cam.insert(rid, regionHash(rid)), lowest)
+                    << "capacity " << cap << " step " << step;
+                model[lowest] = Way{rid, tick};
+            } else if (op < 6) {
+                const uint32_t w = live[rng.below(live.size())];
+                cam.touch(w);
+                model[w]->stamp = tick;
+            } else {
+                // erase the victim or any other way
+                const uint32_t w = op == 6 ? cam.lruWay()
+                                           : live[rng.below(live.size())];
+                cam.erase(w);
+                model[w].reset();
+            }
+
+            const std::vector<uint32_t> now = valid();
+            ASSERT_EQ(cam.size(), now.size());
+            if (now.empty())
+                continue;
+            uint32_t oldest = now[0];
+            for (uint32_t w : now)
+                if (model[w]->stamp < model[oldest]->stamp)
+                    oldest = w;
+            ASSERT_EQ(cam.lruWay(), oldest)
+                << "capacity " << cap << " step " << step;
+            ASSERT_EQ(cam.firstValid(), now[0]);
+            for (uint32_t w : now)
+                ASSERT_EQ(cam.find(model[w]->rid,
+                                   regionHash(model[w]->rid)), w);
+        }
+    }
+}
+
+TEST(AgtCam, EraseInsideWrappingProbeChainKeepsOthersFindable)
+{
+    // capacity 8 indexes 16 slots by the hash's top four bits: pick
+    // regions that all hash to slots 14 and 15, so their probe chain
+    // runs past the index end into slots 0, 1 and 2
+    constexpr uint32_t kCap = 8;
+    auto home = [](uint64_t rid) { return regionHash(rid) >> 60; };
+    std::vector<uint64_t> chain;
+    for (uint64_t rid = 1; chain.size() < 5; ++rid)
+        if (home(rid) >= 14)
+            chain.push_back(rid);
+
+    // erase each chain member in turn from a fresh table
+    for (size_t victim = 0; victim < chain.size(); ++victim) {
+        AgtCam<int> cam(kCap);
+        std::vector<uint32_t> way;
+        for (uint64_t rid : chain)
+            way.push_back(cam.insert(rid, regionHash(rid)));
+        cam.erase(way[victim]);
+        for (size_t i = 0; i < chain.size(); ++i) {
+            const uint32_t want = i == victim ? AgtCam<int>::kNone : way[i];
+            EXPECT_EQ(cam.find(chain[i], regionHash(chain[i])), want)
+                << "erased chain member " << victim << ", probed " << i;
+        }
+        // the freed way is reused and the rest of the chain survives
+        EXPECT_EQ(cam.insert(chain[victim], regionHash(chain[victim])),
+                  way[victim]);
+        for (size_t i = 0; i < chain.size(); ++i)
+            EXPECT_EQ(cam.find(chain[i], regionHash(chain[i])), way[i]);
+    }
 }

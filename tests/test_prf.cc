@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/prediction_register.hh"
+#include "ref/sms_ref.hh"
 
 using namespace stems::core;
 
@@ -108,4 +109,38 @@ TEST(Prf, IdleReturnsNothing)
     PredictionRegisterFile prf(2, g);
     EXPECT_FALSE(prf.nextRequest().has_value());
     EXPECT_FALSE(prf.anyPending());
+}
+
+TEST(Prf, WrappingOrderMatchesModuloLoopAtEveryWidth)
+{
+    // registers 0 and n-1 outlive the others, two fresh allocations
+    // land on the lowest freed registers, and the cursor wraps past
+    // the end with all of them busy: the order must be the plain
+    // `(rr + i) % n` loop's (stems::ref::RefPrf)
+    RegionGeometry g;
+    for (uint32_t n : {1u, 16u, 65u, 100u}) {
+        PredictionRegisterFile prf(n, g);
+        stems::ref::RefPrf ref(n, g);
+        auto allocate = [&](uint64_t base, SpatialPattern p) {
+            ASSERT_EQ(prf.allocate(base, p, 31), ref.allocate(base, p, 31));
+        };
+        for (uint32_t r = 0; r < n; ++r)
+            allocate(uint64_t{r} * 2048, r == 0 || r == n - 1
+                         ? pat({0, 1, 2, 3})
+                         : pat({5}));
+        EXPECT_EQ(prf.busyCount(), n);
+        for (uint32_t k = 0;; ++k) {
+            if (k == n) {  // the first sweep freed registers 1..n-2
+                allocate(0x900000, pat({7, 8, 9}));
+                allocate(0x980000, pat({7, 8}));
+                EXPECT_EQ(prf.busyCount(), ref.busy());
+            }
+            const auto got = prf.nextRequest();
+            ASSERT_EQ(got, ref.next()) << n << " registers, request " << k;
+            if (!got)
+                break;
+        }
+        EXPECT_FALSE(prf.anyPending());
+        EXPECT_EQ(prf.stats().requests, ref.stats.requests);
+    }
 }

@@ -326,10 +326,12 @@ TEST(SmsReference, RandomAccessAndRemovalSequencesAgree)
             const auto &st = ls.ref.agt.stats;
             EXPECT_GT(ls.ref.sms.streamRequests, 0u) << shapeName(shape);
             EXPECT_GT(st.generationsTrained, 0u) << shapeName(shape);
-            if (shape.filter != 0)
+            if (shape.filter != 0) {
                 EXPECT_GT(st.filterVictims, 0u) << shapeName(shape);
-            if (shape.accum != 0)
+            }
+            if (shape.accum != 0) {
                 EXPECT_GT(st.accumVictims, 0u) << shapeName(shape);
+            }
             ls.drain();
             // an unbounded accumulation table drains in hash order
             if (const std::string why = ls.diverged(shape.accum == 0);
