@@ -45,7 +45,7 @@ ActiveGenerationTable::promote(const TriggerInfo &trigger, uint64_t rid,
     if (boundedAccum()) {
         victimizeAccum();
         const uint32_t way = accumCam.insert(rid, h);
-        AccumPayload &p = accumCam.payload(way);
+        AccumEntry &p = accumCam.payload(way);
         p.trigger = trigger;
         p.pattern.set(trigger.offset);
         p.pattern.set(off);
@@ -56,7 +56,6 @@ ActiveGenerationTable::promote(const TriggerInfo &trigger, uint64_t rid,
         e.trigger = trigger;
         e.pattern.set(trigger.offset);
         e.pattern.set(off);
-        e.lastUse = tick;
         stats_.peakAccumOccupancy = std::max<uint64_t>(
             stats_.peakAccumOccupancy, accumMap.size());
     }
@@ -68,19 +67,17 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
     const uint64_t rid = geom.regionId(addr);
     const uint64_t h = regionHash(rid);
     const uint32_t off = geom.offsetOf(addr);
-    ++tick;
 
     // 1) already accumulating: record the block (step 3 in Figure 2)
     if (boundedAccum()) {
         if (const uint32_t way = accumCam.find(rid, h);
-            way != AgtCam<AccumPayload>::kNone) {
+            way != AgtCam<AccumEntry>::kNone) {
             accumCam.payload(way).pattern.set(off);
             accumCam.touch(way);
             return;
         }
     } else if (auto it = accumMap.find(rid); it != accumMap.end()) {
         it->second.pattern.set(off);
-        it->second.lastUse = tick;
         return;
     }
 
@@ -88,7 +85,7 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
     //    generation into the accumulation table (step 2 in Figure 2)
     if (boundedFilter()) {
         if (const uint32_t way = filterCam.find(rid, h);
-            way != AgtCam<FilterPayload>::kNone) {
+            way != AgtCam<FilterEntry>::kNone) {
             if (filterCam.payload(way).trigger.offset == off) {
                 filterCam.touch(way);  // re-touch trigger block
                 return;
@@ -99,10 +96,8 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
             return;
         }
     } else if (auto it = filterMap.find(rid); it != filterMap.end()) {
-        if (it->second.trigger.offset == off) {
-            it->second.lastUse = tick;  // re-touching the trigger block
-            return;
-        }
+        if (it->second.trigger.offset == off)
+            return;  // re-touching the trigger block
         TriggerInfo trigger = it->second.trigger;
         filterMap.erase(it);
         promote(trigger, rid, h, off);
@@ -122,9 +117,7 @@ ActiveGenerationTable::onAccess(uint64_t pc, uint64_t addr)
         stats_.peakFilterOccupancy = std::max<uint64_t>(
             stats_.peakFilterOccupancy, filterCam.size());
     } else {
-        FilterEntry &e = filterMap[rid];
-        e.trigger = trigger;
-        e.lastUse = tick;
+        filterMap[rid].trigger = trigger;
         stats_.peakFilterOccupancy = std::max<uint64_t>(
             stats_.peakFilterOccupancy, filterMap.size());
     }
@@ -143,7 +136,7 @@ ActiveGenerationTable::onBlockRemoved(uint64_t block_addr,
 
     if (boundedFilter()) {
         if (const uint32_t way = filterCam.find(rid, h);
-            way != AgtCam<FilterPayload>::kNone) {
+            way != AgtCam<FilterEntry>::kNone) {
             // only the trigger access happened: nothing to predict
             filterCam.erase(way);
             ++stats_.filterDiscards;
@@ -157,7 +150,7 @@ ActiveGenerationTable::onBlockRemoved(uint64_t block_addr,
 
     if (boundedAccum()) {
         if (const uint32_t way = accumCam.find(rid, h);
-            way != AgtCam<AccumPayload>::kNone) {
+            way != AgtCam<AccumEntry>::kNone) {
             TriggerInfo trigger = accumCam.payload(way).trigger;
             SpatialPattern pattern = accumCam.payload(way).pattern;
             accumCam.erase(way);

@@ -288,29 +288,15 @@ class ActiveGenerationTable : public PatternTrainer
     const RegionGeometry &geometry() const { return geom; }
 
   private:
-    struct FilterPayload
-    {
-        TriggerInfo trigger;
-    };
-
-    struct AccumPayload
-    {
-        TriggerInfo trigger;
-        SpatialPattern pattern;
-    };
-
-    /** Unbounded-mode entries carry the LRU stamp inline. */
     struct FilterEntry
     {
         TriggerInfo trigger;
-        uint64_t lastUse = 0;
     };
 
     struct AccumEntry
     {
         TriggerInfo trigger;
         SpatialPattern pattern;
-        uint64_t lastUse = 0;
     };
 
     bool boundedFilter() const { return cfg.filterEntries != 0; }
@@ -330,11 +316,10 @@ class ActiveGenerationTable : public PatternTrainer
 
     RegionGeometry geom;
     AgtConfig cfg;
-    AgtCam<FilterPayload> filterCam;
-    AgtCam<AccumPayload> accumCam;
+    AgtCam<FilterEntry> filterCam;
+    AgtCam<AccumEntry> accumCam;
     util::FlatMap<uint64_t, FilterEntry> filterMap;  //!< unbounded mode
     util::FlatMap<uint64_t, AccumEntry> accumMap;    //!< unbounded mode
-    uint64_t tick = 0;
     AgtStats stats_;
 };
 
