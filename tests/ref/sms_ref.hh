@@ -21,9 +21,9 @@
 #ifndef STEMS_TESTS_REF_SMS_REF_HH
 #define STEMS_TESTS_REF_SMS_REF_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <list>
 #include <map>
 #include <optional>
