@@ -34,8 +34,10 @@ SmsUnit::generationStart(const TriggerInfo &trigger)
     if (!prf.allocate(trigger.regionBase, *pattern, trigger.offset))
         return;
 
-    // trace-mode draining: stream every predicted block now; the
-    // timing model paces this loop through its bandwidth limits
+    // stream every predicted block now: the register is empty again
+    // before this returns, so at most one register is ever busy and
+    // pred-regs cannot change results until fills are paced (nothing
+    // else, the timing model included, paces this loop)
     while (auto req = prf.nextRequest()) {
         ++stats_.streamRequests;
         if (issue)

@@ -318,10 +318,18 @@ Coordinator::run(driver::CellScheduler &sched)
         return true;
     };
 
-    // hand a claimed @p cell to @p w; the attempt number rides the wire
-    // so the fault injector can key first-attempt-only chaos
+    // hand an idle @p w its next claim; the attempt number rides the
+    // wire so the fault injector can key first-attempt-only chaos
     // deterministically
-    auto dispatchCell = [&](Worker &w, size_t cell) {
+    auto assign = [&](Worker &w) {
+        if (!w.alive || !w.ready || w.cell != -1)
+            return;
+        const auto claimed = sched.claim([&](const RunCell &c) {
+            return w.workloads.contains(c.workload);
+        });
+        if (!claimed)
+            return;
+        const size_t cell = *claimed;
         const uint32_t attempt = sched.attempts(cell);
         if (attempt > 1)
             obs::count(&obs::Counters::dispatchRetries);
@@ -342,18 +350,9 @@ Coordinator::run(driver::CellScheduler &sched)
                               std::to_string(cells[cell].id));
     };
 
-    auto assign = [&](Worker &w) {
-        if (!w.alive || !w.ready || w.cell != -1)
-            return;
-        if (const auto cell = sched.claim([&](const RunCell &c) {
-                return w.workloads.contains(c.workload);
-            }))
-            dispatchCell(w, *cell);
-    };
-
-    // fold a first result's v4 telemetry sidecar into this
-    // incarnation's health stats and merge any worker spans (re-tagged
-    // with the worker pid) into the coordinator's trace timeline
+    // fold a result's v4 telemetry sidecar into this incarnation's
+    // health stats and merge any worker spans (re-tagged with the
+    // worker pid) into the coordinator's trace timeline
     auto foldTelemetry = [&](Worker &w, size_t cell,
                              obs::CellTelemetry &tel) {
         const double rtMs =
@@ -432,11 +431,8 @@ Coordinator::run(driver::CellScheduler &sched)
                     }
                     w.cell = -1;
                     w.failStreak = 0;
-                    // a duplicate copy that lost the race is dropped
-                    // by the scheduler and leaves no telemetry
-                    if (!sched.done(static_cast<size_t>(cell)))
-                        foldTelemetry(w, static_cast<size_t>(cell),
-                                      wire.telemetry);
+                    foldTelemetry(w, static_cast<size_t>(cell),
+                                  wire.telemetry);
                     sched.complete(static_cast<size_t>(cell),
                                    std::move(wire));
                 } else {
@@ -519,17 +515,6 @@ Coordinator::run(driver::CellScheduler &sched)
             break;
         }
 
-        if (cfg.speculate) {
-            for (auto &idle : pool) {
-                if (!idle.alive || !idle.ready || idle.cell != -1)
-                    continue;
-                const auto cell = sched.duplicate();
-                if (!cell)
-                    break;
-                dispatchCell(idle, *cell);
-            }
-        }
-
         std::vector<pollfd> fds;
         std::vector<Worker *> fdOwner;
         for (auto &w : pool) {
@@ -568,11 +553,6 @@ Coordinator::run(driver::CellScheduler &sched)
             for (auto &w : pool)
                 if (!w.alive && queued && w.nextSpawnAt > now)
                     wakeAt(w.nextSpawnAt, now);
-            // while stragglers may be duplicated, re-evaluate them on
-            // a coarse cadence
-            if (cfg.speculate && !queued &&
-                (timeout < 0 || timeout > 100))
-                timeout = 100;
         }
 
         const int n = ::poll(fds.data(),

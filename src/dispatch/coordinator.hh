@@ -15,14 +15,14 @@
  * exponential backoff with deterministic jitter (50 ms base, doubled
  * per consecutive loss, 5 s cap), within a respawn budget. When the
  * pool is unrecoverable, an in-process driver::Runner lane pool
- * drains the remaining cells instead of erroring them. Idle workers
- * speculatively re-run tail stragglers' cells (first result wins)
- * when configured.
+ * drains the remaining cells instead of erroring them. Each cell runs
+ * on one worker at a time; a straggler is recovered by the per-cell
+ * timeout and the heartbeat, not by a second copy.
  *
  * The coordinator only manages processes: spawn, reap, backoff,
- * heartbeats, timeouts and the poll loop. It claims, re-queues, fails
- * and duplicates cells through a driver::CellScheduler, which owns the
- * claim order and the results. Each worker process keeps the traces
+ * heartbeats, timeouts and the poll loop. It claims, re-queues and
+ * fails cells through a driver::CellScheduler, which owns the claim
+ * order and the results. Each worker process keeps the traces
  * and baseline passes of the workloads it has run, so an idle worker
  * claims with a preference for those workloads: of the cells as heavy
  * as the next claim, it takes one of its own workloads first. A
@@ -99,13 +99,6 @@ struct DispatchConfig
      * is killed fast, while a slow-but-heartbeating cell runs on.
      */
     uint32_t heartbeatMs = 0;
-
-    /**
-     * Hand idle workers extra copies of tail stragglers under the
-     * scheduler's duplication rule (driver::CellScheduler::duplicate);
-     * the first result wins, the loser is discarded.
-     */
-    bool speculate = false;
 };
 
 /**

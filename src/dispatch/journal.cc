@@ -211,11 +211,11 @@ RunJournal::close()
 
 std::vector<CellResult>
 runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
-        std::vector<WorkerStats> *statsOut, double *wallMsOut,
+        std::vector<WorkerStats> *workerStatsOut, double *wallMsOut,
         const StartFn &onStart)
 {
-    if (statsOut)
-        statsOut->clear();
+    if (workerStatsOut)
+        workerStatsOut->clear();
     if (wallMsOut)
         *wallMsOut = 0;
 
@@ -252,7 +252,6 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
         dcfg.maxAttempts = spec.dispatchRetries;
         dcfg.trace = !spec.traceOut.empty();
         dcfg.heartbeatMs = spec.dispatchHeartbeatMs;
-        dcfg.speculate = spec.dispatchSpeculate;
         dcfg.workerExe = spec.dispatchWorkerExe;
         // workers= swaps the pipe transport for sockets; the dispatch
         // bytes on the wire are identical either way
@@ -269,8 +268,8 @@ runSpec(const driver::ExperimentSpec &spec, const ProgressFn &progress,
         }
         Coordinator coord(spec, dcfg, std::move(transport));
         coord.run(sched);
-        if (statsOut)
-            *statsOut = coord.workerStats();
+        if (workerStatsOut)
+            *workerStatsOut = coord.workerStats();
         if (wallMsOut)
             *wallMsOut = coord.wallMs();
     } else {

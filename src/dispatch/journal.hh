@@ -123,7 +123,7 @@ using StartFn = std::function<void(const driver::CellScheduler &)>;
  *
  * @param progress   forwarded per completed cell (journaled cells
  *                   replayed on resume do NOT re-fire progress)
- * @param statsOut   per-worker health stats when dispatched
+ * @param workerStatsOut per-worker health stats when dispatched
  * @param wallMsOut  the run's wall ms (0 when everything replayed)
  * @param onStart    called once journal seeding is done: the cells
  *                   not yet done() are the ones this call executes
@@ -131,7 +131,7 @@ using StartFn = std::function<void(const driver::CellScheduler &)>;
 std::vector<driver::CellResult>
 runSpec(const driver::ExperimentSpec &spec,
         const driver::ProgressFn &progress = {},
-        std::vector<WorkerStats> *statsOut = nullptr,
+        std::vector<WorkerStats> *workerStatsOut = nullptr,
         double *wallMsOut = nullptr, const StartFn &onStart = {});
 
 } // namespace stems::dispatch

@@ -5,17 +5,10 @@
 
 #include "obs/counters.hh"
 #include "obs/obs.hh"
-#include "obs/sampler.hh"
 
 namespace stems::driver {
 
 namespace {
-
-/** The duplication rule's floor on a straggler's run time. */
-constexpr double kDuplicateFloorMs = 2000;
-
-/** Completed round trips needed before the median means anything. */
-constexpr size_t kDuplicateMinSamples = 3;
 
 /**
  * Relative per-reference weight of an engine kind: how much a pass
@@ -70,19 +63,6 @@ CellScheduler::CellScheduler(const ExperimentSpec &spec)
             return cost_[a] > cost_[b];
         return cells_[a].id < cells_[b].id;
     });
-    obs::gaugeAdd(&obs::Gauges::cellsPending,
-                  static_cast<int64_t>(pending_.size()));
-}
-
-CellScheduler::~CellScheduler()
-{
-    // a stopped service abandons cells; hand their gauge share back
-    int64_t running = 0;
-    for (const Cell &c : state_)
-        running += c.running;
-    obs::gaugeAdd(&obs::Gauges::cellsPending,
-                  -static_cast<int64_t>(pending_.size()));
-    obs::gaugeAdd(&obs::Gauges::workersBusy, -running);
 }
 
 size_t
@@ -106,8 +86,6 @@ CellScheduler::seed(const std::map<uint32_t, CellResult> &replayed)
         std::erase_if(pending_,
                       [this](size_t i) { return state_[i].done; });
     }
-    obs::gaugeAdd(&obs::Gauges::cellsPending,
-                  -static_cast<int64_t>(seeded));
     std::lock_guard<std::mutex> hk(hookMu_);
     toReport_ -= seeded;
     return seeded;
@@ -123,33 +101,25 @@ CellScheduler::onComplete(ProgressFn hook)
 std::optional<size_t>
 CellScheduler::claim(const Preference &prefers)
 {
-    size_t i;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (pending_.empty())
-            return std::nullopt;
-        // a pending cell with an attempt was re-queued by lost() and
-        // sits in front of the cost order; the rest stay sorted by
-        // cost, so the front's ties are a contiguous run
-        auto pick = pending_.begin();
-        if (prefers && state_[*pick].attempts == 0) {
-            const double front = cost_[*pick];
-            for (auto it = pick;
-                 it != pending_.end() && cost_[*it] == front; ++it)
-                if (prefers(cells_[*it])) {
-                    pick = it;
-                    break;
-                }
-        }
-        i = *pick;
-        pending_.erase(pick);
-        Cell &c = state_[i];
-        ++c.attempts;
-        ++c.running;
-        c.claimedNs = obs::monotonicNs();
+    std::lock_guard<std::mutex> lk(mu_);
+    if (pending_.empty())
+        return std::nullopt;
+    // a pending cell with an attempt was re-queued by lost() and sits
+    // in front of the cost order; the rest stay sorted by cost, so the
+    // front's ties are a contiguous run
+    auto pick = pending_.begin();
+    if (prefers && state_[*pick].attempts == 0) {
+        const double front = cost_[*pick];
+        for (auto it = pick; it != pending_.end() && cost_[*it] == front;
+             ++it)
+            if (prefers(cells_[*it])) {
+                pick = it;
+                break;
+            }
     }
-    obs::gaugeAdd(&obs::Gauges::cellsPending, -1);
-    obs::gaugeAdd(&obs::Gauges::workersBusy, 1);
+    const size_t i = *pick;
+    pending_.erase(pick);
+    ++state_[i].attempts;
     return i;
 }
 
@@ -159,7 +129,6 @@ CellScheduler::placeLocked(size_t i, CellResult result)
     state_[i].done = true;
     result.cell = cells_[i];
     results_[i] = std::move(result);
-    obs::gaugeAdd(&obs::Gauges::cellsDone, 1);
 }
 
 void
@@ -182,16 +151,8 @@ CellScheduler::complete(size_t i, CellResult result)
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        Cell &c = state_[i];
-        if (c.running > 0) {
-            --c.running;
-            obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
-        }
-        if (c.done)
-            return false;  // a duplicate copy already delivered
-        roundTripMs_.push_back(
-            static_cast<double>(obs::monotonicNs() - c.claimedNs) /
-            1e6);
+        if (state_[i].done)
+            return false;
         placeLocked(i, std::move(result));
     }
     publish(i);
@@ -204,16 +165,9 @@ CellScheduler::lost(size_t i, const std::string &reason,
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        Cell &c = state_[i];
-        if (c.running > 0) {
-            --c.running;
-            obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
-        }
-        if (c.done || c.running > 0)
-            return;  // another copy delivered or is still running
+        const Cell &c = state_[i];
         if (c.attempts < std::max<uint32_t>(maxAttempts, 1)) {
             pending_.push_front(i);
-            obs::gaugeAdd(&obs::Gauges::cellsPending, 1);
             obs::count(&obs::Counters::cellsRequeued);
             obs::instant("cell_requeued",
                          {{"cell", std::to_string(cells_[i].id)}});
@@ -225,44 +179,6 @@ CellScheduler::lost(size_t i, const std::string &reason,
         placeLocked(i, std::move(failed));
     }
     publish(i);
-}
-
-std::optional<size_t>
-CellScheduler::duplicate()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!pending_.empty() ||
-        roundTripMs_.size() < kDuplicateMinSamples)
-        return std::nullopt;
-    std::vector<double> rtts = roundTripMs_;
-    std::nth_element(rtts.begin(), rtts.begin() + rtts.size() / 2,
-                     rtts.end());
-    double worstMs =
-        std::max(3.0 * rtts[rtts.size() / 2], kDuplicateFloorMs);
-    const uint64_t now = obs::monotonicNs();
-    std::optional<size_t> straggler;
-    for (size_t i = 0; i < state_.size(); ++i) {
-        const Cell &c = state_[i];
-        if (c.done || c.duplicated || c.running == 0)
-            continue;
-        const double elapsedMs =
-            static_cast<double>(now - c.claimedNs) / 1e6;
-        if (elapsedMs > worstMs) {
-            worstMs = elapsedMs;
-            straggler = i;
-        }
-    }
-    if (!straggler)
-        return std::nullopt;
-    Cell &c = state_[*straggler];
-    c.duplicated = true;
-    ++c.attempts;
-    ++c.running;
-    obs::gaugeAdd(&obs::Gauges::workersBusy, 1);
-    obs::count(&obs::Counters::cellsStolen);
-    obs::instant("speculative_redispatch",
-                 {{"cell", std::to_string(cells_[*straggler].id)}});
-    return straggler;
 }
 
 size_t

@@ -12,19 +12,16 @@
  *    cells (an L1 sweep) claim in id order. A claimer may pass a
  *    preference that breaks ties only: among the cells as heavy as
  *    the front one it takes the first it prefers (see claim());
- *  - per-cell attempt, in-flight and completion state;
+ *  - per-cell attempt and completion state;
  *  - result placement by cell index, where the first result wins and
- *    a later copy is dropped, so reports are byte-identical whatever
+ *    a later one is dropped, so reports are byte-identical whatever
  *    ran where;
  *  - journal seeding: replayed cells are complete and never claimed;
- *  - the single completion hook (journal appends, progress);
- *  - the cells_pending / workers_busy / cells_done gauges;
- *  - the duplication rule for straggling in-flight cells.
+ *  - the single completion hook (journal appends, progress).
  *
- * Pool lanes share one executor and one CPU pool, so they never
- * duplicate; the pool's warmer reads only cells() and done()
- * (driver/runner.hh). Process lanes each have their own TraceCache,
- * so they duplicate but have no warmer.
+ * Each claim runs one copy of its cell: a lost copy is re-queued or
+ * failed, never run twice at once. The pool's warmer reads only
+ * cells() and done() (driver/runner.hh).
  *
  * Thread-safe: lanes claim and complete concurrently.
  */
@@ -68,7 +65,6 @@ class CellScheduler
     /** The cells of @p spec (cells= filter applied), pending in claim
      *  order. Throws std::invalid_argument on a bad cells= filter. */
     explicit CellScheduler(const ExperimentSpec &spec);
-    ~CellScheduler();
     CellScheduler(const CellScheduler &) = delete;
     CellScheduler &operator=(const CellScheduler &) = delete;
 
@@ -101,30 +97,21 @@ class CellScheduler
     std::optional<size_t> claim(const Preference &prefers = {});
 
     /**
-     * Deliver one copy's result for cell @p i. The first result is
-     * placed (its cell metadata replaced by the scheduler's, which is
+     * Deliver the result for cell @p i. The first result is placed
+     * (its cell metadata replaced by the scheduler's, which is
      * authoritative) and reported to the hook before this returns; a
-     * later copy is dropped. Returns whether @p result was placed.
+     * result for a cell already done is dropped. Returns whether
+     * @p result was placed.
      */
     bool complete(size_t i, CellResult result);
 
     /**
-     * A lane lost its copy of cell @p i (crash, timeout, protocol
-     * error). When no other copy is in flight, the cell is re-queued
-     * ahead of every pending cell, or, once it has used @p maxAttempts
-     * attempts, completed with the error "<reason> after N
-     * attempt(s)".
+     * A lane lost its claim of cell @p i (crash, timeout, protocol
+     * error). The cell is re-queued ahead of every pending cell, or,
+     * once it has used @p maxAttempts attempts, completed with the
+     * error "<reason> after N attempt(s)".
      */
     void lost(size_t i, const std::string &reason, uint32_t maxAttempts);
-
-    /**
-     * The duplication rule: when nothing is pending and an in-flight
-     * cell has run longer than max(3x the median completed round trip,
-     * 2 s), claim one extra copy of the longest such cell (counting an
-     * attempt and cells_stolen). At most one extra copy per cell, and
-     * only after three completed round trips.
-     */
-    std::optional<size_t> duplicate();
 
     /** Cells waiting to be claimed. */
     size_t pending() const;
@@ -145,10 +132,7 @@ class CellScheduler
     struct Cell
     {
         uint32_t attempts = 0;
-        uint32_t running = 0;     //!< copies in flight
         bool done = false;
-        bool duplicated = false;  //!< an extra copy was claimed
-        uint64_t claimedNs = 0;   //!< start of the latest claim
     };
 
     /** Mark cell @p i done under mu_; the caller then publish()es. */
@@ -163,8 +147,7 @@ class CellScheduler
     std::deque<size_t> pending_;
     std::vector<Cell> state_;
     std::vector<CellResult> results_;
-    std::vector<double> roundTripMs_;  //!< completed claims
-    size_t settled_ = 0;               //!< cells done and reported
+    size_t settled_ = 0;  //!< cells done and reported
 
     std::mutex hookMu_;  //!< serializes the hook
     ProgressFn hook_;

@@ -258,8 +258,6 @@ specRows(SpecParse &p)
         u32Key("dispatch-timeout-ms", s.dispatchTimeoutMs, "0 = none"),
         u32Key("dispatch-retries", s.dispatchRetries, "tries per cell", 1),
         u32Key("dispatch-heartbeat-ms", s.dispatchHeartbeatMs, "0 = off"),
-        boolKey("dispatch-speculate", s.dispatchSpeculate,
-                "copy tail stragglers to idle lanes, first result wins"),
         strKey("workers", s.dispatchWorkers, "socket worker endpoints"),
         strKey("spawn-cmd", s.dispatchSpawnCmd, "per-worker launch, {addr}"),
         strKey("journal", s.journalPath, "crash-safe journal of cells"),
@@ -284,8 +282,6 @@ specRows(SpecParse &p)
         boolKey("wall", s.emitWall, "wall_ms in JSON (0 = byte-stable)"),
         strKey("trace-out", s.traceOut, "Chrome trace-event JSON"),
         strKey("telemetry-out", s.telemetryOut, "counters JSON file"),
-        strKey("stats-out", s.statsOut, "sampled time-series JSONL"),
-        u32Key("stats-interval-ms", s.statsIntervalMs, "sampler period", 1),
         {"oracle-regions", "", "track oracle generations at these sizes",
          [&s](const std::string &k, const std::string &v) {
              s.oracleRegionSizes.clear();

@@ -61,8 +61,6 @@ struct ExperimentSpec
     // observability sinks (see src/obs/); never touch report output
     std::string traceOut;      //!< Chrome trace-event JSON ("" = off)
     std::string telemetryOut;  //!< counters JSON file ("" = off)
-    std::string statsOut;      //!< time-series JSONL file ("" = off)
-    uint32_t statsIntervalMs = 100;  //!< sampler period (stats-out)
 
     /** Track oracle spatial generations at these region sizes. */
     std::vector<uint32_t> oracleRegionSizes;
@@ -81,7 +79,6 @@ struct ExperimentSpec
     uint32_t dispatchTimeoutMs = 0;   //!< per-cell timeout (0 = none)
     uint32_t dispatchRetries = 3;     //!< attempts per cell before error
     uint32_t dispatchHeartbeatMs = 0; //!< liveness period (0 = off)
-    bool dispatchSpeculate = false;   //!< re-dispatch tail stragglers
     std::string dispatchWorkerExe;    //!< "" = this binary
 
     /**

@@ -33,7 +33,6 @@
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
-#include "obs/sampler.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 
@@ -114,13 +113,6 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
         std::cerr << line.str();
     };
 
-    // time-series sampler: ticks in the background for the duration
-    // of the run, reading atomics only — report bytes are identical
-    // with it on or off
-    obs::StatsSampler sampler;
-    if (!spec.statsOut.empty())
-        sampler.start(spec.statsOut, spec.statsIntervalMs);
-
     const auto runStart = std::chrono::steady_clock::now();
     std::vector<dispatch::WorkerStats> workerStats;
     // runSpec is the one execution entry point: fault plan, journal
@@ -170,7 +162,6 @@ cmdRun(const std::vector<std::string> &args, const Figure *fig = nullptr)
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - runStart)
             .count();
-    sampler.stop();
 
     if (!spec.jsonPath.empty())
         writeReport(spec.jsonPath, toJson(spec, results));

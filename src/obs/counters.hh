@@ -56,8 +56,8 @@ struct Counters
     std::atomic<uint64_t> streamStalls{0};
     // experiment-service families: admission-queue outcomes,
     // warm-cache reuse across requests and the socket control channel.
-    // cellsStolen counts the scheduler's duplicate copies of straggling
-    // cells (dispatch-speculate=1)
+    // cellsStolen always reads 0 (no cell runs twice at once); it stays
+    // because the benchmark's layer report reads it
     std::atomic<uint64_t> serveRequestsAdmitted{0};
     std::atomic<uint64_t> serveRequestsQueued{0};
     std::atomic<uint64_t> serveRequestsRejected{0};

@@ -2,7 +2,7 @@
 """CI checker for stems observability artifacts.
 
 Usage: check_trace.py TRACE.json TELEMETRY.json [--dispatched]
-                      [--serve] [--analyze=FILE] [--stats=FILE]
+                      [--serve] [--analyze=FILE]
 
 Asserts the --trace-out file is a loadable Chrome trace-event document
 (the format Perfetto / chrome://tracing read) covering the span names
@@ -14,8 +14,7 @@ additionally requires the merged trace to span multiple processes
 --serve, the artifacts come from a `stems serve` daemon: requires
 serve_request/serve_cell spans, socket-byte and admission counters,
 and the analyze "serve" per-request section.  With --analyze=FILE,
-validates `stems analyze --format=json` output; with --stats=FILE,
-validates a --stats-out JSONL time series.
+validates `stems analyze --format=json` output.
 """
 
 import json
@@ -192,42 +191,14 @@ def check_analyze(path, serve):
           f"{len(a['critical_path'])}-step critical path)")
 
 
-def check_stats(path):
-    with open(path) as f:
-        lines = [l for l in f.read().splitlines() if l.strip()]
-    if not lines:
-        fail(f"{path}: stats file has no samples")
-
-    prev_ts = None
-    for i, line in enumerate(lines):
-        try:
-            s = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(f"{path}:{i + 1}: not JSON: {e}")
-        if s.get("schema") != 1:
-            fail(f"{path}:{i + 1}: stats schema != 1")
-        for key in ("ts_ms", "rss_kb", "gauges", "counters"):
-            if key not in s:
-                fail(f"{path}:{i + 1}: sample missing {key}")
-        if prev_ts is not None and s["ts_ms"] < prev_ts:
-            fail(f"{path}:{i + 1}: ts_ms went backwards")
-        prev_ts = s["ts_ms"]
-        for g in ("cells_pending", "workers_busy", "cells_done"):
-            if g not in s["gauges"]:
-                fail(f"{path}:{i + 1}: gauges missing {g}")
-    print(f"check_trace: {path}: {len(lines)} stats sample(s) ok")
-
-
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     dispatched = "--dispatched" in sys.argv[1:]
     serve = "--serve" in sys.argv[1:]
-    analyze = stats = None
+    analyze = None
     for a in sys.argv[1:]:
         if a.startswith("--analyze="):
             analyze = a.split("=", 1)[1]
-        elif a.startswith("--stats="):
-            stats = a.split("=", 1)[1]
     if len(args) != 2:
         print(__doc__)
         sys.exit(2)
@@ -235,8 +206,6 @@ def main():
     check_telemetry(args[1], dispatched, serve)
     if analyze:
         check_analyze(analyze, serve)
-    if stats:
-        check_stats(stats)
     print("check_trace: ok")
 
 

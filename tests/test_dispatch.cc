@@ -1073,34 +1073,6 @@ TEST(DispatchChaos, DegradesToInProcessWhenPoolUnrecoverable)
     obs::Counters::get().reset();
 }
 
-TEST(DispatchChaos, SpeculationDuplicatesTailStraggler)
-{
-    // cell 3 hangs 30 s on its first attempt; once the pending queue
-    // drains and enough round trips are in, the idle worker gets a
-    // speculative copy (attempt 2 — the hang is first-attempt-only)
-    // and the run finishes long before the straggler would
-    ExperimentSpec spec = parseSpec(
-        {"workloads=sparse,graph", "prefetchers=sms,none", "ncpu=4",
-         "refs=1500", "seed=9", "wall=0"});
-    const std::string inproc = inProcessJson(spec);
-
-    obs::Counters::get().reset();
-    ScopedEnv plan("STEMS_FAULTS", "hang=cell:3/30000");
-    DispatchConfig cfg = localConfig(2);
-    cfg.speculate = true;
-    const auto start = std::chrono::steady_clock::now();
-    const std::string dispatched = dispatchedJson(spec, 2, cfg);
-    const double tookMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    EXPECT_EQ(inproc, dispatched);
-    EXPECT_LT(tookMs, 25000.0) << "speculation never fired";
-    EXPECT_GE(counterValue(obs::snapshotCounters(), "cells_stolen"),
-              1u);
-    obs::Counters::get().reset();
-}
-
 // ---------------------------------------------------------------------
 // crash-safe journal and resume
 // ---------------------------------------------------------------------

@@ -288,6 +288,12 @@ TEST(ExperimentSpec, RejectsBadInput)
                  std::invalid_argument);
     EXPECT_THROW(parseSpec({"sweep.pht-entries=1024,4294967296"}),
                  std::invalid_argument);
+    // retired keys are unknown keys, not silently ignored ones
+    EXPECT_THROW(parseSpec({"dispatch-speculate=1"}),
+                 std::invalid_argument);
+    EXPECT_THROW(parseSpec({"stats-out=x"}), std::invalid_argument);
+    EXPECT_THROW(parseSpec({"stats-interval-ms=5"}),
+                 std::invalid_argument);
 }
 
 TEST(ExperimentSpec, AcceptedSyntaxParsesToTheSameValues)

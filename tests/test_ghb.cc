@@ -79,12 +79,14 @@ TEST(Ghb, SeparatePcChainsDoNotInterfere)
     for (int i = 0; i < 8; ++i) {
         out.clear();
         ghb.observe(miss(0x1, 0x100000 + uint64_t(i) * 128), out);
-        if (i >= 3)
+        if (i >= 3) {
             EXPECT_FALSE(out.empty()) << "pc1 stride undetected";
+        }
         out.clear();
         ghb.observe(miss(0x2, 0x900000 + uint64_t(i) * 512), out);
-        if (i >= 3)
+        if (i >= 3) {
             EXPECT_FALSE(out.empty()) << "pc2 stride undetected";
+        }
     }
 }
 

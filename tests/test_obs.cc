@@ -15,9 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -32,7 +30,6 @@
 #include "obs/counters.hh"
 #include "obs/histogram.hh"
 #include "obs/obs.hh"
-#include "obs/sampler.hh"
 #include "study/suite.hh"
 
 using namespace stems;
@@ -200,10 +197,12 @@ TEST(ObsSpan, ThreadsGetDistinctTagsAndNames)
     EXPECT_TRUE(sawWorkerName);
 
     for (const auto &e : events) {
-        if (e.name == "on-main")
+        if (e.name == "on-main") {
             EXPECT_EQ(e.tid, mainTid);
-        if (e.name == "on-thread")
+        }
+        if (e.name == "on-thread") {
             EXPECT_EQ(e.tid, otherTid);
+        }
     }
 }
 
@@ -239,10 +238,12 @@ TEST(ObsTrace, ChromeJsonParsesAndNormalizes)
         EXPECT_GE(ts, 0.0);
         EXPECT_GE(e.at("pid").asU64(), 1u);
         EXPECT_GE(e.at("tid").asU64(), 1u);
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e.at("dur").asDouble(), 0.0);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").asString(), "p");
+        }
     }
     EXPECT_EQ(minTs, 0.0);
 
@@ -654,68 +655,4 @@ TEST(ObsHistogram, CellWallCountDeterministicAcrossThreads)
     EXPECT_EQ(count4, cells4);
     EXPECT_EQ(count1, count4);
     obs::Histograms::get().reset();
-}
-
-// -------------------------------------------------------------------
-// time-series sampler (PR 8)
-// -------------------------------------------------------------------
-
-TEST(ObsSampler, SampleLineSchemaRoundTrips)
-{
-    obs::Gauges::get().reset();
-    obs::gaugeAdd(&obs::Gauges::cellsPending, 7);
-    obs::gaugeAdd(&obs::Gauges::workersBusy, 3);
-    obs::gaugeAdd(&obs::Gauges::cellsDone, 11);
-
-    const std::string line = obs::StatsSampler::sampleLine(12.5);
-    const dispatch::JsonValue doc = dispatch::parseJson(line);
-    EXPECT_EQ(doc.at("schema").asU64(), 1u);
-    EXPECT_DOUBLE_EQ(doc.at("ts_ms").asDouble(), 12.5);
-    EXPECT_GT(doc.at("rss_kb").asU64(), 0u);
-
-    const dispatch::JsonValue &gauges = doc.at("gauges");
-    EXPECT_EQ(gauges.at("cells_pending").asU64(), 7u);
-    EXPECT_EQ(gauges.at("workers_busy").asU64(), 3u);
-    EXPECT_EQ(gauges.at("cells_done").asU64(), 11u);
-
-    // every counter family appears, in declaration order
-    const dispatch::JsonValue &counters = doc.at("counters");
-    const auto snap = obs::snapshotCounters();
-    ASSERT_EQ(counters.members.size(), snap.size());
-    for (size_t i = 0; i < snap.size(); ++i)
-        EXPECT_EQ(counters.members[i].first, snap[i].first);
-    obs::Gauges::get().reset();
-}
-
-TEST(ObsSampler, WritesParsableJsonl)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("stems-sampler-" + std::to_string(::getpid()) + ".jsonl"))
-            .string();
-    {
-        obs::StatsSampler sampler;
-        sampler.start(path, 5);
-        EXPECT_TRUE(sampler.running());
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        sampler.stop();
-        EXPECT_FALSE(sampler.running());
-    }
-    std::ifstream f(path);
-    ASSERT_TRUE(f.is_open());
-    std::string line;
-    size_t lines = 0;
-    double lastTs = -1;
-    while (std::getline(f, line)) {
-        if (line.empty())
-            continue;
-        const dispatch::JsonValue doc = dispatch::parseJson(line);
-        EXPECT_EQ(doc.at("schema").asU64(), 1u);
-        const double ts = doc.at("ts_ms").asDouble();
-        EXPECT_GE(ts, lastTs);  // monotone within one run
-        lastTs = ts;
-        ++lines;
-    }
-    EXPECT_GE(lines, 1u);  // stop() always takes a final sample
-    std::filesystem::remove(path);
 }

@@ -3,18 +3,15 @@
  * CellScheduler unit tests, with no executor and no processes: claim
  * order (heaviest estimated first, ties by id, re-queued first), the
  * claimer's tie-breaking preference, first-result-wins placement
- * with one hook call per cell, journal seeding and the duplication
- * rule.
+ * with one hook call per cell and journal seeding.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "driver/scheduler.hh"
@@ -266,46 +263,4 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
     const auto results = sched.takeResults();
     EXPECT_EQ(results[2].metrics.wallMs(), 2.5);
     EXPECT_EQ(results[2].cell.id, 2u);
-}
-
-TEST(Scheduler, DuplicatesOnlyPastThresholdWithNothingPending)
-{
-    obs::Counters::get().reset();
-    CellScheduler sched(parseSpec({"workloads=sparse",
-                                   "prefetchers=none,sms,ghb,stride,"
-                                   "next-line",
-                                   "ncpu=4", "refs=1000"}));
-    int hooked = 0;
-    sched.onComplete([&](const CellResult &, size_t, size_t) {
-        ++hooked;
-    });
-    // claim order: sms (1), ghb (2), stride (3), next-line (4), none (0)
-    ASSERT_EQ(sched.claim(), 1u);  // the straggler
-    for (size_t i = 2; i <= 4; ++i) {
-        ASSERT_EQ(sched.claim(), i);
-        sched.complete(i, CellResult{});
-    }
-    // three fast round trips, but cell 0 is still pending
-    EXPECT_EQ(sched.duplicate(), std::nullopt);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2100));
-    EXPECT_EQ(sched.duplicate(), std::nullopt);
-
-    // nothing pending: cell 1 is past the 2 s floor, cell 0 is not
-    ASSERT_EQ(sched.claim(), 0u);
-    EXPECT_EQ(sched.duplicate(), 1u);
-    EXPECT_EQ(sched.attempts(1), 2u);
-    EXPECT_EQ(sched.duplicate(), std::nullopt);  // one copy per cell
-    EXPECT_EQ(obs::Counters::get().cellsStolen.load(), 1u);
-
-    // the original copy is lost; the duplicate still runs, so the
-    // cell is neither re-queued nor failed
-    sched.lost(1, "worker exited", 2);
-    EXPECT_EQ(sched.pending(), 0u);
-    EXPECT_FALSE(sched.done(1));
-    EXPECT_TRUE(sched.complete(1, tagged("copy")));
-    EXPECT_TRUE(sched.complete(0, CellResult{}));
-    EXPECT_TRUE(sched.finished());
-    EXPECT_EQ(hooked, 5);
-    EXPECT_EQ(sched.takeResults()[1].error, "copy");
-    obs::Counters::get().reset();
 }
