@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/sectored.hh"
+#include "mem/cache.hh"
+#include "trace/rng.hh"
 
 using namespace stems::core;
 
@@ -196,4 +200,82 @@ TEST(DecoupledSectored, MoreConflictMissesThanTraditionalShape)
     // 64 single-block regions fit 16 kB of data capacity easily, but
     // the sector tag array cannot hold 64 sectors
     EXPECT_GT(misses_round2, 0u);
+}
+
+TEST(DecoupledSectored, DataArrayMatchesCacheModel)
+{
+    // DS's data array beside a plain cache of its data geometry: 8 kB
+    // 2-way data under 2 sector sets of 8 tags, so resident sectors
+    // span four times the data capacity and both data-array victims
+    // and sector conflicts drop blocks often. The mirror drops a
+    // region's blocks when its generation ends and refuses a prefetch
+    // fill whose sector is not resident, as DS does; the two must
+    // agree on every outcome.
+    DsConfig cfg;
+    cfg.dataBytes = 8192;
+    cfg.dataAssoc = 2;
+    cfg.tagMult = 4;
+    DecoupledSectoredCache ds(cfg);
+    stems::mem::Cache mirror({cfg.dataBytes, cfg.dataAssoc, cfg.blockSize});
+    const RegionGeometry &geom = ds.geometry();
+
+    struct Mirror : GenerationListener
+    {
+        void
+        generationStart(const TriggerInfo &t) override
+        {
+            resident.insert(t.regionBase);
+        }
+
+        void
+        generationEnd(const TriggerInfo &t, const SpatialPattern &) override
+        {
+            resident.erase(t.regionBase);
+            ++ends;
+            for (uint32_t off = 0; off < geom->blocksPerRegion(); ++off)
+                cache->invalidate(geom->blockAddr(t.regionBase, off));
+        }
+
+        stems::mem::Cache *cache = nullptr;
+        const RegionGeometry *geom = nullptr;
+        std::set<uint64_t> resident;
+        uint64_t ends = 0;
+    } listener;
+    listener.cache = &mirror;
+    listener.geom = &geom;
+    ds.setListener(&listener);
+
+    stems::trace::Rng rng(29);
+    for (int step = 0; step < 20000; ++step) {
+        const uint64_t addr = 0x100000 +
+            rng.below(24) * geom.regionSize() +
+            rng.below(geom.blocksPerRegion()) * geom.blockSize() +
+            rng.below(8) * 8;
+        const uint64_t op = rng.below(8);
+        std::string why;
+        if (op < 5) {
+            const bool is_write = op == 4;
+            const stems::mem::AccessResult got =
+                ds.access(0x400000 + rng.below(8) * 4, addr, is_write);
+            const stems::mem::AccessResult want =
+                mirror.access(addr, is_write);
+            if (got.hit != want.hit || got.prefetchHit != want.prefetchHit)
+                why = "access outcome";
+        } else if (op < 7) {
+            const bool resident =
+                listener.resident.count(geom.regionBase(addr)) != 0;
+            const bool got = ds.fillPrefetch(addr);
+            const bool want = resident && mirror.fillPrefetch(addr);
+            if (got != want)
+                why = "prefetch fill";
+        } else {
+            mirror.invalidate(addr);
+            ds.invalidateBlock(addr);
+        }
+        ASSERT_TRUE(why.empty()) << why << " differs at step " << step;
+    }
+    EXPECT_GT(listener.ends, 1000u);
+    EXPECT_GT(ds.stats().prefetchUnused, 0u);
+    EXPECT_EQ(ds.stats().readMisses, mirror.stats().readMisses);
+    EXPECT_EQ(ds.stats().prefetchUnused, mirror.stats().prefetchUnused);
 }
