@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the predictor structures'
- * software cost: AGT access, victimization and eviction-stream misses,
- * PHT lookup/update, prediction-register streaming and idle polls, GHB
+ * software cost: AGT access (bounded and unbounded), victimization and
+ * eviction-stream misses, the decoupled sectored cache's access, PHT
+ * lookup/update, prediction-register streaming and idle polls, GHB
  * observation, full SMS unit access, and the cache model itself.
  * These bound the simulator's throughput and document the relative
  * cost of each structure.
@@ -13,6 +14,7 @@
 #include "core/agt.hh"
 #include "core/pht.hh"
 #include "core/prediction_register.hh"
+#include "core/sectored.hh"
 #include "core/sms.hh"
 #include "mem/cache.hh"
 #include "prefetch/ghb.hh"
@@ -42,6 +44,41 @@ BM_AgtAccess(benchmark::State &state)
         agt.onAccess(0x400000 + rng.below(64) * 4, rng.below(1 << 22));
 }
 BENCHMARK(BM_AgtAccess);
+
+/**
+ * The limit studies' unbounded AGT: both tables grow to hold every
+ * live region, and a quarter of the events are the L1's departures
+ * that end generations.
+ */
+static void
+BM_AgtAccessUnbounded(benchmark::State &state)
+{
+    core::ActiveGenerationTable agt(core::RegionGeometry(), {0, 0});
+    trace::Rng rng(2);
+    uint64_t n = 0;
+    for (auto _ : state) {
+        if ((++n & 3) == 0)
+            agt.onBlockRemoved(rng.below(1 << 22) & ~uint64_t{63}, false);
+        else
+            agt.onAccess(0x400000 + rng.below(64) * 4, rng.below(1 << 22));
+    }
+    benchmark::DoNotOptimize(agt.stats().generationsTrained);
+}
+BENCHMARK(BM_AgtAccessUnbounded);
+
+/** A demand access to Figure 8's decoupled sectored cache. */
+static void
+BM_DsAccess(benchmark::State &state)
+{
+    core::DecoupledSectoredCache ds{core::DsConfig{}};
+    trace::Rng rng(5);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            ds.access(0x400000 + rng.below(64) * 4, rng.below(1 << 22),
+                      false).hit);
+    }
+}
+BENCHMARK(BM_DsAccess);
 
 /** A full filter table fed only new regions: every access victimizes. */
 static void

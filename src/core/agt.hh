@@ -9,11 +9,11 @@
  * tolerates interleaved accesses to independent regions that fragment
  * sectored training structures.
  *
- * Bounded tables are modelled as what they are in hardware: small
+ * Both tables are modelled as what they are in hardware: small
  * fully-associative CAMs (AgtCam) where a match, an insert, a touch
  * and a victim choice each take one step, as one CAM operation does.
- * Unbounded tables (the figures' limit studies) fall back to a
- * FlatMap.
+ * An unbounded table (the figures' limit studies) is the same CAM,
+ * doubled whenever an insert finds it full.
  */
 
 #ifndef STEMS_CORE_AGT_HH
@@ -27,11 +27,10 @@
 
 #include "core/region.hh"
 #include "core/trainer.hh"
-#include "util/flat_map.hh"
 
 namespace stems::core {
 
-/** AGT capacities. Zero means unbounded (for limit studies). */
+/** AGT capacities. Zero means unbounded (a growing CAM, for limit studies). */
 struct AgtConfig
 {
     uint32_t filterEntries = 32;
@@ -59,13 +58,13 @@ regionHash(uint64_t rid)
 }
 
 /**
- * A fixed-capacity fully-associative table with LRU victimization,
- * keyed by region id, at one step per event:
+ * A fully-associative table with LRU victimization, keyed by region
+ * id, at one step per event:
  *
  *  - an exact open-addressed index maps region id to way: a power of
  *    two at least twice the capacity of (region id, way) slots, linear
- *    probing and backward-shift deletion, as util::FlatMap does, so a
- *    lookup (hit or miss) probes about two slots;
+ *    probing and backward-shift deletion (util/flat_map.hh's scheme),
+ *    so a lookup (hit or miss) probes about two slots;
  *  - an intrusive doubly-linked list orders the ways by use: insert()
  *    and touch() move a way to the head, erase() unlinks it, and the
  *    tail is the LRU victim;
@@ -73,28 +72,27 @@ regionHash(uint64_t rid)
  *    the lowest free way and drains their lowest-way-first order.
  *
  * Callers hash the region id once per event (regionHash()) and hand
- * the hash to every table they probe.
+ * the hash to every table they probe. A capacity of 0 makes a table
+ * that is never full: it starts at kInitialWays and an insert into a
+ * table with every way taken grow()s it first.
  */
 template <typename Payload>
 class AgtCam
 {
   public:
     static constexpr uint32_t kNone = UINT32_MAX;
+    /** Ways a growing (capacity 0) table starts with. */
+    static constexpr uint32_t kInitialWays = 64;
 
     explicit AgtCam(uint32_t capacity)
-        : cap(capacity), used((capacity + 63) / 64, 0), prev(capacity),
-          next(capacity), slotOf(capacity), pay(capacity)
+        : grows(capacity == 0)
     {
-        uint32_t bits = 1;
-        while ((uint64_t{1} << bits) < 2 * uint64_t{capacity})
-            ++bits;
-        shift = 64 - bits;
-        index.assign(size_t{1} << bits, Slot{});
+        resize(grows ? kInitialWays : capacity);
     }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    bool full() const { return size_ >= cap; }
+    bool full() const { return !grows && size_ >= cap; }
 
     /** Way holding region @p rid, or kNone. @p h = regionHash(rid). */
     uint32_t
@@ -116,20 +114,15 @@ class AgtCam
     insert(uint64_t rid, uint64_t h)
     {
         assert(!full() && "AgtCam::insert on full table");
+        if (size_ == cap)
+            grow();
         size_t w = 0;
         while (freeBits(w) == 0)
             ++w;
         const uint32_t way = static_cast<uint32_t>(
             w * 64 + std::countr_zero(freeBits(w)));
         used[w] |= uint64_t{1} << (way & 63);
-
-        const size_t mask = index.size() - 1;
-        size_t i = h >> shift;
-        while (index[i].way != kNone)
-            i = (i + 1) & mask;
-        index[i] = {rid, way, static_cast<uint32_t>(h >> shift)};
-        slotOf[way] = static_cast<uint32_t>(i);
-
+        place(rid, way, h);
         pay[way] = Payload{};
         linkHead(way);
         ++size_;
@@ -170,6 +163,21 @@ class AgtCam
 
     Payload &payload(uint32_t way) { return pay[way]; }
 
+    /**
+     * Double the capacity in place. Every entry keeps its way, so the
+     * LRU order and the occupied-way bitmask stand; the index is
+     * rebuilt at twice its size.
+     */
+    void
+    grow()
+    {
+        const std::vector<Slot> old = std::move(index);
+        resize(2 * cap);
+        for (const Slot &e : old)
+            if (e.way != kNone)
+                place(e.rid, e.way, regionHash(e.rid));
+    }
+
     void
     clear()
     {
@@ -187,6 +195,39 @@ class AgtCam
         uint32_t way = kNone;
         uint32_t home = 0;  //!< the slot its hash maps to
     };
+
+    /**
+     * Size every array for @p capacity ways and give the index an
+     * empty power of two of at least twice as many slots. Occupied
+     * ways, the LRU list and the payloads survive; the index does not.
+     */
+    void
+    resize(uint32_t capacity)
+    {
+        cap = capacity;
+        used.resize((capacity + 63) / 64, 0);
+        prev.resize(capacity);
+        next.resize(capacity);
+        slotOf.resize(capacity);
+        pay.resize(capacity);
+        uint32_t bits = 1;
+        while ((uint64_t{1} << bits) < 2 * uint64_t{capacity})
+            ++bits;
+        shift = 64 - bits;
+        index.assign(size_t{1} << bits, Slot{});
+    }
+
+    /** Index @p way under @p rid at the first free slot from home. */
+    void
+    place(uint64_t rid, uint32_t way, uint64_t h)
+    {
+        const size_t mask = index.size() - 1;
+        size_t i = h >> shift;
+        while (index[i].way != kNone)
+            i = (i + 1) & mask;
+        index[i] = {rid, way, static_cast<uint32_t>(h >> shift)};
+        slotOf[way] = static_cast<uint32_t>(i);
+    }
 
     /** Free ways of bitmask word @p w (ways past the capacity are not). */
     uint64_t
@@ -243,7 +284,8 @@ class AgtCam
         index[hole] = Slot{};
     }
 
-    uint32_t cap;
+    bool grows;                     //!< capacity 0: never full
+    uint32_t cap = 0;
     uint32_t shift = 0;             //!< index slot = hash >> shift
     std::vector<Slot> index;        //!< region id -> way
     std::vector<uint64_t> used;     //!< occupied-way bitmask
@@ -273,17 +315,8 @@ class ActiveGenerationTable : public PatternTrainer
 
     const AgtStats &stats() const { return stats_; }
 
-    size_t
-    filterOccupancy() const
-    {
-        return boundedFilter() ? filterCam.size() : filterMap.size();
-    }
-
-    size_t
-    accumOccupancy() const
-    {
-        return boundedAccum() ? accumCam.size() : accumMap.size();
-    }
+    size_t filterOccupancy() const { return filterCam.size(); }
+    size_t accumOccupancy() const { return accumCam.size(); }
 
     const RegionGeometry &geometry() const { return geom; }
 
@@ -299,13 +332,12 @@ class ActiveGenerationTable : public PatternTrainer
         SpatialPattern pattern;
     };
 
-    bool boundedFilter() const { return cfg.filterEntries != 0; }
-    bool boundedAccum() const { return cfg.accumEntries != 0; }
-
     /** Make room in the filter table if at capacity. */
     void victimizeFilter();
     /** Make room in the accumulation table, training the victim. */
     void victimizeAccum();
+    /** End the generation in accumulation @p way and train it. */
+    void endGeneration(uint32_t way);
 
     /**
      * Move a trigger into the accumulation table with @p off set.
@@ -315,11 +347,8 @@ class ActiveGenerationTable : public PatternTrainer
                  uint32_t off);
 
     RegionGeometry geom;
-    AgtConfig cfg;
     AgtCam<FilterEntry> filterCam;
     AgtCam<AccumEntry> accumCam;
-    util::FlatMap<uint64_t, FilterEntry> filterMap;  //!< unbounded mode
-    util::FlatMap<uint64_t, AccumEntry> accumMap;    //!< unbounded mode
     AgtStats stats_;
 };
 

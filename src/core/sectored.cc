@@ -108,21 +108,19 @@ LogicalSectoredTags::drain()
 // ---------------------------------------------------------------------
 
 DecoupledSectoredCache::DecoupledSectoredCache(const DsConfig &config)
-    : cfg(config), geom(config.sectorSize, config.blockSize)
+    : cfg(config), geom(config.sectorSize, config.blockSize),
+      data({config.dataBytes, config.dataAssoc, config.blockSize},
+           "ds-data")
 {
-    if (cfg.dataBytes % (uint64_t{cfg.blockSize} * cfg.dataAssoc) != 0)
-        throw std::invalid_argument("bad DS data geometry");
-    dataSets = static_cast<uint32_t>(
-        cfg.dataBytes / (uint64_t{cfg.blockSize} * cfg.dataAssoc));
     uint64_t capacity_sectors = cfg.dataBytes / cfg.sectorSize;
-    if (capacity_sectors == 0 || capacity_sectors % cfg.dataAssoc != 0)
+    if (capacity_sectors == 0 || capacity_sectors % cfg.dataAssoc != 0 ||
+        cfg.tagMult == 0)
         throw std::invalid_argument("bad DS sector geometry");
     tagSets = static_cast<uint32_t>(capacity_sectors / cfg.dataAssoc);
     tagAssoc = cfg.dataAssoc * cfg.tagMult;
-    if (!isPow2(dataSets) || !isPow2(tagSets))
+    if (!isPow2(tagSets))
         throw std::invalid_argument("DS set counts must be powers of 2");
     sectors.resize(static_cast<size_t>(tagSets) * tagAssoc);
-    frames.resize(static_cast<size_t>(dataSets) * cfg.dataAssoc);
 }
 
 DecoupledSectoredCache::SectorEntry *
@@ -138,29 +136,14 @@ DecoupledSectoredCache::findSector(uint64_t rid)
 }
 
 void
-DecoupledSectoredCache::dropSectorBlocks(uint64_t rid)
-{
-    const uint32_t bpr = geom.blocksPerRegion();
-    for (uint32_t off = 0; off < bpr; ++off) {
-        uint64_t block_idx = rid * bpr + off;
-        if (DataFrame *f = findBlock(block_idx)) {
-            ++stats_.evictions;
-            if (f->prefetch)
-                ++stats_.prefetchUnused;
-            f->valid = false;
-            f->prefetch = false;
-        }
-    }
-}
-
-void
 DecoupledSectoredCache::endSector(SectorEntry &e)
 {
     TriggerInfo trigger = e.trigger;
     SpatialPattern pattern = e.accessed;
-    uint64_t rid = e.rid;
     e.valid = false;
-    dropSectorBlocks(rid);
+    // blocks cannot outlive their sector tag
+    for (uint32_t off = 0; off < geom.blocksPerRegion(); ++off)
+        data.invalidate(geom.blockAddr(trigger.regionBase, off));
     if (listener)
         listener->generationEnd(trigger, pattern);
 }
@@ -187,53 +170,12 @@ DecoupledSectoredCache::allocSector(uint64_t rid)
     return *victim;
 }
 
-DecoupledSectoredCache::DataFrame *
-DecoupledSectoredCache::findBlock(uint64_t block_idx)
-{
-    const uint32_t set = static_cast<uint32_t>(block_idx & (dataSets - 1));
-    DataFrame *base = &frames[static_cast<size_t>(set) * cfg.dataAssoc];
-    for (uint32_t w = 0; w < cfg.dataAssoc; ++w) {
-        if (base[w].valid && base[w].blockIdx == block_idx)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-void
-DecoupledSectoredCache::fillBlock(uint64_t block_idx, bool prefetch)
-{
-    const uint32_t set = static_cast<uint32_t>(block_idx & (dataSets - 1));
-    DataFrame *base = &frames[static_cast<size_t>(set) * cfg.dataAssoc];
-    DataFrame *victim = nullptr;
-    for (uint32_t w = 0; w < cfg.dataAssoc; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (!victim || base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    if (victim->valid) {
-        ++stats_.evictions;
-        if (victim->prefetch)
-            ++stats_.prefetchUnused;
-    }
-    victim->valid = true;
-    victim->blockIdx = block_idx;
-    victim->prefetch = prefetch;
-    victim->lastUse = ++tick;
-}
-
 mem::AccessResult
 DecoupledSectoredCache::access(uint64_t pc, uint64_t addr, bool is_write)
 {
     const uint64_t rid = geom.regionId(addr);
     const uint32_t off = geom.offsetOf(addr);
-    const uint64_t block_idx = addr >> log2i(cfg.blockSize);
     ++tick;
-    ++stats_.accesses;
-    if (!is_write)
-        ++stats_.readAccesses;
 
     SectorEntry *sec = findSector(rid);
     bool new_generation = false;
@@ -248,24 +190,7 @@ DecoupledSectoredCache::access(uint64_t pc, uint64_t addr, bool is_write)
     sec->accessed.set(off);
     sec->lastUse = tick;
 
-    mem::AccessResult r;
-    if (DataFrame *f = findBlock(block_idx)) {
-        r.hit = true;
-        ++stats_.hits;
-        if (f->prefetch) {
-            r.prefetchHit = true;
-            ++stats_.prefetchHits;
-            f->prefetch = false;
-        }
-        f->lastUse = tick;
-    } else {
-        ++stats_.misses;
-        if (is_write)
-            ++stats_.writeMisses;
-        else
-            ++stats_.readMisses;
-        fillBlock(block_idx, false);
-    }
+    const mem::AccessResult r = data.access(addr, is_write);
 
     // fire the trigger event after the access's own state settles so
     // streamed fills observe the new generation
@@ -277,30 +202,16 @@ DecoupledSectoredCache::access(uint64_t pc, uint64_t addr, bool is_write)
 bool
 DecoupledSectoredCache::fillPrefetch(uint64_t addr)
 {
-    const uint64_t rid = geom.regionId(addr);
-    if (!findSector(rid))
+    if (!findSector(geom.regionId(addr)))
         return false;  // blocks cannot live without their sector tag
-    const uint64_t block_idx = addr >> log2i(cfg.blockSize);
-    if (findBlock(block_idx))
-        return false;
-    fillBlock(block_idx, true);
-    ++stats_.prefetchFills;
-    return true;
+    return data.fillPrefetch(addr);
 }
 
 void
 DecoupledSectoredCache::invalidateBlock(uint64_t addr)
 {
-    const uint64_t block_idx = addr >> log2i(cfg.blockSize);
-    if (DataFrame *f = findBlock(block_idx)) {
-        ++stats_.invalidations;
-        if (f->prefetch)
-            ++stats_.prefetchUnused;
-        f->valid = false;
-        f->prefetch = false;
-    }
-    const uint64_t rid = geom.regionId(addr);
-    if (SectorEntry *sec = findSector(rid)) {
+    data.invalidate(addr);
+    if (SectorEntry *sec = findSector(geom.regionId(addr))) {
         if (sec->accessed.test(geom.offsetOf(addr)))
             endSector(*sec);
     }

@@ -13,9 +13,11 @@
  *  - DecoupledSectoredCache models the spatial footprint predictor's
  *    [17] decoupled sectored cache [22]: the cache itself is sectored,
  *    with a decoupled tag array holding several times more sector tags
- *    than sectors of data capacity. A block may only reside while its
- *    sector tag does, so sector conflicts evict unrelated blocks and
- *    raise the miss rate — the effect Figure 8 quantifies.
+ *    than sectors of data capacity. The data array is a mem::Cache of
+ *    the data geometry, so its lookups, victims and counters are the
+ *    shadow L1's own. A block may only reside while its sector tag
+ *    does, so sector conflicts invalidate unrelated blocks and raise
+ *    the miss rate — the effect Figure 8 quantifies.
  */
 
 #ifndef STEMS_CORE_SECTORED_HH
@@ -121,7 +123,7 @@ class DecoupledSectoredCache : public PatternTrainer
 
     void drain() override;
 
-    const mem::CacheStats &stats() const { return stats_; }
+    const mem::CacheStats &stats() const { return data.stats(); }
     const RegionGeometry &geometry() const { return geom; }
 
   private:
@@ -134,33 +136,19 @@ class DecoupledSectoredCache : public PatternTrainer
         bool valid = false;
     };
 
-    struct DataFrame
-    {
-        uint64_t blockIdx = 0;  //!< addr >> blockShift
-        uint64_t lastUse = 0;
-        bool valid = false;
-        bool prefetch = false;
-    };
-
     SectorEntry *findSector(uint64_t rid);
     /** Allocate a sector entry, ending the victim's generation. */
     SectorEntry &allocSector(uint64_t rid);
+    /** End @p e's generation and drop its resident blocks. */
     void endSector(SectorEntry &e);
-    /** Drop every resident data block of sector @p rid. */
-    void dropSectorBlocks(uint64_t rid);
-
-    DataFrame *findBlock(uint64_t block_idx);
-    void fillBlock(uint64_t block_idx, bool prefetch);
 
     DsConfig cfg;
     RegionGeometry geom;
-    uint32_t dataSets;
     uint32_t tagSets;
     uint32_t tagAssoc;
     std::vector<SectorEntry> sectors;
-    std::vector<DataFrame> frames;
+    mem::Cache data;  //!< the data array, {dataBytes, dataAssoc, blockSize}
     uint64_t tick = 0;
-    mem::CacheStats stats_;
 };
 
 } // namespace stems::core

@@ -8,7 +8,8 @@
  *    region id to entry, each with a std::list LRU stack (front =
  *    most recently used) and a set of free entry numbers, so a new
  *    entry takes the lowest free one and a drain ends generations in
- *    entry order;
+ *    entry order (an unbounded table numbers its entries the same
+ *    way and is never full);
  *  - the PHT is a vector of sets, each a std::list LRU stack of
  *    (key, pattern) entries;
  *  - the prediction registers are a vector walked by a plain loop from
@@ -53,7 +54,8 @@ class RefAgtTable
         std::list<uint64_t>::iterator lru;
     };
 
-    explicit RefAgtTable(uint32_t capacity) : cap(capacity)
+    explicit RefAgtTable(uint32_t capacity)
+        : cap(capacity), numbered(capacity)
     {
         for (uint32_t i = 0; i < capacity; ++i)
             freeNumbers.insert(i);
@@ -81,10 +83,10 @@ class RefAgtTable
     insert(uint64_t rid)
     {
         Slot s;
-        if (bounded()) {
-            s.number = *freeNumbers.begin();
-            freeNumbers.erase(freeNumbers.begin());
-        }
+        if (freeNumbers.empty())
+            freeNumbers.insert(numbered++);  // unbounded: one more
+        s.number = *freeNumbers.begin();
+        freeNumbers.erase(freeNumbers.begin());
         lru.push_front(rid);
         s.lru = lru.begin();
         return slots.emplace(rid, std::move(s)).first->second.entry;
@@ -95,18 +97,14 @@ class RefAgtTable
     {
         Slot &s = slots.at(rid);
         lru.erase(s.lru);
-        if (bounded())
-            freeNumbers.insert(s.number);
+        freeNumbers.insert(s.number);
         slots.erase(rid);
     }
 
     /** The least recently used region. @pre size() > 0 */
     uint64_t lruRegion() const { return lru.back(); }
 
-    /**
-     * Live regions in entry-number order (drain order); an unbounded
-     * table numbers nothing and lists them by region id.
-     */
+    /** Live regions in entry-number order (drain order). */
     std::vector<uint64_t>
     byNumber() const
     {
@@ -128,6 +126,7 @@ class RefAgtTable
 
   private:
     uint32_t cap;
+    uint32_t numbered;  //!< entry numbers handed out so far
     std::map<uint64_t, Slot> slots;
     std::list<uint64_t> lru;
     std::set<uint32_t> freeNumbers;

@@ -337,3 +337,69 @@ TEST(AgtCam, EraseInsideWrappingProbeChainKeepsOthersFindable)
             EXPECT_EQ(cam.find(chain[i], regionHash(chain[i])), way[i]);
     }
 }
+
+TEST(AgtCam, GrowKeepsEveryEntryAndItsOrder)
+{
+    // a capacity-0 table against the stamp model, inserting more than
+    // it erases so it doubles from kInitialWays several times; every
+    // entry must keep its way, its payload and its place in LRU order
+    AgtCam<int> cam(0);
+    struct Way
+    {
+        uint64_t rid, stamp;
+    };
+    std::vector<std::optional<Way>> model;
+    uint64_t tick = 0;
+    stems::trace::Rng rng(29);
+    std::vector<uint32_t> live;
+    for (int step = 0; step < 8000; ++step) {
+        ++tick;
+        const uint64_t op = rng.below(10);
+        if (live.empty() || op < 6) {
+            ASSERT_FALSE(cam.full());
+            uint64_t rid;
+            do {
+                rid = rng.below(uint64_t{1} << 20);
+            } while (cam.find(rid, regionHash(rid)) != AgtCam<int>::kNone);
+            uint32_t lowest = 0;
+            while (lowest < model.size() && model[lowest])
+                ++lowest;
+            ASSERT_EQ(cam.insert(rid, regionHash(rid)), lowest)
+                << "step " << step;
+            cam.payload(lowest) = static_cast<int>(rid);
+            if (lowest == model.size())
+                model.emplace_back();
+            model[lowest] = Way{rid, tick};
+        } else if (op < 8) {
+            const uint32_t w = live[rng.below(live.size())];
+            cam.touch(w);
+            model[w]->stamp = tick;
+        } else {
+            const uint32_t w = op == 8 ? cam.lruWay()
+                                       : live[rng.below(live.size())];
+            cam.erase(w);
+            model[w].reset();
+        }
+
+        live.clear();
+        for (uint32_t w = 0; w < model.size(); ++w)
+            if (model[w])
+                live.push_back(w);
+        ASSERT_EQ(cam.size(), live.size());
+        if (live.empty())
+            continue;
+        uint32_t oldest = live[0];
+        for (uint32_t w : live)
+            if (model[w]->stamp < model[oldest]->stamp)
+                oldest = w;
+        ASSERT_EQ(cam.lruWay(), oldest) << "step " << step;
+        ASSERT_EQ(cam.firstValid(), live[0]) << "step " << step;
+        for (uint32_t w : live) {
+            ASSERT_EQ(cam.find(model[w]->rid, regionHash(model[w]->rid)), w)
+                << "step " << step;
+            ASSERT_EQ(cam.payload(w), static_cast<int>(model[w]->rid));
+        }
+    }
+    // it grew past several doublings of its initial ways
+    EXPECT_GT(model.size(), 8u * AgtCam<int>::kInitialWays);
+}

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -278,4 +279,12 @@ TEST(DecoupledSectored, DataArrayMatchesCacheModel)
     EXPECT_GT(ds.stats().prefetchUnused, 0u);
     EXPECT_EQ(ds.stats().readMisses, mirror.stats().readMisses);
     EXPECT_EQ(ds.stats().prefetchUnused, mirror.stats().prefetchUnused);
+}
+
+TEST(DecoupledSectored, ZeroTagMultiplierIsRejected)
+{
+    // no sector tags at all would leave every allocation without a way
+    DsConfig cfg;
+    cfg.tagMult = 0;
+    EXPECT_THROW(DecoupledSectoredCache ds(cfg), std::invalid_argument);
 }

@@ -15,7 +15,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/sms.hh"
@@ -184,18 +183,8 @@ class Lockstep
      * @return "" when the models agree, else the first divergence.
      */
     std::string
-    diverged(bool unordered = false)
+    diverged()
     {
-        if (unordered) {
-            auto key = [](const Event &e) {
-                return std::tie(e.kind, e.a, e.b);
-            };
-            auto less = [&](const Event &x, const Event &y) {
-                return key(x) < key(y);
-            };
-            std::sort(realLog.begin(), realLog.end(), less);
-            std::sort(refLog.begin(), refLog.end(), less);
-        }
         std::string why;
         const size_t n = std::max(realLog.size(), refLog.size());
         for (size_t i = 0; i < n && why.empty(); ++i) {
@@ -335,9 +324,7 @@ TEST(SmsReference, RandomAccessAndRemovalSequencesAgree)
                 EXPECT_GT(st.accumVictims, 0u) << shapeName(shape);
             }
             ls.drain();
-            // an unbounded accumulation table drains in hash order
-            if (const std::string why = ls.diverged(shape.accum == 0);
-                !why.empty()) {
+            if (const std::string why = ls.diverged(); !why.empty()) {
                 ADD_FAILURE() << shapeName(shape) << " seed " << seed
                               << " drain: " << why;
                 return;
