@@ -2,6 +2,8 @@
 
 #include <sys/resource.h>
 
+#include <iterator>
+
 namespace stems::obs {
 
 Counters &
@@ -11,78 +13,65 @@ Counters::get()
     return c;
 }
 
+namespace {
+
+/**
+ * Every counter with its telemetry key, in telemetry order: the one
+ * list reset() and snapshotCounters() walk.
+ */
+constexpr std::pair<const char *, std::atomic<uint64_t> Counters::*>
+    kCounters[] = {
+    {"trace_cache_hits", &Counters::traceCacheHits},
+    {"trace_cache_misses", &Counters::traceCacheMisses},
+    {"trace_spill_replays", &Counters::traceSpillReplays},
+    {"baseline_memo_hits", &Counters::baselineMemoHits},
+    {"baseline_memo_misses", &Counters::baselineMemoMisses},
+    {"timing_memo_hits", &Counters::timingMemoHits},
+    {"timing_memo_misses", &Counters::timingMemoMisses},
+    {"system_passes", &Counters::systemPasses},
+    {"cells_executed", &Counters::cellsExecuted},
+    {"dispatch_retries", &Counters::dispatchRetries},
+    {"cells_requeued", &Counters::cellsRequeued},
+    {"worker_respawns", &Counters::workerRespawns},
+    {"wire_bytes_sent", &Counters::wireBytesSent},
+    {"wire_bytes_received", &Counters::wireBytesReceived},
+    {"faults_injected", &Counters::faultsInjected},
+    {"heartbeats_missed", &Counters::heartbeatsMissed},
+    {"journal_cells_written", &Counters::journalCellsWritten},
+    {"journal_cells_replayed", &Counters::journalCellsReplayed},
+    {"degraded_cells", &Counters::degradedCells},
+    {"trace_bytes_mapped", &Counters::traceBytesMapped},
+    {"trace_prefetch_ahead", &Counters::tracePrefetchAhead},
+    {"stream_stalls", &Counters::streamStalls},
+    {"serve_requests_admitted", &Counters::serveRequestsAdmitted},
+    {"serve_requests_queued", &Counters::serveRequestsQueued},
+    {"serve_requests_rejected", &Counters::serveRequestsRejected},
+    {"serve_cache_warm_hits", &Counters::serveCacheWarmHits},
+    {"cells_stolen", &Counters::cellsStolen},
+    {"socket_bytes_sent", &Counters::socketBytesSent},
+    {"socket_bytes_received", &Counters::socketBytesReceived},
+};
+static_assert(sizeof(Counters) ==
+                  std::size(kCounters) * sizeof(std::atomic<uint64_t>),
+              "every Counters field needs a kCounters row");
+
+} // anonymous namespace
+
 void
 Counters::reset()
 {
-    traceCacheHits = 0;
-    traceCacheMisses = 0;
-    traceSpillReplays = 0;
-    baselineMemoHits = 0;
-    baselineMemoMisses = 0;
-    timingMemoHits = 0;
-    timingMemoMisses = 0;
-    systemPasses = 0;
-    cellsExecuted = 0;
-    dispatchRetries = 0;
-    cellsRequeued = 0;
-    workerRespawns = 0;
-    wireBytesSent = 0;
-    wireBytesReceived = 0;
-    faultsInjected = 0;
-    heartbeatsMissed = 0;
-    journalCellsWritten = 0;
-    journalCellsReplayed = 0;
-    degradedCells = 0;
-    traceBytesMapped = 0;
-    tracePrefetchAhead = 0;
-    streamStalls = 0;
-    serveRequestsAdmitted = 0;
-    serveRequestsQueued = 0;
-    serveRequestsRejected = 0;
-    serveCacheWarmHits = 0;
-    cellsStolen = 0;
-    socketBytesSent = 0;
-    socketBytesReceived = 0;
+    for (const auto &[name, member] : kCounters)
+        (this->*member).store(0, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<std::string, uint64_t>>
 snapshotCounters()
 {
     const Counters &c = Counters::get();
-    auto v = [](const std::atomic<uint64_t> &a) {
-        return a.load(std::memory_order_relaxed);
-    };
-    return {
-        {"trace_cache_hits", v(c.traceCacheHits)},
-        {"trace_cache_misses", v(c.traceCacheMisses)},
-        {"trace_spill_replays", v(c.traceSpillReplays)},
-        {"baseline_memo_hits", v(c.baselineMemoHits)},
-        {"baseline_memo_misses", v(c.baselineMemoMisses)},
-        {"timing_memo_hits", v(c.timingMemoHits)},
-        {"timing_memo_misses", v(c.timingMemoMisses)},
-        {"system_passes", v(c.systemPasses)},
-        {"cells_executed", v(c.cellsExecuted)},
-        {"dispatch_retries", v(c.dispatchRetries)},
-        {"cells_requeued", v(c.cellsRequeued)},
-        {"worker_respawns", v(c.workerRespawns)},
-        {"wire_bytes_sent", v(c.wireBytesSent)},
-        {"wire_bytes_received", v(c.wireBytesReceived)},
-        {"faults_injected", v(c.faultsInjected)},
-        {"heartbeats_missed", v(c.heartbeatsMissed)},
-        {"journal_cells_written", v(c.journalCellsWritten)},
-        {"journal_cells_replayed", v(c.journalCellsReplayed)},
-        {"degraded_cells", v(c.degradedCells)},
-        {"trace_bytes_mapped", v(c.traceBytesMapped)},
-        {"trace_prefetch_ahead", v(c.tracePrefetchAhead)},
-        {"stream_stalls", v(c.streamStalls)},
-        {"serve_requests_admitted", v(c.serveRequestsAdmitted)},
-        {"serve_requests_queued", v(c.serveRequestsQueued)},
-        {"serve_requests_rejected", v(c.serveRequestsRejected)},
-        {"serve_cache_warm_hits", v(c.serveCacheWarmHits)},
-        {"cells_stolen", v(c.cellsStolen)},
-        {"socket_bytes_sent", v(c.socketBytesSent)},
-        {"socket_bytes_received", v(c.socketBytesReceived)},
-    };
+    std::vector<std::pair<std::string, uint64_t>> out;
+    for (const auto &[name, member] : kCounters)
+        out.emplace_back(name, (c.*member).load(std::memory_order_relaxed));
+    return out;
 }
 
 uint64_t

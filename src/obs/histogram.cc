@@ -1,5 +1,8 @@
 #include "obs/histogram.hh"
 
+#include <iterator>
+#include <utility>
+
 namespace stems::obs {
 
 Histograms &
@@ -11,50 +14,48 @@ Histograms::get()
 
 namespace {
 
-void
-zero(Histogram &h)
-{
-    for (auto &b : h.buckets)
-        b.store(0, std::memory_order_relaxed);
-    h.count.store(0, std::memory_order_relaxed);
-    h.sum.store(0, std::memory_order_relaxed);
-}
-
-HistogramSnapshot
-snap(const char *name, const Histogram &h)
-{
-    HistogramSnapshot out;
-    out.name = name;
-    out.count = h.count.load(std::memory_order_relaxed);
-    out.sum = h.sum.load(std::memory_order_relaxed);
-    for (uint32_t i = 0; i < Histogram::kBuckets; ++i) {
-        const uint64_t n =
-            h.buckets[i].load(std::memory_order_relaxed);
-        if (n)
-            out.buckets.emplace_back(i, n);
-    }
-    return out;
-}
+/**
+ * Every family with its telemetry key, in telemetry order: the one
+ * list reset() and snapshotHistograms() walk.
+ */
+constexpr std::pair<const char *, Histogram Histograms::*> kFamilies[] = {
+    {"dispatch_rtt_us", &Histograms::dispatchRttUs},
+    {"cell_wall_us", &Histograms::cellWallUs},
+    {"journal_fsync_us", &Histograms::journalFsyncUs},
+};
+static_assert(sizeof(Histograms) == std::size(kFamilies) * sizeof(Histogram),
+              "every Histograms family needs a kFamilies row");
 
 } // anonymous namespace
 
 void
 Histograms::reset()
 {
-    zero(dispatchRttUs);
-    zero(cellWallUs);
-    zero(journalFsyncUs);
+    for (const auto &[name, member] : kFamilies) {
+        Histogram &h = this->*member;
+        for (auto &b : h.buckets)
+            b.store(0, std::memory_order_relaxed);
+        h.count.store(0, std::memory_order_relaxed);
+        h.sum.store(0, std::memory_order_relaxed);
+    }
 }
 
 std::vector<HistogramSnapshot>
 snapshotHistograms()
 {
-    const Histograms &h = Histograms::get();
-    return {
-        snap("dispatch_rtt_us", h.dispatchRttUs),
-        snap("cell_wall_us", h.cellWallUs),
-        snap("journal_fsync_us", h.journalFsyncUs),
-    };
+    std::vector<HistogramSnapshot> out;
+    for (const auto &[name, member] : kFamilies) {
+        const Histogram &h = Histograms::get().*member;
+        HistogramSnapshot &s = out.emplace_back();
+        s.name = name;
+        s.count = h.count.load(std::memory_order_relaxed);
+        s.sum = h.sum.load(std::memory_order_relaxed);
+        for (uint32_t i = 0; i < Histogram::kBuckets; ++i)
+            if (const uint64_t n =
+                    h.buckets[i].load(std::memory_order_relaxed))
+                s.buckets.emplace_back(i, n);
+    }
+    return out;
 }
 
 } // namespace stems::obs
