@@ -163,21 +163,6 @@ class AgtCam
 
     Payload &payload(uint32_t way) { return pay[way]; }
 
-    /**
-     * Double the capacity in place. Every entry keeps its way, so the
-     * LRU order and the occupied-way bitmask stand; the index is
-     * rebuilt at twice its size.
-     */
-    void
-    grow()
-    {
-        const std::vector<Slot> old = std::move(index);
-        resize(2 * cap);
-        for (const Slot &e : old)
-            if (e.way != kNone)
-                place(e.rid, e.way, regionHash(e.rid));
-    }
-
     void
     clear()
     {
@@ -195,6 +180,21 @@ class AgtCam
         uint32_t way = kNone;
         uint32_t home = 0;  //!< the slot its hash maps to
     };
+
+    /**
+     * Double the capacity in place. Every entry keeps its way, so the
+     * LRU order and the occupied-way bitmask stand; the index is
+     * rebuilt at twice its size.
+     */
+    void
+    grow()
+    {
+        const std::vector<Slot> old = std::move(index);
+        resize(2 * cap);
+        for (const Slot &e : old)
+            if (e.way != kNone)
+                place(e.rid, e.way, regionHash(e.rid));
+    }
 
     /**
      * Size every array for @p capacity ways and give the index an
