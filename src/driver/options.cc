@@ -162,11 +162,11 @@ u32Key(std::string name, uint32_t &dst, std::string help, uint32_t lo)
 }
 
 Key
-u64Key(std::string name, uint64_t &dst, std::string help)
+u64Key(std::string name, uint64_t &dst, std::string help, uint64_t lo)
 {
     return {std::move(name), std::to_string(dst), std::move(help),
-            [&dst](const std::string &k, const std::string &v) {
-                dst = parseUnsigned(k, v);
+            [&dst, lo](const std::string &k, const std::string &v) {
+                dst = parseUnsigned(k, v, lo);
             }};
 }
 

@@ -78,7 +78,9 @@ using KeyTable = std::vector<Key>;
 /** Unsigned 32-bit key, at least @p lo. */
 Key u32Key(std::string name, uint32_t &dst, std::string help,
            uint32_t lo = 0);
-Key u64Key(std::string name, uint64_t &dst, std::string help);
+/** Unsigned 64-bit key, at least @p lo. */
+Key u64Key(std::string name, uint64_t &dst, std::string help,
+           uint64_t lo = 0);
 Key boolKey(std::string name, bool &dst, std::string help);
 /** Free-form text, stored verbatim. */
 Key strKey(std::string name, std::string &dst, std::string help);

@@ -168,7 +168,8 @@ KeyTable
 strideKeys(prefetch::StrideConfig &c)
 {
     return {
-        u32Key("entries", c.entries, "reference prediction table entries"),
+        u32Key("entries", c.entries, "reference prediction table entries",
+               1),
         u32Key("degree", c.degree, "prefetches per trigger"),
         u32Key("threshold", c.threshold, "confirmations before issuing"),
         u32Key("block", c.blockSize, "block bytes"),

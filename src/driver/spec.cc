@@ -316,7 +316,7 @@ workloadKeys(workloads::WorkloadParams &p)
 {
     return {
         u32Key("ncpu", p.ncpu, "CPUs, one reference stream each", 1),
-        u64Key("refs", p.refsPerCpu, "references per CPU"),
+        u64Key("refs", p.refsPerCpu, "references per CPU", 1),
         u64Key("seed", p.seed, "workload generation seed"),
     };
 }

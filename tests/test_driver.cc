@@ -284,6 +284,8 @@ TEST(ExperimentSpec, RejectsBadInput)
     EXPECT_THROW(parseSpec({"threads=4294967297"}),
                  std::invalid_argument);
     EXPECT_THROW(parseSpec({"seed=-1"}), std::invalid_argument);
+    // a cell of no references would report all zeros as "ok"
+    EXPECT_THROW(parseSpec({"refs=0"}), std::invalid_argument);
     EXPECT_THROW(parseSpec({"pf.sms.pht-entries=4294967296"}),
                  std::invalid_argument);
     EXPECT_THROW(parseSpec({"sweep.pht-entries=1024,4294967296"}),
@@ -351,6 +353,11 @@ TEST(ExperimentSpec, RejectsBadEngineValuesWithTheCellMessage)
     EXPECT_EQ(message({"sweep.l1-kb=32,0"}),
               "option sweep.l1-kb=0: expected an integer in "
               "[1, 18014398509481983]");
+    // a zero-entry stride table would divide by zero in every cell
+    EXPECT_EQ(message({"prefetchers=stride", "opt.entries=0"}),
+              "option entries=0: expected an integer in [1, 4294967295]");
+    EXPECT_EQ(message({"prefetchers=stride", "sweep.entries=64,0"}),
+              "option entries=0: expected an integer in [1, 4294967295]");
 }
 
 TEST(KeyTables, EveryRowParsesItsDefaultAndIsDocumented)

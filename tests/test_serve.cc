@@ -535,7 +535,8 @@ TEST(ServeService, RejectsUnparsableSpec)
     for (const auto &tokens : std::vector<std::vector<std::string>>{
              {"no-such-key=1"},
              // engine option values are checked before admission
-             {"prefetchers=sms", "opt.index=bogus"}}) {
+             {"prefetchers=sms", "opt.index=bogus"},
+             {"prefetchers=stride", "opt.entries=0"}}) {
         const auto out = svc.submit(tokens);
         EXPECT_EQ(out.status, ExperimentService::Outcome::Status::Error);
         EXPECT_FALSE(out.reason.empty());
