@@ -353,10 +353,10 @@ encodeResult(const driver::CellResult &result)
     j.key("type").value("result");
     j.key("id").value(uint64_t{result.cell.id});
     j.key("error").value(result.error);
-    // schema-driven: every present family travels under its canonical
+    // table-driven: every present family travels under its canonical
     // name; ratios are derived on both ends and never ride the wire
     j.key("metrics").beginObject();
-    for (const auto &f : driver::MetricSchema::builtin().families()) {
+    for (const auto &f : driver::metricFamilies()) {
         if (!m.present(f.id) || f.kind == driver::MetricKind::Ratio)
             continue;
         j.key(f.name);
@@ -400,9 +400,8 @@ decodeResult(const JsonValue &msg)
     out.cell.id = static_cast<uint32_t>(msg.at("id").asU64());
     out.error = msg.at("error").asString();
     driver::MetricSet &d = out.metrics;
-    const driver::MetricSchema &schema = driver::MetricSchema::builtin();
     for (const auto &[name, value] : msg.at("metrics").members) {
-        const driver::MetricFamily *f = schema.find(name);
+        const driver::MetricFamily *f = driver::findMetric(name);
         if (!f)
             throw std::invalid_argument(
                 "wire: unknown metric family \"" + name + "\"");

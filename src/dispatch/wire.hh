@@ -82,13 +82,14 @@
  * so a cell's encoding — and a journal's spec fingerprint — covers
  * everything it measures.
  *
- * Since protocol v3, result metrics are schema-driven: the encoder
- * iterates the MetricSchema and writes every present family under its
- * canonical name with a kind-appropriate encoding (counters as
+ * Since protocol v3, result metrics are table-driven: the encoder
+ * walks driver::metricFamilies() and writes every present family under
+ * its canonical name with a kind-appropriate encoding (counters as
  * numbers, values as hexfloat strings, histograms/vectors as arrays,
  * timing passes as mixed arrays). Ratio families never travel — they
- * are derived from the folded operands on both ends. A new metric
- * family therefore rides the wire with no protocol edit.
+ * are derived from the folded operands on both ends. The decoder
+ * rejects a name with no row, and a ratio's. A new metric family
+ * therefore rides the wire with no protocol edit.
  */
 
 #ifndef STEMS_DISPATCH_WIRE_HH

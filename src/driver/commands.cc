@@ -82,11 +82,10 @@ listText()
 
     out += "metric families (JSON/CSV/wire emission is "
            "schema-driven):\n";
-    for (const auto &f : MetricSchema::builtin().families()) {
+    for (const auto &f : metricFamilies()) {
         char line[256];
-        std::snprintf(line, sizeof(line), "  %-26s %-9s %s\n",
-                      f.name.c_str(), metricKindName(f.kind),
-                      f.help.c_str());
+        std::snprintf(line, sizeof(line), "  %-26s %-9s %s\n", f.name,
+                      metricKindName(f.kind), f.help);
         out += line;
     }
 

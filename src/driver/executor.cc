@@ -290,7 +290,7 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
     const auto t0 = std::chrono::steady_clock::now();
     out.cell = cell;
     MetricSet &m = out.metrics;
-    const metric::Builtin &M = metric::ids();
+    using enum Metric;
 
     // each phase gets a trace span and a named wall-time entry in the
     // result's telemetry sidecar (dispatch workers ship these back for
@@ -309,15 +309,15 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
 
     // what the baseline and every engine's system study report
     auto setStudy = [&](const study::SystemStudyResult &r) {
-        m.setU64(M.instructions, r.instructions);
-        m.setU64(M.l1ReadMisses, r.l1ReadMisses);
-        m.setU64(M.l2ReadMisses, r.l2ReadMisses);
-        m.setU64(M.falseSharing, r.falseSharing);
-        m.setVec(M.oracleL1Gens, r.oracleL1Gens);
-        m.setVec(M.oracleL2Gens, r.oracleL2Gens);
+        m.setU64(instructions, r.instructions);
+        m.setU64(l1ReadMisses, r.l1ReadMisses);
+        m.setU64(l2ReadMisses, r.l2ReadMisses);
+        m.setU64(falseSharing, r.falseSharing);
+        m.setVec(oracleL1Gens, r.oracleL1Gens);
+        m.setVec(oracleL2Gens, r.oracleL2Gens);
         if (densityRegionFor(cell)) {
-            m.setVec(M.l1Density, histVec(r.l1Density));
-            m.setVec(M.l2Density, histVec(r.l2Density));
+            m.setVec(l1Density, histVec(r.l1Density));
+            m.setVec(l2Density, histVec(r.l2Density));
         }
     };
 
@@ -338,10 +338,10 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
                 own = runPass(cell, cell.engine);
                 const PassResult &r = *own;
                 setStudy(r.system);
-                m.setU64(M.l1Covered, r.system.l1Covered);
-                m.setU64(M.l2Covered, r.system.l2Covered);
-                m.setU64(M.l1Overpred, r.system.l1Overpred);
-                m.setU64(M.l2Overpred, r.system.l2Overpred);
+                m.setU64(l1Covered, r.system.l1Covered);
+                m.setU64(l2Covered, r.system.l2Covered);
+                m.setU64(l1Overpred, r.system.l1Overpred);
+                m.setU64(l2Overpred, r.system.l2Overpred);
                 m.pfCounters = r.pfCounters;
             });
         } else {
@@ -349,17 +349,17 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
                 auto r = study::runL1Study(viewSet(cell),
                                            l1ConfigFor(cell, cell.engine),
                                            cell.params.seed);
-                m.setU64(M.instructions, r.instructions);
-                m.setU64(M.l1ReadMisses, r.readMisses);
-                m.setU64(M.l1Covered, r.coveredReads);
-                m.setU64(M.l1Overpred, r.overpredictions);
-                m.setU64(M.peakAccumOccupancy, r.peakAccumOccupancy);
-                m.setU64(M.peakFilterOccupancy, r.peakFilterOccupancy);
+                m.setU64(instructions, r.instructions);
+                m.setU64(l1ReadMisses, r.readMisses);
+                m.setU64(l1Covered, r.coveredReads);
+                m.setU64(l1Overpred, r.overpredictions);
+                m.setU64(peakAccumOccupancy, r.peakAccumOccupancy);
+                m.setU64(peakFilterOccupancy, r.peakFilterOccupancy);
             });
         }
 
-        m.setU64(M.baselineL1ReadMisses, base->system.l1ReadMisses);
-        m.setU64(M.baselineL2ReadMisses, base->system.l2ReadMisses);
+        m.setU64(baselineL1ReadMisses, base->system.l1ReadMisses);
+        m.setU64(baselineL2ReadMisses, base->system.l2ReadMisses);
     }
 
     if (cell.timing) {
@@ -368,8 +368,8 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
             // system mode both passes read here have already run
             const sim::TimingResult &baseTiming =
                 baselinePass(cell, Lookup::Timing).timing;
-            m.setTimingResult(M.baselineTiming, baseTiming);
-            m.setValue(M.baselineUipc, baseTiming.uipc());
+            m.setTimingResult(baselineTiming, baseTiming);
+            m.setValue(baselineUipc, baseTiming.uipc());
             if (cell.engine.kind != "none") {
                 obs::count(own ? &obs::Counters::timingMemoHits
                                : &obs::Counters::timingMemoMisses);
@@ -378,15 +378,15 @@ CellExecutor::runCell(const RunCell &cell, CellResult &out)
             }
             const sim::TimingResult &engineTiming =
                 own ? own->timing : baseTiming;
-            m.setTimingResult(M.timing, engineTiming);
-            m.setValue(M.uipc, engineTiming.uipc());
+            m.setTimingResult(timing, engineTiming);
+            m.setValue(uipc, engineTiming.uipc());
             if (baseTiming.uipc() > 0 && engineTiming.uipc() > 0)
-                m.setValue(M.speedup,
+                m.setValue(speedup,
                            engineTiming.uipc() / baseTiming.uipc());
         });
     }
 
-    m.setWallMs(msSince(t0));
+    m.setValue(wallMs, msSince(t0));
 }
 
 CellExecutor::Config

@@ -21,10 +21,9 @@
  * than passes that ran at once: one per lane of `stems run` or the
  * serve daemon, one in each dispatch worker.
  *
- * Cell measurements land in a schema-registered MetricSet (see
- * driver/metrics.hh); the executor is a metric *producer* — it never
- * serializes, so new families need only a registration plus an emit
- * here.
+ * Cell measurements land in a MetricSet (see driver/metrics.hh); the
+ * executor is a metric *producer* — it never serializes, so a new
+ * family needs only its enumerator, its table row and an emit here.
  */
 
 #ifndef STEMS_DRIVER_EXECUTOR_HH

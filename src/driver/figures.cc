@@ -54,6 +54,7 @@ renderBlockSize(const ExperimentSpec &spec, const RunFn &run,
     std::map<std::string, double> instr;  // per workload, 64 B cell
     std::vector<std::string> groups;
     std::vector<uint32_t> sizes;
+    using enum Metric;
     for (const auto &r : run(spec)) {
         const MetricSet &m = r.metrics;
         const std::string group = workloads::suiteClassName(
@@ -62,19 +63,19 @@ renderBlockSize(const ExperimentSpec &spec, const RunFn &run,
         addUnique(groups, group);
         addUnique(sizes, size);
         if (size == 64)
-            instr[r.cell.workload] = double(m.instructions());
+            instr[r.cell.workload] = double(m.u64(instructions));
         if (!instr.count(r.cell.workload))
             throw std::invalid_argument("fig04 normalises to the 64 B "
                                         "cell: keep 64 first in sweep.block");
         const double in = instr.at(r.cell.workload);
-        cache[{1, group, size}] += 1000.0 * m.l1ReadMisses() / in;
-        cache[{2, group, size}] += 1000.0 * m.l2ReadMisses() / in;
+        cache[{1, group, size}] += 1000.0 * m.u64(l1ReadMisses) / in;
+        cache[{2, group, size}] += 1000.0 * m.u64(l2ReadMisses) / in;
         if (size != 64)  // coherence unit = block
-            falseShr[{2, group, size}] += 1000.0 * m.falseSharing() / in;
-        for (size_t s = 0; size == 64 && s < m.oracleL1Gens().size(); ++s) {
+            falseShr[{2, group, size}] += 1000.0 * m.u64(falseSharing) / in;
+        for (size_t s = 0; size == 64 && s < m.vec(oracleL1Gens).size(); ++s) {
             const uint32_t region = spec.oracleRegionSizes[s];
-            oracle[{1, group, region}] += 1000.0 * m.oracleL1Gens()[s] / in;
-            oracle[{2, group, region}] += 1000.0 * m.oracleL2Gens()[s] / in;
+            oracle[{1, group, region}] += 1000.0 * m.vec(oracleL1Gens)[s] / in;
+            oracle[{2, group, region}] += 1000.0 * m.vec(oracleL2Gens)[s] / in;
         }
     }
 
@@ -131,8 +132,9 @@ renderSpeedup(const ExperimentSpec &spec, const RunFn &run,
             s.journalPath += ".seed" + std::to_string(seed);
         for (const auto &r : run(s)) {
             addUnique(apps, r.cell.workload);
-            uipc[r.cell.workload].emplace_back(r.metrics.baselineUipc(),
-                                               r.metrics.uipc());
+            uipc[r.cell.workload].emplace_back(
+                r.metrics.value(Metric::baselineUipc),
+                r.metrics.value(Metric::uipc));
         }
     }
 
@@ -171,8 +173,11 @@ renderBreakdown(const ExperimentSpec &spec, const RunFn &run,
     TablePrinter table({"App", "Cfg", "UserBusy", "SysBusy", "OffChip",
                         "OnChip", "StoreBuf", "Other", "Total"});
     for (const auto &r : run(spec)) {
-        const sim::TimeBreakdown &base = r.metrics.baselineTiming().breakdown;
-        for (const auto *bd : {&base, &r.metrics.timing().breakdown}) {
+        const MetricSet &m = r.metrics;
+        const sim::TimeBreakdown &base =
+            m.timingResult(Metric::baselineTiming).breakdown;
+        for (const auto *bd :
+             {&base, &m.timingResult(Metric::timing).breakdown}) {
             std::vector<std::string> row{r.cell.workload,
                 bd == &base ? "base" : r.cell.engine.displayLabel()};
             for (double v : {bd->userBusy, bd->systemBusy, bd->offChipRead,
@@ -186,16 +191,16 @@ renderBreakdown(const ExperimentSpec &spec, const RunFn &run,
 }
 
 std::vector<PivotColumn>
-bars(const std::string &level)
+bars(Metric coverage, Metric uncovered, Metric overpred)
 {
-    return {{"Coverage", "", level + "_coverage"},
-            {"Uncovered", "", level + "_uncovered"},
-            {"Overpred", "", level + "_overprediction_rate"}};
+    return {{"Coverage", "", coverage},
+            {"Uncovered", "", uncovered},
+            {"Overpred", "", overpred}};
 }
 
 /** One column per key, headed by the key itself. */
 std::vector<PivotColumn>
-each(const std::string &metric, std::vector<std::string> keys,
+each(Metric metric, std::vector<std::string> keys,
      int digits = -1)
 {
     std::vector<PivotColumn> out;
@@ -210,16 +215,17 @@ const std::vector<Figure> &
 figures()
 {
     using enum PivotDim;
+    using enum Metric;
     // unbounded PHT and AGT in shadow-L1 mode (Figures 6, 8 and 10)
     static const std::vector<std::string> kUnbounded = {
         "mode=l1", "workloads=paper", "opt.pht-entries=0",
         "opt.agt-filter=0", "opt.agt-accum=0"};
     static const std::vector<PivotColumn> kSpeedups =
-        each("speedup", {"SMS", "GHB", "stride", "next-line"}, 3);
+        each(speedup, {"SMS", "GHB", "stride", "next-line"}, 3);
     static const std::vector<PivotColumn> kAgtSizes = [] {
         auto out =
-            each("l1_coverage", {"8/16", "16/32", "32/64", "64/128", "inf"});
-        out.push_back({"peak-accum@inf", "inf", "peak_accum_occupancy"});
+            each(l1Coverage, {"8/16", "16/32", "32/64", "64/128", "inf"});
+        out.push_back({"peak-accum@inf", "inf", peakAccumOccupancy});
         return out;
     }();
     static const std::vector<Figure> rows = {
@@ -241,9 +247,9 @@ figures()
          .detail = "Percent of misses per generation-density bucket.",
          .tokens = {"workloads=paper", "prefetchers=none", "density=2048"},
          .tables = {{.title = "-- L1 misses --", .rows = {{Workload, "App"}},
-                     .columns = {{"", "", "l1_density"}}},
+                     .columns = {{"", "", l1Density}}},
                     {.title = "-- L2 misses --", .rows = {{Workload, "App"}},
-                     .columns = {{"", "", "l2_density"}}}},
+                     .columns = {{"", "", l2Density}}}},
          .expected = "Expected shape: commercial apps spread across buckets "
                      "(wide\nvariation); ocean/sparse concentrate in the "
                      "densest buckets;\nDSS scans are dense, OLTP B-tree "
@@ -257,7 +263,8 @@ figures()
                           {"PC", "pc"}, {"PC+off", "pc+off"}}),
          .tables = {{.groups = true,
                      .rows = {{Group, "Group"}, {Engine, "Index"}},
-                     .columns = bars("l1")}},
+                     .columns = bars(l1Coverage, l1Uncovered,
+                                     l1OverpredRate)}},
          .expected = "Expected shape: PC+off >= Addr/PC+addr everywhere;\n"
                      "address-based indices collapse on DSS (visit-once "
                      "scans);\nPC alone trails PC+off (cannot distinguish "
@@ -275,8 +282,8 @@ figures()
          .tables = {{.groups = true,
                      .rows = {{Group, "Group"}, {Engine, "PHT"}},
                      .by = Sweep,
-                     .columns = {{"PC+addr", "pc+addr", "l1_coverage"},
-                                 {"PC+off", "pc+off", "l1_coverage"}}}},
+                     .columns = {{"PC+addr", "pc+addr", l1Coverage},
+                                 {"PC+off", "pc+off", l1Coverage}}}},
          .expected = "Expected shape: PC+off saturates by 16k entries;\n"
                      "PC+addr lags at bounded sizes (keys scale with data "
                      "set size).\n"},
@@ -288,7 +295,8 @@ figures()
                          {{"DS", "ds"}, {"LS", "ls"}, {"AGT", "agt"}}),
          .tables = {{.groups = true,
                      .rows = {{Group, "Group"}, {Engine, "Trainer"}},
-                     .columns = bars("l1")}},
+                     .columns = bars(l1Coverage, l1Uncovered,
+                                     l1OverpredRate)}},
          .expected = "Expected shape: AGT >= LS >> DS on commercial groups\n"
                      "(DS's sector conflicts inflate uncovered misses "
                      "beyond 100%).\n"},
@@ -305,8 +313,8 @@ figures()
          .tables = {{.groups = true,
                      .rows = {{Group, "Group"}, {Engine, "PHT"}},
                      .by = Sweep,
-                     .columns = {{"LS", "ls", "l1_coverage"},
-                                 {"AGT", "agt", "l1_coverage"}}}},
+                     .columns = {{"LS", "ls", l1Coverage},
+                                 {"AGT", "agt", l1Coverage}}}},
          .expected = "Expected shape: at small PHTs AGT leads LS; LS needs "
                      "~2x the\nentries to match AGT coverage (most "
                      "pronounced for OLTP).\n"},
@@ -319,7 +327,7 @@ figures()
          .tables = {{.groups = true,
                      .rows = {{Engine, "Region"}},
                      .by = Group,
-                     .columns = each("l1_coverage", {"OLTP", "DSS", "Web",
+                     .columns = each(l1Coverage, {"OLTP", "DSS", "Web",
                                                      "Scientific"})}},
          .expected = "Expected shape: coverage climbs to ~2 kB and plateaus;"
                      "\nOLTP keeps gaining toward the 8 kB page (page-aligned"
@@ -334,9 +342,9 @@ figures()
                     "pf.GHB-16k.ghb-entries=16384",
                     "pf.GHB-16k.it-entries=1024"},
          .tables = {{.rows = {{Workload, "App"}, {Engine, "Prefetcher"}},
-                     .columns = bars("l2"),
+                     .columns = bars(l2Coverage, l2Uncovered, l2OverpredRate),
                      .summary = {.label = "Commercial-mean off-chip coverage",
-                                 .columns = each("l2_coverage",
+                                 .columns = each(l2Coverage,
                                                  {"SMS", "GHB-16k"}),
                                  .commercial = true, .line = true}}},
          .expected = "(paper: SMS 55% avg / 78% best; GHB ~30% avg).\n"
@@ -408,8 +416,8 @@ figures()
                     "pf.no-filter.agt-filter=1", "pf.no-filter.agt-accum=96"},
          .tables = {{.groups = true,
                      .rows = {{Group, "Group"}, {Engine, "Variant"}},
-                     .columns = {{"Coverage", "", "l1_coverage"},
-                                 {"Overpred", "", "l1_overprediction_rate"}}}},
+                     .columns = {{"Coverage", "", l1Coverage},
+                                 {"Overpred", "", l1OverpredRate}}}},
          .expected = "Reading: Union raises coverage on stable dense patterns"
                      " but\ninflates overpredictions on divergent ones; few "
                      "prediction\nregisters drop concurrent region streams; "

@@ -1,7 +1,6 @@
 #include "driver/metrics.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "study/density.hh"
 
@@ -21,443 +20,238 @@ metricKindName(MetricKind kind)
     return "?";
 }
 
-// ---------------------------------------------------------------------
-// MetricSchema
-// ---------------------------------------------------------------------
-
-MetricId
-MetricSchema::add(MetricFamily family)
-{
-    if (family.name.empty())
-        throw std::invalid_argument("metric family needs a name");
-    if (find(family.name))
-        throw std::invalid_argument("metric family \"" + family.name +
-                                    "\" already registered");
-    if (family.kind == MetricKind::Ratio && !family.derive)
-        throw std::invalid_argument("ratio family \"" + family.name +
-                                    "\" needs a derive function");
-    family.id = static_cast<MetricId>(families_.size());
-    if (family.reportKey.empty())
-        family.reportKey = family.name;
-    families_.push_back(std::move(family));
-    return families_.back().id;
-}
-
-MetricId
-MetricSchema::addCounter(const std::string &name, MetricAgg agg,
-                         bool core, bool csv, const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Counter;
-    f.agg = agg;
-    f.section = core ? MetricSection::Metrics : MetricSection::Hidden;
-    f.core = core;
-    f.csv = csv;
-    f.help = help;
-    return add(std::move(f));
-}
-
-MetricId
-MetricSchema::addValue(const std::string &name, MetricSection section,
-                       bool csv, const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Value;
-    f.agg = MetricAgg::First;
-    f.section = section;
-    f.csv = csv;
-    f.help = help;
-    return add(std::move(f));
-}
-
-MetricId
-MetricSchema::addRatio(const std::string &name,
-                       std::function<double(const MetricSet &)> derive,
-                       bool csv, const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Ratio;
-    f.agg = MetricAgg::First;  // never stored; recomputed after folds
-    f.section = MetricSection::Metrics;
-    f.core = true;
-    f.csv = csv;
-    f.derive = std::move(derive);
-    f.help = help;
-    return add(std::move(f));
-}
-
-MetricId
-MetricSchema::addHistogram(const std::string &name,
-                           std::vector<std::string> buckets,
-                           const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Histogram;
-    f.agg = MetricAgg::Sum;
-    f.section = MetricSection::Metrics;
-    f.buckets = std::move(buckets);
-    f.help = help;
-    return add(std::move(f));
-}
-
-MetricId
-MetricSchema::addVector(const std::string &name, MetricSection section,
-                        const std::string &reportKey,
-                        const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Vector;
-    f.agg = MetricAgg::Sum;
-    f.section = section;
-    f.reportKey = reportKey;
-    f.help = help;
-    return add(std::move(f));
-}
-
-MetricId
-MetricSchema::addTiming(const std::string &name, const std::string &help)
-{
-    MetricFamily f;
-    f.name = name;
-    f.kind = MetricKind::Timing;
-    f.agg = MetricAgg::First;
-    f.section = MetricSection::Hidden;
-    f.help = help;
-    return add(std::move(f));
-}
-
-const MetricFamily *
-MetricSchema::find(const std::string &name) const
-{
-    for (const auto &f : families_)
-        if (f.name == name)
-            return &f;
-    return nullptr;
-}
-
-// ---------------------------------------------------------------------
-// built-in families
-// ---------------------------------------------------------------------
-
 namespace {
 
+/** @p num over @p den; 0 when the denominator is. */
 double
-ratioOf(const MetricSet &m, MetricId num, MetricId den)
+ratioOf(const MetricSet &m, Metric num, Metric den)
 {
     const uint64_t d = m.u64(den);
     return d ? double(m.u64(num)) / double(d) : 0.0;
 }
 
+/** Useful prefetches over all issued: @p covered / (+ @p overpred). */
+double
+accuracyOf(const MetricSet &m, Metric covered, Metric overpred)
+{
+    const uint64_t den = m.u64(covered) + m.u64(overpred);
+    return den ? double(m.u64(covered)) / double(den) : 0.0;
+}
+
+using enum Metric;
+using enum MetricKind;
+using enum MetricAgg;
+
+// row order is the historical JSON metrics-object layout, so reports
+// stay byte-identical. Ratio rows derive through captureless lambdas:
+// under -fsanitize=null GCC cannot compare a function template's
+// address with nullptr in a constant expression (the static_assert).
+constexpr MetricFamily kFamilies[] = {
+    {.id = instructions, .name = "instructions", .core = true,
+     .csv = true, .help = "instructions retired over the trace"},
+    {.id = l1ReadMisses, .name = "l1_read_misses", .core = true,
+     .csv = true, .help = "demand read misses at L1"},
+    {.id = l2ReadMisses, .name = "l2_read_misses", .core = true,
+     .csv = true, .help = "off-chip demand read misses"},
+    {.id = l1Covered, .name = "l1_covered", .core = true, .csv = true,
+     .help = "reads hitting prefetched L1 blocks"},
+    {.id = l2Covered, .name = "l2_covered", .core = true, .csv = true,
+     .help = "first uses of L2-prefetched blocks"},
+    {.id = l1Overpred, .name = "l1_overpredictions", .core = true,
+     .csv = true, .help = "prefetched L1 blocks dropped unused"},
+    {.id = l2Overpred, .name = "l2_overpredictions", .core = true,
+     .csv = true, .help = "prefetched L2 blocks dropped unused"},
+    {.id = falseSharing, .name = "false_sharing", .core = true,
+     .help = "false-sharing L2 misses (system mode)"},
+    {.id = baselineL1ReadMisses, .name = "baseline_l1_read_misses",
+     .core = true, .csv = true, .help = "same workload, no prefetch (L1)"},
+    {.id = baselineL2ReadMisses, .name = "baseline_l2_read_misses",
+     .core = true, .csv = true,
+     .help = "same workload, no prefetch (off-chip)"},
+
+    {.id = l1Coverage, .name = "l1_coverage", .kind = Ratio, .agg = First,
+     .core = true, .csv = true,
+     .help = "fraction of baseline L1 misses eliminated",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l1Covered, baselineL1ReadMisses);
+     }},
+    {.id = l2Coverage, .name = "l2_coverage", .kind = Ratio, .agg = First,
+     .core = true, .csv = true,
+     .help = "fraction of baseline off-chip misses eliminated",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l2Covered, baselineL2ReadMisses);
+     }},
+    {.id = l1Uncovered, .name = "l1_uncovered", .kind = Ratio,
+     .agg = First, .core = true,
+     .help = "remaining L1 misses vs baseline",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l1ReadMisses, baselineL1ReadMisses);
+     }},
+    {.id = l2Uncovered, .name = "l2_uncovered", .kind = Ratio,
+     .agg = First, .core = true,
+     .help = "remaining off-chip misses vs baseline",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l2ReadMisses, baselineL2ReadMisses);
+     }},
+    {.id = l1OverpredRate, .name = "l1_overprediction_rate",
+     .kind = Ratio, .agg = First, .core = true,
+     .help = "unused L1 prefetches vs baseline misses",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l1Overpred, baselineL1ReadMisses);
+     }},
+    {.id = l2OverpredRate, .name = "l2_overprediction_rate",
+     .kind = Ratio, .agg = First, .core = true,
+     .help = "unused L2 prefetches vs baseline misses",
+     .derive = [](const MetricSet &m) {
+         return ratioOf(m, l2Overpred, baselineL2ReadMisses);
+     }},
+    {.id = l1Accuracy, .name = "l1_accuracy", .kind = Ratio, .agg = First,
+     .core = true, .csv = true,
+     .help = "useful L1 prefetches over all issued",
+     .derive = [](const MetricSet &m) {
+         return accuracyOf(m, l1Covered, l1Overpred);
+     }},
+    {.id = l2Accuracy, .name = "l2_accuracy", .kind = Ratio, .agg = First,
+     .core = true, .csv = true,
+     .help = "useful L2 prefetches over all issued",
+     .derive = [](const MetricSet &m) {
+         return accuracyOf(m, l2Covered, l2Overpred);
+     }},
+
+    {.id = oracleL1Gens, .name = "oracle_l1_generations", .kind = Vector,
+     .section = MetricSection::Oracle, .reportKey = "l1_generations",
+     .help = "oracle spatial generations per region size (L1)"},
+    {.id = oracleL2Gens, .name = "oracle_l2_generations", .kind = Vector,
+     .section = MetricSection::Oracle, .reportKey = "l2_generations",
+     .help = "oracle spatial generations per region size (off-chip)"},
+    {.id = l1Density, .name = "l1_density", .kind = Histogram,
+     .help = "L1 misses per generation-density bucket (density= runs)"},
+    {.id = l2Density, .name = "l2_density", .kind = Histogram,
+     .help = "off-chip misses per generation-density bucket "
+             "(density= runs)"},
+    {.id = peakAccumOccupancy, .name = "peak_accum_occupancy", .agg = Max,
+     .section = MetricSection::Hidden,
+     .help = "peak AGT accumulation-table demand (L1 mode)"},
+    {.id = peakFilterOccupancy, .name = "peak_filter_occupancy",
+     .agg = Max, .section = MetricSection::Hidden,
+     .help = "peak AGT filter-table demand (L1 mode)"},
+
+    {.id = uipc, .name = "uipc", .kind = Value, .agg = First,
+     .section = MetricSection::Timing, .csv = true,
+     .help = "user IPC under the timing model"},
+    {.id = baselineUipc, .name = "baseline_uipc", .kind = Value,
+     .agg = First, .section = MetricSection::Timing, .csv = true,
+     .help = "no-prefetch user IPC"},
+    {.id = speedup, .name = "speedup", .kind = Value, .agg = First,
+     .section = MetricSection::Timing, .csv = true,
+     .help = "uipc over baseline_uipc"},
+    {.id = timing, .name = "timing_result", .kind = Timing,
+     .agg = First, .section = MetricSection::Hidden,
+     .help = "this cell's full timing pass"},
+    {.id = baselineTiming, .name = "baseline_timing_result",
+     .kind = Timing, .agg = First,
+     .section = MetricSection::Hidden, .help = "the no-prefetch timing pass"},
+    {.id = wallMs, .name = "wall_ms", .kind = Value, .agg = First,
+     .section = MetricSection::Hidden, .csv = true,
+     .help = "cell execution wall time"},
+};
+
+constexpr bool
+rowsMatchEnumerators()
+{
+    size_t i = 0;
+    for (const MetricFamily &f : kFamilies)
+        if (size_t(f.id) != i++ ||
+            (f.kind == Ratio) != (f.derive != nullptr))
+            return false;
+    return i == kMetricCount;
+}
+
+static_assert(rowsMatchEnumerators(),
+              "kFamilies row i must declare Metric i, one row per "
+              "enumerator, and exactly the ratio rows derive");
+
 } // anonymous namespace
 
-namespace metric {
-
-const Builtin &
-ids()
+std::span<const MetricFamily>
+metricFamilies()
 {
-    static const Builtin b = [] {
-        MetricSchema::builtin();  // families registered first
-        Builtin ids{};
-        auto id = [](const char *name) {
-            return MetricSchema::builtin().find(name)->id;
-        };
-        ids.instructions = id("instructions");
-        ids.l1ReadMisses = id("l1_read_misses");
-        ids.l2ReadMisses = id("l2_read_misses");
-        ids.l1Covered = id("l1_covered");
-        ids.l2Covered = id("l2_covered");
-        ids.l1Overpred = id("l1_overpredictions");
-        ids.l2Overpred = id("l2_overpredictions");
-        ids.falseSharing = id("false_sharing");
-        ids.baselineL1ReadMisses = id("baseline_l1_read_misses");
-        ids.baselineL2ReadMisses = id("baseline_l2_read_misses");
-        ids.l1Coverage = id("l1_coverage");
-        ids.l2Coverage = id("l2_coverage");
-        ids.l1Uncovered = id("l1_uncovered");
-        ids.l2Uncovered = id("l2_uncovered");
-        ids.l1OverpredRate = id("l1_overprediction_rate");
-        ids.l2OverpredRate = id("l2_overprediction_rate");
-        ids.l1Accuracy = id("l1_accuracy");
-        ids.l2Accuracy = id("l2_accuracy");
-        ids.oracleL1Gens = id("oracle_l1_generations");
-        ids.oracleL2Gens = id("oracle_l2_generations");
-        ids.l1Density = id("l1_density");
-        ids.l2Density = id("l2_density");
-        ids.peakAccumOccupancy = id("peak_accum_occupancy");
-        ids.peakFilterOccupancy = id("peak_filter_occupancy");
-        ids.uipc = id("uipc");
-        ids.baselineUipc = id("baseline_uipc");
-        ids.speedup = id("speedup");
-        ids.timing = id("timing_result");
-        ids.baselineTiming = id("baseline_timing_result");
-        ids.wallMs = id("wall_ms");
-        return ids;
-    }();
-    return b;
+    return kFamilies;
 }
 
-} // namespace metric
-
-MetricSchema &
-MetricSchema::builtin()
+const MetricFamily &
+metricFamily(Metric id)
 {
-    static MetricSchema schema = [] {
-        MetricSchema s;
-        // registration order is the historical JSON metrics-object
-        // layout — reports stay byte-identical across the API change
-        s.addCounter("instructions", MetricAgg::Sum, true, true,
-                     "instructions retired over the trace");
-        s.addCounter("l1_read_misses", MetricAgg::Sum, true, true,
-                     "demand read misses at L1");
-        s.addCounter("l2_read_misses", MetricAgg::Sum, true, true,
-                     "off-chip demand read misses");
-        s.addCounter("l1_covered", MetricAgg::Sum, true, true,
-                     "reads hitting prefetched L1 blocks");
-        s.addCounter("l2_covered", MetricAgg::Sum, true, true,
-                     "first uses of L2-prefetched blocks");
-        s.addCounter("l1_overpredictions", MetricAgg::Sum, true, true,
-                     "prefetched L1 blocks dropped unused");
-        s.addCounter("l2_overpredictions", MetricAgg::Sum, true, true,
-                     "prefetched L2 blocks dropped unused");
-        {
-            // in the metrics object but not the CSV summary
-            MetricFamily f;
-            f.name = "false_sharing";
-            f.kind = MetricKind::Counter;
-            f.agg = MetricAgg::Sum;
-            f.section = MetricSection::Metrics;
-            f.core = true;
-            f.help = "false-sharing L2 misses (system mode)";
-            s.add(std::move(f));
-        }
-        s.addCounter("baseline_l1_read_misses", MetricAgg::Sum, true,
-                     true, "same workload, no prefetch (L1)");
-        s.addCounter("baseline_l2_read_misses", MetricAgg::Sum, true,
-                     true, "same workload, no prefetch (off-chip)");
-
-        const auto id = [&s](const char *n) { return s.find(n)->id; };
-        const MetricId l1c = id("l1_covered"), l2c = id("l2_covered");
-        const MetricId l1m = id("l1_read_misses");
-        const MetricId l2m = id("l2_read_misses");
-        const MetricId l1o = id("l1_overpredictions");
-        const MetricId l2o = id("l2_overpredictions");
-        const MetricId b1 = id("baseline_l1_read_misses");
-        const MetricId b2 = id("baseline_l2_read_misses");
-
-        s.addRatio("l1_coverage",
-                   [=](const MetricSet &m) { return ratioOf(m, l1c, b1); },
-                   true, "fraction of baseline L1 misses eliminated");
-        s.addRatio("l2_coverage",
-                   [=](const MetricSet &m) { return ratioOf(m, l2c, b2); },
-                   true, "fraction of baseline off-chip misses "
-                         "eliminated");
-        s.addRatio("l1_uncovered",
-                   [=](const MetricSet &m) { return ratioOf(m, l1m, b1); },
-                   false, "remaining L1 misses vs baseline");
-        s.addRatio("l2_uncovered",
-                   [=](const MetricSet &m) { return ratioOf(m, l2m, b2); },
-                   false, "remaining off-chip misses vs baseline");
-        s.addRatio("l1_overprediction_rate",
-                   [=](const MetricSet &m) { return ratioOf(m, l1o, b1); },
-                   false, "unused L1 prefetches vs baseline misses");
-        s.addRatio("l2_overprediction_rate",
-                   [=](const MetricSet &m) { return ratioOf(m, l2o, b2); },
-                   false, "unused L2 prefetches vs baseline misses");
-        s.addRatio("l1_accuracy",
-                   [=](const MetricSet &m) {
-                       const uint64_t den = m.u64(l1c) + m.u64(l1o);
-                       return den ? double(m.u64(l1c)) / double(den)
-                                  : 0.0;
-                   },
-                   true, "useful L1 prefetches over all issued");
-        s.addRatio("l2_accuracy",
-                   [=](const MetricSet &m) {
-                       const uint64_t den = m.u64(l2c) + m.u64(l2o);
-                       return den ? double(m.u64(l2c)) / double(den)
-                                  : 0.0;
-                   },
-                   true, "useful L2 prefetches over all issued");
-
-        s.addVector("oracle_l1_generations", MetricSection::Oracle,
-                    "l1_generations",
-                    "oracle spatial generations per region size (L1)");
-        s.addVector("oracle_l2_generations", MetricSection::Oracle,
-                    "l2_generations",
-                    "oracle spatial generations per region size "
-                    "(off-chip)");
-
-        std::vector<std::string> buckets;
-        for (size_t b = 0; b < study::kDensityBuckets; ++b)
-            buckets.push_back(study::densityBucketName(b));
-        s.addHistogram("l1_density", buckets,
-                       "L1 misses per generation-density bucket "
-                       "(density= runs)");
-        s.addHistogram("l2_density", std::move(buckets),
-                       "off-chip misses per generation-density bucket "
-                       "(density= runs)");
-
-        s.addCounter("peak_accum_occupancy", MetricAgg::Max, false,
-                     false, "peak AGT accumulation-table demand "
-                            "(L1 mode)");
-        s.addCounter("peak_filter_occupancy", MetricAgg::Max, false,
-                     false, "peak AGT filter-table demand (L1 mode)");
-
-        s.addValue("uipc", MetricSection::Timing, true,
-                   "user IPC under the timing model");
-        s.addValue("baseline_uipc", MetricSection::Timing, true,
-                   "no-prefetch user IPC");
-        s.addValue("speedup", MetricSection::Timing, true,
-                   "uipc over baseline_uipc");
-        s.addTiming("timing_result", "this cell's full timing pass");
-        s.addTiming("baseline_timing_result",
-                    "the no-prefetch timing pass");
-        s.addValue("wall_ms", MetricSection::Hidden, true,
-                   "cell execution wall time");
-        return s;
-    }();
-    return schema;
+    return kFamilies[size_t(id)];
 }
 
-// ---------------------------------------------------------------------
-// MetricSet
-// ---------------------------------------------------------------------
-
-MetricSet::Slot &
-MetricSet::slot(MetricId id)
+const MetricFamily *
+findMetric(std::string_view name)
 {
-    if (id >= slots.size())
-        slots.resize(
-            std::max<size_t>(id + 1, MetricSchema::builtin().size()));
-    return slots[id];
+    for (const MetricFamily &f : kFamilies)
+        if (name == f.name)
+            return &f;
+    return nullptr;
 }
 
-const MetricSet::Slot &
-MetricSet::slotOrEmpty(MetricId id) const
+std::vector<std::string>
+bucketLabels(const MetricFamily &f)
 {
-    static const Slot empty;
-    return id < slots.size() ? slots[id] : empty;
-}
-
-uint64_t
-MetricSet::u64(MetricId id) const
-{
-    return slotOrEmpty(id).u;
-}
-
-void
-MetricSet::setU64(MetricId id, uint64_t v)
-{
-    Slot &s = slot(id);
-    s.u = v;
-    s.present = true;
-}
-
-void
-MetricSet::foldU64(MetricId id, uint64_t v)
-{
-    Slot &s = slot(id);
-    if (s.present &&
-        MetricSchema::builtin().family(id).agg == MetricAgg::Max)
-        s.u = std::max(s.u, v);
-    else if (s.present &&
-             MetricSchema::builtin().family(id).agg == MetricAgg::First)
-        ;  // keep
-    else
-        s.u += v;
-    s.present = true;
+    std::vector<std::string> out;
+    for (size_t b = 0; f.kind == Histogram && b < study::kDensityBuckets;
+         ++b)
+        out.push_back(study::densityBucketName(b));
+    return out;
 }
 
 double
-MetricSet::value(MetricId id) const
+MetricSet::value(Metric id) const
 {
-    const MetricFamily &f = MetricSchema::builtin().family(id);
-    if (f.kind == MetricKind::Ratio)
-        return f.derive(*this);
-    return slotOrEmpty(id).d;
-}
-
-void
-MetricSet::setValue(MetricId id, double v)
-{
-    Slot &s = slot(id);
-    s.d = v;
-    s.present = true;
-}
-
-const std::vector<uint64_t> &
-MetricSet::vec(MetricId id) const
-{
-    return slotOrEmpty(id).v;
-}
-
-void
-MetricSet::setVec(MetricId id, std::vector<uint64_t> v)
-{
-    Slot &s = slot(id);
-    s.v = std::move(v);
-    s.present = true;
-}
-
-const sim::TimingResult &
-MetricSet::timingResult(MetricId id) const
-{
-    return slotOrEmpty(id).t;
-}
-
-void
-MetricSet::setTimingResult(MetricId id, const sim::TimingResult &t)
-{
-    Slot &s = slot(id);
-    s.t = t;
-    s.present = true;
+    const MetricFamily &f = metricFamily(id);
+    return f.derive ? f.derive(*this) : at(id).d;
 }
 
 void
 MetricSet::aggregate(const MetricSet &other)
 {
-    const MetricSchema &schema = MetricSchema::builtin();
-    for (const MetricFamily &f : schema.families()) {
-        if (!other.present(f.id))
+    for (const MetricFamily &f : kFamilies) {
+        const Slot &rhs = other.at(f.id);
+        if (!rhs.present)
             continue;
+        Slot &lhs = slots[size_t(f.id)];
+        const bool had = lhs.present;
         switch (f.kind) {
-          case MetricKind::Counter:
-            foldU64(f.id, other.u64(f.id));
+          case Counter:
+            if (!had || f.agg == Sum)
+                lhs.u += rhs.u;
+            else if (f.agg == Max)
+                lhs.u = std::max(lhs.u, rhs.u);
             break;
-          case MetricKind::Value:
-            if (f.agg == MetricAgg::First && present(f.id))
-                break;
-            setValue(f.id, other.value(f.id));
+          case Value:
+            if (!had || f.agg != First)
+                lhs.d = rhs.d;
             break;
-          case MetricKind::Ratio:
-            break;  // derived from the folded operands
-          case MetricKind::Histogram:
-          case MetricKind::Vector: {
-            if (f.agg != MetricAgg::Sum ||
-                (present(f.id) && !vec(f.id).empty() &&
-                 vec(f.id).size() != other.vec(f.id).size())) {
-                if (!present(f.id))
-                    setVec(f.id, other.vec(f.id));
+          case Ratio:
+            continue;  // derived from the folded operands
+          case Histogram:
+          case Vector:
+            if (f.agg != Sum ||
+                (had && !lhs.v.empty() && lhs.v.size() != rhs.v.size())) {
+                if (!had)
+                    lhs.v = rhs.v;
                 break;
             }
-            std::vector<uint64_t> sum = vec(f.id);
-            const auto &rhs = other.vec(f.id);
-            if (sum.empty())
-                sum.resize(rhs.size(), 0);
-            for (size_t i = 0; i < rhs.size(); ++i)
-                sum[i] += rhs[i];
-            setVec(f.id, std::move(sum));
+            if (lhs.v.empty())
+                lhs.v.resize(rhs.v.size(), 0);
+            for (size_t i = 0; i < rhs.v.size(); ++i)
+                lhs.v[i] += rhs.v[i];
             break;
-          }
-          case MetricKind::Timing:
-            if (!present(f.id))
-                setTimingResult(f.id, other.timingResult(f.id));
+          case Timing:
+            if (!had)
+                lhs.t = rhs.t;
             break;
         }
+        lhs.present = true;
     }
     // dynamic engine counters fold by name, first-seen order
     for (const auto &[name, count] : other.pfCounters) {

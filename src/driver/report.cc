@@ -230,7 +230,7 @@ writeFamilyValue(JsonWriter &j, const MetricFamily &f, const MetricSet &m)
       case MetricKind::Histogram:
         j.beginObject();
         j.key("labels").beginArray();
-        for (const auto &label : f.buckets)
+        for (const auto &label : bucketLabels(f))
             j.value(label);
         j.endArray();
         j.key("counts");
@@ -255,7 +255,7 @@ hasOracle(const ExperimentSpec &spec, const MetricSet &m)
 {
     if (spec.oracleRegionSizes.empty())
         return false;
-    for (const auto &f : MetricSchema::builtin().families())
+    for (const auto &f : metricFamilies())
         if (f.section == MetricSection::Oracle && m.present(f.id) &&
             !m.vec(f.id).empty())
             return true;
@@ -334,7 +334,6 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
     j.endObject();
     j.endObject();  // spec
 
-    const MetricSchema &schema = MetricSchema::builtin();
     j.key("cells").beginArray();
     for (const auto &r : results) {
         const MetricSet &m = r.metrics;
@@ -353,11 +352,11 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
             j.endObject();
             continue;
         }
-        // the metrics object iterates the schema: core families
+        // the metrics object walks the table: core families
         // always appear (historical layout), optional families only
         // when the cell produced them
         j.key("metrics").beginObject();
-        for (const auto &f : schema.families()) {
+        for (const auto &f : metricFamilies()) {
             if (f.section != MetricSection::Metrics)
                 continue;
             if (!f.core && !m.present(f.id))
@@ -371,7 +370,7 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
             for (uint32_t s : spec.oracleRegionSizes)
                 j.value(uint64_t{s});
             j.endArray();
-            for (const auto &f : schema.families()) {
+            for (const auto &f : metricFamilies()) {
                 if (f.section != MetricSection::Oracle)
                     continue;
                 j.key(f.reportKey);
@@ -386,7 +385,7 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
         j.endObject();
         if (r.cell.timing) {
             j.key("timing").beginObject();
-            for (const auto &f : schema.families()) {
+            for (const auto &f : metricFamilies()) {
                 if (f.section != MetricSection::Timing)
                     continue;
                 j.key(f.reportKey);
@@ -395,7 +394,7 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
             j.endObject();
         }
         if (spec.emitWall)
-            j.key("wall_ms").value(m.wallMs());
+            j.key("wall_ms").value(m.value(Metric::wallMs));
         j.endObject();
     }
     j.endArray();
@@ -412,7 +411,7 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
             writeOptions(j, g.sweepPoint);
             j.key("cells").value(g.cells);
             j.key("metrics").beginObject();
-            for (const auto &f : schema.families()) {
+            for (const auto &f : metricFamilies()) {
                 if (f.section != MetricSection::Metrics)
                     continue;
                 if (!f.core && !g.metrics.present(f.id))
@@ -432,10 +431,9 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
 std::string
 toCsv(const ExperimentSpec &spec, const std::vector<CellResult> &results)
 {
-    const MetricSchema &schema = MetricSchema::builtin();
     std::ostringstream os;
     os << "id,workload,class,prefetcher,label,options";
-    for (const auto &f : schema.families())
+    for (const auto &f : metricFamilies())
         if (f.csv)
             os << ',' << f.name;
     os << ",error\n";
@@ -449,12 +447,12 @@ toCsv(const ExperimentSpec &spec, const std::vector<CellResult> &results)
            << csvField(r.cell.engine.kind) << ','
            << csvField(r.cell.engine.displayLabel()) << ','
            << csvField(opts);
-        for (const auto &f : schema.families()) {
+        for (const auto &f : metricFamilies()) {
             if (!f.csv)
                 continue;
             os << ',';
-            if (f.id == metric::ids().wallMs)
-                os << (spec.emitWall ? m.wallMs() : 0.0);
+            if (f.id == Metric::wallMs)
+                os << (spec.emitWall ? m.value(f.id) : 0.0);
             else if (f.kind == MetricKind::Counter)
                 os << m.u64(f.id);
             else
@@ -472,18 +470,19 @@ toTable(const std::vector<CellResult> &results)
     TablePrinter table({"App", "Prefetcher", "L1 cov", "L2 cov",
                         "L2 acc", "Off-chip misses", "Speedup",
                         "Status"});
+    using enum Metric;
     for (const auto &r : results) {
         const MetricSet &m = r.metrics;
         std::string label = r.cell.engine.displayLabel();
         for (const auto &[k, v] : r.cell.sweepPoint)
             label += " " + k + "=" + v;
         table.addRow(
-            {r.cell.workload, label, TablePrinter::pct(m.l1Coverage()),
-             TablePrinter::pct(m.l2Coverage()),
-             TablePrinter::pct(m.l2Accuracy()),
-             std::to_string(m.l2ReadMisses()),
-             r.cell.timing && m.speedup() > 0
-                 ? TablePrinter::fixed(m.speedup(), 3)
+            {r.cell.workload, label, TablePrinter::pct(m.value(l1Coverage)),
+             TablePrinter::pct(m.value(l2Coverage)),
+             TablePrinter::pct(m.value(l2Accuracy)),
+             std::to_string(m.u64(l2ReadMisses)),
+             r.cell.timing && m.value(speedup) > 0
+                 ? TablePrinter::fixed(m.value(speedup), 3)
                  : "-",
              r.error.empty() ? "ok" : ("FAILED: " + r.error)});
     }
@@ -507,11 +506,12 @@ toTable(const ExperimentSpec &spec,
         for (const auto &[k, v] : g.sweepPoint)
             label += " " + k + "=" + v;
         const MetricSet &m = g.metrics;
+        using enum Metric;
         table.addRow({g.group, label, std::to_string(g.cells),
-                      TablePrinter::pct(m.l1Coverage()),
-                      TablePrinter::pct(m.l2Coverage()),
-                      TablePrinter::pct(m.l2Accuracy()),
-                      std::to_string(m.l2ReadMisses())});
+                      TablePrinter::pct(m.value(l1Coverage)),
+                      TablePrinter::pct(m.value(l2Coverage)),
+                      TablePrinter::pct(m.value(l2Accuracy)),
+                      std::to_string(m.u64(l2ReadMisses))});
     }
     std::ostringstream os;
     os << out << '\n';
@@ -521,12 +521,13 @@ toTable(const ExperimentSpec &spec,
 
 namespace {
 
-/** A PivotColumn resolved against the schema; one per bucket. */
+/** A PivotColumn and its family's row; one per histogram bucket. */
 struct PivotCol
 {
     const PivotColumn &col;
     const MetricFamily &family;
     size_t bucket;
+    std::string header;
 };
 
 std::vector<PivotCol>
@@ -534,11 +535,12 @@ resolveColumns(const std::vector<PivotColumn> &columns)
 {
     std::vector<PivotCol> out;
     for (const auto &c : columns) {
-        const MetricFamily *f = MetricSchema::builtin().find(c.metric);
-        if (!f)
-            throw std::invalid_argument("pivot: unknown metric " + c.metric);
-        for (size_t b = 0; b < std::max<size_t>(1, f->buckets.size()); ++b)
-            out.push_back({c, *f, b});
+        const MetricFamily &f = metricFamily(c.metric);
+        const std::vector<std::string> labels = bucketLabels(f);
+        if (labels.empty())
+            out.push_back({c, f, 0, c.header});
+        for (size_t b = 0; b < labels.size(); ++b)
+            out.push_back({c, f, b, labels[b]});
     }
     return out;
 }
@@ -611,9 +613,7 @@ toPivot(const PivotSpec &pivot, const std::vector<CellResult> &results)
     for (const auto &[dim, header] : pivot.rows)
         headers.push_back(header);
     for (const auto &c : cols)
-        headers.push_back(c.family.kind == MetricKind::Histogram
-                              ? c.family.buckets[c.bucket]
-                              : c.col.header);
+        headers.push_back(c.header);
     study::TablePrinter table(headers);
     std::vector<Row> seen;
     for (const auto &e : entries) {

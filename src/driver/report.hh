@@ -82,7 +82,8 @@ enum class PivotDim { None, Group, Workload, Engine, Sweep };
  */
 struct PivotColumn
 {
-    std::string header, key, metric;
+    std::string header, key;
+    Metric metric;
     int digits = -1;  //!< -1 = percentage
 };
 

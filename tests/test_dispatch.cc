@@ -222,86 +222,86 @@ TEST(DispatchWire, CellJobRoundTrips)
 
 TEST(DispatchWire, ResultRoundTripsDoublesBitExactly)
 {
-    const metric::Builtin &M = metric::ids();
+    using enum Metric;
     CellResult r;
     r.cell.id = 7;
-    r.metrics.setU64(M.instructions, 123456789);
-    r.metrics.setU64(M.l1ReadMisses, 42);
-    r.metrics.setU64(M.falseSharing, 17);
-    r.metrics.setVec(M.oracleL1Gens, {1, 2, 3});
-    r.metrics.setVec(M.oracleL2Gens, {4, 5, 6});
-    r.metrics.setValue(M.uipc, 1.0 / 3.0);  // not exactly printable
-    r.metrics.setValue(M.baselineUipc, 0.1234567890123456);
-    r.metrics.setValue(M.speedup, 1.3333333333333333);
-    r.metrics.setU64(M.peakAccumOccupancy, 77);
-    r.metrics.setU64(M.peakFilterOccupancy, 11);
+    r.metrics.setU64(instructions, 123456789);
+    r.metrics.setU64(l1ReadMisses, 42);
+    r.metrics.setU64(falseSharing, 17);
+    r.metrics.setVec(oracleL1Gens, {1, 2, 3});
+    r.metrics.setVec(oracleL2Gens, {4, 5, 6});
+    r.metrics.setValue(uipc, 1.0 / 3.0);  // not exactly printable
+    r.metrics.setValue(baselineUipc, 0.1234567890123456);
+    r.metrics.setValue(speedup, 1.3333333333333333);
+    r.metrics.setU64(peakAccumOccupancy, 77);
+    r.metrics.setU64(peakFilterOccupancy, 11);
     sim::TimingResult t;
     t.cycles = 9876.5432101234;
     t.userInstructions = 4242;
     t.systemInstructions = 17;
     t.breakdown.offChipRead = 2.0 / 7.0;
     t.breakdown.storeBuffer = 1e-17;
-    r.metrics.setTimingResult(M.timing, t);
+    r.metrics.setTimingResult(timing, t);
     sim::TimingResult bt;
     bt.cycles = 12345.000001;
     bt.breakdown.userBusy = 0.3333333333333333;
-    r.metrics.setTimingResult(M.baselineTiming, bt);
-    r.metrics.setWallMs(0.0);
+    r.metrics.setTimingResult(baselineTiming, bt);
+    r.metrics.setValue(wallMs, 0.0);
     r.metrics.pfCounters = {{"triggers", 9}, {"pht_hits", 8}};
     r.error = "";
 
     const CellResult back = decodeResult(parseJson(encodeResult(r)));
     EXPECT_EQ(back.cell.id, r.cell.id);
-    EXPECT_EQ(back.metrics.instructions(), r.metrics.instructions());
-    EXPECT_EQ(back.metrics.l1ReadMisses(), r.metrics.l1ReadMisses());
-    EXPECT_EQ(back.metrics.falseSharing(), r.metrics.falseSharing());
-    EXPECT_EQ(back.metrics.oracleL1Gens(), r.metrics.oracleL1Gens());
-    EXPECT_EQ(back.metrics.oracleL2Gens(), r.metrics.oracleL2Gens());
+    EXPECT_EQ(back.metrics.u64(instructions), r.metrics.u64(instructions));
+    EXPECT_EQ(back.metrics.u64(l1ReadMisses), r.metrics.u64(l1ReadMisses));
+    EXPECT_EQ(back.metrics.u64(falseSharing), r.metrics.u64(falseSharing));
+    EXPECT_EQ(back.metrics.vec(oracleL1Gens), r.metrics.vec(oracleL1Gens));
+    EXPECT_EQ(back.metrics.vec(oracleL2Gens), r.metrics.vec(oracleL2Gens));
     // bit-exact, not approximately equal — the report must be
     // byte-identical to a single-process run
-    EXPECT_EQ(back.metrics.uipc(), r.metrics.uipc());
-    EXPECT_EQ(back.metrics.baselineUipc(), r.metrics.baselineUipc());
-    EXPECT_EQ(back.metrics.speedup(), r.metrics.speedup());
-    EXPECT_EQ(back.metrics.peakAccumOccupancy(),
-              r.metrics.peakAccumOccupancy());
-    EXPECT_EQ(back.metrics.peakFilterOccupancy(),
-              r.metrics.peakFilterOccupancy());
-    EXPECT_EQ(back.metrics.timing().cycles, t.cycles);
-    EXPECT_EQ(back.metrics.timing().userInstructions,
+    EXPECT_EQ(back.metrics.value(uipc), r.metrics.value(uipc));
+    EXPECT_EQ(back.metrics.value(baselineUipc), r.metrics.value(baselineUipc));
+    EXPECT_EQ(back.metrics.value(speedup), r.metrics.value(speedup));
+    EXPECT_EQ(back.metrics.u64(peakAccumOccupancy),
+              r.metrics.u64(peakAccumOccupancy));
+    EXPECT_EQ(back.metrics.u64(peakFilterOccupancy),
+              r.metrics.u64(peakFilterOccupancy));
+    EXPECT_EQ(back.metrics.timingResult(timing).cycles, t.cycles);
+    EXPECT_EQ(back.metrics.timingResult(timing).userInstructions,
               t.userInstructions);
-    EXPECT_EQ(back.metrics.timing().systemInstructions,
+    EXPECT_EQ(back.metrics.timingResult(timing).systemInstructions,
               t.systemInstructions);
-    EXPECT_EQ(back.metrics.timing().breakdown.offChipRead,
+    EXPECT_EQ(back.metrics.timingResult(timing).breakdown.offChipRead,
               t.breakdown.offChipRead);
-    EXPECT_EQ(back.metrics.timing().breakdown.storeBuffer,
+    EXPECT_EQ(back.metrics.timingResult(timing).breakdown.storeBuffer,
               t.breakdown.storeBuffer);
-    EXPECT_EQ(back.metrics.baselineTiming().cycles, bt.cycles);
-    EXPECT_EQ(back.metrics.baselineTiming().breakdown.userBusy,
+    EXPECT_EQ(back.metrics.timingResult(baselineTiming).cycles, bt.cycles);
+    EXPECT_EQ(back.metrics.timingResult(baselineTiming).breakdown.userBusy,
               bt.breakdown.userBusy);
     EXPECT_EQ(back.metrics.pfCounters, r.metrics.pfCounters);
     EXPECT_TRUE(back.error.empty());
     // absent families stay absent across the wire
-    EXPECT_FALSE(back.metrics.present(M.l1Density));
-    EXPECT_TRUE(back.metrics.present(M.oracleL1Gens));
+    EXPECT_FALSE(back.metrics.present(l1Density));
+    EXPECT_TRUE(back.metrics.present(oracleL1Gens));
 }
 
 TEST(DispatchWire, HistogramAndVectorFamiliesRoundTrip)
 {
-    // protocol v3: histogram/vector families ride under their schema
+    // protocol v3: histogram/vector families ride under their canonical
     // names with no per-family wire code
-    const metric::Builtin &M = metric::ids();
+    using enum Metric;
     CellResult r;
     r.cell.id = 3;
-    r.metrics.setVec(M.l1Density, {10, 20, 30, 40, 50, 60, 70});
-    r.metrics.setVec(M.l2Density, {1, 0, 0, 2, 0, 0, 3});
-    r.metrics.setVec(M.oracleL1Gens, {});
+    r.metrics.setVec(l1Density, {10, 20, 30, 40, 50, 60, 70});
+    r.metrics.setVec(l2Density, {1, 0, 0, 2, 0, 0, 3});
+    r.metrics.setVec(oracleL1Gens, {});
     const CellResult back = decodeResult(parseJson(encodeResult(r)));
-    EXPECT_EQ(back.metrics.l1Density(), r.metrics.l1Density());
-    EXPECT_EQ(back.metrics.l2Density(), r.metrics.l2Density());
-    EXPECT_TRUE(back.metrics.present(M.oracleL1Gens));
-    EXPECT_TRUE(back.metrics.oracleL1Gens().empty());
-    EXPECT_FALSE(back.metrics.present(M.oracleL2Gens));
-    EXPECT_FALSE(back.metrics.present(M.instructions));
+    EXPECT_EQ(back.metrics.vec(l1Density), r.metrics.vec(l1Density));
+    EXPECT_EQ(back.metrics.vec(l2Density), r.metrics.vec(l2Density));
+    EXPECT_TRUE(back.metrics.present(oracleL1Gens));
+    EXPECT_TRUE(back.metrics.vec(oracleL1Gens).empty());
+    EXPECT_FALSE(back.metrics.present(oracleL2Gens));
+    EXPECT_FALSE(back.metrics.present(instructions));
 }
 
 TEST(DispatchWire, RejectsUnknownMetricFamily)
@@ -310,6 +310,12 @@ TEST(DispatchWire, RejectsUnknownMetricFamily)
         decodeResult(parseJson(
             R"({"type":"result","id":1,"error":"",)"
             R"("metrics":{"no_such_family":1},"counters":[]})")),
+        std::invalid_argument);
+    // ratios are derived on each end and never ride the wire
+    EXPECT_THROW(
+        decodeResult(parseJson(
+            R"({"type":"result","id":1,"error":"",)"
+            R"("metrics":{"l1_coverage":1},"counters":[]})")),
         std::invalid_argument);
 }
 
@@ -450,7 +456,7 @@ TEST(Dispatch, RetryCapRecordsCellErrorNotCrash)
         << results[0].error;
     // the sweep survives: the other cell still ran to completion
     EXPECT_TRUE(results[1].error.empty()) << results[1].error;
-    EXPECT_GT(results[1].metrics.instructions(), 0u);
+    EXPECT_GT(results[1].metrics.u64(Metric::instructions), 0u);
 }
 
 TEST(Dispatch, CellTimeoutRequeuesToAnotherWorker)
@@ -808,16 +814,17 @@ TEST(TimingOnly, MatchesFullTimingUipcExactly)
         ASSERT_TRUE(fullResults[i].error.empty());
         ASSERT_TRUE(leanResults[i].error.empty());
         // same timing numbers, bit-exact
-        EXPECT_EQ(fullResults[i].metrics.uipc(),
-                  leanResults[i].metrics.uipc());
-        EXPECT_EQ(fullResults[i].metrics.baselineUipc(),
-                  leanResults[i].metrics.baselineUipc());
-        EXPECT_EQ(fullResults[i].metrics.speedup(),
-                  leanResults[i].metrics.speedup());
+        EXPECT_EQ(fullResults[i].metrics.value(Metric::uipc),
+                  leanResults[i].metrics.value(Metric::uipc));
+        EXPECT_EQ(fullResults[i].metrics.value(Metric::baselineUipc),
+                  leanResults[i].metrics.value(Metric::baselineUipc));
+        EXPECT_EQ(fullResults[i].metrics.value(Metric::speedup),
+                  leanResults[i].metrics.value(Metric::speedup));
         // ... without paying for the system-study pass
-        EXPECT_GT(fullResults[i].metrics.instructions(), 0u);
-        EXPECT_EQ(leanResults[i].metrics.instructions(), 0u);
-        EXPECT_EQ(leanResults[i].metrics.baselineL1ReadMisses(), 0u);
+        EXPECT_GT(fullResults[i].metrics.u64(Metric::instructions), 0u);
+        EXPECT_EQ(leanResults[i].metrics.u64(Metric::instructions), 0u);
+        EXPECT_EQ(
+            leanResults[i].metrics.u64(Metric::baselineL1ReadMisses), 0u);
     }
 }
 
@@ -852,12 +859,12 @@ TEST(GeometrySweep, L2SizeAxisReshapesEachCell)
         ASSERT_TRUE(r.error.empty()) << r.error;
     // each L2 size gets its own memoized baseline: a smaller L2 must
     // miss at least as often off-chip
-    EXPECT_GE(results[2].metrics.l2ReadMisses(),
-              results[3].metrics.l2ReadMisses());
-    EXPECT_EQ(results[0].metrics.baselineL2ReadMisses(),
-              results[2].metrics.l2ReadMisses());
-    EXPECT_EQ(results[1].metrics.baselineL2ReadMisses(),
-              results[3].metrics.l2ReadMisses());
+    EXPECT_GE(results[2].metrics.u64(Metric::l2ReadMisses),
+              results[3].metrics.u64(Metric::l2ReadMisses));
+    EXPECT_EQ(results[0].metrics.u64(Metric::baselineL2ReadMisses),
+              results[2].metrics.u64(Metric::l2ReadMisses));
+    EXPECT_EQ(results[1].metrics.u64(Metric::baselineL2ReadMisses),
+              results[3].metrics.u64(Metric::l2ReadMisses));
 }
 
 TEST(GeometrySweep, GeometryKeysLegalOnlyAsSweepOrTopLevel)
@@ -1251,7 +1258,7 @@ TEST(DispatchJournal, ReadJournalKeepsTheCleanPrefix)
         R"("cells":3})");
     CellResult ok, failed;
     ok.cell.id = 1;
-    ok.metrics.setWallMs(2.0);
+    ok.metrics.setValue(Metric::wallMs, 2.0);
     failed.cell.id = 2;
     failed.error = "boom";
     const std::string clean = header + frameBytes(encodeResult(ok)) +
@@ -1265,7 +1272,7 @@ TEST(DispatchJournal, ReadJournalKeepsTheCleanPrefix)
         EXPECT_EQ(j.cleanEnd, clean.size());
         // errored results re-run; the first ok copy wins
         ASSERT_EQ(j.results.size(), 1u);
-        EXPECT_EQ(j.results.at(1).metrics.wallMs(), 2.0);
+        EXPECT_EQ(j.results.at(1).metrics.value(Metric::wallMs), 2.0);
     }
     EXPECT_FALSE(readJournal("").hasHeader);
     EXPECT_FALSE(readJournal(header.substr(0, 10)).hasHeader);

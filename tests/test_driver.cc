@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <unistd.h>
 
 #include "dispatch/journal.hh"
@@ -78,9 +79,9 @@ quickTokens()
 void
 expectSameMetrics(const MetricSet &a, const MetricSet &b)
 {
-    // every registered family must agree, whatever its kind
-    for (const auto &f : MetricSchema::builtin().families()) {
-        if (f.id == metric::ids().wallMs)
+    // every family must agree, whatever its kind
+    for (const auto &f : metricFamilies()) {
+        if (f.id == Metric::wallMs)
             continue;  // wall time legitimately differs across runs
         EXPECT_EQ(a.present(f.id), b.present(f.id)) << f.name;
         switch (f.kind) {
@@ -484,7 +485,7 @@ TEST(Runner, DeterministicAcrossThreadCounts)
         expectSameMetrics(r1[i].metrics, r4[i].metrics);
     }
     // sanity: SMS actually prefetched something
-    EXPECT_GT(r1[0].metrics.l1Covered(), 0u);
+    EXPECT_GT(r1[0].metrics.u64(Metric::l1Covered), 0u);
 }
 
 TEST(Runner, TraceRecordThenReplayMatchesLiveStats)
@@ -777,7 +778,7 @@ TEST(SuiteExtension, HashJoinRunsThroughTheEngine)
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
     // SMS finds the join's spatial structure
-    EXPECT_GT(results[0].metrics.l1Covered(), 0u);
+    EXPECT_GT(results[0].metrics.u64(Metric::l1Covered), 0u);
 }
 
 TEST(SuiteExtension, GraphSurvivesMoreCpusThanVertices)
@@ -862,7 +863,7 @@ TEST(SuiteExtension, PacketRunsThroughTheEngine)
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
     // SMS finds the RX path's spatial structure
-    EXPECT_GT(results[0].metrics.l1Covered(), 0u);
+    EXPECT_GT(results[0].metrics.u64(Metric::l1Covered), 0u);
 }
 
 TEST(SuiteExtension, LsmCompactRegisteredOutsidePaperSuite)
@@ -914,7 +915,7 @@ TEST(SuiteExtension, LsmCompactRunsThroughTheEngine)
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
     // SMS covers the sorted-run scans and buffered flushes
-    EXPECT_GT(results[0].metrics.l1Covered(), 0u);
+    EXPECT_GT(results[0].metrics.u64(Metric::l1Covered), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -930,13 +931,14 @@ TEST(TimingPipeline, EveryRegistryEngineReportsUipcAndSpeedup)
     ASSERT_EQ(results.size(), 5u);
     for (const auto &r : results) {
         ASSERT_TRUE(r.error.empty()) << r.error;
-        EXPECT_GT(r.metrics.uipc(), 0.0) << r.cell.engine.kind;
-        EXPECT_GT(r.metrics.baselineUipc(), 0.0) << r.cell.engine.kind;
-        EXPECT_GT(r.metrics.speedup(), 0.0) << r.cell.engine.kind;
-        EXPECT_GT(r.metrics.timing().cycles, 0.0) << r.cell.engine.kind;
+        const MetricSet &m = r.metrics;
+        using enum Metric;
+        EXPECT_GT(m.value(uipc), 0.0) << r.cell.engine.kind;
+        EXPECT_GT(m.value(baselineUipc), 0.0) << r.cell.engine.kind;
+        EXPECT_GT(m.value(speedup), 0.0) << r.cell.engine.kind;
+        EXPECT_GT(m.timingResult(timing).cycles, 0.0) << r.cell.engine.kind;
         // baselines agree across engines: one memoized "none" pass
-        EXPECT_EQ(r.metrics.baselineUipc(),
-                  results.back().metrics.uipc());
+        EXPECT_EQ(m.value(baselineUipc), results.back().metrics.value(uipc));
     }
 }
 
@@ -957,12 +959,13 @@ TEST(TimingPipeline, GhbStrideTimingDeterministicAcrossThreadCounts)
     for (auto *rs : {&r1, &r4})
         for (auto &r : *rs) {
             ASSERT_TRUE(r.error.empty()) << r.error;
-            r.metrics.setWallMs(0);
+            r.metrics.setValue(Metric::wallMs, 0);
         }
     EXPECT_EQ(toJson(one, r1), toJson(one, r4));
     for (size_t i = 0; i < r1.size(); ++i) {
-        EXPECT_EQ(r1[i].metrics.uipc(), r4[i].metrics.uipc());
-        EXPECT_GT(r1[i].metrics.uipc(), 0.0);
+        EXPECT_EQ(r1[i].metrics.value(Metric::uipc),
+                  r4[i].metrics.value(Metric::uipc));
+        EXPECT_GT(r1[i].metrics.value(Metric::uipc), 0.0);
     }
 }
 
@@ -980,13 +983,15 @@ TEST(TimingPipeline, TimingMemoKeysOnEngineOptions)
     ASSERT_EQ(results.size(), 3u);
     for (const auto &r : results)
         ASSERT_TRUE(r.error.empty()) << r.error;
-    EXPECT_NE(results[0].metrics.uipc(), results[1].metrics.uipc());
+    EXPECT_NE(results[0].metrics.value(Metric::uipc),
+              results[1].metrics.value(Metric::uipc));
     // ...while engines with identical configurations share one
     // memoized pass bit-exactly
-    EXPECT_EQ(results[1].metrics.uipc(), results[2].metrics.uipc());
+    EXPECT_EQ(results[1].metrics.value(Metric::uipc),
+              results[2].metrics.value(Metric::uipc));
     // and every cell's baseline is the shared no-prefetch pass
-    EXPECT_EQ(results[0].metrics.baselineUipc(),
-              results[1].metrics.baselineUipc());
+    EXPECT_EQ(results[0].metrics.value(Metric::baselineUipc),
+              results[1].metrics.value(Metric::baselineUipc));
 }
 
 TEST(TimingPipeline, UntimedPassesNeverServeTimedCells)
@@ -1007,7 +1012,7 @@ TEST(TimingPipeline, UntimedPassesNeverServeTimedCells)
     for (const RunCell &cell : expandSpec(timed)) {
         results.push_back(exec.execute(cell));
         ASSERT_TRUE(results.back().error.empty());
-        EXPECT_GT(results.back().metrics.uipc(), 0.0);
+        EXPECT_GT(results.back().metrics.value(Metric::uipc), 0.0);
     }
     EXPECT_EQ(toJson(timed, results), toJson(timed, dispatch::runSpec(timed)));
 }
@@ -1036,7 +1041,8 @@ TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
             return dep.get();
         });
 
-    const sim::TimingResult &cell = results[0].metrics.timing();
+    const sim::TimingResult &cell =
+        results[0].metrics.timingResult(Metric::timing);
     EXPECT_EQ(cell.cycles, direct.cycles);
     EXPECT_EQ(cell.userInstructions, direct.userInstructions);
     EXPECT_EQ(cell.breakdown.userBusy, direct.breakdown.userBusy);
@@ -1044,7 +1050,7 @@ TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
     EXPECT_EQ(cell.breakdown.onChipRead, direct.breakdown.onChipRead);
     EXPECT_EQ(cell.breakdown.storeBuffer, direct.breakdown.storeBuffer);
     EXPECT_EQ(cell.breakdown.other, direct.breakdown.other);
-    EXPECT_EQ(results[0].metrics.uipc(), direct.uipc());
+    EXPECT_EQ(results[0].metrics.value(Metric::uipc), direct.uipc());
 }
 
 // ---------------------------------------------------------------------
@@ -1073,7 +1079,7 @@ TEST(Equivalence, PaperSuitePlusGraphJsonIdenticalAcrossThreadCounts)
     for (auto *rs : {&r1, &r4})
         for (auto &r : *rs) {
             ASSERT_TRUE(r.error.empty()) << r.error;
-            r.metrics.setWallMs(0);
+            r.metrics.setValue(Metric::wallMs, 0);
         }
     // spec.threads differs by construction; compare the cells array
     const std::string j1 = toJson(one, r1);
@@ -1082,91 +1088,78 @@ TEST(Equivalence, PaperSuitePlusGraphJsonIdenticalAcrossThreadCounts)
 }
 
 // ---------------------------------------------------------------------
-// metrics schema
+// metric table
 // ---------------------------------------------------------------------
 
-TEST(MetricSchema, BuiltinFamiliesResolveAndAreUnique)
+TEST(MetricTable, FamiliesResolveAndAreUnique)
 {
-    const MetricSchema &s = MetricSchema::builtin();
-    ASSERT_GE(s.size(), 30u);
-    for (const auto &f : s.families()) {
-        ASSERT_EQ(&s.family(f.id), &f);
-        ASSERT_EQ(s.find(f.name), &f) << f.name;
-        if (f.kind == MetricKind::Ratio) {
-            ASSERT_TRUE(f.derive) << f.name;
-        }
+    ASSERT_EQ(metricFamilies().size(), kMetricCount);
+    std::set<std::string> names;
+    for (const auto &f : metricFamilies()) {
+        EXPECT_TRUE(names.insert(f.name).second) << f.name;
+        ASSERT_NE(findMetric(f.name), nullptr) << f.name;
+        EXPECT_EQ(findMetric(f.name)->id, f.id) << f.name;
+        EXPECT_EQ(&metricFamily(f.id), &f) << f.name;
     }
-    EXPECT_EQ(s.find("no_such_family"), nullptr);
-    const metric::Builtin &M = metric::ids();
-    EXPECT_EQ(s.family(M.instructions).name, "instructions");
-    EXPECT_EQ(s.family(M.l1Density).kind, MetricKind::Histogram);
-    EXPECT_EQ(s.family(M.peakAccumOccupancy).agg, MetricAgg::Max);
-}
-
-TEST(MetricSchema, RejectsDuplicatesAndRatioWithoutDerive)
-{
-    MetricSchema s;
-    s.addCounter("a", MetricAgg::Sum, true, true, "");
-    EXPECT_THROW(s.addCounter("a", MetricAgg::Sum, true, true, ""),
-                 std::invalid_argument);
-    MetricFamily bad;
-    bad.name = "r";
-    bad.kind = MetricKind::Ratio;
-    EXPECT_THROW(s.add(std::move(bad)), std::invalid_argument);
+    EXPECT_EQ(findMetric("no_such_family"), nullptr);
+    using enum Metric;
+    EXPECT_STREQ(metricFamily(instructions).name, "instructions");
+    EXPECT_EQ(metricFamily(l1Density).kind, MetricKind::Histogram);
+    EXPECT_EQ(bucketLabels(metricFamily(l1Density)).size(),
+              study::kDensityBuckets);
+    EXPECT_TRUE(bucketLabels(metricFamily(l1Coverage)).empty());
+    EXPECT_EQ(metricFamily(peakAccumOccupancy).agg, MetricAgg::Max);
 }
 
 TEST(MetricSet, AggregateFollowsFamilyRules)
 {
-    const metric::Builtin &M = metric::ids();
+    using enum Metric;
     MetricSet a, b;
-    a.setU64(M.l1Covered, 10);
-    a.setU64(M.baselineL1ReadMisses, 100);
-    a.setU64(M.peakAccumOccupancy, 7);
-    a.setVec(M.l1Density, {1, 2, 3, 4, 5, 6, 7});
+    a.setU64(l1Covered, 10);
+    a.setU64(baselineL1ReadMisses, 100);
+    a.setU64(peakAccumOccupancy, 7);
+    a.setVec(l1Density, {1, 2, 3, 4, 5, 6, 7});
     a.pfCounters = {{"triggers", 5}};
-    b.setU64(M.l1Covered, 30);
-    b.setU64(M.baselineL1ReadMisses, 100);
-    b.setU64(M.peakAccumOccupancy, 3);
-    b.setVec(M.l1Density, {10, 0, 0, 0, 0, 0, 0});
+    b.setU64(l1Covered, 30);
+    b.setU64(baselineL1ReadMisses, 100);
+    b.setU64(peakAccumOccupancy, 3);
+    b.setVec(l1Density, {10, 0, 0, 0, 0, 0, 0});
     b.pfCounters = {{"triggers", 2}, {"pht_hits", 1}};
 
     MetricSet agg;
     agg.aggregate(a);
     agg.aggregate(b);
-    EXPECT_EQ(agg.l1Covered(), 40u);                 // Sum
-    EXPECT_EQ(agg.baselineL1ReadMisses(), 200u);     // Sum
-    EXPECT_EQ(agg.peakAccumOccupancy(), 7u);         // Max
-    EXPECT_EQ(agg.l1Density(),
+    EXPECT_EQ(agg.u64(l1Covered), 40u);                 // Sum
+    EXPECT_EQ(agg.u64(baselineL1ReadMisses), 200u);     // Sum
+    EXPECT_EQ(agg.u64(peakAccumOccupancy), 7u);         // Max
+    EXPECT_EQ(agg.vec(l1Density),
               (std::vector<uint64_t>{11, 2, 3, 4, 5, 6, 7}));
     // ratios derive from the folded operands, CoverageAgg-style
-    EXPECT_DOUBLE_EQ(agg.l1Coverage(), 40.0 / 200.0);
+    EXPECT_DOUBLE_EQ(agg.value(l1Coverage), 40.0 / 200.0);
     ASSERT_EQ(agg.pfCounters.size(), 2u);
     EXPECT_EQ(agg.pfCounters[0], (std::pair<std::string, uint64_t>{
                                      "triggers", 7}));
     // families neither input produced stay absent
-    EXPECT_FALSE(agg.present(M.uipc));
+    EXPECT_FALSE(agg.present(uipc));
 }
 
-TEST(MetricSet, RegisteredExtensionFamilyRidesEverySink)
+TEST(MetricSet, HiddenFamilyRidesTheWireNotTheReport)
 {
-    // the point of the API: one registration, no serializer edits
-    static const MetricId ext = MetricSchema::builtin().addCounter(
-        "test_extension_counter", MetricAgg::Sum, false, false,
-        "registered by the test suite");
+    // a family is one enumerator and one row: no serializer edits
     CellResult r;
     r.cell.id = 0;
-    r.metrics.setU64(ext, 1234);
+    r.metrics.setU64(Metric::peakAccumOccupancy, 1234);
     // wire: encodes under its name, decodes into the same slot
     const auto wire = dispatch::encodeResult(r);
-    EXPECT_NE(wire.find("\"test_extension_counter\":1234"),
+    EXPECT_NE(wire.find("\"peak_accum_occupancy\":1234"),
               std::string::npos);
     const CellResult back =
         dispatch::decodeResult(dispatch::parseJson(wire));
-    EXPECT_EQ(back.metrics.u64(ext), 1234u);
-    // JSON report: non-core families appear only when present
+    EXPECT_EQ(back.metrics.u64(Metric::peakAccumOccupancy), 1234u);
+    // JSON report: hidden families never appear
     ExperimentSpec spec = parseSpec({"workloads=sparse"});
     const std::string json = toJson(spec, {r});
-    EXPECT_EQ(json.find("test_extension_counter"), std::string::npos);
+    EXPECT_EQ(json.find("peak_accum_occupancy"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -1182,10 +1175,10 @@ TEST(DensityAxis, CellsCarrySevenBucketHistograms)
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].error.empty()) << results[0].error;
     const MetricSet &m = results[0].metrics;
-    ASSERT_EQ(m.l1Density().size(), study::kDensityBuckets);
-    ASSERT_EQ(m.l2Density().size(), study::kDensityBuckets);
+    ASSERT_EQ(m.vec(Metric::l1Density).size(), study::kDensityBuckets);
+    ASSERT_EQ(m.vec(Metric::l2Density).size(), study::kDensityBuckets);
     uint64_t total = 0;
-    for (uint64_t v : m.l1Density())
+    for (uint64_t v : m.vec(Metric::l1Density))
         total += v;
     EXPECT_GT(total, 0u);
     // the histogram listener must not perturb the measured system
@@ -1194,9 +1187,11 @@ TEST(DensityAxis, CellsCarrySevenBucketHistograms)
          "refs=2000"});
     auto base = dispatch::runSpec(plain);
     ASSERT_TRUE(base[0].error.empty());
-    EXPECT_EQ(base[0].metrics.l1ReadMisses(), m.l1ReadMisses());
-    EXPECT_EQ(base[0].metrics.l2ReadMisses(), m.l2ReadMisses());
-    EXPECT_FALSE(base[0].metrics.present(metric::ids().l1Density));
+    EXPECT_EQ(base[0].metrics.u64(Metric::l1ReadMisses),
+              m.u64(Metric::l1ReadMisses));
+    EXPECT_EQ(base[0].metrics.u64(Metric::l2ReadMisses),
+              m.u64(Metric::l2ReadMisses));
+    EXPECT_FALSE(base[0].metrics.present(Metric::l1Density));
 }
 
 TEST(DensityAxis, SweepsPerCellAndStaysDeterministic)
@@ -1216,12 +1211,13 @@ TEST(DensityAxis, SweepsPerCellAndStaysDeterministic)
     for (auto *rs : {&r1, &r4})
         for (auto &r : *rs) {
             ASSERT_TRUE(r.error.empty()) << r.error;
-            r.metrics.setWallMs(0);
+            r.metrics.setValue(Metric::wallMs, 0);
         }
     EXPECT_EQ(toJson(one, r1), toJson(one, r4));
     // coarser regions concentrate the same misses into fewer, denser
     // generations — the histograms must differ
-    EXPECT_NE(r1[0].metrics.l1Density(), r1[1].metrics.l1Density());
+    EXPECT_NE(r1[0].metrics.vec(Metric::l1Density),
+              r1[1].metrics.vec(Metric::l1Density));
 }
 
 TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
@@ -1240,7 +1236,7 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
     for (auto *rs : {&r1, &r4})
         for (auto &r : *rs) {
             ASSERT_TRUE(r.error.empty()) << r.error;
-            r.metrics.setWallMs(0);
+            r.metrics.setValue(Metric::wallMs, 0);
         }
     EXPECT_EQ(toJson(one, r1), toJson(one, r4));
 
@@ -1262,14 +1258,15 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
         cfg.sms.agt = {0, 0};
         auto direct =
             study::runL1Study(traces.viewSet("sparse", p), cfg, p.seed);
-        EXPECT_EQ(r1[i].metrics.l1Covered(), direct.coveredReads)
+        const MetricSet &m = r1[i].metrics;
+        EXPECT_EQ(m.u64(Metric::l1Covered), direct.coveredReads)
             << trainerName(kinds[i]);
-        EXPECT_EQ(r1[i].metrics.l1ReadMisses(), direct.readMisses);
-        EXPECT_EQ(r1[i].metrics.l1Overpred(), direct.overpredictions);
+        EXPECT_EQ(m.u64(Metric::l1ReadMisses), direct.readMisses);
+        EXPECT_EQ(m.u64(Metric::l1Overpred), direct.overpredictions);
     }
     // the trainers genuinely differ on this workload
-    EXPECT_NE(r1[0].metrics.l1ReadMisses(),
-              r1[2].metrics.l1ReadMisses());
+    EXPECT_NE(r1[0].metrics.u64(Metric::l1ReadMisses),
+              r1[2].metrics.u64(Metric::l1ReadMisses));
 }
 
 TEST(TrainerAxis, RejectedOutsideL1Mode)

@@ -545,9 +545,9 @@ TEST(ReportGroups, AggregateMatchesHandRolledFold)
         }
         EXPECT_EQ(g.cells, folded);
         // Identical fold order -> bit-identical derived ratios.
-        EXPECT_EQ(g.metrics.l1Coverage(), hand.l1Coverage());
-        EXPECT_EQ(g.metrics.l1Uncovered(), hand.l1Uncovered());
-        EXPECT_EQ(g.metrics.l1OverpredRate(), hand.l1OverpredRate());
+        for (Metric ratio : {Metric::l1Coverage, Metric::l1Uncovered,
+                             Metric::l1OverpredRate})
+            EXPECT_EQ(g.metrics.value(ratio), hand.value(ratio));
     }
 }
 

@@ -241,8 +241,8 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
 {
     CellScheduler sched(fourCells());
     std::map<uint32_t, CellResult> replayed;
-    replayed[1].metrics.setWallMs(1.5);
-    replayed[2].metrics.setWallMs(2.5);
+    replayed[1].metrics.setValue(Metric::wallMs, 1.5);
+    replayed[2].metrics.setValue(Metric::wallMs, 2.5);
     replayed[9];  // an id outside the spec is ignored
     EXPECT_EQ(sched.seed(replayed), 2u);
     EXPECT_TRUE(sched.done(1));
@@ -261,6 +261,6 @@ TEST(Scheduler, JournalSeededCellsAreNeverClaimed)
     EXPECT_EQ(reported, 2u);
     EXPECT_EQ(total, 2u);
     const auto results = sched.takeResults();
-    EXPECT_EQ(results[2].metrics.wallMs(), 2.5);
+    EXPECT_EQ(results[2].metrics.value(Metric::wallMs), 2.5);
     EXPECT_EQ(results[2].cell.id, 2u);
 }

@@ -329,8 +329,8 @@ TEST(WireBytes, EveryMessageTypeKeepsItsFrame)
 
     CellResult result;
     result.cell.id = 3;
-    result.metrics.setU64(metric::ids().instructions, 12345);
-    result.metrics.setWallMs(1.5);
+    result.metrics.setU64(Metric::instructions, 12345);
+    result.metrics.setValue(Metric::wallMs, 1.5);
     result.metrics.pfCounters = {{"issued", 9}};
     result.telemetry.phases = {{"trace", 0.25}};
     result.telemetry.counters = {{"cells_done", 1}};

@@ -369,7 +369,7 @@ TEST(Streamer, ReportsIdenticalAcrossThreadCountsAndVsStreamingOff)
     for (auto *rs : {&rOff, &r1, &r4})
         for (auto &r : *rs) {
             ASSERT_TRUE(r.error.empty()) << r.error;
-            r.metrics.setWallMs(0);
+            r.metrics.setValue(Metric::wallMs, 0);
         }
     // look-ahead on vs off, 1 vs 4 threads: byte-identical reports
     const std::string jOff = toJson(ref, rOff);
